@@ -101,74 +101,43 @@ def _params_label(p: Params, raw: Optional[RawParams]) -> str:
 # density
 # ---------------------------------------------------------------------------
 
+# (law, scenario) -> (dists constructor, required flags, header format).
+# A law under scenario None takes no scenario.  Each constructor takes the
+# flags in order, then p; it is looked up by name on ``dists`` when called,
+# so that wrappers installed on ``dists`` (profilers, tracers) see the build.
+_DENSITY_LAWS = {
+    ("pendant", "given-n"): ("pendant_dist_given_n", (), "pendant | n"),
+    ("pendant", "given-n-age"): ("pendant_dist_given_n_age", ("n", "x1"),
+                                 "pendant | n={n}, x1={x1}"),
+    ("pendant", "given-age"): ("pendant_dist_given_age", ("x1",), "pendant | x1={x1}"),
+    ("interior", "given-n"): ("interior_dist_yule", (), "interior | n (pure birth)"),
+    ("root-edge", "given-n"): ("root_edge_dist_given_n", ("n",),
+                               "root edge | n={n} (pure birth)"),
+    ("root-edge", "given-age"): ("root_edge_dist_given_age", ("x1",),
+                                 "root edge | x1={x1} (pure birth)"),
+    ("speciation-time", None): ("speciation_time_dist", ("k", "n", "x1"),
+                                "speciation time k={k} | n={n}, x1={x1}"),
+    ("hypoexp", None): ("hypoexp_dist", ("k",), "hypoexponential k={k}"),
+    ("diversity", "given-n"): ("diversity_dist_given_n", ("n",),
+                               "diversity | n={n} (pure birth)"),
+}
+
+
 def _density_law(args, p: Params):
     """Return (MixedDist, description) for the requested law/scenario."""
-    law, scen = args.law, args.scenario
-    if law == "pendant":
-        if scen == "given-n":
-            return dists.pendant_dist_given_n(p), "pendant | n"
-        if scen == "given-n-age":
-            _require(args.n, "--n")
-            _require(args.x1, "--x1")
-            return (dists.pendant_dist_given_n_age(args.n, args.x1, p),
-                    f"pendant | n={args.n}, x1={args.x1}")
-        if scen == "given-age":
-            _require(args.x1, "--x1")
-            return (dists.pendant_dist_given_age(args.x1, p),
-                    f"pendant | x1={args.x1}")
-    if law == "interior":
-        if scen != "given-n":
-            raise SystemExit("interior law is available for --scenario given-n")
-        return dists.interior_dist_yule(p), "interior | n (pure birth)"
-    if law == "root-edge":
-        if scen == "given-n":
-            _require(args.n, "--n")
-            lam = dists._yule_rate(p)
-            return dists.MixedDist(
-                support_end=math.inf,
-                pdf=lambda t: dists.root_edge_pdf_given_n(t, args.n, lam),
-                cdf=lambda t: dists.root_edge_cdf_given_n(t, args.n, lam),
-            ), f"root edge | n={args.n} (pure birth)"
-        if scen == "given-age":
-            _require(args.x1, "--x1")
-            lam = dists._yule_rate(p)
-            x1 = args.x1
-            return dists.MixedDist(
-                support_end=x1,
-                pdf=lambda l: lam * np.exp(-lam * np.asarray(l, dtype=float)),
-                cdf=lambda l: -np.expm1(-lam * np.asarray(l, dtype=float)),
-                atom_weight=math.exp(-lam * x1),
-            ), f"root edge | x1={x1} (pure birth)"
-        raise SystemExit("root-edge law needs --scenario given-n or given-age")
-    if law == "speciation-time":
-        _require(args.n, "--n")
-        _require(args.k, "--k")
-        _require(args.x1, "--x1")
-        n, k, x1 = args.n, args.k, args.x1
-        return dists.MixedDist(
-            support_end=x1,
-            pdf=lambda s: dists.speciation_time_pdf(s, k, n, x1, p),
-            cdf=lambda s: dists.speciation_time_cdf(s, k, n, x1, p),
-        ), f"speciation time k={k} | n={n}, x1={x1}"
-    if law == "hypoexp":
-        _require(args.k, "--k")
-        lam = dists._yule_rate(p)
-        return dists.MixedDist(
-            support_end=math.inf,
-            pdf=lambda t: dists.hypoexp_pdf(t, args.k, lam),
-            cdf=lambda t: dists.hypoexp_cdf(t, args.k, lam),
-        ), f"hypoexponential k={args.k}"
-    if law == "diversity":
-        if scen != "given-n":
-            raise SystemExit("diversity density is available for --scenario given-n")
-        _require(args.n, "--n")
-        lam = dists._yule_rate(p)
-        return dists.MixedDist(
-            support_end=math.inf,
-            pdf=lambda d: dists.diversity_pdf_given_n(d, args.n, lam),
-            cdf=lambda d: dists.diversity_cdf_given_n(d, args.n, lam),
-        ), f"diversity | n={args.n} (pure birth)"
-    raise SystemExit(f"unsupported law/scenario combination: {law}/{scen}")
+    entry = (_DENSITY_LAWS.get((args.law, args.scenario))
+             or _DENSITY_LAWS.get((args.law, None)))
+    if entry is None:
+        scenarios = [s for law, s in _DENSITY_LAWS if law == args.law]
+        raise SystemExit(f"--law {args.law} takes --scenario {' or '.join(scenarios)}")
+    name, flags, header = entry
+    for flag in flags:
+        _require(getattr(args, flag), f"--{flag}")
+    try:
+        law = getattr(dists, name)(*(getattr(args, f) for f in flags), p)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    return law, header.format(**vars(args))
 
 
 def _require(value, flag):
@@ -178,10 +147,7 @@ def _require(value, flag):
 
 def cmd_density(args) -> int:
     p, raw = _resolve_params(args)
-    try:
-        law, desc = _density_law(args, p)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    law, desc = _density_law(args, p)
     grid = _parse_grid(args.grid)
     if math.isfinite(law.support_end):
         grid = grid[grid <= law.support_end]
@@ -342,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = subs.add_parser("density", help="evaluate a law on a grid (CSV)")
     _add_param_args(d)
     d.add_argument("--law", required=True,
-                   choices=["pendant", "interior", "root-edge",
-                            "speciation-time", "hypoexp", "diversity"])
+                   choices=list(dict.fromkeys(law for law, _ in _DENSITY_LAWS)))
     d.add_argument("--scenario", default="given-n",
                    choices=["given-n", "given-n-age", "given-age"])
     d.add_argument("--n", type=int, default=None)
@@ -368,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     v = subs.add_parser("verify", help="run the Monte Carlo verification suite")
-    v.add_argument("--suite", default="full", choices=["full"])
     v.add_argument("--check", action="append", default=None,
                    help="run a single named check (repeatable)")
     v.add_argument("--reps", type=int, default=100_000)

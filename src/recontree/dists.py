@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -29,7 +29,6 @@ from .kernel import Params, p0, p1, prob_n_given_age
 
 __all__ = [
     "MixedDist",
-    "Scenario",
     "QuadratureConfig",
     "leaf_adjacency_prob",
     "pendant_pdf_given_n",
@@ -41,6 +40,7 @@ __all__ = [
     "speciation_kernel",
     "speciation_time_pdf",
     "speciation_time_cdf",
+    "speciation_time_dist",
     "pendant_dist_given_n_age",
     "pendant_mean_given_n_age",
     "pendant_age_weight",
@@ -48,16 +48,20 @@ __all__ = [
     "hypoexp_pdf",
     "hypoexp_cdf",
     "hypoexp_mean",
+    "hypoexp_dist",
     "root_edge_pdf_given_n",
     "root_edge_cdf_given_n",
     "root_edge_mean_given_n",
+    "root_edge_dist_given_n",
     "root_edge_survival_given_age",
     "root_edge_mean_given_age",
+    "root_edge_dist_given_age",
     "initial_edge_survival",
     "root_edge_survival_given_n_age",
     "root_edge_limit_constant",
     "diversity_pdf_given_n",
     "diversity_cdf_given_n",
+    "diversity_dist_given_n",
     "diversity_mean_given_n",
     "diversity_var_given_n",
     "diversity_mgf_given_n_age",
@@ -89,34 +93,6 @@ def _quad(f, a, b, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """Conditioning scenario: on n, on (n, x1), or on x1 alone."""
-
-    n: Optional[int] = None
-    x1: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n is None and self.x1 is None:
-            raise ValueError("scenario must fix n, x1, or both")
-        if self.n is not None and self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.x1 is not None and not self.x1 > 0:
-            raise ValueError(f"x1 must be > 0, got {self.x1}")
-
-    @classmethod
-    def given_n(cls, n: int) -> "Scenario":
-        return cls(n=n)
-
-    @classmethod
-    def given_n_age(cls, n: int, x1: float) -> "Scenario":
-        return cls(n=n, x1=x1)
-
-    @classmethod
-    def given_age(cls, x1: float) -> "Scenario":
-        return cls(x1=x1)
-
-
-@dataclass(frozen=True)
 class MixedDist:
     """A continuous density on (0, support_end) plus a point mass at the end.
 
@@ -145,6 +121,16 @@ class MixedDist:
         return m
 
 
+def _at_least(name: str, value: int, least: int):
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _positive(name: str, value: float):
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def _yule_rate(lam: Union[float, Params]) -> float:
     """Accept a plain rate or a Params; reject Params with extinction."""
     if isinstance(lam, Params):
@@ -162,8 +148,7 @@ def _yule_rate(lam: Union[float, Params]) -> float:
 
 def leaf_adjacency_prob(k: int, n: int) -> float:
     """Probability that a random leaf is adjacent to the k-th split: 2k/(n(n-1))."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, n-1], got k={k} n={n}")
     return 2.0 * k / (n * (n - 1))
@@ -223,7 +208,7 @@ def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
     lam = _yule_rate(lam)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda s: 2.0 * lam * np.exp(-2.0 * lam * s),
+        pdf=lambda s: interior_pdf_yule(s, lam),
         cdf=lambda s: -np.expm1(-2.0 * lam * s),
     )
 
@@ -249,10 +234,7 @@ def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
     (n-2) C(n-3, k-2) G^{n-k-1} (1-G)^{k-2} g  for k = 2..n-1; equivalently
     the (n-k)-th smallest of n-2 i.i.d. draws from g.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must lie in [2, n-1], got k={k} n={n}")
+    _check_speciation_index(k, n)
     g, G = speciation_kernel(s, x1, p)
     return (
         (n - 2) * math.comb(n - 3, k - 2)
@@ -261,11 +243,27 @@ def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
 
 
 def speciation_time_cdf(s, k: int, n: int, x1: float, p: Params):
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must lie in [2, n-1], got k={k} n={n}")
+    _check_speciation_index(k, n)
     _, G = speciation_kernel(s, x1, p)
     # regularized incomplete beta: CDF of the (n-k)-th order statistic
     return special.betainc(n - k, k - 1, G)
+
+
+def _check_speciation_index(k: int, n: int):
+    _at_least("n", n, 3)
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"k must lie in [2, n-1], got k={k} n={n}")
+
+
+def speciation_time_dist(k: int, n: int, x1: float, p: Params) -> MixedDist:
+    """Law of the k-th speciation time given n tips and age x1."""
+    _check_speciation_index(k, n)
+    _positive("x1", x1)
+    return MixedDist(
+        support_end=x1,
+        pdf=lambda s: speciation_time_pdf(s, k, n, x1, p),
+        cdf=lambda s: speciation_time_cdf(s, k, n, x1, p),
+    )
 
 
 def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
@@ -275,10 +273,8 @@ def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
         2(n-2)/(n(n-1)) * g(s|x1) * ((n-1) - (n-3) G(s|x1)).
     For n = 2 both pendant edges span the full age, so all mass is atomic.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _at_least("n", n, 2)
+    _positive("x1", x1)
     atom = 2.0 / (n * (n - 1))
     if n == 2:
         zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
@@ -307,8 +303,7 @@ def pendant_mean_given_n_age(
     falls back to quadrature of the density near mu = 0 and for n = 3 ties
     where the closed form divides by ~0.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if n == 2:
         return x1
     lam, mu = p.lam, p.mu
@@ -361,8 +356,7 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     with r = lam p0(x1) and w_k = pendant_age_weight(k, x1);
     atom at x1: -2 (log(1-r) + r) ((1-r)/r)^2.
     """
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _positive("x1", x1)
     q = p0(x1, p)
     r = p.lam * q
     w1 = pendant_age_weight(1, x1, p)
@@ -385,11 +379,7 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
 # Root-edge laws (pure birth)
 # ---------------------------------------------------------------------------
 
-class PrecisionError(ValueError):
-    """Raised when an evaluation would exceed its configured precision guard."""
-
-
-def hypoexp_pdf(t, k: int, lam: Union[float, Params], k_cap: int = 60):
+def hypoexp_pdf(t, k: int, lam: Union[float, Params]):
     """Density of a sum of independent Exp(2 lam), ..., Exp(k lam) variables.
 
     The alternating binomial series
@@ -399,28 +389,32 @@ def hypoexp_pdf(t, k: int, lam: Union[float, Params], k_cap: int = 60):
     which is what we evaluate.
     """
     lam = _yule_rate(lam)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > k_cap:
-        raise PrecisionError(f"k={k} exceeds the configured cap {k_cap}")
+    _at_least("k", k, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     return k * (k - 1) * lam * u * u * (-np.expm1(-lam * np.asarray(t, dtype=float))) ** (k - 2)
 
 
-def hypoexp_cdf(t, k: int, lam: Union[float, Params], k_cap: int = 60):
+def hypoexp_cdf(t, k: int, lam: Union[float, Params]):
     lam = _yule_rate(lam)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > k_cap:
-        raise PrecisionError(f"k={k} exceeds the configured cap {k_cap}")
+    _at_least("k", k, 2)
     v = -np.expm1(-lam * np.asarray(t, dtype=float))  # 1 - e^{-lam t}
     return k * v ** (k - 1) - (k - 1) * v ** k
 
 
+def hypoexp_dist(k: int, lam: Union[float, Params]) -> MixedDist:
+    """Law of the MRCA age of a k-tip pure-birth tree (hypoexponential)."""
+    lam = _yule_rate(lam)
+    _at_least("k", k, 2)
+    return MixedDist(
+        support_end=math.inf,
+        pdf=lambda t: hypoexp_pdf(t, k, lam),
+        cdf=lambda t: hypoexp_cdf(t, k, lam),
+    )
+
+
 def hypoexp_mean(k: int, lam: Union[float, Params]) -> float:
     lam = _yule_rate(lam)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _at_least("k", k, 2)
     return sum(1.0 / (i * lam) for i in range(2, k + 1))
 
 
@@ -430,8 +424,7 @@ def root_edge_pdf_given_n(t, n: int, lam: Union[float, Params]):
     f_L(t|n) = lam e^{-lam t} (1 - (1 - e^{-lam t})^{n-2} (1 - n e^{-lam t})).
     """
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     return lam * u * (1.0 - (1.0 - u) ** (n - 2) * (1.0 - n * u))
 
@@ -439,30 +432,49 @@ def root_edge_pdf_given_n(t, n: int, lam: Union[float, Params]):
 def root_edge_cdf_given_n(t, n: int, lam: Union[float, Params]):
     # antiderivative: V + V^{n-1} e^{-lam t} with V = 1 - e^{-lam t}
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     v = 1.0 - u
     return v + v ** (n - 1) * u
 
 
+def root_edge_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
+    lam = _yule_rate(lam)
+    _at_least("n", n, 2)
+    return MixedDist(
+        support_end=math.inf,
+        pdf=lambda t: root_edge_pdf_given_n(t, n, lam),
+        cdf=lambda t: root_edge_cdf_given_n(t, n, lam),
+    )
+
+
 def root_edge_mean_given_n(n: int, lam: Union[float, Params]) -> float:
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return (1.0 - 1.0 / n) / lam
 
 
 def root_edge_survival_given_age(l, x1: float, lam: Union[float, Params]):
     """P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond (pure birth)."""
     lam = _yule_rate(lam)
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _positive("x1", x1)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("l must be >= 0")
     out = np.where(l < x1, np.exp(-lam * l), 0.0)
     return out if out.ndim else float(out)
+
+
+def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
+    """Root-edge law given x1: Exp(lam) on (0, x1), atom e^{-lam x1} at x1."""
+    lam = _yule_rate(lam)
+    _positive("x1", x1)
+    return MixedDist(
+        support_end=x1,
+        pdf=lambda l: lam * np.exp(-lam * np.asarray(l, dtype=float)),
+        cdf=lambda l: -np.expm1(-lam * np.asarray(l, dtype=float)),
+        atom_weight=math.exp(-lam * x1),
+    )
 
 
 def root_edge_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
@@ -476,10 +488,8 @@ def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
     with alpha = (1 - e^{-lam(t-l)})/(1 - e^{-lam t}); 0 for l >= t.
     """
     lam = _yule_rate(lam)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    _at_least("k", k, 1)
+    _positive("t", t)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("l must be >= 0")
@@ -496,10 +506,8 @@ def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Param
     which is what the limit handling below reproduces as alpha -> 1.
     """
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _at_least("n", n, 2)
+    _positive("x1", x1)
     scalar = np.isscalar(l)
     l = np.atleast_1d(np.asarray(l, dtype=float))
     if np.any(l < 0):
@@ -548,16 +556,24 @@ def root_edge_limit_constant(cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
 def diversity_pdf_given_n(d, n: int, lam: Union[float, Params]):
     """Diversity density given n: gamma with shape n-1 and rate lam."""
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return stats.gamma.pdf(d, n - 1, scale=1.0 / lam)
 
 
 def diversity_cdf_given_n(d, n: int, lam: Union[float, Params]):
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return stats.gamma.cdf(d, n - 1, scale=1.0 / lam)
+
+
+def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
+    lam = _yule_rate(lam)
+    _at_least("n", n, 2)
+    return MixedDist(
+        support_end=math.inf,
+        pdf=lambda d: diversity_pdf_given_n(d, n, lam),
+        cdf=lambda d: diversity_cdf_given_n(d, n, lam),
+    )
 
 
 def diversity_mean_given_n(n: int, lam: Union[float, Params]) -> float:
@@ -577,10 +593,8 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     Defined for s < lam; the factor has a removable singularity at s = lam.
     """
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _at_least("n", n, 2)
+    _positive("x1", x1)
     s = np.asarray(s, dtype=float)
     if np.any(s >= lam):
         raise ValueError("MGF argument must be < lam")
@@ -599,8 +613,7 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
 def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> float:
     """E[D|n,x1] = 2 x1 + (n-2) E[S] with S a speciation time on (0, x1)."""
     lam = _yule_rate(lam)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if n == 2:
         return 2.0 * x1
     v = -math.expm1(-lam * x1)
@@ -611,6 +624,5 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth)."""
     lam = _yule_rate(lam)
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _positive("x1", x1)
     return 2.0 * math.expm1(lam * x1) / lam

@@ -167,7 +167,7 @@ class KsCheck:
 
     @property
     def passed(self) -> bool:
-        return self.stat < self.threshold
+        return bool(self.stat < self.threshold)
 
     def to_dict(self):
         return {"stat": self.stat, "threshold": self.threshold, "pass": self.passed}
@@ -182,7 +182,7 @@ class MomentCheck:
 
     @property
     def passed(self) -> bool:
-        return abs(self.analytic - self.empirical) <= self.tolerance
+        return bool(abs(self.analytic - self.empirical) <= self.tolerance)
 
     def to_dict(self):
         return {
@@ -202,7 +202,7 @@ class AtomCheck:
 
     @property
     def passed(self) -> bool:
-        return abs(self.analytic_mass - self.empirical_fraction) <= self.ci_halfwidth
+        return bool(abs(self.analytic_mass - self.empirical_fraction) <= self.ci_halfwidth)
 
     def to_dict(self):
         return {
@@ -270,7 +270,6 @@ def compare(
     """
     if np.any(np.diff(emp.samples) < 0):
         raise ValueError("samples must be sorted")
-    t0 = time.perf_counter()
     report = ComparisonReport(check=check, n_samples=emp.n_samples, seed=seed)
     cont = emp.continuous()
     if isinstance(analytic, EmpiricalDist):
@@ -302,7 +301,6 @@ def compare(
                 tolerance=3.0 * emp.mean_se(),
             )
         )
-    report.wall_time_s = time.perf_counter() - t0
     return report
 
 
@@ -357,19 +355,6 @@ class VerifyConfig:
     seed: int = 20260824
 
 
-def _timed(fn):
-    def wrapper(cfg: VerifyConfig) -> List[ComparisonReport]:
-        t0 = time.perf_counter()
-        reports = fn(cfg)
-        dt = time.perf_counter() - t0
-        for r in reports:
-            if r.wall_time_s == 0.0:
-                r.wall_time_s = dt / len(reports)
-        return reports
-    return wrapper
-
-
-@_timed
 def _check_yule_pendant_n(cfg):
     rng = sim.RngStream(cfg.seed, 1).generator()
     lam, n = 1.0, 20
@@ -377,14 +362,14 @@ def _check_yule_pendant_n(cfg):
         lambda r: sim.sample_yule_given_n(n, lam, r),
         extract_random_pendant, cfg.reps, rng,
     )
+    # the Yule pendant law given n is Exp(2 lam), the interior-edge law
     rep = compare(
-        emp, lambda s: -np.expm1(-2.0 * lam * s),
+        emp, dists.interior_dist_yule(lam),
         check="yule_pendant_n", analytic_mean=1.0 / (2.0 * lam), seed=cfg.seed,
     )
     return [rep]
 
 
-@_timed
 def _check_yule_interior_n(cfg):
     rng = sim.RngStream(cfg.seed, 2).generator()
     lam, n = 1.0, 20
@@ -393,13 +378,12 @@ def _check_yule_interior_n(cfg):
         extract_random_interior, cfg.reps, rng,
     )
     rep = compare(
-        emp, lambda s: -np.expm1(-2.0 * lam * s),
+        emp, dists.interior_dist_yule(lam),
         check="yule_interior_n", analytic_mean=1.0 / (2.0 * lam), seed=cfg.seed,
     )
     return [rep]
 
 
-@_timed
 def _check_root_edge_n(cfg):
     lam = 1.0
     out = []
@@ -410,14 +394,13 @@ def _check_root_edge_n(cfg):
             extract_random_root_edge, cfg.reps, rng,
         )
         out.append(compare(
-            emp, lambda t: dists.root_edge_cdf_given_n(t, n, lam),
+            emp, dists.root_edge_dist_given_n(n, lam),
             check=f"root_edge_n:n={n}",
             analytic_mean=dists.root_edge_mean_given_n(n, lam), seed=cfg.seed,
         ))
     return out
 
 
-@_timed
 def _check_root_edge_mean(cfg):
     lam, n = 1.0, 4
     rng = sim.RngStream(cfg.seed, 13).generator()
@@ -433,7 +416,6 @@ def _check_root_edge_mean(cfg):
     return [rep]
 
 
-@_timed
 def _check_diversity_gamma(cfg):
     lam, n = 1.0, 10
     rng = sim.RngStream(cfg.seed, 20).generator()
@@ -442,7 +424,7 @@ def _check_diversity_gamma(cfg):
         extract_diversity, cfg.reps, rng,
     )
     rep = compare(
-        emp, lambda d: dists.diversity_cdf_given_n(d, n, lam),
+        emp, dists.diversity_dist_given_n(n, lam),
         check="diversity_gamma",
         analytic_mean=dists.diversity_mean_given_n(n, lam), seed=cfg.seed,
     )
@@ -461,7 +443,6 @@ def _check_diversity_gamma(cfg):
 _PENDANT_NX1_GRID = [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
 
 
-@_timed
 def _check_pendant_given_n_age(cfg):
     x1 = 2.0
     out = []
@@ -483,7 +464,6 @@ def _check_pendant_given_n_age(cfg):
     return out
 
 
-@_timed
 def _check_given_age_n_law(cfg):
     lam, mu, x1 = 1.0, 0.4, 1.5
     p = Params(lam=lam, mu=mu)
@@ -506,7 +486,6 @@ def _check_given_age_n_law(cfg):
     return [rep_n, rep_p]
 
 
-@_timed
 def _check_transform_equivalence(cfg):
     raw = RawParams(lambda_hat=2.0, mu_hat=0.5, f=0.5)
     p = transform_params(raw)
@@ -537,7 +516,6 @@ def _check_transform_equivalence(cfg):
 _MIXTURE_GRID = [(1.0, 0.4, 1.5), (1.0, 0.0, 1.0), (1.0, 0.9, 2.0)]
 
 
-@_timed
 def _check_mixture_identity(cfg):
     out = []
     for lam, mu, x1 in _MIXTURE_GRID:
@@ -571,7 +549,6 @@ _MEANS_GRID = [
 ]
 
 
-@_timed
 def _check_means_vs_quadrature(cfg):
     out = []
     for n, x1, lam, mu in _MEANS_GRID:
@@ -599,7 +576,6 @@ def _check_means_vs_quadrature(cfg):
     return out
 
 
-@_timed
 def _check_limit_constant(cfg):
     rep = ComparisonReport(check="limit_constant", n_samples=0, seed=cfg.seed)
     c = dists.root_edge_limit_constant()
@@ -621,7 +597,6 @@ def _check_limit_constant(cfg):
     return [rep]
 
 
-@_timed
 def _check_diversity_mean_age(cfg):
     lam, x1 = 1.0, 1.0
     p = Params(lam=lam, mu=0.0)
@@ -652,42 +627,29 @@ def _check_diversity_mean_age(cfg):
     return [rep]
 
 
-@_timed
-def _check_normalization(cfg):
-    out = []
-    regimes = [Params(1.0, 0.0), Params(1.0, 0.5), Params(1.0, 1.0), Params(1.0, -0.5)]
-    rep = ComparisonReport(check="normalization", n_samples=0, seed=cfg.seed)
-
-    def add(name, value):
-        rep.moments.append(MomentCheck(
-            name=name, analytic=1.0, empirical=value, tolerance=1e-8,
-        ))
-
-    for p in regimes:
+def _normalization_laws():
+    """(name, law) for every density whose total mass the sweep checks."""
+    for p in (Params(1.0, 0.0), Params(1.0, 0.5), Params(1.0, 1.0), Params(1.0, -0.5)):
         tag = f"mu={p.mu}"
-        add(f"pendant_n[{tag}]", dists.pendant_dist_given_n(p).total_mass())
-        add(f"pendant_n_age[{tag}]",
-            dists.pendant_dist_given_n_age(5, 2.0, p).total_mass())
-        add(f"pendant_age[{tag}]", dists.pendant_dist_given_age(1.5, p).total_mass())
-        from scipy.integrate import quad
-        val, _ = quad(lambda s: dists.speciation_time_pdf(s, 3, 6, 2.0, p),
-                      0.0, 2.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-        add(f"speciation_time[{tag}]", val)
-    from scipy.integrate import quad
+        yield f"pendant_n[{tag}]", dists.pendant_dist_given_n(p)
+        yield f"pendant_n_age[{tag}]", dists.pendant_dist_given_n_age(5, 2.0, p)
+        yield f"pendant_age[{tag}]", dists.pendant_dist_given_age(1.5, p)
+        yield f"speciation_time[{tag}]", dists.speciation_time_dist(3, 6, 2.0, p)
     for k in (2, 10, 35, 60):
-        val, _ = quad(lambda t: dists.hypoexp_pdf(t, k, 1.0), 0.0, np.inf,
-                      epsabs=1e-12, epsrel=1e-10, limit=200)
-        add(f"hypoexp[k={k}]", val)
+        yield f"hypoexp[k={k}]", dists.hypoexp_dist(k, 1.0)
     for n in (2, 4, 10):
-        val, _ = quad(lambda t: dists.root_edge_pdf_given_n(t, n, 1.0), 0.0, np.inf,
-                      epsabs=1e-12, epsrel=1e-10, limit=200)
-        add(f"root_edge_n[n={n}]", val)
-        val, _ = quad(lambda d: dists.diversity_pdf_given_n(d, n, 1.0), 0.0, np.inf,
-                      epsabs=1e-12, epsrel=1e-10, limit=200)
-        add(f"diversity_n[n={n}]", val)
-    val, _ = quad(lambda s: dists.interior_pdf_yule(s, 1.0), 0.0, np.inf,
-                  epsabs=1e-12, epsrel=1e-10, limit=200)
-    add("interior_yule", val)
+        yield f"root_edge_n[n={n}]", dists.root_edge_dist_given_n(n, 1.0)
+        yield f"diversity_n[n={n}]", dists.diversity_dist_given_n(n, 1.0)
+    yield "interior_yule", dists.interior_dist_yule(1.0)
+
+
+def _check_normalization(cfg):
+    rep = ComparisonReport(check="normalization", n_samples=0, seed=cfg.seed)
+    tol = dists.QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
+    for name, law in _normalization_laws():
+        rep.moments.append(MomentCheck(
+            name=name, analytic=1.0, empirical=law.total_mass(tol), tolerance=1e-8,
+        ))
     return [rep]
 
 
@@ -720,5 +682,10 @@ def verify_suite(config: VerifyConfig) -> List[ComparisonReport]:
         )
     reports: List[ComparisonReport] = []
     for name in names:
-        reports.extend(_CHECKS[name](config))
+        t0 = time.perf_counter()
+        out = _CHECKS[name](config)
+        wall = (time.perf_counter() - t0) / len(out)
+        for r in out:
+            r.wall_time_s = wall
+        reports.extend(out)
     return reports

@@ -54,6 +54,24 @@ class TestDensity:
             run(["density", "--law", "diversity", "--scenario", "given-n",
                  "--n", "5", "--mu", "0.5", "--grid", "0:2:5"])
 
+    @pytest.mark.parametrize("args, message", [
+        (["--law", "root-edge", "--n", "1"], "n must be >= 2"),
+        (["--law", "speciation-time", "--n", "6", "--k", "1", "--x1", "2"],
+         "k must lie in"),
+        (["--law", "interior", "--scenario", "given-age"], "takes --scenario given-n"),
+    ])
+    def test_bad_arguments_exit_before_output(self, args, message, capsys):
+        with pytest.raises(SystemExit, match=message):
+            run(["density", *args, "--grid", "0:2:5"])
+        assert capsys.readouterr().out == ""
+
+    def test_hypoexp_large_k(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["density", "--law", "hypoexp", "--k", "100", "--grid", "0:8:9",
+                    "-o", str(out)]) == 0
+        cdf = [float(l.split(",")[2]) for l in out.read_text().splitlines()[2:]]
+        assert cdf[0] == 0.0 and cdf == sorted(cdf) and cdf[-1] < 1.0
+
     def test_speciation_time_law(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run(["density", "--law", "speciation-time", "--n", "6", "--k", "3",
@@ -134,6 +152,15 @@ class TestVerify:
         assert set(rep) == {"check", "n_samples", "seed", "ks", "moments",
                             "atom", "pass", "wall_time_s"}
         assert "PASS limit_constant" in capsys.readouterr().err
+
+    def test_sampled_check_json(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = run(["verify", "--check", "yule_pendant_n", "--reps", "1000",
+                    "--seed", "5", "-o", str(out)])
+        payload = json.loads(out.read_text())
+        assert code == (0 if payload["pass"] else 1)
+        assert [r["check"] for r in payload["reports"]] == ["yule_pendant_n"]
+        assert isinstance(payload["reports"][0]["ks"]["pass"], bool)
 
     def test_unknown_check_exit_2(self, capsys):
         assert run(["verify", "--check", "bogus", "--reps", "1000"]) == 2

@@ -5,12 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from recontree import dists
-from recontree.dists import (
-    MixedDist,
-    PrecisionError,
-    QuadratureConfig,
-    Scenario,
-)
+from recontree.dists import MixedDist, QuadratureConfig
 from recontree.kernel import Params, prob_n_given_age
 
 
@@ -19,18 +14,6 @@ SUB = Params(1.0, 0.5)
 CRIT = Params(1.0, 1.0)
 NEG = Params(1.0, -0.5)
 REGIMES = [YULE, SUB, CRIT, NEG]
-
-
-def test_scenario_constructors():
-    assert Scenario.given_n(5).x1 is None
-    assert Scenario.given_n_age(5, 2.0) == Scenario(n=5, x1=2.0)
-    assert Scenario.given_age(1.0).n is None
-    with pytest.raises(ValueError):
-        Scenario()
-    with pytest.raises(ValueError):
-        Scenario.given_n(1)
-    with pytest.raises(ValueError):
-        Scenario.given_age(0.0)
 
 
 def test_mixed_dist_rejects_bad_atom():
@@ -250,6 +233,27 @@ class TestPendantGivenAge:
             assert d.cdf(s) == pytest.approx(val, abs=1e-10)
 
 
+class TestLawConstructors:
+    @pytest.mark.parametrize("build", [
+        lambda: dists.root_edge_dist_given_n(1, 1.0),
+        lambda: dists.root_edge_dist_given_age(0.0, 1.0),
+        lambda: dists.speciation_time_dist(1, 6, 2.0, SUB),
+        lambda: dists.speciation_time_dist(3, 6, -1.0, SUB),
+        lambda: dists.hypoexp_dist(1, 1.0),
+        lambda: dists.diversity_dist_given_n(1, 1.0),
+        lambda: dists.diversity_dist_given_n(5, SUB),
+    ])
+    def test_rejects_bad_arguments_when_built(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_root_edge_given_age_mass(self):
+        law = dists.root_edge_dist_given_age(1.5, 2.0)
+        assert law.atom_weight == pytest.approx(math.exp(-3.0))
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+        assert law.mean() == pytest.approx(dists.root_edge_mean_given_age(1.5, 2.0))
+
+
 class TestHypoexp:
     def test_small_k_closed_forms(self):
         # k=2 is Exp(2 lam); k=3 is the two-term convolution
@@ -282,10 +286,12 @@ class TestHypoexp:
             val, _ = quad(lambda u: dists.hypoexp_pdf(u, k, 1.0), 0, t, limit=200)
             assert dists.hypoexp_cdf(t, k, 1.0) == pytest.approx(val, abs=1e-9)
 
-    def test_k_cap(self):
-        with pytest.raises(PrecisionError):
-            dists.hypoexp_pdf(1.0, 61, 1.0)
-        assert dists.hypoexp_pdf(1.0, 61, 1.0, k_cap=100) > 0
+    @pytest.mark.parametrize("k", [61, 300, 1000])
+    def test_mass_and_mean_large_k(self, k):
+        # the cancellation-free form stays exact far past the old k <= 60 cap
+        law = dists.hypoexp_dist(k, 1.0)
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+        assert law.mean() == pytest.approx(dists.hypoexp_mean(k, 1.0), rel=1e-8)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

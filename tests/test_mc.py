@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,14 @@ class TestVerifySuite:
         )
         reports = verify_suite(cfg)
         assert reports and all(r.passed for r in reports)
+
+    def test_wall_time_covers_the_check(self):
+        cfg = VerifyConfig(checks=("root_edge_n",), reps=1000, seed=1)
+        t0 = time.perf_counter()
+        reports = verify_suite(cfg)
+        wall = time.perf_counter() - t0
+        assert len(reports) == 3
+        assert sum(r.wall_time_s for r in reports) >= 0.5 * wall
 
     def test_sampled_check_small_reps(self):
         cfg = VerifyConfig(checks=("root_edge_mean",), reps=10_000, seed=1)
