@@ -352,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad parameters the library rejects
+        print(f"recontree {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ descendant after time s.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class Params:
         if not self.critical_tol > 0:
             raise ValueError("critical_tol must be > 0")
 
-    @property
+    @functools.cached_property  # fixed per instance; stored in its __dict__
     def regime(self) -> Regime:
         if abs(self.lam - self.mu) <= self.critical_tol:
             return Regime.CRITICAL
@@ -107,6 +108,12 @@ def transform_params(raw: RawParams) -> Params:
     return Params(lam=lam, mu=mu)
 
 
+def _check_time(s):
+    """Reject negative times: a Python comparison for floats, numpy otherwise."""
+    if (s < 0.0) if isinstance(s, float) else np.any(np.asarray(s) < 0):
+        raise ValueError(f"s must be >= 0, got {s}")
+
+
 def p0(s: float, p: Params) -> float:
     """Kernel p0: mu*p0(s) is the probability of 0 surviving sampled offspring.
 
@@ -116,8 +123,7 @@ def p0(s: float, p: Params) -> float:
     Strictly increasing from 0, with lam*p0(s) < 1 for finite s.
     Accepts scalars or numpy arrays.
     """
-    if np.any(np.asarray(s) < 0):
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_time(s)
     if p.is_critical:
         return s / (1.0 + p.lam * s)
     d = p.lam - p.mu
@@ -132,8 +138,7 @@ def p1(s: float, p: Params) -> float:
     critical:    1 / (1 + lam s)^2.
     Accepts scalars or numpy arrays.
     """
-    if np.any(np.asarray(s) < 0):
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_time(s)
     if p.is_critical:
         return 1.0 / (1.0 + p.lam * s) ** 2
     d = p.lam - p.mu

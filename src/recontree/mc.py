@@ -56,14 +56,12 @@ Z_99 = 2.5758
 # ---------------------------------------------------------------------------
 
 def extract_random_pendant(t: ReconTree, rng) -> float:
-    lens = t.times[t.parent[: t.n]]  # leaf ages are 0
-    return float(lens[int(rng.integers(t.n))])
+    return float(t.times[t.parent[int(rng.integers(t.n))]])  # leaf ages are 0
 
 
 def extract_random_interior(t: ReconTree, rng) -> float:
-    root = t.root
-    nodes = [v for v in range(t.n, 2 * t.n - 1) if v != root]
-    v = nodes[int(rng.integers(len(nodes)))]
+    v = t.n + int(rng.integers(t.n - 2))  # an internal node, skipping the root
+    v += v >= t.root
     return float(t.times[t.parent[v]] - t.times[v])
 
 
@@ -74,9 +72,7 @@ def extract_random_root_edge(t: ReconTree, rng) -> float:
 
 
 def extract_diversity(t: ReconTree, rng) -> float:
-    lens = t.times[np.maximum(t.parent, 0)] - t.times
-    lens[t.root] = 0.0
-    return float(lens.sum())
+    return float(t.edge_lengths().sum())
 
 
 def extract_leaf_count(t: ReconTree, rng) -> float:
@@ -137,7 +133,12 @@ def estimate(
     vals = np.empty(reps)
     for i in range(reps):
         vals[i] = extractor(sampler(rng), rng)
-    vals.sort()
+    return _empirical(vals, atom_at)
+
+
+def _empirical(vals: np.ndarray, atom_at: Optional[float]) -> EmpiricalDist:
+    """Sort ``vals``; those within 1e-9*atom_at of ``atom_at`` form the atom."""
+    vals = np.sort(vals)
     atom_count = 0
     if atom_at is not None:
         eps = 1e-9 * atom_at
@@ -222,6 +223,7 @@ class ComparisonReport:
     moments: List[MomentCheck] = field(default_factory=list)
     atom: Optional[AtomCheck] = None
     wall_time_s: float = 0.0
+    rejection: Optional[sim.RejectionStats] = None  # the oracle's, if one ran
 
     @property
     def passed(self) -> bool:
@@ -233,7 +235,7 @@ class ComparisonReport:
         return all(parts) if parts else False
 
     def to_dict(self):
-        return {
+        out = {
             "check": self.check,
             "n_samples": self.n_samples,
             "seed": self.seed,
@@ -243,6 +245,10 @@ class ComparisonReport:
             "pass": self.passed,
             "wall_time_s": self.wall_time_s,
         }
+        if self.rejection is not None:
+            out["rejection"] = {**vars(self.rejection),
+                                "acceptance_rate": self.rejection.acceptance_rate}
+        return out
 
 
 def ks_one_sample(sorted_samples: np.ndarray, cdf: Callable) -> float:
@@ -477,12 +483,9 @@ def _check_given_age_n_law(cfg):
     p_chi = chi_square_counts(ns, lambda n: prob_n_given_age(n, x1, p))
     rep_n = ComparisonReport(check="given_age_n_law:n", n_samples=cfg.reps, seed=cfg.seed)
     rep_n.ks = KsCheck(stat=1.0 - p_chi, threshold=0.99)
-    pend = np.sort(data["pendant"])
-    eps = 1e-9 * x1
-    atom_count = int(np.count_nonzero(np.abs(pend - x1) <= eps))
-    emp = EmpiricalDist(samples=pend, atom_location=x1, atom_count=atom_count)
     law = dists.pendant_dist_given_age(x1, p)
-    rep_p = compare(emp, law, check="given_age_n_law:pendant", seed=cfg.seed)
+    rep_p = compare(_empirical(data["pendant"], x1), law,
+                    check="given_age_n_law:pendant", seed=cfg.seed)
     return [rep_n, rep_p]
 
 
@@ -500,17 +503,21 @@ def _check_transform_equivalence(cfg):
     direct = collect(
         lambda r: sim.sample_given_age(x1, p, r), extractors, cfg.reps, rng_a,
     )
+    stats = sim.RejectionStats()
     rejected = collect(
-        lambda r: sim.sample_rejection_given_age(x1, raw, r), extractors,
-        cfg.reps, rng_b,
+        lambda r: sim.sample_rejection_given_age(x1, raw, r, stats=stats),
+        extractors, cfg.reps, rng_b,
     )
-    return [
+    out = [
         compare_two_sample(
             direct[name], rejected[name],
             check=f"transform_equivalence:{name}", seed=cfg.seed,
         )
         for name in extractors
     ]
+    for rep in out:
+        rep.rejection = stats
+    return out
 
 
 _MIXTURE_GRID = [(1.0, 0.4, 1.5), (1.0, 0.0, 1.0), (1.0, 0.9, 2.0)]

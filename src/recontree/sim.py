@@ -20,7 +20,7 @@ identical seeds give bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -103,39 +103,46 @@ def simulate_forward(raw: RawParams, stop: StopRule, rng) -> FullTree:
     lh, mh, f = raw.lambda_hat, raw.mu_hat, raw.f
     total_rate_per = lh + mh
     p_birth = lh / total_rate_per
-    full = FullTree()
-    active = [full.add(-1, 0.0)]
+    t_stop = stop.value if stop.kind == _DURATION else math.inf
+    count_stop = stop.value if stop.kind == _COUNT else math.inf
+    full = FullTree(parent=[-1], btime=[0.0], etime=[math.nan], kind=[EXTANT])
+    parent, btime, etime, kind = full.parent, full.btime, full.etime, full.kind
+    active = [0]
     t = 0.0
     spec_count = 1  # the origin of the initial lineage counts as the first
+    exponential, random, integers = rng.exponential, rng.random, rng.integers
     while True:
-        t += rng.exponential(1.0 / (total_rate_per * len(active)))
-        if stop.kind == _DURATION and t >= stop.value:
-            present = stop.value
+        t += exponential(1.0 / (total_rate_per * len(active)))
+        if t >= t_stop:
+            present = t_stop
             break
-        if mh == 0.0 or rng.random() < p_birth:
+        birth = mh == 0.0 or random() < p_birth
+        if birth:
             spec_count += 1
-            if stop.kind == _COUNT and spec_count == stop.value:
+            if spec_count == count_stop:
                 present = t
                 break
-            i = int(rng.integers(len(active)))
-            lin = active[i]
-            full.etime[lin] = t
-            full.kind[lin] = INTERNAL
-            active[i] = full.add(lin, t)
-            active.append(full.add(lin, t))
+        i = int(integers(len(active)))
+        lin = active[i]
+        etime[lin] = t
+        if birth:  # the lineage splits into two new rows
+            kind[lin] = INTERNAL
+            parent += (lin, lin)
+            btime += (t, t)
+            etime += (math.nan, math.nan)
+            kind += (EXTANT, EXTANT)
+            active[i] = len(parent) - 2
+            active.append(len(parent) - 1)
         else:
-            i = int(rng.integers(len(active)))
-            lin = active[i]
-            full.etime[lin] = t
-            full.kind[lin] = EXTINCT
+            kind[lin] = EXTINCT
             active[i] = active[-1]
             active.pop()
             if not active:
                 raise ExtinctRun("all lineages went extinct before the stop rule")
     full.present = present
+    full.sampled = [False] * len(parent)
     for lin in active:
-        full.etime[lin] = present
-        full.kind[lin] = EXTANT
+        etime[lin] = present
         full.sampled[lin] = bool(f >= 1.0 or rng.random() < f)
     return full
 
@@ -157,9 +164,7 @@ def reconstruct(full: FullTree) -> Optional[ReconTree]:
         if par >= 0:
             counts[par] += counts[i]
             children[par].append(i)
-    total = counts[0] if full.parent[0] < 0 else sum(
-        counts[i] for i in range(m) if full.parent[i] < 0
-    )
+    total = counts[0]  # lineage 0 is the stem
     if total < 2:
         return None
 
@@ -224,18 +229,16 @@ def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
     times = np.zeros(2 * n - 1)
     times[n] = present                      # first split (the root)
     times[n + 1:] = present - cum[:-1]      # splits 2..n-1
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    parent = [-1] * (2 * n - 1)
     active = [n, n]
     if n > 2:
-        u = rng.random(n - 2)
-        for k in range(2, n):
-            j = int(u[k - 2] * k)
+        for k, u in enumerate(rng.random(n - 2).tolist(), start=2):
+            j = int(u * k)
             v = n + k - 1
             parent[v] = active[j]
             active[j] = v
             active.append(v)
-    for leaf in range(n):
-        parent[leaf] = active[leaf]
+    parent[:n] = active
     return ReconTree(times, parent, validate=False)
 
 
@@ -260,15 +263,15 @@ def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
     if n > 2:
         draws = _speciation_time_inverse_cdf(rng.random(n - 2), x1, p)
         times[n + 1:] = np.sort(draws)[::-1]  # x_2 > ... > x_{n-1}
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    parent = [-1] * (2 * n - 1)
     # coalescent attachment: merge a uniform random pair at each split age,
     # most recent (node 2n-2, smallest age) first
     active = list(range(n))
-    u = rng.random((n - 1, 2))
-    for step, v in enumerate(range(2 * n - 2, n - 1, -1)):
+    u = rng.random((n - 1, 2)).tolist()
+    for v, (a, b) in zip(range(2 * n - 2, n - 1, -1), u):
         size = len(active)
-        i = int(u[step, 0] * size)
-        j = int(u[step, 1] * (size - 1))
+        i = int(a * size)
+        j = int(b * (size - 1))
         if j >= i:
             j += 1
         parent[active[i]] = v
@@ -278,6 +281,11 @@ def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
         active.pop()
         active[lo] = v
     return ReconTree(times, parent, validate=False)
+
+
+# largest mean tip count sample_given_age accepts; its draws stay far below
+# the memory of one machine (P(n > 20 * MAX_MEAN_TIPS) < 1e-8)
+MAX_MEAN_TIPS = 10**6
 
 
 def _geometric_count(u: float, ratio: float) -> int:
@@ -296,8 +304,11 @@ def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
     """
     if not x1 > 0:
         raise ValueError(f"x1 must be > 0, got {x1}")
-    rng = as_generator(rng)
     ratio = p.lam * p0(x1, p)
+    if (1.0 - ratio) * MAX_MEAN_TIPS < 2.0:  # the mean tip count is 2/(1 - ratio)
+        raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
+                         f"count above {MAX_MEAN_TIPS:.0e}; use a smaller x1")
+    rng = as_generator(rng)
     n = _geometric_count(rng.random(), ratio) + _geometric_count(rng.random(), ratio)
     return sample_given_n_age(n, x1, p, rng)
 
@@ -310,30 +321,6 @@ class RejectionStats:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.attempts if self.attempts else float("nan")
-
-
-def _merge_sides(side_a: FullTree, side_b: FullTree, x1: float) -> FullTree:
-    """Join two root-child simulations under a common split at age x1."""
-    full = FullTree()
-    full.present = x1
-    # lineage 0: the MRCA split itself (zero-length stand-in for the stem)
-    full.parent.append(-1)
-    full.btime.append(0.0)
-    full.etime.append(0.0)
-    full.kind.append(INTERNAL)
-    full.sampled.append(False)
-    offset = 1
-    for side in (side_a, side_b):
-        m = side.n_lineages
-        for i in range(m):
-            par = side.parent[i]
-            full.parent.append(0 if par < 0 else par + offset)
-            full.btime.append(side.btime[i])
-            full.etime.append(side.etime[i])
-            full.kind.append(side.kind[i])
-            full.sampled.append(side.sampled[i])
-        offset += m
-    return full
 
 
 def sample_rejection_given_age(
@@ -371,7 +358,18 @@ def sample_rejection_given_age(
         if side_b.sampled_tip_count() < 1:
             continue
         stats.accepted += 1
-        tree = reconstruct(_merge_sides(side_a, side_b, x1))
+        # join the sides under lineage 0, a zero-length stand-in for the
+        # stem that carries the MRCA split; side b's parents shift past side a
+        shift = 1 + side_a.n_lineages
+        tree = reconstruct(FullTree(
+            parent=[-1, *(p + 1 if p >= 0 else 0 for p in side_a.parent),
+                    *(p + shift if p >= 0 else 0 for p in side_b.parent)],
+            btime=[0.0, *side_a.btime, *side_b.btime],
+            etime=[0.0, *side_a.etime, *side_b.etime],
+            kind=[INTERNAL, *side_a.kind, *side_b.kind],
+            sampled=[False, *side_a.sampled, *side_b.sampled],
+            present=x1,
+        ))
         assert tree is not None
         return tree
     raise RuntimeError(

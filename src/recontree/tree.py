@@ -15,6 +15,7 @@ down to a ReconTree.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -37,7 +38,7 @@ __all__ = [
 class ReconTree:
     """Rooted binary ultrametric tree with ages as the source of truth."""
 
-    __slots__ = ("n", "times", "parent", "children", "_labels")
+    __slots__ = ("n", "times", "parent", "children", "root", "_labels")
 
     def __init__(self, times, parent, children=None, labels=None, validate=True):
         self.times = np.asarray(times, dtype=float)
@@ -47,7 +48,14 @@ class ReconTree:
             raise ValueError(f"node count must be odd and >= 3, got {total}")
         self.n = (total + 1) // 2
         if children is None:
-            children = self._derive_children()
+            # a stable sort by parent puts the root (parent -1) first, then
+            # the two children of each internal node in ascending node order;
+            # _validate rejects the tables that this does not fit
+            order = np.argsort(self.parent, kind="stable")
+            self.root = int(order[0])
+            children = order[1:].reshape(self.n - 1, 2)
+        else:
+            self.root = int(self.parent.argmin())
         self.children = np.asarray(children, dtype=np.int64)
         self._labels = list(labels) if labels is not None else None
         if validate:
@@ -58,22 +66,6 @@ class ReconTree:
         if self._labels is None:
             self._labels = [f"t{i + 1}" for i in range(self.n)]
         return self._labels
-
-    def _derive_children(self):
-        n = self.n
-        children = np.full((n - 1, 2), -1, dtype=np.int64)
-        for node in range(2 * n - 1):
-            par = self.parent[node]
-            if par < 0:
-                continue
-            row = children[par - n]
-            if row[0] < 0:
-                row[0] = node
-            elif row[1] < 0:
-                row[1] = node
-            else:
-                raise ValueError(f"node {par} has more than 2 children")
-        return children
 
     def _validate(self):
         n = self.n
@@ -86,12 +78,11 @@ class ReconTree:
             raise ValueError("root must be an internal node")
         if np.any(self.times[:n] != 0.0):
             raise ValueError("leaf ages must be 0")
-        if np.any(self.children < 0):
+        kids = self.children
+        if kids.shape != (n - 1, 2) or np.any((kids < 0) | (kids >= 2 * n - 1)):
             raise ValueError("every internal node must have exactly 2 children")
-        for node in range(n - 1):
-            for c in self.children[node]:
-                if self.parent[c] != node + n:
-                    raise ValueError("children table inconsistent with parents")
+        if np.any(self.parent[kids] != np.arange(n, 2 * n - 1)[:, None]):
+            raise ValueError("children table inconsistent with parents")
         lens = self.edge_lengths()
         mask = np.ones(2 * n - 1, dtype=bool)
         mask[root] = False
@@ -99,10 +90,6 @@ class ReconTree:
             raise ValueError("all edge lengths must be > 0")
         if self.times[root] != self.times.max():
             raise ValueError("root must carry the maximal age")
-
-    @property
-    def root(self) -> int:
-        return int(np.nonzero(self.parent < 0)[0][0])
 
     @property
     def mrca_age(self) -> float:
@@ -205,30 +192,23 @@ class NewickError(ValueError):
 
 def to_newick(t: ReconTree) -> str:
     """Serialize to Newick with branch lengths; round-trips exactly."""
-    lens = t.edge_lengths()
-
-    def fmt(x: float) -> str:
-        return repr(float(x))
-
+    lens = t.edge_lengths().tolist()
+    kids = t.children.tolist()
+    n, labels = t.n, t.labels
     # iterative post-order to avoid recursion limits on large trees
-    out = []
     stack = [(t.root, False)]
     pieces = {}
     while stack:
         node, done = stack.pop()
-        if node < t.n:
-            pieces[node] = t.labels[node]
+        if node < n:
+            pieces[node] = labels[node]
             continue
-        c0, c1 = t.children_of(node)
+        c0, c1 = kids[node - n]
         if not done:
-            stack.append((node, True))
-            stack.append((int(c1), False))
-            stack.append((int(c0), False))
+            stack += ((node, True), (c1, False), (c0, False))
         else:
-            pieces[node] = (
-                f"({pieces.pop(int(c0))}:{fmt(lens[c0])},"
-                f"{pieces.pop(int(c1))}:{fmt(lens[c1])})"
-            )
+            pieces[node] = (f"({pieces.pop(c0)}:{lens[c0]!r},"
+                            f"{pieces.pop(c1)}:{lens[c1]!r})")
     return pieces[t.root] + ";"
 
 
@@ -238,18 +218,22 @@ def from_newick(text: str) -> ReconTree:
     Rejects non-binary topologies and trees whose tips are not
     contemporaneous (within 1e-9 relative of the tree height).
     """
+    # the parser recurses once per nesting level; the limit is restored
+    # whether or not the text parses
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * (text.count("(") + 100)))
+    try:
+        return _parse_newick(text)
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def _parse_newick(text: str) -> ReconTree:
     text = text.strip()
     if not text.endswith(";"):
         raise NewickError("newick must end with ';'", len(text))
     s = text[:-1]
     pos = 0
-
-    # the parser recurses once per nesting level
-    import sys
-    depth_bound = s.count("(") + 100
-    old_limit = sys.getrecursionlimit()
-    if depth_bound * 4 > old_limit:
-        sys.setrecursionlimit(depth_bound * 4)
 
     leaf_labels: List[str] = []
     # parsed node: (is_leaf, payload) where payload is a label or [children]
@@ -358,7 +342,6 @@ def from_newick(text: str) -> ReconTree:
         return node
 
     assign(tree)
-    sys.setrecursionlimit(old_limit)
     return ReconTree(times, parent, children=children, labels=leaf_labels)
 
 
@@ -385,14 +368,6 @@ class FullTree:
     kind: List[int] = field(default_factory=list)
     sampled: List[bool] = field(default_factory=list)
     present: float = 0.0
-
-    def add(self, parent: int, btime: float) -> int:
-        self.parent.append(parent)
-        self.btime.append(btime)
-        self.etime.append(np.nan)
-        self.kind.append(EXTANT)
-        self.sampled.append(False)
-        return len(self.parent) - 1
 
     @property
     def n_lineages(self) -> int:

@@ -133,6 +133,18 @@ class TestSimulate:
         recs = [json.loads(l) for l in out.read_text().splitlines()][1:]
         assert all(abs(r["x1"] - 1.0) < 1e-9 for r in recs)
 
+    @pytest.mark.parametrize("args,message", [
+        (["--scenario", "given-n", "--n", "1"], "n must be >= 2"),
+        (["--scenario", "given-n-age", "--n", "4", "--x1", "-1"], "x1 must be > 0"),
+        (["--scenario", "given-age", "--x1", "70", "--mu", "0.4"], "mean tip count"),
+        (["--scenario", "given-age", "--x1", "1", "--f", "2"], "f must lie in"),
+    ])
+    def test_library_errors_exit_2(self, args, message, capsys):
+        assert run(["simulate", *args, "--reps", "2", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_given_n_rejects_extinction(self):
         with pytest.raises(SystemExit, match="pure birth"):
             run(["simulate", "--scenario", "given-n", "--n", "5",
@@ -161,6 +173,17 @@ class TestVerify:
         assert code == (0 if payload["pass"] else 1)
         assert [r["check"] for r in payload["reports"]] == ["yule_pendant_n"]
         assert isinstance(payload["reports"][0]["ks"]["pass"], bool)
+
+    def test_rejection_stats_in_report(self, tmp_path):
+        out = tmp_path / "t.json"
+        run(["verify", "--check", "transform_equivalence", "--reps", "1000",
+             "--seed", "5", "-o", str(out)])
+        reports = json.loads(out.read_text())["reports"]
+        assert len(reports) == 3
+        for rep in reports:
+            rej = rep["rejection"]
+            assert rej["accepted"] == 1000 and rej["attempts"] >= 1000
+            assert rej["acceptance_rate"] == rej["accepted"] / rej["attempts"]
 
     def test_unknown_check_exit_2(self, capsys):
         assert run(["verify", "--check", "bogus", "--reps", "1000"]) == 2

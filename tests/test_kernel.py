@@ -108,6 +108,22 @@ class TestKernels:
         with pytest.raises(ValueError):
             p0(-0.1, Params(1.0, 0.0))
 
+    @pytest.mark.parametrize("kernel", [p0, p1])
+    @pytest.mark.parametrize(
+        "s", [-0.1, np.float64(-0.1), -1, np.array([0.5, -0.1])],
+        ids=["float", "float64", "int", "array"],
+    )
+    def test_negative_time_raises_for_every_input_type(self, kernel, s):
+        for p in (Params(1.0, 0.0), Params(1.0, 0.5), Params(1.0, 1.0)):
+            with pytest.raises(ValueError, match="s must be >= 0"):
+                kernel(s, p)
+
+    def test_cached_regime_leaves_equality_alone(self):
+        p = Params(1.0, 0.5)
+        assert p.regime is Regime.SUBCRITICAL
+        assert p == Params(1.0, 0.5) and hash(p) == hash(Params(1.0, 0.5))
+        assert repr(p) == repr(Params(1.0, 0.5))
+
 
 class TestProbNGivenAge:
     def test_n2_yule(self):

@@ -274,6 +274,21 @@ class TestGivenAge:
         assert pval > 0.01
 
 
+class TestGivenAgeSizeGuard:
+    # at x1=45 the tip count would need terabytes; at x1=70 lam*p0 rounds to 1
+    @pytest.mark.parametrize("x1", [45.0, 70.0])
+    def test_rejects_huge_mean_tip_count(self, x1):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mean tip count"):
+            sample_given_age(x1, Params(1.0, 0.4), rng)
+        assert rng.bit_generator.state == state  # raised before any draw
+
+    def test_accepts_large_but_bounded_age(self):
+        t = sample_given_age(10.0, Params(1.0, 0.4), np.random.default_rng(1))
+        assert t.mrca_age == 10.0
+
+
 class TestRejectionGivenAge:
     def test_mrca_and_validity(self):
         rng = np.random.default_rng(17)

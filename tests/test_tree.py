@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recontree import sim
 from recontree.tree import (
@@ -53,6 +57,11 @@ class TestReconTree:
         with pytest.raises(ValueError):
             ReconTree(times, parent)
 
+    def test_rejects_node_with_three_children(self):
+        # node 3 holds all three leaves, so the root 4 has one child
+        with pytest.raises(ValueError, match="inconsistent"):
+            ReconTree([0.0, 0.0, 0.0, 1.0, 2.0], [3, 3, 3, 4, -1])
+
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError, match="odd"):
             ReconTree([0.0, 0.0, 1.0, 2.0], [2, 2, -1, -1])
@@ -104,6 +113,53 @@ class TestTreeStats:
             assert st.diversity == pytest.approx(
                 2 * st.mrca_age + st.speciation_times[1:].sum(), rel=1e-12
             )
+
+
+def children_by_loop(parent, n):
+    """Reference child table: one pass over the nodes in ascending order."""
+    children = np.full((n - 1, 2), -1, dtype=np.int64)
+    for node, par in enumerate(parent):
+        if par >= 0:
+            row = children[par - n]
+            row[0 if row[0] < 0 else 1] = node
+    return children
+
+
+@st.composite
+def binary_trees(draw):
+    """(times, parent) of a random binary tree with a random node numbering."""
+    n = draw(st.integers(2, 40))
+    rand = draw(st.randoms(use_true_random=False))
+    internal = list(range(n, 2 * n - 1))
+    rand.shuffle(internal)  # merge order, so the root may be any internal node
+    parent = [-1] * (2 * n - 1)
+    times = [0.0] * (2 * n - 1)
+    free = list(range(n))
+    for age, v in enumerate(internal, start=1):
+        for _ in range(2):
+            parent[free.pop(rand.randrange(len(free)))] = v
+        times[v] = float(age)
+        free.append(v)
+    return times, parent
+
+
+class TestDerivedChildren:
+    @settings(max_examples=200, deadline=None)
+    @given(binary_trees())
+    def test_matches_per_node_loop(self, tree):
+        times, parent = tree
+        t = ReconTree(times, parent)
+        assert t.root == parent.index(-1)
+        np.testing.assert_array_equal(t.children, children_by_loop(parent, t.n))
+        assert t.children.dtype == np.int64
+
+    @settings(max_examples=50, deadline=None)
+    @given(binary_trees())
+    def test_given_children_keep_the_root(self, tree):
+        times, parent = tree
+        t = ReconTree(times, parent)
+        u = ReconTree(times, parent, children=t.children)
+        assert u.root == t.root
 
 
 class TestNewick:
@@ -163,6 +219,22 @@ class TestNewick:
     def test_rejects_non_ultrametric(self):
         with pytest.raises(NewickError, match="ultrametric"):
             from_newick("(t1:1.0,t2:2.0);")
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "t1:1.0;", "(" * 3000 + ";"],
+                             ids=["unclosed", "no-leaf"])
+    def test_failed_parse_restores_recursion_limit(self, text):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(NewickError):
+            from_newick(text)
+        assert sys.getrecursionlimit() == limit
+
+    def test_deep_parse_restores_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        text = "(t1:1.0,t2:1.0)"  # a caterpillar: nesting depth n - 1
+        for i in range(3, 1001):
+            text = f"({text}:1.0,t{i}:{i - 1}.0)"
+        assert from_newick(text + ";").n == 1000
+        assert sys.getrecursionlimit() == limit
 
     def test_accepts_tiny_depth_jitter(self):
         u = from_newick("(t1:1.0,t2:1.0000000001);")
