@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -57,7 +58,7 @@ def _resolve_params(args) -> tuple[Params, Optional[RawParams]]:
     has_raw = any(v is not None for v in (args.lam_hat, args.mu_hat, args.f))
     has_trans = any(v is not None for v in (args.lam, args.mu))
     if has_raw and has_trans:
-        raise SystemExit("supply either raw (--lam-hat/--mu-hat/--f) or "
+        raise ValueError("supply either raw (--lam-hat/--mu-hat/--f) or "
                          "transformed (--lam/--mu) rates, not both")
     if has_raw:
         raw = RawParams(
@@ -74,12 +75,12 @@ def _resolve_params(args) -> tuple[Params, Optional[RawParams]]:
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"grid must be min:max:points, got {spec!r}")
+        raise ValueError(f"grid must be min:max:points, got {spec!r}")
     lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     if pts < 2:
-        raise SystemExit("grid needs at least 2 points")
+        raise ValueError("grid needs at least 2 points")
     if not hi > lo >= 0:
-        raise SystemExit("grid must satisfy 0 <= min < max")
+        raise ValueError("grid must satisfy 0 <= min < max")
     return np.linspace(lo, hi, pts)
 
 
@@ -129,20 +130,17 @@ def _density_law(args, p: Params):
              or _DENSITY_LAWS.get((args.law, None)))
     if entry is None:
         scenarios = [s for law, s in _DENSITY_LAWS if law == args.law]
-        raise SystemExit(f"--law {args.law} takes --scenario {' or '.join(scenarios)}")
+        raise ValueError(f"--law {args.law} takes --scenario {' or '.join(scenarios)}")
     name, flags, header = entry
     for flag in flags:
         _require(getattr(args, flag), f"--{flag}")
-    try:
-        law = getattr(dists, name)(*(getattr(args, f) for f in flags), p)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    law = getattr(dists, name)(*(getattr(args, f) for f in flags), p)
     return law, header.format(**vars(args))
 
 
 def _require(value, flag):
     if value is None:
-        raise SystemExit(f"{flag} is required for this law/scenario")
+        raise ValueError(f"{flag} is required for this law/scenario")
 
 
 def cmd_density(args) -> int:
@@ -177,7 +175,7 @@ def cmd_simulate(args) -> int:
     if scen == "given-n":
         _require(args.n, "--n")
         if not p.is_yule:
-            raise SystemExit("given-n simulation requires mu = 0 "
+            raise ValueError("given-n simulation requires mu = 0 "
                              "(the fixed-n sampler is pure birth)")
         draw = lambda r: sim.sample_yule_given_n(args.n, p.lam, r)
     elif scen == "given-n-age":
@@ -192,10 +190,10 @@ def cmd_simulate(args) -> int:
         if raw is None:
             raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
-                raise SystemExit("rejection simulation needs raw parameters")
+                raise ValueError("rejection simulation needs raw parameters")
         draw = lambda r: sim.sample_rejection_given_age(args.x1, raw, r)
     else:
-        raise SystemExit(f"unknown scenario {scen!r}")
+        raise ValueError(f"unknown scenario {scen!r}")
 
     manifest = {
         "params": {"lam": p.lam, "mu": p.mu},
@@ -208,11 +206,13 @@ def cmd_simulate(args) -> int:
         manifest["raw_params"] = {
             "lambda_hat": raw.lambda_hat, "mu_hat": raw.mu_hat, "f": raw.f,
         }
+    trees = (draw(rng) for _ in range(args.reps))
+    # the first draw rejects bad sampler arguments before the output is opened
+    trees = itertools.chain(list(itertools.islice(trees, 1)), trees)
     with _open_out(args.output) as out:
         if args.format == "ndjson":
             out.write(json.dumps({"manifest": manifest}) + "\n")
-            for i in range(args.reps):
-                t = draw(rng)
+            for i, t in enumerate(trees):
                 rec = {
                     "id": i,
                     "newick": to_newick(t),
@@ -224,8 +224,8 @@ def cmd_simulate(args) -> int:
                 out.write(json.dumps(rec) + "\n")
         else:  # newick
             out.write(f"[{json.dumps(manifest)}]\n")
-            for _ in range(args.reps):
-                out.write(to_newick(draw(rng)) + "\n")
+            for t in trees:
+                out.write(to_newick(t) + "\n")
     return 0
 
 
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad parameters the library rejects
+    except ValueError as exc:  # bad arguments, and parameters the library rejects
         print(f"recontree {args.command}: {exc}", file=sys.stderr)
         return 2
 

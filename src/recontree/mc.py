@@ -1,8 +1,11 @@
 """Monte Carlo estimation and statistical comparison against analytic laws.
 
-The harness draws trees from a sampler, extracts a per-tree statistic
-(e.g. a uniformly chosen pendant edge length), and compares the empirical
-distribution with the corresponding closed-form law.  Mixed distributions
+The harness draws trees from a batch sampler (``sim.batch_*``), reads a
+per-tree statistic from each batch (e.g. a uniformly chosen pendant edge
+length), and compares the empirical distribution with the corresponding
+closed-form law.  Each reader is the vectorized twin of an ``extract_*``
+function: it makes the same per-tree draw, which depends only on the tip
+count, so it reads the same value from the same tree.  Mixed distributions
 are handled by separating the atom: the KS test runs on the continuous
 part against the renormalized conditional CDF, and the atom mass is
 checked separately with a binomial confidence interval.
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats as sps
@@ -45,6 +49,12 @@ __all__ = [
     "extract_random_root_edge",
     "extract_diversity",
     "extract_leaf_count",
+    "Reader",
+    "read_random_pendant",
+    "read_random_interior",
+    "read_random_root_edge",
+    "read_diversity",
+    "read_leaf_count",
 ]
 
 KS_COEFF_99 = 1.6276  # sqrt(-0.5 ln(0.01/2))
@@ -77,6 +87,54 @@ def extract_diversity(t: ReconTree, rng) -> float:
 
 def extract_leaf_count(t: ReconTree, rng) -> float:
     return float(t.n)
+
+
+# ---------------------------------------------------------------------------
+# Readers (the extractors over a TreeBatch)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Reader:
+    """Vectorized twin of an ``extract_*`` function.
+
+    ``read(batch, d)`` returns one value per row, where ``d`` holds each
+    tree's draw from ``integers(draw(n))``, or is None when ``draw`` is None
+    and the extractor draws nothing.
+    """
+
+    read: Callable[[sim.TreeBatch, Optional[np.ndarray]], np.ndarray]
+    draw: Optional[sim.DrawBound] = None
+
+
+def _read_random_pendant(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(b))
+    return b.times[rows, b.parent[rows, d]]  # leaf ages are 0
+
+
+def _read_random_interior(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(b))
+    v = b.n + d  # an internal node, skipping the root
+    v += v >= b.root
+    return b.times[rows, b.parent[rows, v]] - b.times[rows, v]
+
+
+def _read_random_root_edge(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
+    rows, root = np.arange(len(b)), b.root
+    kids = b.child_table()[rows, root - b.n]
+    return b.times[rows, root] - b.times[rows, kids[rows, d]]
+
+
+def _read_diversity(b: sim.TreeBatch, d) -> np.ndarray:
+    lens = np.take_along_axis(b.times, np.maximum(b.parent, 0), axis=1) - b.times
+    lens[np.arange(len(b)), b.root] = 0.0
+    return lens.sum(axis=1)
+
+
+read_random_pendant = Reader(_read_random_pendant, draw=lambda n: n)
+read_random_interior = Reader(_read_random_interior, draw=lambda n: n - 2)
+read_random_root_edge = Reader(_read_random_root_edge, draw=lambda n: 2)
+read_diversity = Reader(_read_diversity)
+read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +173,27 @@ class EmpiricalDist:
         return np.searchsorted(self.samples, x, side="right") / self.n_samples
 
 
+# a batch sampler: (reps, rng, extractor draw bounds) -> its TreeBatch blocks,
+# e.g. functools.partial(sim.batch_given_n_age, n, x1, p)
+BatchSampler = Callable[[int, np.random.Generator, Sequence[sim.DrawBound]],
+                        Iterator[sim.TreeBatch]]
+
+
 def estimate(
-    sampler: Callable[[np.random.Generator], ReconTree],
-    extractor: Callable[[ReconTree, np.random.Generator], float],
+    sampler: BatchSampler,
+    reader: Reader,
     reps: int,
     rng,
     atom_at: Optional[float] = None,
 ) -> EmpiricalDist:
-    """Draw ``reps`` trees and collect one statistic per tree.
+    """Draw ``reps`` trees and read one statistic per tree.
 
     Values within 1e-9*atom_at of ``atom_at`` are counted into the atom
     bucket (samplers place atom samples exactly at x1 up to rounding).
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
-    rng = sim.as_generator(rng)
-    vals = np.empty(reps)
-    for i in range(reps):
-        vals[i] = extractor(sampler(rng), rng)
-    return _empirical(vals, atom_at)
+    return _empirical(collect(sampler, {"value": reader}, reps, rng)["value"], atom_at)
 
 
 def _empirical(vals: np.ndarray, atom_at: Optional[float]) -> EmpiricalDist:
@@ -146,14 +206,20 @@ def _empirical(vals: np.ndarray, atom_at: Optional[float]) -> EmpiricalDist:
     return EmpiricalDist(samples=vals, atom_location=atom_at, atom_count=atom_count)
 
 
-def collect(sampler, extractors: dict, reps: int, rng) -> dict:
-    """Apply several extractors to one stream of trees; returns name->array."""
+def collect(sampler: BatchSampler, readers: Dict[str, Reader], reps: int,
+            rng) -> Dict[str, np.ndarray]:
+    """Read several statistics from one stream of ``reps`` trees.
+
+    Each tree's reader draws follow the tree's own draws, in the order of
+    ``readers``.  Returns name -> values in the order the trees were drawn.
+    """
     rng = sim.as_generator(rng)
-    out = {name: np.empty(reps) for name in extractors}
-    for i in range(reps):
-        t = sampler(rng)
-        for name, ex in extractors.items():
-            out[name][i] = ex(t, rng)
+    drawing = [name for name, r in readers.items() if r.draw is not None]
+    out = {name: np.empty(reps) for name in readers}
+    for batch in sampler(reps, rng, [readers[name].draw for name in drawing]):
+        for name, reader in readers.items():
+            d = batch.draws[:, drawing.index(name)] if reader.draw is not None else None
+            out[name][batch.index] = reader.read(batch, d)
     return out
 
 
@@ -364,10 +430,8 @@ class VerifyConfig:
 def _check_yule_pendant_n(cfg):
     rng = sim.RngStream(cfg.seed, 1).generator()
     lam, n = 1.0, 20
-    emp = estimate(
-        lambda r: sim.sample_yule_given_n(n, lam, r),
-        extract_random_pendant, cfg.reps, rng,
-    )
+    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_pendant,
+                   cfg.reps, rng)
     # the Yule pendant law given n is Exp(2 lam), the interior-edge law
     rep = compare(
         emp, dists.interior_dist_yule(lam),
@@ -379,10 +443,8 @@ def _check_yule_pendant_n(cfg):
 def _check_yule_interior_n(cfg):
     rng = sim.RngStream(cfg.seed, 2).generator()
     lam, n = 1.0, 20
-    emp = estimate(
-        lambda r: sim.sample_yule_given_n(n, lam, r),
-        extract_random_interior, cfg.reps, rng,
-    )
+    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_interior,
+                   cfg.reps, rng)
     rep = compare(
         emp, dists.interior_dist_yule(lam),
         check="yule_interior_n", analytic_mean=1.0 / (2.0 * lam), seed=cfg.seed,
@@ -395,10 +457,8 @@ def _check_root_edge_n(cfg):
     out = []
     for i, n in enumerate((2, 4, 10)):
         rng = sim.RngStream(cfg.seed, 10 + i).generator()
-        emp = estimate(
-            lambda r: sim.sample_yule_given_n(n, lam, r),
-            extract_random_root_edge, cfg.reps, rng,
-        )
+        emp = estimate(partial(sim.batch_yule_given_n, n, lam),
+                       read_random_root_edge, cfg.reps, rng)
         out.append(compare(
             emp, dists.root_edge_dist_given_n(n, lam),
             check=f"root_edge_n:n={n}",
@@ -410,10 +470,8 @@ def _check_root_edge_n(cfg):
 def _check_root_edge_mean(cfg):
     lam, n = 1.0, 4
     rng = sim.RngStream(cfg.seed, 13).generator()
-    emp = estimate(
-        lambda r: sim.sample_yule_given_n(n, lam, r),
-        extract_random_root_edge, max(cfg.reps // 10, 1000), rng,
-    )
+    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_root_edge,
+                   max(cfg.reps // 10, 1000), rng)
     rep = ComparisonReport(check="root_edge_mean", n_samples=emp.n_samples, seed=cfg.seed)
     rep.moments.append(MomentCheck(
         name="mean", analytic=dists.root_edge_mean_given_n(n, lam),
@@ -425,10 +483,8 @@ def _check_root_edge_mean(cfg):
 def _check_diversity_gamma(cfg):
     lam, n = 1.0, 10
     rng = sim.RngStream(cfg.seed, 20).generator()
-    emp = estimate(
-        lambda r: sim.sample_yule_given_n(n, lam, r),
-        extract_diversity, cfg.reps, rng,
-    )
+    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity,
+                   cfg.reps, rng)
     rep = compare(
         emp, dists.diversity_dist_given_n(n, lam),
         check="diversity_gamma",
@@ -458,10 +514,8 @@ def _check_pendant_given_n_age(cfg):
         for n in (3, 6):
             rng = sim.RngStream(cfg.seed, sid).generator()
             sid += 1
-            emp = estimate(
-                lambda r: sim.sample_given_n_age(n, x1, p, r),
-                extract_random_pendant, cfg.reps, rng, atom_at=x1,
-            )
+            emp = estimate(partial(sim.batch_given_n_age, n, x1, p),
+                           read_random_pendant, cfg.reps, rng, atom_at=x1)
             law = dists.pendant_dist_given_n_age(n, x1, p)
             out.append(compare(
                 emp, law, check=f"pendant_given_n_age:lam={lam},mu={mu},n={n}",
@@ -475,8 +529,8 @@ def _check_given_age_n_law(cfg):
     p = Params(lam=lam, mu=mu)
     rng = sim.RngStream(cfg.seed, 40).generator()
     data = collect(
-        lambda r: sim.sample_given_age(x1, p, r),
-        {"n": extract_leaf_count, "pendant": extract_random_pendant},
+        partial(sim.batch_given_age, x1, p),
+        {"n": read_leaf_count, "pendant": read_random_pendant},
         cfg.reps, rng,
     )
     ns = data["n"].astype(int)
@@ -495,25 +549,23 @@ def _check_transform_equivalence(cfg):
     x1 = 1.0
     rng_a = sim.RngStream(cfg.seed, 50).generator()
     rng_b = sim.RngStream(cfg.seed, 51).generator()
-    extractors = {
-        "pendant": extract_random_pendant,
-        "diversity": extract_diversity,
-        "n": extract_leaf_count,
+    readers = {
+        "pendant": read_random_pendant,
+        "diversity": read_diversity,
+        "n": read_leaf_count,
     }
-    direct = collect(
-        lambda r: sim.sample_given_age(x1, p, r), extractors, cfg.reps, rng_a,
-    )
+    direct = collect(partial(sim.batch_given_age, x1, p), readers, cfg.reps, rng_a)
     stats = sim.RejectionStats()
     rejected = collect(
-        lambda r: sim.sample_rejection_given_age(x1, raw, r, stats=stats),
-        extractors, cfg.reps, rng_b,
+        partial(sim.batch_rejection_given_age, x1, raw, stats=stats),
+        readers, cfg.reps, rng_b,
     )
     out = [
         compare_two_sample(
             direct[name], rejected[name],
             check=f"transform_equivalence:{name}", seed=cfg.seed,
         )
-        for name in extractors
+        for name in readers
     ]
     for rep in out:
         rep.rejection = stats
@@ -608,9 +660,7 @@ def _check_diversity_mean_age(cfg):
     lam, x1 = 1.0, 1.0
     p = Params(lam=lam, mu=0.0)
     rng = sim.RngStream(cfg.seed, 60).generator()
-    emp = estimate(
-        lambda r: sim.sample_given_age(x1, p, r), extract_diversity, cfg.reps, rng,
-    )
+    emp = estimate(partial(sim.batch_given_age, x1, p), read_diversity, cfg.reps, rng)
     rep = ComparisonReport(check="diversity_mean_age", n_samples=emp.n_samples,
                            seed=cfg.seed)
     rep.moments.append(MomentCheck(
@@ -620,10 +670,8 @@ def _check_diversity_mean_age(cfg):
     # MGF derivative vs sampler mean under fixed (n, x1)
     n2, x2 = 6, 2.0
     rng2 = sim.RngStream(cfg.seed, 61).generator()
-    emp2 = estimate(
-        lambda r: sim.sample_given_n_age(n2, x2, p, r), extract_diversity,
-        cfg.reps, rng2,
-    )
+    emp2 = estimate(partial(sim.batch_given_n_age, n2, x2, p), read_diversity,
+                    cfg.reps, rng2)
     h = 1e-6
     mgf_mean = (dists.diversity_mgf_given_n_age(h, n2, x2, lam)
                 - dists.diversity_mgf_given_n_age(-h, n2, x2, lam)) / (2.0 * h)

@@ -15,13 +15,23 @@ Samplers:
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
+
+Batch samplers (``batch_*``) draw many trees at once as a
+:class:`TreeBatch` of arrays.  Each is the same-stream twin of a per-tree
+sampler: tree by tree it makes exactly the random draws the per-tree
+sampler makes, in the same order, followed by each requested extractor
+draw (an ``integers(bound)`` call whose bound depends only on the tree's
+tip count).  Everything else -- inverse CDFs, sorting, topology attachment
+-- runs over the whole batch in numpy, so a batch holds the same trees,
+node numbering included, as the per-tree sampler would return on the same
+stream.  The per-tree samplers are the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +49,12 @@ __all__ = [
     "sample_given_n_age",
     "sample_given_age",
     "sample_rejection_given_age",
+    "TreeBatch",
+    "BATCH_NODES",
+    "batch_yule_given_n",
+    "batch_given_n_age",
+    "batch_given_age",
+    "batch_rejection_given_age",
 ]
 
 
@@ -208,6 +224,24 @@ def reconstruct(full: FullTree) -> Optional[ReconTree]:
     return ReconTree(times, parent, children=ch, validate=False)
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+
+
+def _check_x1(x1: float) -> None:
+    if not x1 > 0:
+        raise ValueError(f"x1 must be > 0, got {x1}")
+
+
+def _yule_rate(lam: Union[float, Params]) -> float:
+    if isinstance(lam, Params):
+        if not lam.is_yule:
+            raise ValueError("sample_yule_given_n requires mu = 0")
+        return lam.lam
+    return lam
+
+
 def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
     """Exact pure-birth sampler conditioned on n tips.
 
@@ -215,12 +249,8 @@ def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
     the process stops just before the (n+1)-th speciation, and the
     splitting lineage at each event is chosen uniformly.
     """
-    if isinstance(lam, Params):
-        if not lam.is_yule:
-            raise ValueError("sample_yule_given_n requires mu = 0")
-        lam = lam.lam
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    lam = _yule_rate(lam)
+    _check_n(n)
     rng = as_generator(rng)
     # waits w_i ~ Exp(i lam) for i = 2..n; the last is the post-n stretch
     w = rng.exponential(1.0, size=n - 1) / (lam * np.arange(2, n + 1))
@@ -253,10 +283,8 @@ def _speciation_time_inverse_cdf(y, x1: float, p: Params):
 
 def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
     """Exact sampler conditioned on n tips and MRCA age x1."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _check_n(n)
+    _check_x1(x1)
     rng = as_generator(rng)
     times = np.zeros(2 * n - 1)
     times[n] = x1
@@ -295,6 +323,16 @@ def _geometric_count(u: float, ratio: float) -> int:
     return max(1, math.ceil(math.log(u) / math.log(ratio)))
 
 
+def _given_age_ratio(x1: float, p: Params) -> float:
+    """The ratio lam*p0(x1) of the per-side geometric tip counts, checked."""
+    _check_x1(x1)
+    ratio = p.lam * p0(x1, p)
+    if (1.0 - ratio) * MAX_MEAN_TIPS < 2.0:  # the mean tip count is 2/(1 - ratio)
+        raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
+                         f"count above {MAX_MEAN_TIPS:.0e}; use a smaller x1")
+    return ratio
+
+
 def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
     """Exact sampler conditioned on the MRCA age x1 alone.
 
@@ -302,12 +340,7 @@ def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
     ratio lam*p0(x1) (one per root-child lineage), then delegates to
     :func:`sample_given_n_age`.
     """
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
-    ratio = p.lam * p0(x1, p)
-    if (1.0 - ratio) * MAX_MEAN_TIPS < 2.0:  # the mean tip count is 2/(1 - ratio)
-        raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
-                         f"count above {MAX_MEAN_TIPS:.0e}; use a smaller x1")
+    ratio = _given_age_ratio(x1, p)
     rng = as_generator(rng)
     n = _geometric_count(rng.random(), ratio) + _geometric_count(rng.random(), ratio)
     return sample_given_n_age(n, x1, p, rng)
@@ -337,8 +370,7 @@ def sample_rejection_given_age(
     exactly the MRCA age of the sampled tips.  Raises when ``max_attempts``
     is exhausted, reporting the estimated acceptance rate.
     """
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _check_x1(x1)
     rng = as_generator(rng)
     stop = StopRule.duration(x1)
     if stats is None:
@@ -376,3 +408,229 @@ def sample_rejection_given_age(
         f"no acceptance within {max_attempts} attempts "
         f"(estimated acceptance rate {stats.acceptance_rate:.3g})"
     )
+
+
+# ---------------------------------------------------------------------------
+# Batch samplers
+# ---------------------------------------------------------------------------
+
+# nodes per block of a batch sampler: whatever the reps, a block's arrays take
+# a few MB, and since building a block draws nothing, blocks move no draw
+BATCH_NODES = 1 << 16
+
+# an extractor's per-tree draw: the bound of its integers() call, given n
+DrawBound = Callable[[int], int]
+
+
+@dataclass(frozen=True)
+class TreeBatch:
+    """R trees with one tip count n, as arrays of shape (R, 2n-1).
+
+    Row i holds the ``times`` and ``parent`` of one tree, numbered as the
+    per-tree sampler numbers its :class:`ReconTree`.  ``draws[i]`` holds the
+    tree's extractor draws in the order they were requested, and
+    ``index[i]`` the tree's position in the sampler's stream.  ``children``
+    (R, n-1, 2) is given only where a tree's child table is not the one
+    :class:`ReconTree` derives (each node's children in ascending order).
+    """
+
+    times: np.ndarray
+    parent: np.ndarray
+    draws: np.ndarray
+    index: np.ndarray
+    children: Optional[np.ndarray] = None
+
+    @property
+    def n(self) -> int:
+        return (self.times.shape[1] + 1) // 2
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    @property
+    def root(self) -> np.ndarray:
+        """The root of each row: its one node with parent -1."""
+        return self.parent.argmin(axis=1)
+
+    def child_table(self) -> np.ndarray:
+        """(R, n-1, 2): the children of internal node n+k in row i at [i, k]."""
+        if self.children is not None:
+            return self.children
+        order = np.argsort(self.parent, axis=1, kind="stable")  # as ReconTree
+        return order[:, 1:].reshape(len(self), self.n - 1, 2)
+
+    def tree(self, i: int) -> ReconTree:
+        kids = None if self.children is None else self.children[i]
+        return ReconTree(self.times[i], self.parent[i], children=kids, validate=False)
+
+
+def _blocks(reps: int, n: int) -> Iterator[tuple]:
+    """(start, stop) of each block of ``reps`` trees with n tips."""
+    step = max(1, BATCH_NODES // (2 * n - 1))
+    for start in range(0, reps, step):
+        yield start, min(start + step, reps)
+
+
+def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
+    """Make each tree's draws in the per-tree sampler's order.
+
+    For tree i, ``fill(out=a[i])`` for each (fill, a) in ``fills``, then
+    ``ints(b)`` for each extractor bound b; returns the (count, len(bounds))
+    table of extractor draws.
+    """
+    if len(fills) == 1 and not bounds:  # consecutive rows: one call
+        fill, a = fills[0]
+        fill(out=a)
+        return np.empty((count, 0), dtype=np.int64)
+    picks = []
+    for i in range(count):
+        for fill, a in fills:
+            fill(out=a[i])
+        picks += [ints(b) for b in bounds]
+    return np.array(picks, dtype=np.int64).reshape(count, len(bounds))
+
+
+def _yule_trees(w: np.ndarray, u: np.ndarray, n: int) -> tuple:
+    """:func:`sample_yule_given_n` over rows of waits w and uniforms u."""
+    count = w.shape[0]
+    cum = np.cumsum(w, axis=1)
+    times = np.zeros((count, 2 * n - 1))
+    times[:, n] = cum[:, -1]
+    times[:, n + 1:] = cum[:, -1:] - cum[:, :-1]
+    parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
+    active = np.full((count, n), n, dtype=np.int64)  # first k live before split k
+    rows = np.arange(count)
+    for k in range(2, n):
+        j = (u[:, k - 2] * k).astype(np.int64)
+        v = n + k - 1
+        parent[rows, v] = active[rows, j]
+        active[rows, j] = v
+        active[:, k] = v
+    parent[:, :n] = active
+    return times, parent
+
+
+def _given_n_age_trees(u: np.ndarray, n: int, x1: float, p: Params) -> tuple:
+    """:func:`sample_given_n_age` over rows of its 3n-4 uniforms."""
+    count = u.shape[0]
+    times = np.zeros((count, 2 * n - 1))
+    times[:, n] = x1
+    if n > 2:
+        draws = _speciation_time_inverse_cdf(u[:, :n - 2], x1, p)
+        times[:, n + 1:] = np.sort(draws, axis=1)[:, ::-1]
+    pairs = u[:, n - 2:]  # (a, b) per split, most recent first
+    parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
+    active = np.tile(np.arange(n), (count, 1))  # first `size` live at each split
+    rows = np.arange(count)
+    for s in range(n - 1):
+        size, v = n - s, 2 * n - 2 - s
+        i = (pairs[:, 2 * s] * size).astype(np.int64)
+        j = (pairs[:, 2 * s + 1] * (size - 1)).astype(np.int64)
+        j += j >= i
+        parent[rows, active[rows, i]] = v
+        parent[rows, active[rows, j]] = v
+        active[rows, np.maximum(i, j)] = active[:, size - 1]
+        active[rows, np.minimum(i, j)] = v
+    return times, parent
+
+
+def _bucketed(reps: int, draw_tree: Callable, draws: Sequence[DrawBound], ints,
+              build: Callable) -> Iterator[TreeBatch]:
+    """Blocks of trees with random tip counts, one batch per tip count.
+
+    ``draw_tree()`` makes one tree's draws and returns (n, payload); the
+    tree's extractor draws follow at once.  ``build(n, payloads)`` returns
+    the (times, parent) or (times, parent, children) arrays of the trees
+    with n tips.
+    """
+    start = 0
+    while start < reps:
+        ns, payloads, picks, nodes = [], [], [], 0
+        while start + len(ns) < reps and nodes < BATCH_NODES:
+            n, payload = draw_tree()
+            ns.append(n)
+            payloads.append(payload)
+            picks += [ints(d(n)) for d in draws]
+            nodes += 2 * n - 1
+        ns = np.array(ns)
+        picks = np.array(picks, dtype=np.int64).reshape(len(ns), len(draws))
+        for n in np.unique(ns).tolist():
+            sel = np.flatnonzero(ns == n)
+            times, parent, *children = build(n, [payloads[i] for i in sel])
+            yield TreeBatch(times, parent, picks[sel], start + sel, *children)
+        start += len(ns)
+
+
+def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
+                       draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
+    """Batch twin of :func:`sample_yule_given_n`: ``reps`` trees in blocks."""
+    lam = _yule_rate(lam)
+    _check_n(n)
+    rng = as_generator(rng)
+    bounds = [d(n) for d in draws]
+    rates = lam * np.arange(2, n + 1)
+
+    def blocks():
+        for start, stop in _blocks(reps, n):
+            e = np.empty((stop - start, n - 1))
+            u = np.empty((stop - start, n - 2))
+            # standard_exponential is the per-tree exponential(1.0) bit for bit
+            fills = [(rng.standard_exponential, e)] + ([(rng.random, u)] if n > 2 else [])
+            picks = _per_tree(stop - start, fills, bounds, rng.integers)
+            yield TreeBatch(*_yule_trees(e / rates, u, n), picks, np.arange(start, stop))
+
+    return blocks()
+
+
+def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
+                      draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
+    """Batch twin of :func:`sample_given_n_age`: ``reps`` trees in blocks."""
+    _check_n(n)
+    _check_x1(x1)
+    rng = as_generator(rng)
+    bounds = [d(n) for d in draws]
+
+    def blocks():
+        for start, stop in _blocks(reps, n):
+            u = np.empty((stop - start, 3 * n - 4))  # random(n-2), random((n-1, 2))
+            picks = _per_tree(stop - start, [(rng.random, u)], bounds, rng.integers)
+            yield TreeBatch(*_given_n_age_trees(u, n, x1, p), picks, np.arange(start, stop))
+
+    return blocks()
+
+
+def batch_given_age(x1: float, p: Params, reps: int, rng,
+                    draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
+    """Batch twin of :func:`sample_given_age`; one batch per drawn n."""
+    ratio = _given_age_ratio(x1, p)
+    rng = as_generator(rng)
+    rand = rng.random
+
+    def draw_tree():
+        n = _geometric_count(rand(), ratio) + _geometric_count(rand(), ratio)
+        return n, rand(3 * n - 4)  # the uniforms of sample_given_n_age
+
+    return _bucketed(reps, draw_tree, draws, rng.integers,
+                     lambda n, rows: _given_n_age_trees(np.array(rows), n, x1, p))
+
+
+def batch_rejection_given_age(
+    x1: float, raw: RawParams, reps: int, rng,
+    draws: Sequence[DrawBound] = (), stats: Optional[RejectionStats] = None,
+) -> Iterator[TreeBatch]:
+    """The rejection oracle as a batch sampler; one batch per tip count.
+
+    Calls :func:`sample_rejection_given_age` once per tree and stacks the
+    trees it returns, with their child tables (which :func:`reconstruct`
+    orders by descent, not by node number).
+    """
+    _check_x1(x1)
+    rng = as_generator(rng)
+
+    def draw_tree():
+        t = sample_rejection_given_age(x1, raw, rng, stats=stats)
+        return t.n, t
+
+    return _bucketed(reps, draw_tree, draws, rng.integers,
+                     lambda n, trees: tuple(np.array([getattr(t, a) for t in trees])
+                                            for a in ("times", "parent", "children")))

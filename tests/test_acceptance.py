@@ -8,6 +8,7 @@ pure-numeric identities at the stated absolute/relative tolerances.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,10 +41,10 @@ def yule20():
     rng = sim.RngStream(SEED, 101).generator()
     t0 = time.perf_counter()
     data = mc.collect(
-        lambda r: sim.sample_yule_given_n(20, 1.0, r),
+        partial(sim.batch_yule_given_n, 20, 1.0),
         {
-            "pendant": mc.extract_random_pendant,
-            "interior": mc.extract_random_interior,
+            "pendant": mc.read_random_pendant,
+            "interior": mc.read_random_interior,
         },
         REPS,
         rng,
@@ -58,8 +59,8 @@ def given_age_run():
     p = Params(1.0, 0.4)
     rng = sim.RngStream(SEED, 102).generator()
     return mc.collect(
-        lambda r: sim.sample_given_age(1.5, p, r),
-        {"n": mc.extract_leaf_count, "pendant": mc.extract_random_pendant},
+        partial(sim.batch_given_age, 1.5, p),
+        {"n": mc.read_leaf_count, "pendant": mc.read_random_pendant},
         REPS,
         rng,
     )
@@ -100,8 +101,8 @@ def test_c03_root_edge_law():
     for i, n in enumerate((2, 4, 10)):
         rng = sim.RngStream(SEED, 110 + i).generator()
         emp = mc.estimate(
-            lambda r: sim.sample_yule_given_n(n, 1.0, r),
-            mc.extract_random_root_edge, REPS, rng,
+            partial(sim.batch_yule_given_n, n, 1.0),
+            mc.read_random_root_edge, REPS, rng,
         )
         stat = ks_stat(emp.samples, lambda t: dists.root_edge_cdf_given_n(t, n, 1.0))
         se = emp.mean_se()
@@ -115,7 +116,7 @@ def test_c04_diversity_gamma():
     n = 10
     rng = sim.RngStream(SEED, 120).generator()
     emp = mc.estimate(
-        lambda r: sim.sample_yule_given_n(n, 1.0, r), mc.extract_diversity,
+        partial(sim.batch_yule_given_n, n, 1.0), mc.read_diversity,
         REPS, rng,
     )
     s = emp.samples
@@ -144,8 +145,8 @@ def test_c05_pendant_given_n_age():
             rng = sim.RngStream(SEED, sid).generator()
             sid += 1
             emp = mc.estimate(
-                lambda r: sim.sample_given_n_age(n, x1, p, r),
-                mc.extract_random_pendant, REPS, rng, atom_at=x1,
+                partial(sim.batch_given_n_age, n, x1, p),
+                mc.read_random_pendant, REPS, rng, atom_at=x1,
             )
             law = dists.pendant_dist_given_n_age(n, x1, p)
             aw = law.atom_weight
@@ -184,21 +185,21 @@ def test_c07_transformation_equivalence():
     raw = RawParams(2.0, 0.5, 0.5)
     p = transform_params(raw)
     x1 = 1.0
-    extractors = {
-        "pendant": mc.extract_random_pendant,
-        "diversity": mc.extract_diversity,
-        "n": mc.extract_leaf_count,
+    readers = {
+        "pendant": mc.read_random_pendant,
+        "diversity": mc.read_diversity,
+        "n": mc.read_leaf_count,
     }
     direct = mc.collect(
-        lambda r: sim.sample_given_age(x1, p, r), extractors, REPS,
+        partial(sim.batch_given_age, x1, p), readers, REPS,
         sim.RngStream(SEED, 140).generator(),
     )
     rejected = mc.collect(
-        lambda r: sim.sample_rejection_given_age(x1, raw, r), extractors, REPS,
+        partial(sim.batch_rejection_given_age, x1, raw), readers, REPS,
         sim.RngStream(SEED, 141).generator(),
     )
     details, ok = [], True
-    for name in extractors:
+    for name in readers:
         rep = mc.compare_two_sample(direct[name], rejected[name])
         pval = 1.0 - rep.ks.stat
         ok = ok and pval > 0.01
@@ -244,7 +245,7 @@ def test_c11_expected_diversity_given_age():
     lam, x1 = 1.0, 1.0
     p = Params(lam, 0.0)
     emp = mc.estimate(
-        lambda r: sim.sample_given_age(x1, p, r), mc.extract_diversity,
+        partial(sim.batch_given_age, x1, p), mc.read_diversity,
         REPS, sim.RngStream(SEED, 150).generator(),
     )
     target = dists.diversity_mean_given_age(x1, lam)  # 2(e-1)
@@ -253,7 +254,7 @@ def test_c11_expected_diversity_given_age():
     # MGF derivative vs sampler under fixed (n, x1)
     n2, x2 = 6, 2.0
     emp2 = mc.estimate(
-        lambda r: sim.sample_given_n_age(n2, x2, p, r), mc.extract_diversity,
+        partial(sim.batch_given_n_age, n2, x2, p), mc.read_diversity,
         REPS, sim.RngStream(SEED, 151).generator(),
     )
     h = 1e-6

@@ -11,6 +11,15 @@ def run(args):
     return main(args)
 
 
+def assert_usage_error(args, message, capsys):
+    """Exit code 2, one line on stderr naming the problem, nothing on stdout."""
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""
+
+
 class TestDensity:
     def test_pendant_given_n_csv(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -40,19 +49,30 @@ class TestDensity:
         header = out.read_text().splitlines()[0]
         assert "lam_hat=2.0" in header and "lam=1.0" in header
 
-    def test_rejects_mixed_param_styles(self):
-        with pytest.raises(SystemExit):
-            run(["density", "--law", "pendant", "--lam", "1", "--f", "0.5",
-                 "--grid", "0:1:5"])
+    def test_rejects_mixed_param_styles(self, capsys):
+        assert_usage_error(["density", "--law", "pendant", "--lam", "1", "--f", "0.5",
+                            "--grid", "0:1:5"], "not both", capsys)
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(SystemExit):
-            run(["density", "--law", "pendant", "--grid", "0:1"])
+    def test_rejects_bad_grid(self, capsys):
+        assert_usage_error(["density", "--law", "pendant", "--grid", "0:1"],
+                           "grid must be min:max:points", capsys)
 
-    def test_rejects_extinction_for_yule_law(self):
-        with pytest.raises(SystemExit):
-            run(["density", "--law", "diversity", "--scenario", "given-n",
-                 "--n", "5", "--mu", "0.5", "--grid", "0:2:5"])
+    @pytest.mark.parametrize("grid, message", [
+        ("0:1:1", "at least 2 points"),
+        ("1:0:5", "0 <= min < max"),
+    ])
+    def test_rejects_bad_grid_values(self, grid, message, capsys):
+        assert_usage_error(["density", "--law", "pendant", "--grid", grid],
+                           message, capsys)
+
+    def test_rejects_extinction_for_yule_law(self, capsys):
+        assert_usage_error(["density", "--law", "diversity", "--scenario", "given-n",
+                            "--n", "5", "--mu", "0.5", "--grid", "0:2:5"],
+                           "pure-birth (mu=0) case only", capsys)
+
+    def test_missing_flag(self, capsys):
+        assert_usage_error(["density", "--law", "root-edge", "--grid", "0:2:5"],
+                           "--n is required", capsys)
 
     @pytest.mark.parametrize("args, message", [
         (["--law", "root-edge", "--n", "1"], "n must be >= 2"),
@@ -61,9 +81,7 @@ class TestDensity:
         (["--law", "interior", "--scenario", "given-age"], "takes --scenario given-n"),
     ])
     def test_bad_arguments_exit_before_output(self, args, message, capsys):
-        with pytest.raises(SystemExit, match=message):
-            run(["density", *args, "--grid", "0:2:5"])
-        assert capsys.readouterr().out == ""
+        assert_usage_error(["density", *args, "--grid", "0:2:5"], message, capsys)
 
     def test_hypoexp_large_k(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -120,10 +138,9 @@ class TestSimulate:
         for l in lines[1:]:
             assert from_newick(l).n == 4
 
-    def test_rejection_requires_raw(self):
-        with pytest.raises(SystemExit, match="raw parameters"):
-            run(["simulate", "--scenario", "rejection-given-age", "--x1", "1",
-                 "--mu", "-0.5", "--reps", "1"])
+    def test_rejection_requires_raw(self, capsys):
+        assert_usage_error(["simulate", "--scenario", "rejection-given-age", "--x1", "1",
+                            "--mu", "-0.5", "--reps", "1"], "raw parameters", capsys)
 
     def test_rejection_given_age(self, tmp_path):
         out = tmp_path / "t.ndjson"
@@ -140,15 +157,30 @@ class TestSimulate:
         (["--scenario", "given-age", "--x1", "1", "--f", "2"], "f must lie in"),
     ])
     def test_library_errors_exit_2(self, args, message, capsys):
-        assert run(["simulate", *args, "--reps", "2", "--seed", "1"]) == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert_usage_error(["simulate", *args, "--reps", "2", "--seed", "1"],
+                           message, capsys)
 
-    def test_given_n_rejects_extinction(self):
-        with pytest.raises(SystemExit, match="pure birth"):
-            run(["simulate", "--scenario", "given-n", "--n", "5",
-                 "--mu", "0.5", "--reps", "1"])
+    @pytest.mark.parametrize("fmt", ["ndjson", "newick"])
+    def test_failed_first_draw_leaves_no_file(self, fmt, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert_usage_error(["simulate", "--scenario", "given-n", "--n", "1",
+                            "--format", fmt, "-o", str(out)], "n must be >= 2", capsys)
+        assert not out.exists()
+
+    def test_zero_reps_writes_the_manifest(self, tmp_path):
+        out = tmp_path / "f"
+        assert run(["simulate", "--scenario", "given-n", "--n", "4", "--reps", "0",
+                    "--seed", "1", "-o", str(out)]) == 0
+        assert [json.loads(l)["manifest"]["count"]
+                for l in out.read_text().splitlines()] == [0]
+
+    def test_given_n_rejects_extinction(self, capsys):
+        assert_usage_error(["simulate", "--scenario", "given-n", "--n", "5",
+                            "--mu", "0.5", "--reps", "1"], "pure birth", capsys)
+
+    def test_missing_flag(self, capsys):
+        assert_usage_error(["simulate", "--scenario", "given-age", "--reps", "1"],
+                           "--x1 is required", capsys)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,13 +40,14 @@ class TestEmpiricalDist:
 class TestEstimate:
     def test_rejects_small_reps(self):
         with pytest.raises(ValueError, match="reps"):
-            estimate(lambda r: None, lambda t, r: 0.0, 500, 0)
+            estimate(partial(sim.batch_yule_given_n, 5, 1.0), mc.read_random_pendant,
+                     500, 0)
 
     def test_atom_counting(self):
         p = Params(1.0, 0.0)
         emp = estimate(
-            lambda r: sim.sample_given_n_age(3, 2.0, p, r),
-            mc.extract_random_pendant, 2000, sim.RngStream(1, 0), atom_at=2.0,
+            partial(sim.batch_given_n_age, 3, 2.0, p),
+            mc.read_random_pendant, 2000, sim.RngStream(1, 0), atom_at=2.0,
         )
         # atom mass is 2/(n(n-1)) = 1/3
         assert abs(emp.atom_fraction - 1 / 3) < 0.05
@@ -89,8 +91,8 @@ class TestCompare:
         p = Params(1.0, 0.5)
         law = dists.pendant_dist_given_n_age(5, 2.0, p)
         emp = estimate(
-            lambda r: sim.sample_given_n_age(5, 2.0, p, r),
-            mc.extract_random_pendant, 20_000, sim.RngStream(2, 0), atom_at=2.0,
+            partial(sim.batch_given_n_age, 5, 2.0, p),
+            mc.read_random_pendant, 20_000, sim.RngStream(2, 0), atom_at=2.0,
         )
         rep = compare(emp, law, check="mixed")
         assert rep.ks is not None and rep.atom is not None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,35 @@ class TestGivenAgeSizeGuard:
     def test_accepts_large_but_bounded_age(self):
         t = sample_given_age(10.0, Params(1.0, 0.4), np.random.default_rng(1))
         assert t.mrca_age == 10.0
+
+
+class TestBatchSamplerGuards:
+    # each batch sampler refuses what its per-tree twin refuses, when called
+    # and before any draw or allocation, not when its batches are read
+    @pytest.mark.parametrize("make, message", [
+        (lambda r: sim.batch_yule_given_n(1, 1.0, 10, r), "n must be >= 2"),
+        (lambda r: sim.batch_yule_given_n(5, SUB, 10, r), "requires mu = 0"),
+        (lambda r: sim.batch_given_n_age(1, 2.0, SUB, 10, r), "n must be >= 2"),
+        (lambda r: sim.batch_given_n_age(4, 0.0, SUB, 10, r), "x1 must be > 0"),
+        (lambda r: sim.batch_given_n_age(4, -1.0, SUB, 10, r), "x1 must be > 0"),
+        (lambda r: sim.batch_given_age(0.0, SUB, 10, r), "x1 must be > 0"),
+        (lambda r: sim.batch_given_age(45.0, Params(1.0, 0.4), 10, r), "mean tip count"),
+        (lambda r: sim.batch_given_age(70.0, Params(1.0, 0.4), 10, r), "mean tip count"),
+        (lambda r: sim.batch_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
+         "x1 must be > 0"),
+    ])
+    def test_rejects_before_any_draw(self, make, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                make(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.bit_generator.state == state
+        assert peak < 100_000
 
 
 class TestRejectionGivenAge:
