@@ -10,7 +10,6 @@ every law against simulation.
 from .kernel import Params, RawParams, Regime, p0, p1, prob_n_given_age, transform_params
 from .sim import (
     RngStream,
-    StopRule,
     ExtinctRun,
     reconstruct,
     sample_given_age,
@@ -30,7 +29,6 @@ __all__ = [
     "prob_n_given_age",
     "transform_params",
     "RngStream",
-    "StopRule",
     "ExtinctRun",
     "simulate_forward",
     "reconstruct",

@@ -25,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate, special, stats
 
-from .kernel import Params, p0, p1, prob_n_given_age
+from .kernel import Params, p0, p1, prob_n_given_age, yule_rate
 
 __all__ = [
     "MixedDist",
@@ -131,17 +131,6 @@ def _positive(name: str, value: float):
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _yule_rate(lam: Union[float, Params]) -> float:
-    """Accept a plain rate or a Params; reject Params with extinction."""
-    if isinstance(lam, Params):
-        if not lam.is_yule:
-            raise ValueError("this law is proven for the pure-birth (mu=0) case only")
-        return lam.lam
-    if not lam > 0:
-        raise ValueError(f"rate must be > 0, got {lam}")
-    return float(lam)
-
-
 # ---------------------------------------------------------------------------
 # Scenario (i): conditioning on n
 # ---------------------------------------------------------------------------
@@ -200,12 +189,12 @@ def pendant_mean_given_n(p: Params) -> float:
 
 def interior_pdf_yule(s, lam: Union[float, Params]):
     """Interior-edge length density in a pure-birth tree: Exp(2 lam)."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     return 2.0 * lam * np.exp(-2.0 * lam * s)
 
 
 def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     return MixedDist(
         support_end=math.inf,
         pdf=lambda s: interior_pdf_yule(s, lam),
@@ -388,14 +377,14 @@ def hypoexp_pdf(t, k: int, lam: Union[float, Params]):
         k(k-1) lam e^{-2 lam t} (1 - e^{-lam t})^{k-2},
     which is what we evaluate.
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("k", k, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     return k * (k - 1) * lam * u * u * (-np.expm1(-lam * np.asarray(t, dtype=float))) ** (k - 2)
 
 
 def hypoexp_cdf(t, k: int, lam: Union[float, Params]):
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("k", k, 2)
     v = -np.expm1(-lam * np.asarray(t, dtype=float))  # 1 - e^{-lam t}
     return k * v ** (k - 1) - (k - 1) * v ** k
@@ -403,7 +392,7 @@ def hypoexp_cdf(t, k: int, lam: Union[float, Params]):
 
 def hypoexp_dist(k: int, lam: Union[float, Params]) -> MixedDist:
     """Law of the MRCA age of a k-tip pure-birth tree (hypoexponential)."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("k", k, 2)
     return MixedDist(
         support_end=math.inf,
@@ -413,7 +402,7 @@ def hypoexp_dist(k: int, lam: Union[float, Params]) -> MixedDist:
 
 
 def hypoexp_mean(k: int, lam: Union[float, Params]) -> float:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("k", k, 2)
     return sum(1.0 / (i * lam) for i in range(2, k + 1))
 
@@ -423,7 +412,7 @@ def root_edge_pdf_given_n(t, n: int, lam: Union[float, Params]):
 
     f_L(t|n) = lam e^{-lam t} (1 - (1 - e^{-lam t})^{n-2} (1 - n e^{-lam t})).
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     return lam * u * (1.0 - (1.0 - u) ** (n - 2) * (1.0 - n * u))
@@ -431,7 +420,7 @@ def root_edge_pdf_given_n(t, n: int, lam: Union[float, Params]):
 
 def root_edge_cdf_given_n(t, n: int, lam: Union[float, Params]):
     # antiderivative: V + V^{n-1} e^{-lam t} with V = 1 - e^{-lam t}
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     u = np.exp(-lam * np.asarray(t, dtype=float))
     v = 1.0 - u
@@ -439,7 +428,7 @@ def root_edge_cdf_given_n(t, n: int, lam: Union[float, Params]):
 
 
 def root_edge_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     return MixedDist(
         support_end=math.inf,
@@ -449,14 +438,14 @@ def root_edge_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
 
 
 def root_edge_mean_given_n(n: int, lam: Union[float, Params]) -> float:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     return (1.0 - 1.0 / n) / lam
 
 
 def root_edge_survival_given_age(l, x1: float, lam: Union[float, Params]):
     """P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond (pure birth)."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _positive("x1", x1)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
@@ -467,7 +456,7 @@ def root_edge_survival_given_age(l, x1: float, lam: Union[float, Params]):
 
 def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
     """Root-edge law given x1: Exp(lam) on (0, x1), atom e^{-lam x1} at x1."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _positive("x1", x1)
     return MixedDist(
         support_end=x1,
@@ -478,7 +467,7 @@ def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
 
 
 def root_edge_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     return -math.expm1(-lam * x1) / lam
 
 
@@ -487,7 +476,7 @@ def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
 
     with alpha = (1 - e^{-lam(t-l)})/(1 - e^{-lam t}); 0 for l >= t.
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("k", k, 1)
     _positive("t", t)
     l = np.asarray(l, dtype=float)
@@ -505,7 +494,7 @@ def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Param
     Equivalent to the geometric mean-sum (1/(n-1)) sum_{j=0..n-2} alpha^j,
     which is what the limit handling below reproduces as alpha -> 1.
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     _positive("x1", x1)
     scalar = np.isscalar(l)
@@ -555,19 +544,19 @@ def root_edge_limit_constant(cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
 
 def diversity_pdf_given_n(d, n: int, lam: Union[float, Params]):
     """Diversity density given n: gamma with shape n-1 and rate lam."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     return stats.gamma.pdf(d, n - 1, scale=1.0 / lam)
 
 
 def diversity_cdf_given_n(d, n: int, lam: Union[float, Params]):
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     return stats.gamma.cdf(d, n - 1, scale=1.0 / lam)
 
 
 def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     return MixedDist(
         support_end=math.inf,
@@ -577,12 +566,12 @@ def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
 
 
 def diversity_mean_given_n(n: int, lam: Union[float, Params]) -> float:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     return (n - 1) / lam
 
 
 def diversity_var_given_n(n: int, lam: Union[float, Params]) -> float:
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     return (n - 1) / lam ** 2
 
 
@@ -592,7 +581,7 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     e^{2 x1 s} (lam (1 - e^{(s-lam) x1}) / ((lam-s)(1 - e^{-lam x1})))^{n-2}.
     Defined for s < lam; the factor has a removable singularity at s = lam.
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     _positive("x1", x1)
     s = np.asarray(s, dtype=float)
@@ -612,7 +601,7 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
 
 def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> float:
     """E[D|n,x1] = 2 x1 + (n-2) E[S] with S a speciation time on (0, x1)."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _at_least("n", n, 2)
     if n == 2:
         return 2.0 * x1
@@ -623,6 +612,6 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth)."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _positive("x1", x1)
     return 2.0 * math.expm1(lam * x1) / lam

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "Params",
     "Regime",
     "transform_params",
+    "yule_rate",
     "p0",
     "p1",
     "prob_n_given_age",
@@ -106,6 +108,18 @@ def transform_params(raw: RawParams) -> Params:
     lam = raw.f * raw.lambda_hat
     mu = raw.mu_hat - raw.lambda_hat * (1.0 - raw.f)
     return Params(lam=lam, mu=mu)
+
+
+def yule_rate(lam: Union[float, Params]) -> float:
+    """The rate of a pure-birth law or sampler: a plain rate > 0, or a
+    Params with mu = 0."""
+    if isinstance(lam, Params):
+        if not lam.is_yule:
+            raise ValueError(f"requires mu = 0 (pure birth), got mu={lam.mu}")
+        return lam.lam
+    if not lam > 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    return float(lam)
 
 
 def _check_time(s):

@@ -355,11 +355,10 @@ def compare(
             stat = ks_one_sample(cont, cond)
             report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
         if aw > 0.0 or emp.atom_location is not None:
-            half = Z_99 * np.sqrt(max(aw * (1.0 - aw), 1e-300) / emp.n_samples)
             report.atom = AtomCheck(
                 analytic_mass=aw,
                 empirical_fraction=emp.atom_fraction,
-                ci_halfwidth=max(half, 3.0 / emp.n_samples),
+                ci_halfwidth=Z_99 * np.sqrt(aw * (1.0 - aw) / emp.n_samples),
             )
     else:
         stat = ks_one_sample(cont, analytic)
@@ -732,7 +731,7 @@ def verify_suite(config: VerifyConfig) -> List[ComparisonReport]:
     names = tuple(config.checks) or CHECK_NAMES
     unknown = [c for c in names if c not in _CHECKS]
     if unknown:
-        raise KeyError(
+        raise ValueError(
             f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}"
         )
     reports: List[ComparisonReport] = []

@@ -35,12 +35,11 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import Params, RawParams, p0
+from .kernel import Params, RawParams, p0, yule_rate
 from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree
 
 __all__ = [
     "RngStream",
-    "StopRule",
     "ExtinctRun",
     "RejectionStats",
     "simulate_forward",
@@ -77,67 +76,34 @@ def as_generator(rng) -> np.random.Generator:
     return rng
 
 
-_DURATION = "duration"
-_COUNT = "before_speciation_count"
-
-
-@dataclass(frozen=True)
-class StopRule:
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in (_DURATION, _COUNT):
-            raise ValueError(f"unknown stop rule {self.kind!r}")
-        if not self.value > 0:
-            raise ValueError("stop rule argument must be positive")
-
-    @classmethod
-    def duration(cls, t: float) -> "StopRule":
-        return cls(_DURATION, float(t))
-
-    @classmethod
-    def before_speciation_count(cls, m: int) -> "StopRule":
-        """Stop just before the m-th speciation event (origin counts as the
-        first), leaving m-1 extant lineages under pure birth."""
-        if int(m) != m or m < 2:
-            raise ValueError(f"speciation count must be an int >= 2, got {m}")
-        return cls(_COUNT, float(m))
-
-
 class ExtinctRun(RuntimeError):
-    """All lineages died before the stop rule was reached."""
+    """All lineages died before the end of the run."""
 
 
-def simulate_forward(raw: RawParams, stop: StopRule, rng) -> FullTree:
+def simulate_forward(raw: RawParams, duration: float, rng) -> FullTree:
     """Gillespie simulation of the birth-death process with sampling.
 
-    Starts from a single lineage (the stem).  Each extant tip at the
-    present is independently flagged sampled with probability f.
+    Starts from a single lineage (the stem) and runs for ``duration``.
+    Each extant tip at the present is independently flagged sampled with
+    probability f.
     """
+    if not duration > 0:
+        raise ValueError(f"duration must be > 0, got {duration}")
     rng = as_generator(rng)
     lh, mh, f = raw.lambda_hat, raw.mu_hat, raw.f
     total_rate_per = lh + mh
     p_birth = lh / total_rate_per
-    t_stop = stop.value if stop.kind == _DURATION else math.inf
-    count_stop = stop.value if stop.kind == _COUNT else math.inf
+    present = float(duration)
     full = FullTree(parent=[-1], btime=[0.0], etime=[math.nan], kind=[EXTANT])
     parent, btime, etime, kind = full.parent, full.btime, full.etime, full.kind
     active = [0]
     t = 0.0
-    spec_count = 1  # the origin of the initial lineage counts as the first
     exponential, random, integers = rng.exponential, rng.random, rng.integers
     while True:
         t += exponential(1.0 / (total_rate_per * len(active)))
-        if t >= t_stop:
-            present = t_stop
+        if t >= present:
             break
         birth = mh == 0.0 or random() < p_birth
-        if birth:
-            spec_count += 1
-            if spec_count == count_stop:
-                present = t
-                break
         i = int(integers(len(active)))
         lin = active[i]
         etime[lin] = t
@@ -154,7 +120,7 @@ def simulate_forward(raw: RawParams, stop: StopRule, rng) -> FullTree:
             active[i] = active[-1]
             active.pop()
             if not active:
-                raise ExtinctRun("all lineages went extinct before the stop rule")
+                raise ExtinctRun("all lineages went extinct before the present")
     full.present = present
     full.sampled = [False] * len(parent)
     for lin in active:
@@ -234,14 +200,6 @@ def _check_x1(x1: float) -> None:
         raise ValueError(f"x1 must be > 0, got {x1}")
 
 
-def _yule_rate(lam: Union[float, Params]) -> float:
-    if isinstance(lam, Params):
-        if not lam.is_yule:
-            raise ValueError("sample_yule_given_n requires mu = 0")
-        return lam.lam
-    return lam
-
-
 def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
     """Exact pure-birth sampler conditioned on n tips.
 
@@ -249,7 +207,7 @@ def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
     the process stops just before the (n+1)-th speciation, and the
     splitting lineage at each event is chosen uniformly.
     """
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _check_n(n)
     rng = as_generator(rng)
     # waits w_i ~ Exp(i lam) for i = 2..n; the last is the post-n stretch
@@ -372,19 +330,18 @@ def sample_rejection_given_age(
     """
     _check_x1(x1)
     rng = as_generator(rng)
-    stop = StopRule.duration(x1)
     if stats is None:
         stats = RejectionStats()
     for _ in range(max_attempts):
         stats.attempts += 1
         try:
-            side_a = simulate_forward(raw, stop, rng)
+            side_a = simulate_forward(raw, x1, rng)
         except ExtinctRun:
             continue
         if side_a.sampled_tip_count() < 1:
             continue
         try:
-            side_b = simulate_forward(raw, stop, rng)
+            side_b = simulate_forward(raw, x1, rng)
         except ExtinctRun:
             continue
         if side_b.sampled_tip_count() < 1:
@@ -564,7 +521,7 @@ def _bucketed(reps: int, draw_tree: Callable, draws: Sequence[DrawBound], ints,
 def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
                        draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
     """Batch twin of :func:`sample_yule_given_n`: ``reps`` trees in blocks."""
-    lam = _yule_rate(lam)
+    lam = yule_rate(lam)
     _check_n(n)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]

@@ -191,7 +191,12 @@ class NewickError(ValueError):
 
 
 def to_newick(t: ReconTree) -> str:
-    """Serialize to Newick with branch lengths; round-trips exactly."""
+    """Serialize to Newick, each branch length as the shortest repr of its float.
+
+    :func:`from_newick` gives back the topology and labels exactly, but
+    rebuilds each age from summed branch lengths, so ages come back within a
+    few ulps of the tree height and the text need not round-trip exactly.
+    """
     lens = t.edge_lengths().tolist()
     kids = t.children.tolist()
     n, labels = t.n, t.labels

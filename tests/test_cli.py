@@ -68,7 +68,7 @@ class TestDensity:
     def test_rejects_extinction_for_yule_law(self, capsys):
         assert_usage_error(["density", "--law", "diversity", "--scenario", "given-n",
                             "--n", "5", "--mu", "0.5", "--grid", "0:2:5"],
-                           "pure-birth (mu=0) case only", capsys)
+                           "requires mu = 0", capsys)
 
     def test_missing_flag(self, capsys):
         assert_usage_error(["density", "--law", "root-edge", "--grid", "0:2:5"],

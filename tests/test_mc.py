@@ -150,7 +150,7 @@ class TestChiSquare:
 
 class TestVerifySuite:
     def test_unknown_check_raises(self):
-        with pytest.raises(KeyError, match="unknown checks"):
+        with pytest.raises(ValueError, match="unknown checks"):
             verify_suite(VerifyConfig(checks=("nope",)))
 
     def test_check_names_cover_registry(self):

@@ -10,7 +10,6 @@ from recontree.sim import (
     ExtinctRun,
     RejectionStats,
     RngStream,
-    StopRule,
     _geometric_count,
     _speciation_time_inverse_cdf,
     reconstruct,
@@ -45,45 +44,22 @@ class TestRngStream:
         assert isinstance(sim.as_generator(7), np.random.Generator)
 
 
-class TestStopRule:
-    def test_constructors(self):
-        assert StopRule.duration(2.0).kind == "duration"
-        assert StopRule.before_speciation_count(5).value == 5.0
-
-    def test_rejects_bad(self):
-        with pytest.raises(ValueError):
-            StopRule("nope", 1.0)
-        with pytest.raises(ValueError):
-            StopRule.duration(0.0)
-        with pytest.raises(ValueError):
-            StopRule.before_speciation_count(1)
-
-
 class TestSimulateForward:
-    def test_pure_birth_count_rule(self):
-        # stopping just before the m-th speciation leaves m-1 lineages
-        rng = np.random.default_rng(0)
-        raw = RawParams(1.0, 0.0, 1.0)
-        for m in (2, 5, 9):
-            full = simulate_forward(raw, StopRule.before_speciation_count(m), rng)
-            extant = sum(1 for k in full.kind if k == EXTANT)
-            assert extant == m - 1
-            assert full.sampled_tip_count() == m - 1  # f = 1
-
     def test_duration_rule_times(self):
         rng = np.random.default_rng(1)
-        full = simulate_forward(RawParams(1.0, 0.0, 1.0), StopRule.duration(2.0), rng)
+        full = simulate_forward(RawParams(1.0, 0.0, 1.0), 2.0, rng)
         assert full.present == 2.0
         for i in range(full.n_lineages):
             assert full.btime[i] <= full.etime[i] <= 2.0
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            simulate_forward(RawParams(1.0, 0.0, 1.0), 0.0, rng)
 
     def test_extinction_raises(self):
         raw = RawParams(1.0, 1.0, 1.0)
-        stop = StopRule.duration(50.0)
         seen = False
         for seed in range(30):
             try:
-                simulate_forward(raw, stop, np.random.default_rng(seed))
+                simulate_forward(raw, 50.0, np.random.default_rng(seed))
             except ExtinctRun:
                 seen = True
                 break
@@ -92,8 +68,9 @@ class TestSimulateForward:
     def test_sampling_flags(self):
         rng = np.random.default_rng(2)
         raw = RawParams(1.0, 0.0, 0.5)
-        full = simulate_forward(raw, StopRule.before_speciation_count(40), rng)
-        assert 0 < full.sampled_tip_count() < 39
+        full = simulate_forward(raw, 3.7, rng)  # about e^3.7 = 40 tips
+        extant = sum(1 for k in full.kind if k == EXTANT)
+        assert 0 < full.sampled_tip_count() < extant
 
     def test_yule_population_growth_law(self):
         # E[K_t] = e^{lam t} for pure birth from one lineage
@@ -101,7 +78,7 @@ class TestSimulateForward:
         raw = RawParams(1.0, 0.0, 1.0)
         counts = []
         for _ in range(4000):
-            full = simulate_forward(raw, StopRule.duration(1.0), rng)
+            full = simulate_forward(raw, 1.0, rng)
             counts.append(sum(1 for k in full.kind if k == EXTANT))
         counts = np.array(counts)
         se = counts.std(ddof=1) / math.sqrt(len(counts))
@@ -114,7 +91,7 @@ class TestReconstruct:
         raw = RawParams(1.0, 0.0, 1.0)
         checked = 0
         while checked < 10:
-            full = simulate_forward(raw, StopRule.duration(2.0), rng)
+            full = simulate_forward(raw, 2.0, rng)
             extant = sum(1 for k in full.kind if k == EXTANT)
             t = reconstruct(full)
             if extant < 2:
@@ -130,7 +107,7 @@ class TestReconstruct:
         kept = 0
         for _ in range(200):
             try:
-                full = simulate_forward(raw, StopRule.duration(2.0), rng)
+                full = simulate_forward(raw, 2.0, rng)
             except ExtinctRun:
                 continue
             t = reconstruct(full)
@@ -148,7 +125,7 @@ class TestReconstruct:
         rng = np.random.default_rng(6)
         raw = RawParams(1.0, 0.0, 0.4)
         for _ in range(50):
-            full = simulate_forward(raw, StopRule.duration(2.5), rng)
+            full = simulate_forward(raw, 2.5, rng)
             t = reconstruct(full)
             if t is None:
                 continue
@@ -292,7 +269,8 @@ class TestGivenAgeSizeGuard:
 
 class TestBatchSamplerGuards:
     # each batch sampler refuses what its per-tree twin refuses, when called
-    # and before any draw or allocation, not when its batches are read
+    # and before any draw or allocation, not when its batches are read; both
+    # Yule samplers refuse a rate that is not > 0
     @pytest.mark.parametrize("make, message", [
         (lambda r: sim.batch_yule_given_n(1, 1.0, 10, r), "n must be >= 2"),
         (lambda r: sim.batch_yule_given_n(5, SUB, 10, r), "requires mu = 0"),
@@ -304,6 +282,11 @@ class TestBatchSamplerGuards:
         (lambda r: sim.batch_given_age(70.0, Params(1.0, 0.4), 10, r), "mean tip count"),
         (lambda r: sim.batch_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
          "x1 must be > 0"),
+        # a Yule rate that is not > 0, for the per-tree sampler and its twin
+        *[(lambda r, lam=lam: sample_yule_given_n(5, lam, r), "lam must be > 0")
+          for lam in (0.0, -1.0, math.nan)],
+        *[(lambda r, lam=lam: sim.batch_yule_given_n(5, lam, 10, r), "lam must be > 0")
+          for lam in (0.0, -1.0, math.nan)],
     ])
     def test_rejects_before_any_draw(self, make, message):
         rng = np.random.default_rng(0)
@@ -363,10 +346,9 @@ class TestInitialEdge:
         # measure P(first split later than l = 0.5); frozen value 0.62246
         rng = np.random.default_rng(20)
         raw = RawParams(1.0, 0.0, 1.0)
-        stop = StopRule.duration(1.0)
         hits, kept = 0, 0
         for _ in range(20_000):
-            full = simulate_forward(raw, stop, rng)
+            full = simulate_forward(raw, 1.0, rng)
             if sum(1 for k in full.kind if k == EXTANT) != 2:
                 continue
             kept += 1

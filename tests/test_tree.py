@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recontree import sim
+from recontree.kernel import Params
 from recontree.tree import (
     EdgeKind,
     NewickError,
@@ -181,6 +183,16 @@ class TestNewick:
             u = from_newick(to_newick(t))
             assert to_newick(u) == to_newick(t)
             assert sorted(u.times) == sorted(t.times)
+        # given (n, x1) the text need not round-trip: the parser rebuilds each
+        # age from summed branch lengths, a few ulps of the height off
+        def topology(s):
+            return re.sub(r":[^,)]+", "", s)
+        for n in (20,) * 10 + (10_000,):
+            t = sim.sample_given_n_age(n, 10.0, Params(1.0, 0.5), rng)
+            u = from_newick(to_newick(t))
+            assert topology(to_newick(u)) == topology(to_newick(t))
+            np.testing.assert_allclose(np.sort(u.times), np.sort(t.times),
+                                       rtol=0, atol=1e-12 * t.mrca_age)
 
     def test_round_trip_large(self):
         t = sim.sample_yule_given_n(10_000, 1.0, np.random.default_rng(5))
