@@ -22,7 +22,6 @@ from recontree import (
     sample_yule_given_n,
     to_newick,
     transform_params,
-    tree_stats,
 )
 from recontree.sim import RejectionStats
 
@@ -34,10 +33,9 @@ def direct_samplers():
 
     p = Params(lam=1.0, mu=0.5)
     t = sample_given_n_age(5, 2.0, p, RngStream(42, 1))
-    st = tree_stats(t)
     print(f"fixed n=5, x1=2 (mu=0.5):     {to_newick(t)}")
     print(f"  speciation times (oldest first): "
-          f"{np.round(st.speciation_times, 3)}")
+          f"{np.round(np.sort(t.times[t.n:])[::-1], 3)}")
 
     t = sample_given_age(2.0, p, RngStream(42, 2))
     print(f"fixed x1=2 alone:             n came out as {t.n}")

@@ -8,6 +8,8 @@ the exact samplers on the closed-form densities.
 Run:  python demos/pendant_edge_laws.py
 """
 
+from functools import partial
+
 import numpy as np
 
 from recontree import Params, RngStream, dists, mc, sim
@@ -15,6 +17,12 @@ from recontree import Params, RngStream, dists, mc, sim
 LAM, MU = 1.0, 0.5
 P = Params(LAM, MU)
 REPS = 20_000
+
+
+def pendant_samples(batch_sampler, rng):
+    """The length of a uniformly chosen pendant edge of each of REPS trees."""
+    readers = {"pendant": mc.read_random_pendant}
+    return mc.collect(batch_sampler, readers, REPS, rng)["pendant"]
 
 
 def histogram_vs_density(samples, pdf, edges, mass=1.0):
@@ -34,10 +42,7 @@ def scenario_given_n():
     print("2*lam*p1(s)*(1 - lam*p0(s)), reducing to Exp(2*lam) when mu=0.\n")
     rng = RngStream(1, 0).generator()
     # pure birth so we can use the fixed-n sampler
-    samples = np.array([
-        mc.extract_random_pendant(sim.sample_yule_given_n(20, LAM, rng), rng)
-        for _ in range(REPS)
-    ])
+    samples = pendant_samples(partial(sim.batch_yule_given_n, 20, LAM), rng)
     edges = np.linspace(0.0, 2.5, 11)
     histogram_vs_density(samples, lambda s: 2 * LAM * np.exp(-2 * LAM * s), edges)
     print(f"\n  sample mean {samples.mean():.4f}  "
@@ -51,10 +56,7 @@ def scenario_given_n_age():
     print(f"Mixed law: atom of mass 2/(n(n-1)) = {law.atom_weight:.4f} at s = x1")
     print("(a pendant edge attached directly to the root spans the full age).\n")
     rng = RngStream(2, 0).generator()
-    samples = np.array([
-        mc.extract_random_pendant(sim.sample_given_n_age(n, x1, P, rng), rng)
-        for _ in range(REPS)
-    ])
+    samples = pendant_samples(partial(sim.batch_given_n_age, n, x1, P), rng)
     at_atom = np.abs(samples - x1) <= 1e-9 * x1
     edges = np.linspace(0.0, x1, 9)
     histogram_vs_density(samples[~at_atom], law.pdf, edges,
@@ -79,10 +81,7 @@ def scenario_given_age():
     for s, d, m in zip(grid, law.pdf(grid), mixture):
         print(f"  s={s:.2f}  closed form {d:.6f}  mixture {m:.6f}")
     rng = RngStream(3, 0).generator()
-    samples = np.array([
-        mc.extract_random_pendant(sim.sample_given_age(x1, P, rng), rng)
-        for _ in range(REPS)
-    ])
+    samples = pendant_samples(partial(sim.batch_given_age, x1, P), rng)
     at_atom = np.abs(samples - x1) <= 1e-9 * x1
     print(f"\n  atom fraction {at_atom.mean():.4f}  analytic {law.atom_weight:.4f}")
 

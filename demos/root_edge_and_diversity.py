@@ -9,6 +9,7 @@ Run:  python demos/root_edge_and_diversity.py
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -18,14 +19,17 @@ LAM = 1.0
 REPS = 20_000
 
 
+def read_trees(batch_sampler, reader, rng):
+    """One statistic of each of REPS trees, in the order the trees are drawn."""
+    return mc.collect(batch_sampler, {"value": reader}, REPS, rng)["value"]
+
+
 def root_edge_given_n():
     print("=== root edge given n (fair coin between the two root children) ===")
     for n in (2, 4, 10):
         rng = RngStream(10 + n, 0).generator()
-        samples = np.array([
-            mc.extract_random_root_edge(sim.sample_yule_given_n(n, LAM, rng), rng)
-            for _ in range(REPS)
-        ])
+        samples = read_trees(partial(sim.batch_yule_given_n, n, LAM),
+                             mc.read_random_root_edge, rng)
         mean = dists.root_edge_mean_given_n(n, LAM)
         print(f"  n={n:3d}: sample mean {samples.mean():.4f}  "
               f"analytic (1-1/n)/lam = {mean:.4f}")
@@ -51,10 +55,7 @@ def diversity():
     print("\n=== diversity (sum of all edge lengths) given n ===")
     n = 10
     rng = RngStream(20, 0).generator()
-    samples = np.array([
-        mc.extract_diversity(sim.sample_yule_given_n(n, LAM, rng), rng)
-        for _ in range(REPS)
-    ])
+    samples = read_trees(partial(sim.batch_yule_given_n, n, LAM), mc.read_diversity, rng)
     print(f"  n={n}: gamma(shape {n - 1}, rate {LAM})")
     print(f"  sample mean {samples.mean():.3f}  analytic {n - 1}")
     print(f"  sample var  {samples.var(ddof=1):.3f}  analytic {n - 1}")
@@ -66,10 +67,7 @@ def diversity():
     x1 = 1.0
     p = Params(LAM, 0.0)
     rng = RngStream(21, 0).generator()
-    samples = np.array([
-        mc.extract_diversity(sim.sample_given_age(x1, p, rng), rng)
-        for _ in range(REPS)
-    ])
+    samples = read_trees(partial(sim.batch_given_age, x1, p), mc.read_diversity, rng)
     print(f"\n  given only x1={x1}: sample mean {samples.mean():.4f}  "
           f"analytic 2(e^(lam x1)-1)/lam = "
           f"{dists.diversity_mean_given_age(x1, LAM):.4f}")

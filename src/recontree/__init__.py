@@ -18,7 +18,7 @@ from .sim import (
     sample_yule_given_n,
     simulate_forward,
 )
-from .tree import FullTree, ReconTree, classify_edges, from_newick, to_newick, tree_stats
+from .tree import FullTree, ReconTree, from_newick, to_newick
 
 __all__ = [
     "Params",
@@ -38,8 +38,6 @@ __all__ = [
     "sample_rejection_given_age",
     "ReconTree",
     "FullTree",
-    "classify_edges",
-    "tree_stats",
     "to_newick",
     "from_newick",
 ]

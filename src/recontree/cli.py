@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -172,26 +171,28 @@ def cmd_simulate(args) -> int:
     rng = stream.generator()
     scen = args.scenario
 
+    if args.reps < 0:
+        raise ValueError(f"--reps must be >= 0, got {args.reps}")
     if scen == "given-n":
         _require(args.n, "--n")
         if not p.is_yule:
             raise ValueError("given-n simulation requires mu = 0 "
                              "(the fixed-n sampler is pure birth)")
-        draw = lambda r: sim.sample_yule_given_n(args.n, p.lam, r)
+        batches = sim.batch_yule_given_n(args.n, p.lam, args.reps, rng)
     elif scen == "given-n-age":
         _require(args.n, "--n")
         _require(args.x1, "--x1")
-        draw = lambda r: sim.sample_given_n_age(args.n, args.x1, p, r)
+        batches = sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng)
     elif scen == "given-age":
         _require(args.x1, "--x1")
-        draw = lambda r: sim.sample_given_age(args.x1, p, r)
+        batches = sim.batch_given_age(args.x1, p, args.reps, rng)
     elif scen == "rejection-given-age":
         _require(args.x1, "--x1")
         if raw is None:
             raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
                 raise ValueError("rejection simulation needs raw parameters")
-        draw = lambda r: sim.sample_rejection_given_age(args.x1, raw, r)
+        batches = sim.batch_rejection_given_age(args.x1, raw, args.reps, rng)
     else:
         raise ValueError(f"unknown scenario {scen!r}")
 
@@ -206,9 +207,8 @@ def cmd_simulate(args) -> int:
         manifest["raw_params"] = {
             "lambda_hat": raw.lambda_hat, "mu_hat": raw.mu_hat, "f": raw.f,
         }
-    trees = (draw(rng) for _ in range(args.reps))
-    # the first draw rejects bad sampler arguments before the output is opened
-    trees = itertools.chain(list(itertools.islice(trees, 1)), trees)
+    # the batch samplers have checked their arguments; nothing is drawn yet
+    trees = sim.tree_stream(batches)
     with _open_out(args.output) as out:
         if args.format == "ndjson":
             out.write(json.dumps({"manifest": manifest}) + "\n")

@@ -3,12 +3,12 @@
 The harness draws trees from a batch sampler (``sim.batch_*``), reads a
 per-tree statistic from each batch (e.g. a uniformly chosen pendant edge
 length), and compares the empirical distribution with the corresponding
-closed-form law.  Each reader is the vectorized twin of an ``extract_*``
-function: it makes the same per-tree draw, which depends only on the tip
-count, so it reads the same value from the same tree.  Mixed distributions
-are handled by separating the atom: the KS test runs on the continuous
-part against the renormalized conditional CDF, and the atom mass is
-checked separately with a binomial confidence interval.
+closed-form law.  A reader's per-tree draw depends only on the tip count,
+so the sampler makes it right after the tree's own draws, and a reader
+reads the same value from a tree whatever block the tree is drawn in.
+Mixed distributions are handled by separating the atom: the KS test runs
+on the continuous part against the renormalized conditional CDF, and the
+atom mass is checked separately with a binomial confidence interval.
 
 Conventions (fixed for the whole tool):
 * one-sample KS threshold 1.6276/sqrt(m) (asymptotic 99% level),
@@ -29,7 +29,6 @@ from scipy import stats as sps
 from . import dists, sim
 from .dists import MixedDist
 from .kernel import Params, RawParams, prob_n_given_age, transform_params
-from .tree import ReconTree
 
 __all__ = [
     "EmpiricalDist",
@@ -44,11 +43,6 @@ __all__ = [
     "chi_square_counts",
     "verify_suite",
     "CHECK_NAMES",
-    "extract_random_pendant",
-    "extract_random_interior",
-    "extract_random_root_edge",
-    "extract_diversity",
-    "extract_leaf_count",
     "Reader",
     "read_random_pendant",
     "read_random_interior",
@@ -62,44 +56,16 @@ Z_99 = 2.5758
 
 
 # ---------------------------------------------------------------------------
-# Extractors (per-tree statistics)
-# ---------------------------------------------------------------------------
-
-def extract_random_pendant(t: ReconTree, rng) -> float:
-    return float(t.times[t.parent[int(rng.integers(t.n))]])  # leaf ages are 0
-
-
-def extract_random_interior(t: ReconTree, rng) -> float:
-    v = t.n + int(rng.integers(t.n - 2))  # an internal node, skipping the root
-    v += v >= t.root
-    return float(t.times[t.parent[v]] - t.times[v])
-
-
-def extract_random_root_edge(t: ReconTree, rng) -> float:
-    root = t.root
-    c = t.children_of(root)[int(rng.integers(2))]
-    return float(t.times[root] - t.times[c])
-
-
-def extract_diversity(t: ReconTree, rng) -> float:
-    return float(t.edge_lengths().sum())
-
-
-def extract_leaf_count(t: ReconTree, rng) -> float:
-    return float(t.n)
-
-
-# ---------------------------------------------------------------------------
-# Readers (the extractors over a TreeBatch)
+# Readers (per-tree statistics over a TreeBatch)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Reader:
-    """Vectorized twin of an ``extract_*`` function.
+    """A per-tree statistic, read from every row of a :class:`sim.TreeBatch`.
 
     ``read(batch, d)`` returns one value per row, where ``d`` holds each
     tree's draw from ``integers(draw(n))``, or is None when ``draw`` is None
-    and the extractor draws nothing.
+    and the reader draws nothing.
     """
 
     read: Callable[[sim.TreeBatch, Optional[np.ndarray]], np.ndarray]
@@ -173,7 +139,7 @@ class EmpiricalDist:
         return np.searchsorted(self.samples, x, side="right") / self.n_samples
 
 
-# a batch sampler: (reps, rng, extractor draw bounds) -> its TreeBatch blocks,
+# a batch sampler: (reps, rng, reader draw bounds) -> its TreeBatch blocks,
 # e.g. functools.partial(sim.batch_given_n_age, n, x1, p)
 BatchSampler = Callable[[int, np.random.Generator, Sequence[sim.DrawBound]],
                         Iterator[sim.TreeBatch]]

@@ -1,37 +1,43 @@
 """Forward birth-death simulation, pruning, and exact conditioned samplers.
 
-Samplers:
+Each conditioning scenario has one exact sampler, a batch sampler that
+draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
 
-* :func:`sample_yule_given_n`       -- pure birth, fixed tip count (forward
+* :func:`batch_yule_given_n` -- pure birth, fixed tip count (forward
   construction stopped just before the next speciation event),
-* :func:`sample_given_n_age`        -- fixed n and MRCA age x1, drawing the
-  n-2 free speciation times by inverse CDF and attaching a coalescent
-  topology (uniform random pair merged at each event, backward in time),
-* :func:`sample_given_age`          -- fixed x1 only; the tip count is the
-  sum of two independent geometric counts, one per root child,
-* :func:`sample_rejection_given_age` -- the brute-force oracle: forward
-  simulation of both root-child lineages for duration x1, accepted only if
-  each leaves at least one sampled extant descendant.
+* :func:`batch_given_n_age`  -- fixed n and MRCA age x1, drawing the n-2
+  free speciation times by inverse CDF and attaching a coalescent topology
+  (uniform random pair merged at each event, backward in time),
+* :func:`batch_given_age`    -- fixed x1 only; the tip count is the sum of
+  two independent geometric counts, one per root-child lineage.
+
+:func:`sample_yule_given_n`, :func:`sample_given_n_age` and
+:func:`sample_given_age` return one :class:`ReconTree`: each is its batch
+sampler's batch of one.  :func:`sample_rejection_given_age` is the
+brute-force oracle -- forward simulation of both root-child lineages for
+duration x1, accepted only if each leaves at least one sampled extant
+descendant -- and shares no code with the exact samplers;
+:func:`batch_rejection_given_age` stacks its trees.
+
+A batch sampler makes its random draws tree by tree: each tree's own draws,
+then each requested reader draw (an ``integers(bound)`` call whose
+bound depends only on the tree's tip count).  Everything else -- inverse
+CDFs, sorting, topology attachment -- runs per block, so the trees on a
+stream, node numbering included, do not depend on how they are split into
+blocks; a batch of one draws the same tree as the first row of a batch of
+a thousand.  A block with fewer than :data:`LOCKSTEP_ROWS` rows attaches
+its topology row by row on Python lists; a larger one runs a numpy loop
+over all rows in lockstep.  Both give the same trees.
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
-
-Batch samplers (``batch_*``) draw many trees at once as a
-:class:`TreeBatch` of arrays.  Each is the same-stream twin of a per-tree
-sampler: tree by tree it makes exactly the random draws the per-tree
-sampler makes, in the same order, followed by each requested extractor
-draw (an ``integers(bound)`` call whose bound depends only on the tree's
-tip count).  Everything else -- inverse CDFs, sorting, topology attachment
--- runs over the whole batch in numpy, so a batch holds the same trees,
-node numbering included, as the per-tree sampler would return on the same
-stream.  The per-tree samplers are the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +55,9 @@ __all__ = [
     "sample_given_age",
     "sample_rejection_given_age",
     "TreeBatch",
+    "tree_stream",
     "BATCH_NODES",
+    "LOCKSTEP_ROWS",
     "batch_yule_given_n",
     "batch_given_n_age",
     "batch_given_age",
@@ -200,36 +208,6 @@ def _check_x1(x1: float) -> None:
         raise ValueError(f"x1 must be > 0, got {x1}")
 
 
-def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
-    """Exact pure-birth sampler conditioned on n tips.
-
-    Waiting time between the (i-1)-th and i-th speciation is Exp(i lam);
-    the process stops just before the (n+1)-th speciation, and the
-    splitting lineage at each event is chosen uniformly.
-    """
-    lam = yule_rate(lam)
-    _check_n(n)
-    rng = as_generator(rng)
-    # waits w_i ~ Exp(i lam) for i = 2..n; the last is the post-n stretch
-    w = rng.exponential(1.0, size=n - 1) / (lam * np.arange(2, n + 1))
-    cum = np.cumsum(w)
-    present = cum[-1]
-    times = np.zeros(2 * n - 1)
-    times[n] = present                      # first split (the root)
-    times[n + 1:] = present - cum[:-1]      # splits 2..n-1
-    parent = [-1] * (2 * n - 1)
-    active = [n, n]
-    if n > 2:
-        for k, u in enumerate(rng.random(n - 2).tolist(), start=2):
-            j = int(u * k)
-            v = n + k - 1
-            parent[v] = active[j]
-            active[j] = v
-            active.append(v)
-    parent[:n] = active
-    return ReconTree(times, parent, validate=False)
-
-
 def _speciation_time_inverse_cdf(y, x1: float, p: Params):
     """Inverse of G(s|x1) = p0(s)/p0(x1): exact closed form."""
     q = np.asarray(y, dtype=float) * p0(x1, p)
@@ -239,37 +217,7 @@ def _speciation_time_inverse_cdf(y, x1: float, p: Params):
     return (np.log1p(-p.mu * q) - np.log1p(-p.lam * q)) / d
 
 
-def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
-    """Exact sampler conditioned on n tips and MRCA age x1."""
-    _check_n(n)
-    _check_x1(x1)
-    rng = as_generator(rng)
-    times = np.zeros(2 * n - 1)
-    times[n] = x1
-    if n > 2:
-        draws = _speciation_time_inverse_cdf(rng.random(n - 2), x1, p)
-        times[n + 1:] = np.sort(draws)[::-1]  # x_2 > ... > x_{n-1}
-    parent = [-1] * (2 * n - 1)
-    # coalescent attachment: merge a uniform random pair at each split age,
-    # most recent (node 2n-2, smallest age) first
-    active = list(range(n))
-    u = rng.random((n - 1, 2)).tolist()
-    for v, (a, b) in zip(range(2 * n - 2, n - 1, -1), u):
-        size = len(active)
-        i = int(a * size)
-        j = int(b * (size - 1))
-        if j >= i:
-            j += 1
-        parent[active[i]] = v
-        parent[active[j]] = v
-        lo, hi = (i, j) if i < j else (j, i)
-        active[hi] = active[-1]
-        active.pop()
-        active[lo] = v
-    return ReconTree(times, parent, validate=False)
-
-
-# largest mean tip count sample_given_age accepts; its draws stay far below
+# largest mean tip count the given-x1 sampler accepts; its draws stay far below
 # the memory of one machine (P(n > 20 * MAX_MEAN_TIPS) < 1e-8)
 MAX_MEAN_TIPS = 10**6
 
@@ -289,19 +237,6 @@ def _given_age_ratio(x1: float, p: Params) -> float:
         raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
                          f"count above {MAX_MEAN_TIPS:.0e}; use a smaller x1")
     return ratio
-
-
-def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
-    """Exact sampler conditioned on the MRCA age x1 alone.
-
-    The tip count is G1 + G2 with G1, G2 independent geometric counts with
-    ratio lam*p0(x1) (one per root-child lineage), then delegates to
-    :func:`sample_given_n_age`.
-    """
-    ratio = _given_age_ratio(x1, p)
-    rng = as_generator(rng)
-    n = _geometric_count(rng.random(), ratio) + _geometric_count(rng.random(), ratio)
-    return sample_given_n_age(n, x1, p, rng)
 
 
 @dataclass
@@ -368,14 +303,20 @@ def sample_rejection_given_age(
 
 
 # ---------------------------------------------------------------------------
-# Batch samplers
+# Exact samplers
 # ---------------------------------------------------------------------------
 
 # nodes per block of a batch sampler: whatever the reps, a block's arrays take
 # a few MB, and since building a block draws nothing, blocks move no draw
 BATCH_NODES = 1 << 16
 
-# an extractor's per-tree draw: the bound of its integers() call, given n
+# blocks with fewer rows attach their topology row by row on Python lists;
+# larger ones run one numpy loop over all rows in lockstep, whose per-split
+# overhead pays off only over several rows (timed at n = 6 to 1000: the row
+# path is faster below 16 rows, the lockstep loop from about 24)
+LOCKSTEP_ROWS = 16
+
+# a reader's per-tree draw: the bound of its integers() call, given n
 DrawBound = Callable[[int], int]
 
 
@@ -383,12 +324,12 @@ DrawBound = Callable[[int], int]
 class TreeBatch:
     """R trees with one tip count n, as arrays of shape (R, 2n-1).
 
-    Row i holds the ``times`` and ``parent`` of one tree, numbered as the
-    per-tree sampler numbers its :class:`ReconTree`.  ``draws[i]`` holds the
-    tree's extractor draws in the order they were requested, and
-    ``index[i]`` the tree's position in the sampler's stream.  ``children``
-    (R, n-1, 2) is given only where a tree's child table is not the one
-    :class:`ReconTree` derives (each node's children in ascending order).
+    Row i holds the ``times`` and ``parent`` of one tree, numbered as its
+    :class:`ReconTree` is.  ``draws[i]`` holds the tree's reader draws in
+    the order they were requested, and ``index[i]`` the tree's position in
+    the sampler's stream.  ``children`` (R, n-1, 2) is given only where a
+    tree's child table is not the one :class:`ReconTree` derives (each
+    node's children in ascending order).
     """
 
     times: np.ndarray
@@ -421,6 +362,22 @@ class TreeBatch:
         return ReconTree(self.times[i], self.parent[i], children=kids, validate=False)
 
 
+def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
+    """The trees of a batch sampler as ReconTrees, in the order drawn.
+
+    A block's batches come one after another and cover its stream positions,
+    so at most one block is held back at a time.
+    """
+    pending, k = {}, 0
+    for b in batches:
+        for row, j in enumerate(b.index.tolist()):
+            pending[j] = (b, row)
+        while k in pending:
+            held, row = pending.pop(k)
+            yield held.tree(row)
+            k += 1
+
+
 def _blocks(reps: int, n: int) -> Iterator[tuple]:
     """(start, stop) of each block of ``reps`` trees with n tips."""
     step = max(1, BATCH_NODES // (2 * n - 1))
@@ -429,11 +386,11 @@ def _blocks(reps: int, n: int) -> Iterator[tuple]:
 
 
 def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
-    """Make each tree's draws in the per-tree sampler's order.
+    """Make each tree's draws, tree by tree.
 
     For tree i, ``fill(out=a[i])`` for each (fill, a) in ``fills``, then
-    ``ints(b)`` for each extractor bound b; returns the (count, len(bounds))
-    table of extractor draws.
+    ``ints(b)`` for each reader bound b; returns the (count, len(bounds))
+    table of reader draws.
     """
     if len(fills) == 1 and not bounds:  # consecutive rows: one call
         fill, a = fills[0]
@@ -447,13 +404,30 @@ def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
     return np.array(picks, dtype=np.int64).reshape(count, len(bounds))
 
 
+def _yule_parent(u: list, n: int) -> list:
+    """One Yule tree's parents: split k splits live lineage int(u[k-2] * k)."""
+    parent = [-1] * (2 * n - 1)
+    active = [n, n]
+    for k, x in enumerate(u, start=2):
+        j = int(x * k)
+        v = n + k - 1
+        parent[v] = active[j]
+        active[j] = v
+        active.append(v)
+    parent[:n] = active
+    return parent
+
+
 def _yule_trees(w: np.ndarray, u: np.ndarray, n: int) -> tuple:
-    """:func:`sample_yule_given_n` over rows of waits w and uniforms u."""
+    """Yule trees from rows of waits w (n-1 each) and uniforms u (n-2 each)."""
     count = w.shape[0]
     cum = np.cumsum(w, axis=1)
     times = np.zeros((count, 2 * n - 1))
-    times[:, n] = cum[:, -1]
-    times[:, n + 1:] = cum[:, -1:] - cum[:, :-1]
+    times[:, n] = cum[:, -1]                        # first split (the root)
+    times[:, n + 1:] = cum[:, -1:] - cum[:, :-1]    # splits 2..n-1
+    if count < LOCKSTEP_ROWS:
+        parent = np.array([_yule_parent(row, n) for row in u.tolist()], dtype=np.int64)
+        return times, parent
     parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
     active = np.full((count, n), n, dtype=np.int64)  # first k live before split k
     rows = np.arange(count)
@@ -467,15 +441,39 @@ def _yule_trees(w: np.ndarray, u: np.ndarray, n: int) -> tuple:
     return times, parent
 
 
+def _coalescent_parent(pairs: list, n: int) -> list:
+    """One tree's parents: each split merges a uniform pair of live nodes."""
+    parent = [-1] * (2 * n - 1)
+    active = list(range(n))
+    for v, a, b in zip(range(2 * n - 2, n - 1, -1), pairs[0::2], pairs[1::2]):
+        size = len(active)
+        i = int(a * size)
+        j = int(b * (size - 1))
+        if j >= i:
+            j += 1
+        parent[active[i]] = v
+        parent[active[j]] = v
+        lo, hi = (i, j) if i < j else (j, i)
+        active[hi] = active[-1]
+        active.pop()
+        active[lo] = v
+    return parent
+
+
 def _given_n_age_trees(u: np.ndarray, n: int, x1: float, p: Params) -> tuple:
-    """:func:`sample_given_n_age` over rows of its 3n-4 uniforms."""
+    """Trees given (n, x1) from rows of 3n-4 uniforms: n-2 split ages, then
+    the (a, b) pair of each split, most recent (node 2n-2) first."""
     count = u.shape[0]
     times = np.zeros((count, 2 * n - 1))
     times[:, n] = x1
     if n > 2:
         draws = _speciation_time_inverse_cdf(u[:, :n - 2], x1, p)
-        times[:, n + 1:] = np.sort(draws, axis=1)[:, ::-1]
-    pairs = u[:, n - 2:]  # (a, b) per split, most recent first
+        times[:, n + 1:] = np.sort(draws, axis=1)[:, ::-1]  # x_2 > ... > x_{n-1}
+    pairs = u[:, n - 2:]
+    if count < LOCKSTEP_ROWS:
+        parent = np.array([_coalescent_parent(row, n) for row in pairs.tolist()],
+                          dtype=np.int64)
+        return times, parent
     parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
     active = np.tile(np.arange(n), (count, 1))  # first `size` live at each split
     rows = np.arange(count)
@@ -496,7 +494,7 @@ def _bucketed(reps: int, draw_tree: Callable, draws: Sequence[DrawBound], ints,
     """Blocks of trees with random tip counts, one batch per tip count.
 
     ``draw_tree()`` makes one tree's draws and returns (n, payload); the
-    tree's extractor draws follow at once.  ``build(n, payloads)`` returns
+    tree's reader draws follow at once.  ``build(n, payloads)`` returns
     the (times, parent) or (times, parent, children) arrays of the trees
     with n tips.
     """
@@ -520,7 +518,13 @@ def _bucketed(reps: int, draw_tree: Callable, draws: Sequence[DrawBound], ints,
 
 def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
                        draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
-    """Batch twin of :func:`sample_yule_given_n`: ``reps`` trees in blocks."""
+    """``reps`` pure-birth trees conditioned on n tips.
+
+    Waiting time between the (i-1)-th and i-th speciation is Exp(i lam);
+    the process stops just before the (n+1)-th speciation, and the
+    splitting lineage at each event is chosen uniformly.  Per tree: n-1
+    standard exponentials, then n-2 uniforms.
+    """
     lam = yule_rate(lam)
     _check_n(n)
     rng = as_generator(rng)
@@ -531,7 +535,6 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
         for start, stop in _blocks(reps, n):
             e = np.empty((stop - start, n - 1))
             u = np.empty((stop - start, n - 2))
-            # standard_exponential is the per-tree exponential(1.0) bit for bit
             fills = [(rng.standard_exponential, e)] + ([(rng.random, u)] if n > 2 else [])
             picks = _per_tree(stop - start, fills, bounds, rng.integers)
             yield TreeBatch(*_yule_trees(e / rates, u, n), picks, np.arange(start, stop))
@@ -541,7 +544,12 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
 
 def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
                       draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
-    """Batch twin of :func:`sample_given_n_age`: ``reps`` trees in blocks."""
+    """``reps`` trees conditioned on n tips and MRCA age x1.
+
+    The n-2 free speciation times are drawn by inverse CDF and a coalescent
+    topology is attached: a uniform random pair merged at each split age,
+    backward in time.  Per tree: 3n-4 uniforms.
+    """
     _check_n(n)
     _check_x1(x1)
     rng = as_generator(rng)
@@ -549,7 +557,7 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
 
     def blocks():
         for start, stop in _blocks(reps, n):
-            u = np.empty((stop - start, 3 * n - 4))  # random(n-2), random((n-1, 2))
+            u = np.empty((stop - start, 3 * n - 4))
             picks = _per_tree(stop - start, [(rng.random, u)], bounds, rng.integers)
             yield TreeBatch(*_given_n_age_trees(u, n, x1, p), picks, np.arange(start, stop))
 
@@ -558,14 +566,20 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
 
 def batch_given_age(x1: float, p: Params, reps: int, rng,
                     draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
-    """Batch twin of :func:`sample_given_age`; one batch per drawn n."""
+    """``reps`` trees conditioned on the MRCA age x1 alone; one batch per n.
+
+    The tip count is G1 + G2 with G1, G2 independent geometric counts with
+    ratio lam*p0(x1), one per root-child lineage; the tree is then drawn
+    given (n, x1) as :func:`batch_given_n_age` draws it.  Per tree: two
+    uniforms, then 3n-4.
+    """
     ratio = _given_age_ratio(x1, p)
     rng = as_generator(rng)
     rand = rng.random
 
     def draw_tree():
         n = _geometric_count(rand(), ratio) + _geometric_count(rand(), ratio)
-        return n, rand(3 * n - 4)  # the uniforms of sample_given_n_age
+        return n, rand(3 * n - 4)
 
     return _bucketed(reps, draw_tree, draws, rng.integers,
                      lambda n, rows: _given_n_age_trees(np.array(rows), n, x1, p))
@@ -591,3 +605,20 @@ def batch_rejection_given_age(
     return _bucketed(reps, draw_tree, draws, rng.integers,
                      lambda n, trees: tuple(np.array([getattr(t, a) for t in trees])
                                             for a in ("times", "parent", "children")))
+
+
+# the single-tree entry points: each is its batch sampler's batch of one
+
+def sample_yule_given_n(n: int, lam: Union[float, Params], rng) -> ReconTree:
+    """One tree of :func:`batch_yule_given_n`."""
+    return next(tree_stream(batch_yule_given_n(n, lam, 1, rng)))
+
+
+def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
+    """One tree of :func:`batch_given_n_age`."""
+    return next(tree_stream(batch_given_n_age(n, x1, p, 1, rng)))
+
+
+def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
+    """One tree of :func:`batch_given_age`."""
+    return next(tree_stream(batch_given_age(x1, p, 1, rng)))

@@ -1,4 +1,4 @@
-"""Reconstructed-tree data model, edge classification, stats, Newick I/O.
+"""Reconstructed-tree data model and Newick I/O.
 
 A :class:`ReconTree` is a rooted binary tree on n sampled extant tips.
 Node times (ages before the present) are the source of truth; edge lengths
@@ -14,21 +14,15 @@ down to a ReconTree.
 
 from __future__ import annotations
 
-import enum
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 __all__ = [
     "ReconTree",
     "FullTree",
-    "EdgeKind",
-    "ClassifiedEdge",
-    "TreeStats",
-    "classify_edges",
-    "tree_stats",
     "to_newick",
     "from_newick",
     "NewickError",
@@ -103,79 +97,6 @@ class ReconTree:
 
     def children_of(self, node: int) -> Sequence[int]:
         return self.children[node - self.n]
-
-
-class EdgeKind(enum.Enum):
-    PENDANT = "pendant"
-    INTERIOR = "interior"
-
-
-@dataclass(frozen=True)
-class ClassifiedEdge:
-    """An edge identified by its child node, with class and root mark."""
-
-    child: int
-    kind: EdgeKind
-    root_mark: Optional[str] = None  # 'short' | 'long' for root-incident edges
-
-
-def classify_edges(t: ReconTree, rng=None) -> List[ClassifiedEdge]:
-    """Classify every edge as pendant/interior and mark the two root edges.
-
-    Exactly two edges carry a root mark ('short'/'long'); an exact length
-    tie (e.g. every 2-leaf tree) is broken by a fair coin, so pass an
-    ``rng`` for reproducibility in that case.
-    """
-    n = t.n
-    root = t.root
-    lens = t.edge_lengths()
-    c0, c1 = t.children_of(root)
-    if lens[c0] < lens[c1]:
-        short, long_ = c0, c1
-    elif lens[c1] < lens[c0]:
-        short, long_ = c1, c0
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        short, long_ = (c0, c1) if rng.random() < 0.5 else (c1, c0)
-    out = []
-    for node in range(2 * n - 1):
-        if node == root:
-            continue
-        kind = EdgeKind.PENDANT if node < n else EdgeKind.INTERIOR
-        mark = "short" if node == short else ("long" if node == long_ else None)
-        out.append(ClassifiedEdge(child=node, kind=kind, root_mark=mark))
-    return out
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    diversity: float
-    mrca_age: float
-    speciation_times: np.ndarray  # sorted descending, length n-1
-    pendant_lengths: np.ndarray   # length n
-    interior_lengths: np.ndarray  # length n-2
-    root_edge_lengths: np.ndarray  # the two root-incident edges
-
-
-def tree_stats(t: ReconTree) -> TreeStats:
-    """Summary statistics: diversity is the sum of all edge lengths."""
-    n = t.n
-    root = t.root
-    lens = t.edge_lengths()
-    mask = np.ones(2 * n - 1, dtype=bool)
-    mask[root] = False
-    interior_mask = mask.copy()
-    interior_mask[:n] = False
-    c0, c1 = t.children_of(root)
-    return TreeStats(
-        diversity=float(lens[mask].sum()),
-        mrca_age=t.mrca_age,
-        speciation_times=np.sort(t.times[n:])[::-1],
-        pendant_lengths=lens[:n],
-        interior_lengths=lens[interior_mask],
-        root_edge_lengths=np.array([lens[c0], lens[c1]]),
-    )
 
 
 # ---------------------------------------------------------------------------

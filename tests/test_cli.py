@@ -174,6 +174,13 @@ class TestSimulate:
         assert [json.loads(l)["manifest"]["count"]
                 for l in out.read_text().splitlines()] == [0]
 
+    def test_negative_reps_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert_usage_error(["simulate", "--scenario", "given-n", "--n", "4", "--reps",
+                            "-3", "--seed", "1", "-o", str(out)],
+                           "--reps must be >= 0", capsys)
+        assert not out.exists()
+
     def test_given_n_rejects_extinction(self, capsys):
         assert_usage_error(["simulate", "--scenario", "given-n", "--n", "5",
                             "--mu", "0.5", "--reps", "1"], "pure birth", capsys)

@@ -9,10 +9,13 @@
 * a sha256 digest of ``times``/``parent``/``children`` over 200 trees from
   each sampler configuration, and the rejection oracle's attempt count.
 
-Each batch sampler (``sim.batch_*``) must reproduce its per-tree twin's
-digest on the same stream, and ``mc.collect`` over batches and readers must
-return exactly what the per-tree loop over samplers and ``extract_*``
-functions returns, with the generator left in the same state.
+Each single-tree sampler (``sim.sample_*``, a batch of one) and its batch
+sampler (``sim.batch_*``, 200 trees in one call) must reproduce the digest
+on the same stream, through either topology path (row by row, or numpy
+lockstep over a block's rows).  ``mc.collect`` over batches and readers
+must return exactly what a loop over single trees and the per-tree
+``extract_*`` functions below returns, with the generator left in the same
+state.
 
 Any change to a sampler's random stream, to a tree's node numbering or to a
 statistic shows up here as an exact mismatch.  Regenerate the file only
@@ -38,8 +41,8 @@ VERIFY_SEED = 20260824
 VERIFY_REPS = 1000
 TREES = 200
 
-# name -> (per-tree sampler taking an rng, its batch twin, stream id); every
-# stream uses seed 20260824
+# name -> (single-tree sampler taking an rng, its batch sampler, stream id);
+# every stream uses seed 20260824
 SAMPLERS = {
     "yule_given_n[n=2]": (lambda r: sim.sample_yule_given_n(2, 1.0, r),
                           partial(sim.batch_yule_given_n, 2, 1.0), 1),
@@ -65,13 +68,41 @@ REJECTION = {
     "rejection_given_age[1,0.3,1,x1=1.5]": (RawParams(1.0, 0.3, 1.0), 1.5, 41),
 }
 
+
+# Per-tree extractors: each reads from one ReconTree what its reader reads
+# from every row of a TreeBatch, with the same draw.
+
+def extract_random_pendant(t, rng) -> float:
+    return float(t.times[t.parent[int(rng.integers(t.n))]])  # leaf ages are 0
+
+
+def extract_random_interior(t, rng) -> float:
+    v = t.n + int(rng.integers(t.n - 2))  # an internal node, skipping the root
+    v += v >= t.root
+    return float(t.times[t.parent[v]] - t.times[v])
+
+
+def extract_random_root_edge(t, rng) -> float:
+    root = t.root
+    c = t.children_of(root)[int(rng.integers(2))]
+    return float(t.times[root] - t.times[c])
+
+
+def extract_diversity(t, rng) -> float:
+    return float(t.edge_lengths().sum())
+
+
+def extract_leaf_count(t, rng) -> float:
+    return float(t.n)
+
+
 # per-tree extractor -> its reader
 READERS = {
-    mc.extract_random_pendant: mc.read_random_pendant,
-    mc.extract_random_interior: mc.read_random_interior,
-    mc.extract_random_root_edge: mc.read_random_root_edge,
-    mc.extract_diversity: mc.read_diversity,
-    mc.extract_leaf_count: mc.read_leaf_count,
+    extract_random_pendant: mc.read_random_pendant,
+    extract_random_interior: mc.read_random_interior,
+    extract_random_root_edge: mc.read_random_root_edge,
+    extract_diversity: mc.read_diversity,
+    extract_leaf_count: mc.read_leaf_count,
 }
 
 
@@ -83,45 +114,45 @@ def _digest(trees) -> str:
     return h.hexdigest()
 
 
-def sampler_digests() -> dict:
+def _stream(sid: int) -> np.random.Generator:
+    return sim.RngStream(VERIFY_SEED, sid).generator()
+
+
+def single_digests(names) -> dict:
+    """Digests of TREES calls of each configuration's single-tree sampler."""
     out = {}
-    for name, (draw, _, sid) in SAMPLERS.items():
-        rng = sim.RngStream(VERIFY_SEED, sid).generator()
+    for name in names:
+        draw, _, sid = SAMPLERS[name]
+        rng = _stream(sid)
         out[name] = {"sha256": _digest(draw(rng) for _ in range(TREES))}
+    return out
+
+
+def batch_digests(names) -> dict:
+    """Digests of one TREES-tree call of each configuration's batch sampler."""
+    out = {}
+    for name in names:
+        _, batch, sid = SAMPLERS[name]
+        out[name] = {"sha256": _digest(sim.tree_stream(batch(TREES, _stream(sid))))}
+    return out
+
+
+def rejection_digests(batched: bool) -> dict:
+    out = {}
     for name, (raw, x1, sid) in REJECTION.items():
-        rng = sim.RngStream(VERIFY_SEED, sid).generator()
-        stats = sim.RejectionStats()
-        trees = [sim.sample_rejection_given_age(x1, raw, rng, stats=stats)
-                 for _ in range(TREES)]
+        rng, stats = _stream(sid), sim.RejectionStats()
+        if batched:
+            trees = sim.tree_stream(
+                sim.batch_rejection_given_age(x1, raw, TREES, rng, stats=stats))
+        else:
+            trees = [sim.sample_rejection_given_age(x1, raw, rng, stats=stats)
+                     for _ in range(TREES)]
         out[name] = {"sha256": _digest(trees), "attempts": stats.attempts}
     return out
 
 
-def _stream_order(batches, count) -> list:
-    """The trees of a batch sampler as ReconTrees, in the order drawn."""
-    trees = [None] * count
-    for b in batches:
-        for i, k in enumerate(b.index.tolist()):
-            trees[k] = b.tree(i)
-    return trees
-
-
-def batch_digests() -> dict:
-    out = {}
-    for name, (_, batch, sid) in SAMPLERS.items():
-        rng = sim.RngStream(VERIFY_SEED, sid).generator()
-        out[name] = {"sha256": _digest(_stream_order(batch(TREES, rng), TREES))}
-    for name, (raw, x1, sid) in REJECTION.items():
-        rng = sim.RngStream(VERIFY_SEED, sid).generator()
-        stats = sim.RejectionStats()
-        batches = sim.batch_rejection_given_age(x1, raw, TREES, rng, stats=stats)
-        out[name] = {"sha256": _digest(_stream_order(batches, TREES)),
-                     "attempts": stats.attempts}
-    return out
-
-
 def per_tree_collect(draw, extractors: dict, reps: int, rng) -> dict:
-    """The per-tree loop that ``mc.collect`` replaces: the reference."""
+    """A loop over single trees and extractors: the reference for ``mc.collect``."""
     out = {name: np.empty(reps) for name in extractors}
     for i in range(reps):
         t = draw(rng)
@@ -134,7 +165,7 @@ def _extractors(name: str) -> dict:
     """Every extractor that applies to each tree of the configuration."""
     fixed_n = name.startswith(("yule", "given_n_age")) and "n=2]" not in name
     return {ex.__name__: ex for ex in READERS
-            if fixed_n or ex is not mc.extract_random_interior}
+            if fixed_n or ex is not extract_random_interior}
 
 
 def verify_reports() -> list:
@@ -153,18 +184,18 @@ def golden():
 
 
 def test_sampler_streams_match_golden(golden):
-    assert sampler_digests() == golden["samplers"]
+    assert {**single_digests(SAMPLERS), **rejection_digests(False)} == golden["samplers"]
 
 
 def test_batch_streams_match_golden(golden):
-    assert batch_digests() == golden["samplers"]
+    assert {**batch_digests(SAMPLERS), **rejection_digests(True)} == golden["samplers"]
 
 
 def _assert_same_reads(draw, batch, name, sid):
     extractors = _extractors(name)
-    ref_rng = sim.RngStream(VERIFY_SEED, sid).generator()
+    ref_rng = _stream(sid)
     ref = per_tree_collect(draw, extractors, TREES, ref_rng)
-    rng = sim.RngStream(VERIFY_SEED, sid).generator()
+    rng = _stream(sid)
     got = mc.collect(batch, {k: READERS[ex] for k, ex in extractors.items()}, TREES, rng)
     for k in extractors:
         assert np.array_equal(got[k], ref[k]), k
@@ -191,8 +222,24 @@ def test_blocks_keep_the_stream(name, monkeypatch):
     monkeypatch.setattr(sim, "BATCH_NODES", 7)
     draw, batch, sid = SAMPLERS[name]
     _assert_same_reads(draw, batch, name, sid)
-    blocks = list(batch(TREES, sim.RngStream(VERIFY_SEED, sid).generator()))
+    blocks = list(batch(TREES, _stream(sid)))
     assert len(blocks) >= TREES // 4
+
+
+# a block of one row through the lockstep loop costs about 20 ms at n=1000, so
+# the single-tree samplers at n=1000 are checked on the row path only; the
+# lockstep loop still sees one-row blocks in the given-x1 buckets
+SLOW_SINGLE_LOCKSTEP = [name for name in SAMPLERS if "n=1000" in name]
+
+
+@pytest.mark.parametrize("rows", [0, 10**9], ids=["lockstep", "row_by_row"])
+def test_both_attachment_paths_match_golden(rows, golden, monkeypatch):
+    # every block, a batch of one included, attaches its topology one way
+    monkeypatch.setattr(sim, "LOCKSTEP_ROWS", rows)
+    want = golden["samplers"]
+    single = [name for name in SAMPLERS if rows or name not in SLOW_SINGLE_LOCKSTEP]
+    assert single_digests(single) == {name: want[name] for name in single}
+    assert batch_digests(SAMPLERS) == {name: want[name] for name in SAMPLERS}
 
 
 def test_verify_statistics_match_golden(golden):
@@ -201,5 +248,6 @@ def test_verify_statistics_match_golden(golden):
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {"samplers": sampler_digests(), "verify": verify_reports()}, indent=1,
+        {"samplers": {**single_digests(SAMPLERS), **rejection_digests(False)},
+         "verify": verify_reports()}, indent=1,
     ) + "\n")

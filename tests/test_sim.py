@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from recontree import dists, sim
+from recontree import dists, mc, sim
 from recontree.kernel import Params, RawParams
 from recontree.sim import (
     ExtinctRun,
@@ -157,8 +158,8 @@ class TestYuleGivenN:
         # root age is a sum of Exp(i lam), i=2..n -> hypoexponential
         n, m = 8, 20_000
         rng = np.random.default_rng(8)
-        ages = np.sort([sample_yule_given_n(n, 1.0, rng).mrca_age
-                        for _ in range(m)])
+        ages = np.sort(np.concatenate(
+            [b.times[:, n] for b in sim.batch_yule_given_n(n, 1.0, m, rng)]))
         cdf = dists.hypoexp_cdf(ages, n, 1.0)
         ks = np.max(np.abs(cdf - np.arange(1, m + 1) / m))
         assert ks < 1.6276 / math.sqrt(m)
@@ -191,10 +192,8 @@ class TestGivenNAge:
         # the k-th oldest split follows the order-statistic law
         n, x1, m = 6, 2.0, 20_000
         rng = np.random.default_rng(12)
-        times = np.empty((m, n - 2))
-        for i in range(m):
-            t = sample_given_n_age(n, x1, SUB, rng)
-            times[i] = np.sort(t.times[n + 1:])[::-1]
+        times = np.concatenate([np.sort(b.times[:, n + 1:], axis=1)[:, ::-1]
+                                for b in sim.batch_given_n_age(n, x1, SUB, m, rng)])
         for k in (2, 3, n - 1):
             vals = np.sort(times[:, k - 2])
             cdf = dists.speciation_time_cdf(vals, k, n, x1, SUB)
@@ -206,12 +205,9 @@ class TestGivenNAge:
         rng = np.random.default_rng(13)
         m = 10_000
         balanced = 0
-        for _ in range(m):
-            t = sample_given_n_age(4, 1.0, SUB, rng)
-            root = t.root
-            c0, c1 = t.children_of(root)
-            if c0 >= t.n and c1 >= t.n:
-                balanced += 1
+        for b in sim.batch_given_n_age(4, 1.0, SUB, m, rng):
+            kids = b.child_table()[np.arange(len(b)), b.root - b.n]
+            balanced += np.count_nonzero((kids >= b.n).all(axis=1))
         frac = balanced / m
         assert abs(frac - 1 / 3) < 3 * math.sqrt((1 / 3) * (2 / 3) / m)
 
@@ -247,7 +243,8 @@ class TestGivenAge:
         from recontree.mc import chi_square_counts
         rng = np.random.default_rng(16)
         x1, p = 1.5, Params(1.0, 0.4)
-        ns = np.array([sample_given_age(x1, p, rng).n for _ in range(20_000)])
+        ns = np.concatenate([np.full(len(b), b.n)
+                             for b in sim.batch_given_age(x1, p, 20_000, rng)])
         pval = chi_square_counts(ns, lambda n: prob_n_given_age(n, x1, p))
         assert pval > 0.01
 
@@ -267,10 +264,32 @@ class TestGivenAgeSizeGuard:
         assert t.mrca_age == 10.0
 
 
+class TestTreeStream:
+    def test_stream_order_one_block_held(self, monkeypatch):
+        # a block holds at most 50 // 3 + 1 trees, each bucketed by its n
+        monkeypatch.setattr(sim, "BATCH_NODES", 50)
+        x1, p, reps = 1.5, Params(1.0, 0.4), 300
+        drawn = []
+
+        def batches():
+            for b in sim.batch_given_age(x1, p, reps, np.random.default_rng(3)):
+                drawn.extend(b.index.tolist())
+                yield b
+
+        ns = []
+        for k, t in enumerate(sim.tree_stream(batches())):
+            assert len(drawn) - k <= 50 // 3 + 1
+            ns.append(t.n)
+        want = mc.collect(partial(sim.batch_given_age, x1, p),
+                          {"n": mc.read_leaf_count}, reps, np.random.default_rng(3))["n"]
+        assert ns == want.astype(int).tolist()
+        assert sorted(drawn) == list(range(reps))
+
+
 class TestBatchSamplerGuards:
-    # each batch sampler refuses what its per-tree twin refuses, when called
-    # and before any draw or allocation, not when its batches are read; both
-    # Yule samplers refuse a rate that is not > 0
+    # each batch sampler refuses its bad arguments when called, before any
+    # draw or allocation, not when its batches are read; the single-tree Yule
+    # sampler refuses a rate that is not > 0 as its batch sampler does
     @pytest.mark.parametrize("make, message", [
         (lambda r: sim.batch_yule_given_n(1, 1.0, 10, r), "n must be >= 2"),
         (lambda r: sim.batch_yule_given_n(5, SUB, 10, r), "requires mu = 0"),
@@ -282,7 +301,7 @@ class TestBatchSamplerGuards:
         (lambda r: sim.batch_given_age(70.0, Params(1.0, 0.4), 10, r), "mean tip count"),
         (lambda r: sim.batch_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
          "x1 must be > 0"),
-        # a Yule rate that is not > 0, for the per-tree sampler and its twin
+        # a Yule rate that is not > 0, for the single-tree and batch samplers
         *[(lambda r, lam=lam: sample_yule_given_n(5, lam, r), "lam must be > 0")
           for lam in (0.0, -1.0, math.nan)],
         *[(lambda r, lam=lam: sim.batch_yule_given_n(5, lam, 10, r), "lam must be > 0")

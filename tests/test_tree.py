@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 
 from recontree import sim
 from recontree.kernel import Params
-from recontree.tree import (
-    EdgeKind,
-    NewickError,
-    ReconTree,
-    classify_edges,
-    from_newick,
-    to_newick,
-    tree_stats,
-)
+from recontree.tree import NewickError, ReconTree, from_newick, to_newick
 
 
 def cherry(x1=1.0):
@@ -69,51 +61,15 @@ class TestReconTree:
             ReconTree([0.0, 0.0, 1.0, 2.0], [2, 2, -1, -1])
 
 
-class TestClassifyEdges:
-    def test_counts(self):
-        t = four_leaf()
-        edges = classify_edges(t)
-        pend = [e for e in edges if e.kind is EdgeKind.PENDANT]
-        inte = [e for e in edges if e.kind is EdgeKind.INTERIOR]
-        assert len(pend) == 4 and len(inte) == 2
-        marks = {e.root_mark for e in edges if e.root_mark}
-        assert marks == {"short", "long"}
-
-    def test_root_marks_by_length(self):
-        t = four_leaf()
-        by_child = {e.child: e for e in classify_edges(t)}
-        assert by_child[6].root_mark == "short"  # length 1 vs 2
-        assert by_child[5].root_mark == "long"
-
-    def test_tie_broken_by_coin(self):
-        t = cherry()
-        seen = set()
-        for s in range(20):
-            rng = np.random.default_rng(s)
-            by_child = {e.child: e for e in classify_edges(t, rng)}
-            seen.add(by_child[0].root_mark)
-        assert seen == {"short", "long"}
-
-
 class TestTreeStats:
-    def test_four_leaf(self):
-        st = tree_stats(four_leaf())
-        assert st.diversity == pytest.approx(1 + 1 + 2 + 2 + 2 + 1)
-        assert st.mrca_age == 3.0
-        assert st.speciation_times.tolist() == [3.0, 2.0, 1.0]
-        assert sorted(st.pendant_lengths.tolist()) == [1.0, 1.0, 2.0, 2.0]
-        assert st.interior_lengths.tolist() == [2.0, 1.0]
-        assert sorted(st.root_edge_lengths.tolist()) == [1.0, 2.0]
-
     def test_diversity_identity(self):
         # diversity = 2 x1 + sum of the non-root speciation times
         rng = np.random.default_rng(3)
-        from recontree.kernel import Params
         for _ in range(20):
             t = sim.sample_given_n_age(8, 2.0, Params(1.0, 0.5), rng)
-            st = tree_stats(t)
-            assert st.diversity == pytest.approx(
-                2 * st.mrca_age + st.speciation_times[1:].sum(), rel=1e-12
+            speciation_times = np.sort(t.times[t.n:])[::-1]
+            assert t.edge_lengths().sum() == pytest.approx(
+                2 * t.mrca_age + speciation_times[1:].sum(), rel=1e-12
             )
 
 
