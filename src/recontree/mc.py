@@ -522,7 +522,7 @@ def _check_transform_equivalence(cfg):
     direct = collect(partial(sim.batch_given_age, x1, p), readers, cfg.reps, rng_a)
     stats = sim.RejectionStats()
     rejected = collect(
-        partial(sim.batch_rejection_given_age, x1, raw, stats=stats),
+        partial(sim.batch_forward_given_age, x1, raw, stats=stats),
         readers, cfg.reps, rng_b,
     )
     out = [

@@ -1,4 +1,5 @@
-"""Forward birth-death simulation, pruning, and exact conditioned samplers.
+"""Forward birth-death simulation, pruning, exact conditioned samplers and
+brute-force oracles.
 
 Each conditioning scenario has one exact sampler, a batch sampler that
 draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
@@ -13,21 +14,39 @@ draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
 
 :func:`sample_yule_given_n`, :func:`sample_given_n_age` and
 :func:`sample_given_age` return one :class:`ReconTree`: each is its batch
-sampler's batch of one.  :func:`sample_rejection_given_age` is the
-brute-force oracle -- forward simulation of both root-child lineages for
-duration x1, accepted only if each leaves at least one sampled extant
-descendant -- and shares no code with the exact samplers;
-:func:`batch_rejection_given_age` stacks its trees.
+sampler's batch of one.
 
-A batch sampler makes its random draws tree by tree: each tree's own draws,
-then each requested reader draw (an ``integers(bound)`` call whose
-bound depends only on the tree's tip count).  Everything else -- inverse
-CDFs, sorting, topology attachment -- runs per block, so the trees on a
-stream, node numbering included, do not depend on how they are split into
-blocks; a batch of one draws the same tree as the first row of a batch of
-a thousand.  A block with fewer than :data:`LOCKSTEP_ROWS` rows attaches
-its topology row by row on Python lists; a larger one runs a numpy loop
-over all rows in lockstep.  Both give the same trees.
+Two brute-force oracles draw the given-x1 law from the raw rates
+(lambda_hat, mu_hat, f), which checks the incomplete-sampling transform.
+Both simulate the two root-child lineages (the *sides*) forward for
+duration x1 and accept when each side leaves at least one sampled extant
+descendant; an *attempt* is one pair of sides, and :class:`RejectionStats`
+counts attempts and acceptances.  Neither shares code with the exact
+samplers:
+
+* :func:`sample_rejection_given_age` runs one pair at a time with scalar
+  draws (:func:`simulate_forward`, then :func:`reconstruct`), and
+  :func:`batch_rejection_given_age` stacks its trees.  It is the reference,
+  and ``recontree simulate --scenario rejection-given-age`` draws from it.
+* :func:`batch_forward_given_age` runs a block of sides in lockstep as
+  arrays, on a stream of its own; the ``transform_equivalence`` check draws
+  from it.
+
+At lambda_hat=2, mu_hat=0.5, f=0.5, x1=1 (acceptance rate 0.455), the
+per-tree oracle took 200-230 µs per accepted tree and the lockstep oracle
+about 30 µs (3.0 s for 10^5 trees), on a 2-core x86-64 VM with numpy 2.4.
+
+The other batch samplers make their random draws tree by tree: each
+tree's own draws, then each requested reader draw (an ``integers(bound)``
+call whose bound depends only on the tree's tip count).  Everything else
+-- inverse CDFs, sorting, topology attachment -- runs per block, so the
+trees on a stream, node numbering included, do not depend on how they are
+split into blocks; a batch of one draws the same tree as the first row of
+a batch of a thousand.  A block with fewer than :data:`LOCKSTEP_ROWS` rows
+attaches its topology row by row on Python lists; a larger one runs a
+numpy loop over all rows in lockstep.  Both give the same trees.  The
+lockstep oracle instead draws block by block, so its trees depend on
+``reps`` and :data:`FORWARD_NODES`.
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -62,6 +81,9 @@ __all__ = [
     "batch_given_n_age",
     "batch_given_age",
     "batch_rejection_given_age",
+    "FORWARD_NODES",
+    "MAX_ATTEMPTS",
+    "batch_forward_given_age",
 ]
 
 
@@ -208,6 +230,11 @@ def _check_x1(x1: float) -> None:
         raise ValueError(f"x1 must be > 0, got {x1}")
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 0:
+        raise ValueError(f"reps must be >= 0, got {reps}")
+
+
 def _speciation_time_inverse_cdf(y, x1: float, p: Params):
     """Inverse of G(s|x1) = p0(s)/p0(x1): exact closed form."""
     q = np.asarray(y, dtype=float) * p0(x1, p)
@@ -241,6 +268,10 @@ def _given_age_ratio(x1: float, p: Params) -> float:
 
 @dataclass
 class RejectionStats:
+    """Counts of a rejection oracle.  An attempt is one pair of sides (the two
+    root-child lineages run forward for x1); it is accepted when both sides
+    leave a sampled extant descendant."""
+
     attempts: int = 0
     accepted: int = 0
 
@@ -527,6 +558,7 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     """
     lam = yule_rate(lam)
     _check_n(n)
+    _check_reps(reps)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
     rates = lam * np.arange(2, n + 1)
@@ -552,6 +584,7 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     """
     _check_n(n)
     _check_x1(x1)
+    _check_reps(reps)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
 
@@ -574,6 +607,7 @@ def batch_given_age(x1: float, p: Params, reps: int, rng,
     uniforms, then 3n-4.
     """
     ratio = _given_age_ratio(x1, p)
+    _check_reps(reps)
     rng = as_generator(rng)
     rand = rng.random
 
@@ -596,6 +630,7 @@ def batch_rejection_given_age(
     orders by descent, not by node number).
     """
     _check_x1(x1)
+    _check_reps(reps)
     rng = as_generator(rng)
 
     def draw_tree():
@@ -622,3 +657,212 @@ def sample_given_n_age(n: int, x1: float, p: Params, rng) -> ReconTree:
 def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
     """One tree of :func:`batch_given_age`."""
     return next(tree_stream(batch_given_age(x1, p, 1, rng)))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep forward oracle
+# ---------------------------------------------------------------------------
+
+# node budget of one block of the lockstep forward oracle: a block runs as
+# many sides as are expected to log this many nodes.  At c07's rates that is
+# about 800 pairs, and c07's memory peak at 1000 trees stays near the 0.9 MB
+# of the per-tree oracle; 1 << 17 ran 10^5 trees about 1.6x as fast but
+# peaked near 3 MB at 1000 trees
+FORWARD_NODES = 1 << 14
+
+# the lockstep forward oracle gives up once a block ends this many attempts
+# after its last acceptance (the per-tree oracle's default cap per tree)
+MAX_ATTEMPTS = 10_000_000
+
+
+def _forward_sides(sides: int, x1: float, raw: RawParams, rng) -> tuple:
+    """Run ``sides`` stems forward for duration x1, all in lockstep.
+
+    Each step makes one ``standard_exponential`` call over the sides still
+    alive, then one ``random`` call (birth or death) and one ``random`` call
+    (which lineage) over those whose next event falls before x1; the
+    sampled flags of the extant lineages are drawn at the end, side by
+    side.  Returns the node log: stems are nodes 0..sides-1, and birth i (in
+    the order made) splits node ``split[i]`` of side ``row[i]`` at time
+    ``when[i]`` into nodes sides+2i and sides+2i+1.  Also returns the
+    births per step, the sampled extant nodes with their sides, and the
+    node count.
+    """
+    lh, total = raw.lambda_hat, raw.lambda_hat + raw.mu_hat
+    # the sides still alive: ids, clocks, lineage counts, rows of ``active``
+    row = np.arange(sides)
+    t = np.zeros(sides)
+    k = np.ones(sides, dtype=np.int64)
+    at = np.arange(sides)
+    # a row of ``active`` holds the nodes of one side's lineages in its first
+    # columns; ``owner`` is that side, and ``held`` its lineage count once
+    # it reached x1 (0 while it runs, or if it died out)
+    active = np.zeros((sides, 8), dtype=np.int64)
+    active[:, 0] = row
+    owner = np.arange(sides)
+    held = np.zeros(sides, dtype=np.int64)
+    ended, log, nodes = [], [], sides
+
+    def keep_ended():
+        h = held > 0
+        ended.append((np.repeat(owner[h], held[h]),
+                      active[h][np.arange(active.shape[1]) < held[h, None]]))
+
+    while row.size:
+        t += rng.standard_exponential(row.size) / (total * k)
+        go = t < x1
+        if not go.all():  # these sides reach x1
+            held[at[~go]] = k[~go]
+            row, t, k, at = row[go], t[go], k[go], at[go]
+        birth = rng.random(row.size) * total < lh
+        j = (rng.random(row.size) * k).astype(np.int64)
+        node = active[at, j]
+        b = np.flatnonzero(birth)
+        if b.size:
+            if k[b].max() >= active.shape[1]:  # widen, keeping live rows only
+                keep_ended()
+                active = np.concatenate((active[at], np.zeros_like(active[at])), axis=1)
+                owner, held, at = row, np.zeros(row.size, dtype=np.int64), np.arange(row.size)
+            kids = nodes + 2 * np.arange(b.size)
+            active[at[b], j[b]] = kids
+            active[at[b], k[b]] = kids + 1
+            k[b] += 1
+            nodes += 2 * b.size
+        log.append((node[b], t[b], row[b]))
+        d = np.flatnonzero(~birth)
+        k[d] -= 1
+        active[at[d], j[d]] = active[at[d], k[d]]
+        alive = k > 0
+        if not alive.all():  # these sides died out
+            row, t, k, at = row[alive], t[alive], k[alive], at[alive]
+    keep_ended()
+    side, extant = (np.concatenate(a) for a in zip(*ended))
+    order = np.argsort(side, kind="stable")
+    flags = rng.random(extant.size) < raw.f
+    split, when, row = (np.concatenate(a) for a in zip(*log))
+    steps = np.array([len(s) for s, _, _ in log], dtype=np.int64)
+    return split, when, row, steps, extant[order][flags], side[order][flags], nodes
+
+
+def _forward_trees(sides: int, x1: float, split, when, row, steps, sampled,
+                   sampled_row, nodes: int, need: int) -> tuple:
+    """Reconstruct the forward sides of a block and join them in pairs.
+
+    Sides 2i and 2i+1 form pair i, accepted when both leave a sampled
+    extant lineage.  Returns the indices of the first ``need`` accepted
+    pairs, their tip counts n, and their trees as flat ``times``/``parent``
+    arrays (tree after tree, 2n-1 nodes each, tips 0..n-1, root n).
+    """
+    # node-sized arrays hold counts and tree-local ids, far below 2^31; int32
+    # halves them, which keeps a block's peak below the other verify checks'
+    counts = np.zeros(nodes, dtype=np.int32)  # sampled extant descendants
+    counts[sampled] = 1
+    kid = sides + 2 * np.arange(split.size)  # the first child of each birth
+    ends = np.cumsum(steps)
+    for a, b in zip((ends - steps)[::-1].tolist(), ends[::-1].tolist()):
+        # a parent splits once, and its children only later
+        counts[split[a:b]] = counts[kid[a:b]] + counts[kid[a:b] + 1]
+    kept = (counts[kid] > 0) & (counts[kid + 1] > 0)  # splits the tree keeps
+    side_n = counts[:sides]
+    pairs = np.flatnonzero((side_n[0::2] > 0) & (side_n[1::2] > 0))[:need]
+    rank = np.full(sides // 2, -1, dtype=np.int64)
+    rank[pairs] = np.arange(pairs.size)
+    n = side_n[2 * pairs] + side_n[2 * pairs + 1]
+
+    # number the kept nodes of the accepted pairs tree by tree: n sampled
+    # tips, the root n, then the n-2 kept splits in the order made
+    node = np.concatenate((sampled, split[kept]))
+    age = np.concatenate((np.zeros(sampled.size), x1 - when[kept]))
+    inner = np.repeat((False, True), (sampled.size, kept.sum()))
+    tree = rank[np.concatenate((sampled_row, row[kept])) // 2]
+    mine = tree >= 0
+    node, age, inner, tree = node[mine], age[mine], inner[mine], tree[mine]
+    order = np.lexsort((node, inner, tree))
+    node, age, inner, tree = node[order], age[order], inner[order], tree[order]
+    first = np.cumsum(2 * n - 2) - (2 * n - 2)
+    local = np.arange(node.size) - first[tree] + inner
+    at = np.full(nodes, -1, dtype=np.int32)
+    at[node] = local
+    # each node's nearest numbered ancestor, -1 below the root; this
+    # collapses the unary chains
+    up = np.full(nodes, -1, dtype=np.int32)
+    for a, b in zip((ends - steps).tolist(), ends.tolist()):
+        v = split[a:b]
+        u = np.where(at[v] >= 0, at[v], up[v])
+        up[kid[a:b]] = u
+        up[kid[a:b] + 1] = u
+
+    start = np.cumsum(2 * n - 1) - (2 * n - 1)
+    times = np.zeros(int((2 * n - 1).sum()))
+    parent = np.empty(times.size, dtype=np.int64)
+    times[start[tree] + local] = age
+    parent[start[tree] + local] = np.where(up[node] >= 0, up[node], n[tree])
+    times[start + n] = x1
+    parent[start + n] = -1
+    return pairs, n, start, times, parent
+
+
+def batch_forward_given_age(
+    x1: float, raw: RawParams, reps: int, rng,
+    draws: Sequence[DrawBound] = (), stats: Optional[RejectionStats] = None,
+) -> Iterator[TreeBatch]:
+    """The lockstep forward oracle: ``reps`` trees given MRCA age x1.
+
+    The brute-force law of :func:`sample_rejection_given_age`, drawn as
+    arrays: a block runs its sides forward for x1 in lockstep
+    (:func:`_forward_sides`), prunes each to its sampled extant tips and
+    pairs sides (2i, 2i+1), accepting a pair when both sides are non-empty
+    (:func:`_forward_trees`).  Then each reader makes one ``integers`` call
+    over the block's accepted trees.  Blocks are drawn until ``reps`` pairs
+    are accepted; an attempt is one pair, counted up to the last accepted
+    one.  A block holds at most :data:`FORWARD_NODES` expected nodes and
+    about 1.1 times the pairs still needed at the acceptance rate seen so
+    far, so the trees drawn depend on ``reps``.  Raises ``RuntimeError``
+    when a block ends :data:`MAX_ATTEMPTS` or more pairs after the last
+    acceptance.  Shares no code with the exact samplers.
+    """
+    _check_x1(x1)
+    _check_reps(reps)
+    growth = (raw.lambda_hat - raw.mu_hat) * x1
+    if growth > math.log(MAX_MEAN_TIPS):  # e^growth lineages per side on average
+        raise ValueError(f"x1={x1} with lambda_hat={raw.lambda_hat}, mu_hat={raw.mu_hat} "
+                         f"gives a mean lineage count per side above "
+                         f"{MAX_MEAN_TIPS:.0e}; use a smaller x1")
+    # a side logs its stem and two nodes per birth
+    births = raw.lambda_hat * (x1 if growth == 0 else x1 * math.expm1(growth) / growth)
+    most = max(1, int(FORWARD_NODES // (2 * (1 + 2 * births))))  # pairs per block
+    rng = as_generator(rng)
+    if stats is None:
+        stats = RejectionStats()
+
+    def blocks():
+        tried = done = failing = 0  # pairs drawn, accepted, since the last acceptance
+        while done < reps:
+            need = reps - done
+            guess = (done + 1) / (tried + 2)  # the acceptance rate, 1/2 at first
+            count = min(most, math.ceil(1.1 * need / guess) + 16)
+            pairs, n, start, times, parent = _forward_trees(
+                2 * count, x1, *_forward_sides(2 * count, x1, raw, rng), need)
+            used = int(pairs[-1]) + 1 if pairs.size == need else count
+            failing = used - 1 - int(pairs[-1]) if pairs.size else failing + used
+            tried += used
+            done += pairs.size
+            stats.attempts += used
+            stats.accepted += pairs.size
+            if failing >= MAX_ATTEMPTS:
+                raise RuntimeError(
+                    f"no acceptance within {failing} attempts "
+                    f"(estimated acceptance rate {stats.acceptance_rate:.3g})")
+            if not pairs.size:
+                continue
+            sizes, where = np.unique(n, return_inverse=True)
+            picks = np.empty((pairs.size, len(draws)), dtype=np.int64)
+            for c, d in enumerate(draws):
+                picks[:, c] = rng.integers(np.array([d(v) for v in sizes.tolist()])[where])
+            for v in sizes.tolist():
+                sel = np.flatnonzero(n == v)
+                at = start[sel, None] + np.arange(2 * v - 1)
+                yield TreeBatch(times[at], parent[at], picks[sel], done - pairs.size + sel)
+            del times, parent  # not held while the next block is drawn
+
+    return blocks()

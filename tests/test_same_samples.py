@@ -7,7 +7,10 @@
   ``n_samples`` and pass flags), plus the rejection oracle's counts in
   ``transform_equivalence``;
 * a sha256 digest of ``times``/``parent``/``children`` over 200 trees from
-  each sampler configuration, and the rejection oracle's attempt count.
+  each sampler configuration, and the attempt counts of the per-tree
+  rejection oracle and of the lockstep forward oracle
+  (``sim.batch_forward_given_age``, one 200-tree call) at each of its
+  configurations.
 
 Each single-tree sampler (``sim.sample_*``, a batch of one) and its batch
 sampler (``sim.batch_*``, 200 trees in one call) must reproduce the digest
@@ -151,6 +154,19 @@ def rejection_digests(batched: bool) -> dict:
     return out
 
 
+def forward_digests() -> dict:
+    """Digests of one TREES-tree call of the lockstep forward oracle at each
+    rejection configuration, with its attempt count."""
+    out = {}
+    for name, (raw, x1, sid) in REJECTION.items():
+        stats = sim.RejectionStats()
+        trees = sim.tree_stream(
+            sim.batch_forward_given_age(x1, raw, TREES, _stream(sid), stats=stats))
+        out[name.replace("rejection", "forward", 1)] = {"sha256": _digest(trees),
+                                                        "attempts": stats.attempts}
+    return out
+
+
 def per_tree_collect(draw, extractors: dict, reps: int, rng) -> dict:
     """A loop over single trees and extractors: the reference for ``mc.collect``."""
     out = {name: np.empty(reps) for name in extractors}
@@ -184,11 +200,13 @@ def golden():
 
 
 def test_sampler_streams_match_golden(golden):
-    assert {**single_digests(SAMPLERS), **rejection_digests(False)} == golden["samplers"]
+    assert {**single_digests(SAMPLERS), **rejection_digests(False),
+            **forward_digests()} == golden["samplers"]
 
 
 def test_batch_streams_match_golden(golden):
-    assert {**batch_digests(SAMPLERS), **rejection_digests(True)} == golden["samplers"]
+    assert {**batch_digests(SAMPLERS), **rejection_digests(True),
+            **forward_digests()} == golden["samplers"]
 
 
 def _assert_same_reads(draw, batch, name, sid):
@@ -248,6 +266,7 @@ def test_verify_statistics_match_golden(golden):
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {"samplers": {**single_digests(SAMPLERS), **rejection_digests(False)},
+        {"samplers": {**single_digests(SAMPLERS), **rejection_digests(False),
+                      **forward_digests()},
          "verify": verify_reports()}, indent=1,
     ) + "\n")

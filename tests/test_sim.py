@@ -4,9 +4,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from recontree import dists, mc, sim
-from recontree.kernel import Params, RawParams
+from recontree.kernel import Params, RawParams, p0, transform_params
 from recontree.sim import (
     ExtinctRun,
     RejectionStats,
@@ -301,6 +302,21 @@ class TestBatchSamplerGuards:
         (lambda r: sim.batch_given_age(70.0, Params(1.0, 0.4), 10, r), "mean tip count"),
         (lambda r: sim.batch_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
          "x1 must be > 0"),
+        (lambda r: sim.batch_forward_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
+         "x1 must be > 0"),
+        (lambda r: sim.batch_forward_given_age(-1.0, RawParams(1.0, 0.0, 1.0), 10, r),
+         "x1 must be > 0"),
+        # e^14 > 10^6 lineages per side on average; e^45 would need terabytes
+        *[(lambda r, x1=x1: sim.batch_forward_given_age(x1, RawParams(1.0, 0.0, 1.0), 10, r),
+           "mean lineage count") for x1 in (14.0, 45.0)],
+        # a negative reps, for every batch sampler
+        *[(lambda r, make=make: make(-3, r), "reps must be >= 0, got -3") for make in (
+            partial(sim.batch_yule_given_n, 5, 1.0),
+            partial(sim.batch_given_n_age, 4, 2.0, SUB),
+            partial(sim.batch_given_age, 1.5, SUB),
+            partial(sim.batch_rejection_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
+            partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
+        )],
         # a Yule rate that is not > 0, for the single-tree and batch samplers
         *[(lambda r, lam=lam: sample_yule_given_n(5, lam, r), "lam must be > 0")
           for lam in (0.0, -1.0, math.nan)],
@@ -338,7 +354,6 @@ class TestRejectionGivenAge:
         # descendant; q(t) solves the extinction Riccati with q(0) = 1 - f,
         # and an attempt is accepted with probability (1 - q(x1))^2
         from scipy.integrate import solve_ivp
-        rng = np.random.default_rng(18)
         raw = RawParams(2.0, 0.5, 0.5)
         lh, mh, f = raw.lambda_hat, raw.mu_hat, raw.f
         sol = solve_ivp(
@@ -346,17 +361,75 @@ class TestRejectionGivenAge:
             [0.0, 1.0], [1.0 - f], rtol=1e-10, atol=1e-12,
         )
         predicted = (1.0 - sol.y[0, -1]) ** 2
-        stats = RejectionStats()
+        # 2000 trees from each oracle: one at a time, or in lockstep blocks
+        per_tree, lockstep = RejectionStats(), RejectionStats()
+        rng = np.random.default_rng(18)
         for _ in range(2000):
-            sample_rejection_given_age(1.0, raw, rng, stats=stats)
-        se = math.sqrt(predicted * (1 - predicted) / stats.attempts)
-        assert abs(stats.acceptance_rate - predicted) < 4 * se
+            sample_rejection_given_age(1.0, raw, rng, stats=per_tree)
+        list(sim.batch_forward_given_age(1.0, raw, 2000, np.random.default_rng(25),
+                                         stats=lockstep))
+        for stats in (per_tree, lockstep):
+            assert stats.accepted == 2000
+            se = math.sqrt(predicted * (1 - predicted) / stats.attempts)
+            assert abs(stats.acceptance_rate - predicted) < 4 * se
 
     def test_max_attempts_exhausted(self):
         rng = np.random.default_rng(19)
         raw = RawParams(1.0, 1.0, 0.01)  # critical with heavy subsampling
         with pytest.raises(RuntimeError, match="acceptance"):
             sample_rejection_given_age(8.0, raw, rng, max_attempts=5)
+
+
+class TestForwardGivenAge:
+    """The lockstep forward oracle against the per-tree oracle and the laws."""
+
+    RAW, X1 = RawParams(2.0, 0.5, 0.5), 1.0
+    READERS = {"pendant": mc.read_random_pendant, "diversity": mc.read_diversity,
+               "n": mc.read_leaf_count}
+
+    def test_same_law_as_per_tree_oracle(self):
+        # two-sample KS at the 99% level, each oracle on its own test seed
+        lockstep = mc.collect(partial(sim.batch_forward_given_age, self.X1, self.RAW),
+                              self.READERS, 20_000, np.random.default_rng(21))
+        per_tree = mc.collect(partial(sim.batch_rejection_given_age, self.X1, self.RAW),
+                              self.READERS, 4000, np.random.default_rng(22))
+        for name in self.READERS:
+            assert sps.ks_2samp(lockstep[name], per_tree[name]).pvalue > 0.01, name
+
+    def test_mean_tip_count(self):
+        # the tip count given x1 is the sum of two geometric counts with ratio
+        # lam p0(x1), in the transformed rates: mean 2 / (1 - lam p0(x1))
+        p = transform_params(self.RAW)
+        ns = mc.collect(partial(sim.batch_forward_given_age, self.X1, self.RAW),
+                        {"n": mc.read_leaf_count}, 20_000, np.random.default_rng(23))["n"]
+        exact = 2.0 / (1.0 - p.lam * p0(self.X1, p))
+        assert abs(ns.mean() - exact) < 4 * ns.std(ddof=1) / math.sqrt(ns.size)
+
+    @pytest.mark.parametrize("raw, x1", [(RawParams(2.0, 0.5, 0.5), 1.0),
+                                         (RawParams(1.0, 0.3, 1.0), 1.5),
+                                         (RawParams(1.0, 1.0, 0.3), 2.0),
+                                         (RawParams(1.0, 0.0, 1.0), 0.1)])
+    def test_every_row_is_a_valid_tree(self, raw, x1, monkeypatch):
+        # small blocks, so that many blocks and tip counts are seen
+        monkeypatch.setattr(sim, "FORWARD_NODES", 500)
+        stats = RejectionStats()
+        index = []
+        for b in sim.batch_forward_given_age(x1, raw, 500, np.random.default_rng(24),
+                                             draws=[lambda n: n], stats=stats):
+            index += b.index.tolist()
+            assert np.all((b.draws[:, 0] >= 0) & (b.draws[:, 0] < b.n))
+            for i in range(len(b)):
+                t = ReconTree(b.times[i], b.parent[i], validate=True)
+                assert t.root == b.n and t.mrca_age == x1
+        assert sorted(index) == list(range(500))
+        assert stats.accepted == 500 and stats.attempts >= 500
+
+    def test_max_attempts_exhausted(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
+        rng = np.random.default_rng(19)
+        raw = RawParams(1.0, 1.0, 0.01)  # acceptance rate about 1e-4
+        with pytest.raises(RuntimeError, match="acceptance rate 0"):
+            list(sim.batch_forward_given_age(8.0, raw, 10, rng))
 
 
 class TestInitialEdge:
