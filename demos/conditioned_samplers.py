@@ -23,7 +23,7 @@ from recontree import (
     to_newick,
     transform_params,
 )
-from recontree.sim import RejectionStats
+from recontree.sim import RejectionStats, batch_given_age, tree_stream
 
 
 def direct_samplers():
@@ -71,7 +71,7 @@ def rejection_oracle():
         for _ in range(reps)
     ])
     rng = RngStream(9, 1).generator()
-    direct = np.array([sample_given_age(x1, p, rng).n for _ in range(reps)])
+    direct = np.array([t.n for t in tree_stream(batch_given_age(x1, p, reps, rng))])
     print(f"rejection acceptance rate: {stats_rej.acceptance_rate:.3f}")
     print(f"mean n: rejection {rejected.mean():.3f}  direct {direct.mean():.3f}")
     res = stats.ks_2samp(rejected, direct)

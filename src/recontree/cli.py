@@ -257,25 +257,30 @@ def cmd_verify(args) -> int:
 # expect
 # ---------------------------------------------------------------------------
 
+# (label format, dists function, argument names, pure birth only), in output
+# order; looked up on ``dists`` when called, as for _DENSITY_LAWS
+_EXPECT_MEANS = (
+    ("E[pendant | n]", "pendant_mean_given_n", ("p",), False),
+    ("E[pendant | n={n}, x1={x1}]", "pendant_mean_given_n_age", ("n", "x1", "p"), False),
+    ("E[root edge | n={n}]", "root_edge_mean_given_n", ("n", "p"), True),
+    ("E[root edge | x1={x1}]", "root_edge_mean_given_age", ("x1", "p"), True),
+    ("E[diversity | n={n}]", "diversity_mean_given_n", ("n", "p"), True),
+    ("E[diversity | n={n}, x1={x1}]", "diversity_mean_given_n_age", ("n", "x1", "p"), True),
+    ("E[diversity | x1={x1}]", "diversity_mean_given_age", ("x1", "p"), True),
+    ("root-edge limit constant c", "root_edge_limit_constant", (), False),
+)
+
+
 def cmd_expect(args) -> int:
     p, raw = _resolve_params(args)
     n = args.n if args.n is not None else 10
     x1 = args.x1 if args.x1 is not None else 1.0
-    rows = []
-    rows.append(("E[pendant | n]", dists.pendant_mean_given_n(p)))
-    rows.append((f"E[pendant | n={n}, x1={x1}]",
-                 dists.pendant_mean_given_n_age(n, x1, p)))
-    if p.is_yule:
-        lam = p.lam
-        rows.append((f"E[root edge | n={n}]", dists.root_edge_mean_given_n(n, lam)))
-        rows.append((f"E[root edge | x1={x1}]",
-                     dists.root_edge_mean_given_age(x1, lam)))
-        rows.append((f"E[diversity | n={n}]", dists.diversity_mean_given_n(n, lam)))
-        rows.append((f"E[diversity | n={n}, x1={x1}]",
-                     dists.diversity_mean_given_n_age(n, x1, lam)))
-        rows.append((f"E[diversity | x1={x1}]",
-                     dists.diversity_mean_given_age(x1, lam)))
-    rows.append(("root-edge limit constant c", dists.root_edge_limit_constant()))
+    values = {"n": n, "x1": x1, "p": p}
+    rows = [
+        (label.format(**values), getattr(dists, name)(*(values[a] for a in names)))
+        for label, name, names, yule_only in _EXPECT_MEANS
+        if p.is_yule or not yule_only
+    ]
     with _open_out(args.output) as out:
         if args.format == "json":
             json.dump({

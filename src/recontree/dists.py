@@ -221,14 +221,16 @@ def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
     """Density of the k-th speciation time given n tips and age x1.
 
     (n-2) C(n-3, k-2) G^{n-k-1} (1-G)^{k-2} g  for k = 2..n-1; equivalently
-    the (n-k)-th smallest of n-2 i.i.d. draws from g.
+    the (n-k)-th smallest of n-2 i.i.d. draws from g, i.e. the Beta(n-k, k-1)
+    density of G times g, evaluated in log space so it stays finite for
+    large n.
     """
     _check_speciation_index(k, n)
     g, G = speciation_kernel(s, x1, p)
-    return (
-        (n - 2) * math.comb(n - 3, k - 2)
-        * G ** (n - k - 1) * (1.0 - G) ** (k - 2) * g
-    )
+    return np.exp(
+        special.xlogy(n - k - 1, G) + special.xlog1py(k - 2, -G)
+        - special.betaln(n - k, k - 1)
+    ) * g
 
 
 def speciation_time_cdf(s, k: int, n: int, x1: float, p: Params):
@@ -324,35 +326,62 @@ def pendant_mean_given_n_age(
 # Scenario (iii): conditioning on x1
 # ---------------------------------------------------------------------------
 
-def pendant_age_weight(k: int, x1: float, p: Params) -> float:
-    """Series coefficient sum_{n>=3} ((n-2)/n)(n-k) r^{n-2} with r = lam p0(x1).
+def _log_c(x1: float, p: Params) -> float:
+    """log c with c = 1 - lam p0(x1), taken from the rates, not from 1 - r:
 
-    Closed form: ((k+1)r - k)/(1-r)^2 - 2k log(1-r)/r^2 - 2k/r.
+    log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), or
+    -log1p(lam x1) when critical.  Finite however close r is to 1.
+    """
+    if p.is_critical:
+        return -math.log1p(p.lam * x1)
+    d = p.lam - p.mu
+    return math.log(d) - d * x1 - math.log(d - p.mu * math.expm1(-d * x1))
+
+
+# below this r the closed forms' 1/r terms cancel, so the series are summed;
+# m = 1..40 leave r^m m^2 under 1e-17 r^2 there
+_SERIES_MAX_R = 0.25
+_SERIES_M = np.arange(1.0, 41.0)
+
+
+def pendant_age_weight(k: int, x1: float, p: Params) -> float:
+    """c^2 w_k, with w_k = sum_{n>=3} ((n-2)/n)(n-k) r^{n-2}, r = lam p0(x1)
+    and c = 1 - r.
+
+    Closed form: c^2 w_k = ((k+1)r - k) - 2k c^2 log(c)/r^2 - 2k c^2/r, finite
+    as r -> 1 because log c comes from the rates; for r < 0.25 the series
+    itself is summed.
     """
     r = p.lam * p0(x1, p)
-    return (
-        ((k + 1) * r - k) / (1.0 - r) ** 2
-        - 2.0 * k * math.log1p(-r) / (r * r)
-        - 2.0 * k / r
-    )
+    log_c = _log_c(x1, p)
+    cc = math.exp(2.0 * log_c)
+    if r < _SERIES_MAX_R:
+        m = _SERIES_M
+        return cc * float(np.sum(m * (m + 2 - k) / (m + 2) * r ** m))
+    return ((k + 1) * r - k) - 2.0 * k * cc * log_c / (r * r) - 2.0 * k * cc / r
 
 
 def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     """Pendant-edge law given only the age x1 (mixture over tip counts).
 
     Continuous part for s < x1:
-        2 p1(s) (1-r)^2 / p0(x1) * (w1 - (p0(s)/p0(x1)) w3),
-    with r = lam p0(x1) and w_k = pendant_age_weight(k, x1);
-    atom at x1: -2 (log(1-r) + r) ((1-r)/r)^2.
+        2 p1(s) / p0(x1) * (W1 - (p0(s)/p0(x1)) W3),
+    with r = lam p0(x1), c = 1 - r and W_k = c^2 w_k = pendant_age_weight(k,
+    x1); atom at x1: -2 (log(c) + r) (c/r)^2, where -(log(c) + r) is summed
+    as sum_{j>=2} r^j/j for r < 0.25.
     """
     _positive("x1", x1)
     q = p0(x1, p)
     r = p.lam * q
     w1 = pendant_age_weight(1, x1, p)
     w3 = pendant_age_weight(3, x1, p)
-    # (p1(x1)/(1 - mu p0(x1)))^2 = (1-r)^2
-    amp = 2.0 * (1.0 - r) ** 2 / q
-    atom = -2.0 * (math.log1p(-r) + r) * ((1.0 - r) / r) ** 2
+    amp = 2.0 / q
+    log_c = _log_c(x1, p)
+    cc = math.exp(2.0 * log_c)
+    if r < _SERIES_MAX_R:
+        atom = 2.0 * cc * (0.5 + float(np.sum(r ** _SERIES_M / (_SERIES_M + 2))))
+    else:
+        atom = -2.0 * (log_c + r) * cc / (r * r)
 
     def pdf(s):
         return amp * p1(s, p) * (w1 - p0(s, p) / q * w3)

@@ -6,6 +6,9 @@ are derived as parent age minus child age.  Leaves are nodes 0..n-1 (age 0),
 internal nodes are n..2n-2, and the root is the internal node of maximal
 age, which equals the MRCA age x1.
 
+:func:`to_newick` and :func:`from_newick` convert to and from Newick text
+without recursion; the parser rebuilds each age bottom-up from the lengths.
+
 A :class:`FullTree` is the raw output of forward simulation: a table of
 lineage segments that may include the stem above the root, extinct tips,
 and unsampled extant tips.  :func:`recontree.sim.reconstruct` prunes it
@@ -14,7 +17,8 @@ down to a ReconTree.
 
 from __future__ import annotations
 
-import sys
+import math
+import re
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -114,9 +118,10 @@ class NewickError(ValueError):
 def to_newick(t: ReconTree) -> str:
     """Serialize to Newick, each branch length as the shortest repr of its float.
 
-    :func:`from_newick` gives back the topology and labels exactly, but
-    rebuilds each age from summed branch lengths, so ages come back within a
-    few ulps of the tree height and the text need not round-trip exactly.
+    :func:`from_newick` gives back the topology and labels exactly, and each
+    age as a child's age plus that child's length: exact for most nodes, and
+    within about an ulp of the age otherwise, so the text need not round-trip
+    exactly.
     """
     lens = t.edge_lengths().tolist()
     kids = t.children.tolist()
@@ -138,137 +143,92 @@ def to_newick(t: ReconTree) -> str:
     return pieces[t.root] + ";"
 
 
+_TOKEN = re.compile(r"[(),;]|:[^,();]*|[^:,();]+")
+
+
 def from_newick(text: str) -> ReconTree:
     """Parse a binary ultrametric Newick string into a ReconTree.
 
-    Rejects non-binary topologies and trees whose tips are not
-    contemporaneous (within 1e-9 relative of the tree height).
+    One pass over the tokens on an explicit stack.  Leaves are numbered in
+    text order and internal nodes in post-order.  A tip's age is 0 and a
+    node's age is a child's age plus that child's length, from a tip child if
+    there is one (exact) and else from the older child.  Rejects non-binary
+    topologies and trees whose tips are not contemporaneous (within 1e-9
+    relative of the tree height).
     """
-    # the parser recurses once per nesting level; the limit is restored
-    # whether or not the text parses
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * (text.count("(") + 100)))
-    try:
-        return _parse_newick(text)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-
-def _parse_newick(text: str) -> ReconTree:
     text = text.strip()
     if not text.endswith(";"):
         raise NewickError("newick must end with ';'", len(text))
     s = text[:-1]
-    pos = 0
-
-    leaf_labels: List[str] = []
-    # parsed node: (is_leaf, payload) where payload is a label or [children]
-    # each child entry is (node, length)
-
-    def error(msg):
-        raise NewickError(msg, pos)
-
-    def parse_clade():
-        nonlocal pos
-        if pos < len(s) and s[pos] == "(":
-            pos += 1
-            kids = [parse_child()]
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                kids.append(parse_child())
-            if pos >= len(s) or s[pos] != ")":
-                error("expected ')' or ','")
-            pos += 1
-            if len(kids) != 2:
-                error(f"non-binary node with {len(kids)} children")
-            # optional internal label, ignored
-            while pos < len(s) and s[pos] not in ":,();":
-                pos += 1
-            return (False, kids)
-        start = pos
-        while pos < len(s) and s[pos] not in ":,();":
-            pos += 1
-        label = s[start:pos]
-        if not label:
-            error("expected a leaf label")
-        return (True, label)
-
-    def parse_child():
-        nonlocal pos
-        node = parse_clade()
-        if pos >= len(s) or s[pos] != ":":
-            error("expected ':<length>'")
-        pos += 1
-        start = pos
-        while pos < len(s) and s[pos] not in ",();":
-            pos += 1
-        try:
-            length = float(s[start:pos])
-        except ValueError:
-            error(f"bad branch length {s[start:pos]!r}")
-        if not np.isfinite(length) or length <= 0:
-            error(f"branch length must be finite and > 0, got {length}")
-        return (node, length)
-
-    root = parse_clade()
-    if pos != len(s):
-        error("trailing characters after tree")
-    if root[0]:
-        raise NewickError("root must have 2 children")
-
-    # depth-first numbering: leaves first in encounter order
-    entries = []  # (is_leaf, payload, depth) flattened with child order kept
-
-    def walk(node, depth):
-        is_leaf, payload = node
-        if is_leaf:
-            leaf_labels.append(payload)
-            return ("leaf", len(leaf_labels) - 1, depth, None)
-        kids = [(walk(child, depth + length), length) for child, length in payload]
-        entries.append(None)  # placeholder to count internals
-        return ("internal", len(entries) - 1, depth, kids)
-
-    tree = walk(root, 0.0)
-    n = len(leaf_labels)
-    total = 2 * n - 1
-    if len(entries) != n - 1:
-        raise NewickError("tree is not strictly binary")
-
-    times = np.zeros(total)
-    parent = np.full(total, -1, dtype=np.int64)
-    children = np.full((n - 1, 2), -1, dtype=np.int64)
-
-    # height from leaf depths; require ultrametric tips
-    depths = []
-
-    def collect(nd):
-        kind, idx, depth, kids = nd
-        if kind == "leaf":
-            depths.append(depth)
+    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(s)]
+    tokens.append((len(s), ""))  # end of text
+    labels: List[str] = []
+    kids: List[tuple] = []  # per internal node: its two child refs
+    ages: List[float] = []  # per internal node
+    # a clade is (ref, age, min tip depth, max tip depth); ref is a leaf
+    # index, or ~i for internal node i.  Each open clade on the stack lists
+    # its children so far as (clade, length).
+    stack: List[list] = []
+    i = 0
+    while True:
+        pos, tok = tokens[i]
+        while tok == "(":
+            stack.append([])
+            i += 1
+            pos, tok = tokens[i]
+        if tok[:1] in "(),;:":  # also the end of text
+            raise NewickError("expected a leaf label", pos)
+        clade = (len(labels), 0.0, 0.0, 0.0)
+        labels.append(tok)
+        i += 1
+        while stack:
+            pos, tok = tokens[i]
+            if tok[:1] != ":":
+                raise NewickError("expected ':<length>'", pos)
+            end = pos + len(tok)
+            try:
+                length = float(tok[1:])
+            except ValueError:
+                raise NewickError(f"bad branch length {tok[1:]!r}", end) from None
+            if not math.isfinite(length) or length <= 0:
+                raise NewickError(
+                    f"branch length must be finite and > 0, got {length}", end)
+            stack[-1].append((clade, length))
+            pos, tok = tokens[i + 1]
+            i += 2
+            if tok == ",":
+                break
+            if tok != ")":
+                raise NewickError("expected ')' or ','", pos)
+            frame = stack.pop()
+            if len(frame) != 2:
+                raise NewickError(f"non-binary node with {len(frame)} children", pos + 1)
+            ((r0, a0, lo0, hi0), l0), ((r1, a1, lo1, hi1), l1) = frame
+            # a tip child gives the age exactly; else the older child, whose
+            # length was most likely an exact subtraction
+            age = a0 + l0 if r0 >= 0 or (r1 < 0 and a0 >= a1) else a1 + l1
+            clade = (~len(ages), age, min(lo0 + l0, lo1 + l1), max(hi0 + l0, hi1 + l1))
+            kids.append((r0, r1))
+            ages.append(age)
+            if tokens[i][1][:1] not in "(),;:":
+                i += 1  # an internal label, ignored
         else:
-            for child, _ in kids:
-                collect(child)
-
-    collect(tree)
-    height = max(depths)
-    tol = 1e-9 * max(height, 1.0)
-    if max(depths) - min(depths) > tol:
+            break
+    pos, tok = tokens[i]
+    if tok:
+        raise NewickError("trailing characters after tree", pos)
+    if not ages:
+        raise NewickError("root must have 2 children")
+    _, _, lo, hi = clade
+    if hi - lo > 1e-9 * max(hi, 1.0):
         raise NewickError("tips are not contemporaneous (tree not ultrametric)")
-
-    def assign(nd):
-        kind, idx, depth, kids = nd
-        if kind == "leaf":
-            return idx
-        node = n + idx
-        times[node] = height - depth
-        for slot, (child, _) in enumerate(kids):
-            ci = assign(child)
-            parent[ci] = node
-            children[idx, slot] = ci
-        return node
-
-    assign(tree)
-    return ReconTree(times, parent, children=children, labels=leaf_labels)
+    n = len(labels)
+    children = np.array(kids, dtype=np.int64)
+    children = np.where(children < 0, n + ~children, children)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    parent[children] = np.arange(n, 2 * n - 1)[:, None]
+    times = np.concatenate([np.zeros(n), ages])
+    return ReconTree(times, parent, children=children, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,13 @@ class TestSpeciationTimes:
             )
             assert total == pytest.approx((n - 2) * g, rel=1e-10)
 
+    @pytest.mark.parametrize("k,n", [(550, 1100), (1000, 2000), (50_000, 100_000)])
+    def test_pdf_finite_for_large_n(self, k, n):
+        # (n-2) C(n-3, k-2) alone exceeds the float range at each of these
+        s = np.linspace(0.0, 2.0, 41)
+        pdf = dists.speciation_time_pdf(s, k, n, 2.0, SUB)
+        assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             dists.speciation_time_pdf(0.5, 1, 5, 2.0, SUB)
@@ -200,11 +207,18 @@ class TestPendantGivenAge:
         d = dists.pendant_dist_given_age(1.5, p)
         assert d.total_mass() == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("x1", [1e-8, 70.0, 700.0])
+    @pytest.mark.parametrize("p", REGIMES, ids=lambda p: f"mu={p.mu}")
+    def test_total_mass_extreme_ages(self, p, x1):
+        # 1 - r rounds to 0 at large x1, and the 1/r terms cancel at small x1
+        d = dists.pendant_dist_given_age(x1, p)
+        assert d.total_mass() == pytest.approx(1.0, abs=1e-8)
+
     def test_age_weight_against_series(self):
         x1, p = 1.5, SUB
         r = p.lam * dists.p0(x1, p)
         for k in (1, 3):
-            series = sum(
+            series = (1.0 - r) ** 2 * sum(
                 (n - 2) / n * (n - k) * r ** (n - 2) for n in range(3, 4000)
             )
             assert dists.pendant_age_weight(k, x1, p) == pytest.approx(

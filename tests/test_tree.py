@@ -140,7 +140,8 @@ class TestNewick:
             assert to_newick(u) == to_newick(t)
             assert sorted(u.times) == sorted(t.times)
         # given (n, x1) the text need not round-trip: the parser rebuilds each
-        # age from summed branch lengths, a few ulps of the height off
+        # age bottom-up as a child's age plus its length, which is exact for
+        # most nodes and otherwise within an ulp of the age itself
         def topology(s):
             return re.sub(r":[^,)]+", "", s)
         for n in (20,) * 10 + (10_000,):
@@ -148,7 +149,7 @@ class TestNewick:
             u = from_newick(to_newick(t))
             assert topology(to_newick(u)) == topology(to_newick(t))
             np.testing.assert_allclose(np.sort(u.times), np.sort(t.times),
-                                       rtol=0, atol=1e-12 * t.mrca_age)
+                                       rtol=1e-15, atol=0)
 
     def test_round_trip_large(self):
         t = sim.sample_yule_given_n(10_000, 1.0, np.random.default_rng(5))
@@ -203,6 +204,17 @@ class TestNewick:
             text = f"({text}:1.0,t{i}:{i - 1}.0)"
         assert from_newick(text + ";").n == 1000
         assert sys.getrecursionlimit() == limit
+
+    def test_deep_parse_needs_no_recursion(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("from_newick must not touch the recursion limit")
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 20_001  # a caterpillar: nesting depth n - 1
+        text = ("(" * (n - 1) + "t1:1.0,t2:1.0)"
+                + "".join(f":1.0,t{i}:{i - 1}.0)" for i in range(3, n + 1)) + ";")
+        u = from_newick(text)
+        assert u.n == n
+        assert u.mrca_age == n - 1
 
     def test_accepts_tiny_depth_jitter(self):
         u = from_newick("(t1:1.0,t2:1.0000000001);")
