@@ -59,8 +59,7 @@ def diversity():
     print(f"  n={n}: gamma(shape {n - 1}, rate {LAM})")
     print(f"  sample mean {samples.mean():.3f}  analytic {n - 1}")
     print(f"  sample var  {samples.var(ddof=1):.3f}  analytic {n - 1}")
-    ks = mc.ks_one_sample(np.sort(samples),
-                          lambda d: dists.diversity_cdf_given_n(d, n, LAM))
+    ks = mc.ks_one_sample(np.sort(samples), dists.diversity_dist_given_n(n, LAM).cdf)
     print(f"  KS distance to gamma CDF: {ks:.4f} "
           f"(99% threshold {1.6276 / math.sqrt(REPS):.4f})")
 

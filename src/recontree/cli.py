@@ -178,21 +178,22 @@ def cmd_simulate(args) -> int:
         if not p.is_yule:
             raise ValueError("given-n simulation requires mu = 0 "
                              "(the fixed-n sampler is pure birth)")
-        batches = sim.batch_yule_given_n(args.n, p.lam, args.reps, rng)
+        trees = sim.tree_stream(sim.batch_yule_given_n(args.n, p.lam, args.reps, rng))
     elif scen == "given-n-age":
         _require(args.n, "--n")
         _require(args.x1, "--x1")
-        batches = sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng)
+        trees = sim.tree_stream(sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng))
     elif scen == "given-age":
         _require(args.x1, "--x1")
-        batches = sim.batch_given_age(args.x1, p, args.reps, rng)
+        trees = sim.tree_stream(sim.batch_given_age(args.x1, p, args.reps, rng))
     elif scen == "rejection-given-age":
         _require(args.x1, "--x1")
         if raw is None:
             raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
                 raise ValueError("rejection simulation needs raw parameters")
-        batches = sim.batch_rejection_given_age(args.x1, raw, args.reps, rng)
+        sim._check_x1(args.x1)  # the oracle checks it only when the first tree is drawn
+        trees = (sim.sample_rejection_given_age(args.x1, raw, rng) for _ in range(args.reps))
     else:
         raise ValueError(f"unknown scenario {scen!r}")
 
@@ -207,8 +208,7 @@ def cmd_simulate(args) -> int:
         manifest["raw_params"] = {
             "lambda_hat": raw.lambda_hat, "mu_hat": raw.mu_hat, "f": raw.f,
         }
-    # the batch samplers have checked their arguments; nothing is drawn yet
-    trees = sim.tree_stream(batches)
+    # every argument is checked, and nothing is drawn yet
     with _open_out(args.output) as out:
         if args.format == "ndjson":
             out.write(json.dumps({"manifest": manifest}) + "\n")

@@ -10,10 +10,15 @@ Laws that hold for the full birth-death process take a ``Params``; laws
 proven only for the pure-birth (Yule) case take a plain rate ``lam`` and
 reject non-Yule ``Params``.
 
-Mixed distributions (a continuous density on (0, x1) plus a point mass at
-x1, arising because a pendant edge attached to the root has length exactly
-x1) are represented by :class:`MixedDist` with an explicit ``atom_weight``,
-never as numerical spikes.
+Each law is defined once, by its ``*_dist`` constructor: it checks its
+arguments and returns a :class:`MixedDist` whose ``pdf`` and ``cdf`` are
+closures over them (the speciation-time law wraps the public
+``speciation_time_pdf`` and ``speciation_time_cdf``).  Mixed distributions
+(a continuous density on (0, x1) plus a point mass at x1, arising because
+a pendant edge attached to the root has length exactly x1) carry an
+explicit ``atom_weight``, never a numerical spike.  Closed-form moments
+(``*_mean``, ``*_var``, ``*_mgf``) and the survival functions that have no
+constructor are plain functions.
 """
 
 from __future__ import annotations
@@ -25,17 +30,14 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate, special, stats
 
-from .kernel import Params, p0, p1, prob_n_given_age, yule_rate
+from .kernel import Params, _ratio_log_c, p0, p1, yule_rate
 
 __all__ = [
     "MixedDist",
     "QuadratureConfig",
     "leaf_adjacency_prob",
-    "pendant_pdf_given_n",
-    "pendant_cdf_given_n",
     "pendant_dist_given_n",
     "pendant_mean_given_n",
-    "interior_pdf_yule",
     "interior_dist_yule",
     "speciation_kernel",
     "speciation_time_pdf",
@@ -45,22 +47,15 @@ __all__ = [
     "pendant_mean_given_n_age",
     "pendant_age_weight",
     "pendant_dist_given_age",
-    "hypoexp_pdf",
-    "hypoexp_cdf",
     "hypoexp_mean",
     "hypoexp_dist",
-    "root_edge_pdf_given_n",
-    "root_edge_cdf_given_n",
     "root_edge_mean_given_n",
     "root_edge_dist_given_n",
-    "root_edge_survival_given_age",
     "root_edge_mean_given_age",
     "root_edge_dist_given_age",
     "initial_edge_survival",
     "root_edge_survival_given_n_age",
     "root_edge_limit_constant",
-    "diversity_pdf_given_n",
-    "diversity_cdf_given_n",
     "diversity_dist_given_n",
     "diversity_mean_given_n",
     "diversity_var_given_n",
@@ -74,7 +69,6 @@ __all__ = [
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -82,12 +76,12 @@ class QuadratureConfig:
 
 
 _DEFAULT_QUAD = QuadratureConfig()
+_MAX_SUBDIVISIONS = 200
 
 
 def _quad(f, a, b, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
     val, _ = integrate.quad(
-        f, a, b,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
+        f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=_MAX_SUBDIVISIONS,
     )
     return val
 
@@ -114,8 +108,8 @@ class MixedDist:
         """Quadrature of the density plus the atom; should be 1."""
         return _quad(self.pdf, 0.0, self.support_end, cfg) + self.atom_weight
 
-    def mean(self, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-        m = _quad(lambda s: s * self.pdf(s), 0.0, self.support_end, cfg)
+    def mean(self) -> float:
+        m = _quad(lambda s: s * self.pdf(s), 0.0, self.support_end)
         if self.atom_weight > 0.0:
             m += self.atom_weight * self.support_end
         return m
@@ -143,26 +137,20 @@ def leaf_adjacency_prob(k: int, n: int) -> float:
     return 2.0 * k / (n * (n - 1))
 
 
-def pendant_pdf_given_n(s, p: Params):
-    """Pendant-edge length density given n: 2 lam p1(s)(1 - lam p0(s)).
+def pendant_dist_given_n(p: Params) -> MixedDist:
+    """Pendant-edge length law given n: density 2 lam p1(s)(1 - lam p0(s)).
 
     The formula contains no n; the law is the same for every tip count.
     """
-    return 2.0 * p.lam * p1(s, p) * (1.0 - p.lam * p0(s, p))
+    def pdf(s):
+        return 2.0 * p.lam * p1(s, p) * (1.0 - p.lam * p0(s, p))
 
+    def cdf(s):
+        # antiderivative of p1(1-lam*p0) is p0 - lam*p0^2/2, since p0' = p1
+        q = p0(s, p)
+        return 2.0 * p.lam * (q - p.lam * q * q / 2.0)
 
-def pendant_cdf_given_n(s, p: Params):
-    # antiderivative of p1(1-lam*p0) is p0 - lam*p0^2/2, since p0' = p1
-    q = p0(s, p)
-    return 2.0 * p.lam * (q - p.lam * q * q / 2.0)
-
-
-def pendant_dist_given_n(p: Params) -> MixedDist:
-    return MixedDist(
-        support_end=math.inf,
-        pdf=lambda s: pendant_pdf_given_n(s, p),
-        cdf=lambda s: pendant_cdf_given_n(s, p),
-    )
+    return MixedDist(support_end=math.inf, pdf=pdf, cdf=cdf)
 
 
 def pendant_mean_given_n(p: Params) -> float:
@@ -187,17 +175,12 @@ def pendant_mean_given_n(p: Params) -> float:
     return num / (p.lam * r * r)
 
 
-def interior_pdf_yule(s, lam: Union[float, Params]):
-    """Interior-edge length density in a pure-birth tree: Exp(2 lam)."""
-    lam = yule_rate(lam)
-    return 2.0 * lam * np.exp(-2.0 * lam * s)
-
-
 def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
+    """Interior-edge length law in a pure-birth tree: Exp(2 lam)."""
     lam = yule_rate(lam)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda s: interior_pdf_yule(s, lam),
+        pdf=lambda s: 2.0 * lam * np.exp(-2.0 * lam * s),
         cdf=lambda s: -np.expm1(-2.0 * lam * s),
     )
 
@@ -285,9 +268,7 @@ def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
     return MixedDist(support_end=x1, pdf=pdf, cdf=cdf, atom_weight=atom)
 
 
-def pendant_mean_given_n_age(
-    n: int, x1: float, p: Params, cfg: QuadratureConfig = _DEFAULT_QUAD
-) -> float:
+def pendant_mean_given_n_age(n: int, x1: float, p: Params) -> float:
     """Expected pendant length given n and x1.
 
     Uses the closed forms (separate branches for mu < lam and mu = lam);
@@ -307,7 +288,7 @@ def pendant_mean_given_n_age(
         return (2.0 * x1 + (n - 2) / (x1 * q * lam * lam) * inner) / (n * (n - 1))
     if abs(mu) <= 1e-4 * lam or abs(lam - mu) <= 1e-4 * lam:
         # closed form has 1/(lam*mu) and 1/(lam-mu) factors; integrate instead
-        return pendant_dist_given_n_age(n, x1, p).mean(cfg)
+        return pendant_dist_given_n_age(n, x1, p).mean()
     q = p0(x1, p)
     P1 = p1(x1, p)
     e = math.exp(-(lam - mu) * x1)
@@ -326,18 +307,6 @@ def pendant_mean_given_n_age(
 # Scenario (iii): conditioning on x1
 # ---------------------------------------------------------------------------
 
-def _log_c(x1: float, p: Params) -> float:
-    """log c with c = 1 - lam p0(x1), taken from the rates, not from 1 - r:
-
-    log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), or
-    -log1p(lam x1) when critical.  Finite however close r is to 1.
-    """
-    if p.is_critical:
-        return -math.log1p(p.lam * x1)
-    d = p.lam - p.mu
-    return math.log(d) - d * x1 - math.log(d - p.mu * math.expm1(-d * x1))
-
-
 # below this r the closed forms' 1/r terms cancel, so the series are summed;
 # m = 1..40 leave r^m m^2 under 1e-17 r^2 there
 _SERIES_MAX_R = 0.25
@@ -353,7 +322,7 @@ def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     itself is summed.
     """
     r = p.lam * p0(x1, p)
-    log_c = _log_c(x1, p)
+    log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
     if r < _SERIES_MAX_R:
         m = _SERIES_M
@@ -376,7 +345,7 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     w1 = pendant_age_weight(1, x1, p)
     w3 = pendant_age_weight(3, x1, p)
     amp = 2.0 / q
-    log_c = _log_c(x1, p)
+    log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
     if r < _SERIES_MAX_R:
         atom = 2.0 * cc * (0.5 + float(np.sum(r ** _SERIES_M / (_SERIES_M + 2))))
@@ -397,10 +366,11 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
 # Root-edge laws (pure birth)
 # ---------------------------------------------------------------------------
 
-def hypoexp_pdf(t, k: int, lam: Union[float, Params]):
-    """Density of a sum of independent Exp(2 lam), ..., Exp(k lam) variables.
+def hypoexp_dist(k: int, lam: Union[float, Params]) -> MixedDist:
+    """Law of the MRCA age of a k-tip pure-birth tree (hypoexponential): the
+    sum of independent Exp(2 lam), ..., Exp(k lam) variables.
 
-    The alternating binomial series
+    The density's alternating binomial series
         k(k-1) sum_{i=2..k} lam (-e^{-lam t})^i C(k-2, i-2)
     collapses exactly (binomial theorem) to the cancellation-free form
         k(k-1) lam e^{-2 lam t} (1 - e^{-lam t})^{k-2},
@@ -408,26 +378,17 @@ def hypoexp_pdf(t, k: int, lam: Union[float, Params]):
     """
     lam = yule_rate(lam)
     _at_least("k", k, 2)
-    u = np.exp(-lam * np.asarray(t, dtype=float))
-    return k * (k - 1) * lam * u * u * (-np.expm1(-lam * np.asarray(t, dtype=float))) ** (k - 2)
 
+    def pdf(t):
+        t = np.asarray(t, dtype=float)
+        u = np.exp(-lam * t)
+        return k * (k - 1) * lam * u * u * (-np.expm1(-lam * t)) ** (k - 2)
 
-def hypoexp_cdf(t, k: int, lam: Union[float, Params]):
-    lam = yule_rate(lam)
-    _at_least("k", k, 2)
-    v = -np.expm1(-lam * np.asarray(t, dtype=float))  # 1 - e^{-lam t}
-    return k * v ** (k - 1) - (k - 1) * v ** k
+    def cdf(t):
+        v = -np.expm1(-lam * np.asarray(t, dtype=float))  # 1 - e^{-lam t}
+        return k * v ** (k - 1) - (k - 1) * v ** k
 
-
-def hypoexp_dist(k: int, lam: Union[float, Params]) -> MixedDist:
-    """Law of the MRCA age of a k-tip pure-birth tree (hypoexponential)."""
-    lam = yule_rate(lam)
-    _at_least("k", k, 2)
-    return MixedDist(
-        support_end=math.inf,
-        pdf=lambda t: hypoexp_pdf(t, k, lam),
-        cdf=lambda t: hypoexp_cdf(t, k, lam),
-    )
+    return MixedDist(support_end=math.inf, pdf=pdf, cdf=cdf)
 
 
 def hypoexp_mean(k: int, lam: Union[float, Params]) -> float:
@@ -436,34 +397,25 @@ def hypoexp_mean(k: int, lam: Union[float, Params]) -> float:
     return sum(1.0 / (i * lam) for i in range(2, k + 1))
 
 
-def root_edge_pdf_given_n(t, n: int, lam: Union[float, Params]):
-    """Density of a fair-coin root edge given n (pure birth).
+def root_edge_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
+    """Law of a fair-coin root edge given n (pure birth), with density
 
     f_L(t|n) = lam e^{-lam t} (1 - (1 - e^{-lam t})^{n-2} (1 - n e^{-lam t})).
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    u = np.exp(-lam * np.asarray(t, dtype=float))
-    return lam * u * (1.0 - (1.0 - u) ** (n - 2) * (1.0 - n * u))
 
+    def pdf(t):
+        u = np.exp(-lam * np.asarray(t, dtype=float))
+        return lam * u * (1.0 - (1.0 - u) ** (n - 2) * (1.0 - n * u))
 
-def root_edge_cdf_given_n(t, n: int, lam: Union[float, Params]):
-    # antiderivative: V + V^{n-1} e^{-lam t} with V = 1 - e^{-lam t}
-    lam = yule_rate(lam)
-    _at_least("n", n, 2)
-    u = np.exp(-lam * np.asarray(t, dtype=float))
-    v = 1.0 - u
-    return v + v ** (n - 1) * u
+    def cdf(t):
+        # antiderivative: V + V^{n-1} e^{-lam t} with V = 1 - e^{-lam t}
+        u = np.exp(-lam * np.asarray(t, dtype=float))
+        v = 1.0 - u
+        return v + v ** (n - 1) * u
 
-
-def root_edge_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
-    lam = yule_rate(lam)
-    _at_least("n", n, 2)
-    return MixedDist(
-        support_end=math.inf,
-        pdf=lambda t: root_edge_pdf_given_n(t, n, lam),
-        cdf=lambda t: root_edge_cdf_given_n(t, n, lam),
-    )
+    return MixedDist(support_end=math.inf, pdf=pdf, cdf=cdf)
 
 
 def root_edge_mean_given_n(n: int, lam: Union[float, Params]) -> float:
@@ -472,19 +424,9 @@ def root_edge_mean_given_n(n: int, lam: Union[float, Params]) -> float:
     return (1.0 - 1.0 / n) / lam
 
 
-def root_edge_survival_given_age(l, x1: float, lam: Union[float, Params]):
-    """P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond (pure birth)."""
-    lam = yule_rate(lam)
-    _positive("x1", x1)
-    l = np.asarray(l, dtype=float)
-    if np.any(l < 0):
-        raise ValueError("l must be >= 0")
-    out = np.where(l < x1, np.exp(-lam * l), 0.0)
-    return out if out.ndim else float(out)
-
-
 def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
-    """Root-edge law given x1: Exp(lam) on (0, x1), atom e^{-lam x1} at x1."""
+    """Root-edge law given x1 (pure birth): Exp(lam) on (0, x1), atom
+    e^{-lam x1} at x1; so P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond."""
     lam = yule_rate(lam)
     _positive("x1", x1)
     return MixedDist(
@@ -547,7 +489,7 @@ def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Param
     return float(out[0]) if scalar else out
 
 
-def root_edge_limit_constant(cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
+def root_edge_limit_constant() -> float:
     """The constant c = int_0^inf (1 - e^{-x}) / (x(2+x)) dx = 0.8158...
 
     Scaled by 1/lam, this is the large-n limit of the expected root-edge
@@ -560,7 +502,7 @@ def root_edge_limit_constant(cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
 
     val, err = integrate.quad(
         integrand, 0.0, np.inf,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=max(cfg.max_subdivisions, 400),
+        epsabs=_DEFAULT_QUAD.abs_tol, epsrel=_DEFAULT_QUAD.rel_tol, limit=400,
     )
     if not math.isfinite(val) or err > 1e-6:
         raise RuntimeError(f"quadrature did not converge (err={err})")
@@ -571,26 +513,14 @@ def root_edge_limit_constant(cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
 # Diversity (sum of all edge lengths, pure birth)
 # ---------------------------------------------------------------------------
 
-def diversity_pdf_given_n(d, n: int, lam: Union[float, Params]):
-    """Diversity density given n: gamma with shape n-1 and rate lam."""
-    lam = yule_rate(lam)
-    _at_least("n", n, 2)
-    return stats.gamma.pdf(d, n - 1, scale=1.0 / lam)
-
-
-def diversity_cdf_given_n(d, n: int, lam: Union[float, Params]):
-    lam = yule_rate(lam)
-    _at_least("n", n, 2)
-    return stats.gamma.cdf(d, n - 1, scale=1.0 / lam)
-
-
 def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
+    """Diversity law given n (pure birth): gamma with shape n-1 and rate lam."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda d: diversity_pdf_given_n(d, n, lam),
-        cdf=lambda d: diversity_cdf_given_n(d, n, lam),
+        pdf=lambda d: stats.gamma.pdf(d, n - 1, scale=1.0 / lam),
+        cdf=lambda d: stats.gamma.cdf(d, n - 1, scale=1.0 / lam),
     )
 
 

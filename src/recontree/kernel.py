@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -160,16 +161,33 @@ def p1(s: float, p: Params) -> float:
     return d * d * e / (p.lam - p.mu * e) ** 2
 
 
+def _ratio_log_c(x1: float, p: Params) -> tuple:
+    """(r, log c) for a tree of age x1 > 0: r = lam p0(x1), c = 1 - r.
+
+    c is taken from the rates, not from 1 - r:
+    log c = log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), or
+    -log1p(lam x1) when critical, finite however close r is to 1.  Both come
+    from one e^{-(lam-mu) x1}.
+    """
+    if p.is_critical:
+        lx = p.lam * x1
+        return lx / (1.0 + lx), -math.log1p(lx)
+    d = p.lam - p.mu
+    em = -math.expm1(-d * x1)  # 1 - e^{-d x1}
+    r = p.lam * (em / (p.lam - p.mu * (1.0 - em)))
+    return r, math.log(d) - d * x1 - math.log(d + p.mu * em)
+
+
 def prob_n_given_age(n: int, x1: float, p: Params) -> float:
     """Probability that a reconstructed tree of age x1 has n extant tips.
 
     p_n(x1) = (n-1) p1(x1)^2 (lam p0(x1))^{n-2} / (1 - mu p0(x1))^2,
-    which simplifies to (n-1) (1-r)^2 r^{n-2} with r = lam*p0(x1),
+    which simplifies to (n-1) c^2 r^{n-2} with r = lam*p0(x1) and c = 1 - r,
     using the identity p1 = (1 - mu p0)(1 - lam p0).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not x1 > 0:
         raise ValueError(f"x1 must be > 0, got {x1}")
-    r = p.lam * p0(x1, p)
-    return (n - 1) * (1.0 - r) ** 2 * r ** (n - 2)
+    r, log_c = _ratio_log_c(x1, p)
+    return (n - 1) * math.exp(2.0 * log_c) * r ** (n - 2)

@@ -661,6 +661,7 @@ def _normalization_laws():
         yield f"root_edge_n[n={n}]", dists.root_edge_dist_given_n(n, 1.0)
         yield f"diversity_n[n={n}]", dists.diversity_dist_given_n(n, 1.0)
     yield "interior_yule", dists.interior_dist_yule(1.0)
+    yield "root_edge_age[x1=1.5]", dists.root_edge_dist_given_age(1.5, 1.0)
 
 
 def _check_normalization(cfg):

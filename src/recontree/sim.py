@@ -25,9 +25,9 @@ counts attempts and acceptances.  Neither shares code with the exact
 samplers:
 
 * :func:`sample_rejection_given_age` runs one pair at a time with scalar
-  draws (:func:`simulate_forward`, then :func:`reconstruct`), and
-  :func:`batch_rejection_given_age` stacks its trees.  It is the reference,
-  and ``recontree simulate --scenario rejection-given-age`` draws from it.
+  draws (:func:`simulate_forward`, then :func:`reconstruct`) and returns
+  one :class:`ReconTree`.  It is the reference, and ``recontree simulate
+  --scenario rejection-given-age`` streams its trees.
 * :func:`batch_forward_given_age` runs a block of sides in lockstep as
   arrays, on a stream of its own; the ``transform_equivalence`` check draws
   from it.
@@ -80,7 +80,6 @@ __all__ = [
     "batch_yule_given_n",
     "batch_given_n_age",
     "batch_given_age",
-    "batch_rejection_given_age",
     "FORWARD_NODES",
     "MAX_ATTEMPTS",
     "batch_forward_given_age",
@@ -358,16 +357,13 @@ class TreeBatch:
     Row i holds the ``times`` and ``parent`` of one tree, numbered as its
     :class:`ReconTree` is.  ``draws[i]`` holds the tree's reader draws in
     the order they were requested, and ``index[i]`` the tree's position in
-    the sampler's stream.  ``children`` (R, n-1, 2) is given only where a
-    tree's child table is not the one :class:`ReconTree` derives (each
-    node's children in ascending order).
+    the sampler's stream.
     """
 
     times: np.ndarray
     parent: np.ndarray
     draws: np.ndarray
     index: np.ndarray
-    children: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -383,14 +379,11 @@ class TreeBatch:
 
     def child_table(self) -> np.ndarray:
         """(R, n-1, 2): the children of internal node n+k in row i at [i, k]."""
-        if self.children is not None:
-            return self.children
         order = np.argsort(self.parent, axis=1, kind="stable")  # as ReconTree
         return order[:, 1:].reshape(len(self), self.n - 1, 2)
 
     def tree(self, i: int) -> ReconTree:
-        kids = None if self.children is None else self.children[i]
-        return ReconTree(self.times[i], self.parent[i], children=kids, validate=False)
+        return ReconTree(self.times[i], self.parent[i], validate=False)
 
 
 def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
@@ -520,33 +513,6 @@ def _given_n_age_trees(u: np.ndarray, n: int, x1: float, p: Params) -> tuple:
     return times, parent
 
 
-def _bucketed(reps: int, draw_tree: Callable, draws: Sequence[DrawBound], ints,
-              build: Callable) -> Iterator[TreeBatch]:
-    """Blocks of trees with random tip counts, one batch per tip count.
-
-    ``draw_tree()`` makes one tree's draws and returns (n, payload); the
-    tree's reader draws follow at once.  ``build(n, payloads)`` returns
-    the (times, parent) or (times, parent, children) arrays of the trees
-    with n tips.
-    """
-    start = 0
-    while start < reps:
-        ns, payloads, picks, nodes = [], [], [], 0
-        while start + len(ns) < reps and nodes < BATCH_NODES:
-            n, payload = draw_tree()
-            ns.append(n)
-            payloads.append(payload)
-            picks += [ints(d(n)) for d in draws]
-            nodes += 2 * n - 1
-        ns = np.array(ns)
-        picks = np.array(picks, dtype=np.int64).reshape(len(ns), len(draws))
-        for n in np.unique(ns).tolist():
-            sel = np.flatnonzero(ns == n)
-            times, parent, *children = build(n, [payloads[i] for i in sel])
-            yield TreeBatch(times, parent, picks[sel], start + sel, *children)
-        start += len(ns)
-
-
 def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
                        draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
     """``reps`` pure-birth trees conditioned on n tips.
@@ -599,47 +565,38 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
 
 def batch_given_age(x1: float, p: Params, reps: int, rng,
                     draws: Sequence[DrawBound] = ()) -> Iterator[TreeBatch]:
-    """``reps`` trees conditioned on the MRCA age x1 alone; one batch per n.
+    """``reps`` trees conditioned on the MRCA age x1 alone.
 
     The tip count is G1 + G2 with G1, G2 independent geometric counts with
     ratio lam*p0(x1), one per root-child lineage; the tree is then drawn
     given (n, x1) as :func:`batch_given_n_age` draws it.  Per tree: two
-    uniforms, then 3n-4.
+    uniforms, then 3n-4, then its reader draws.  A block holds about
+    :data:`BATCH_NODES` nodes and yields one batch per tip count.
     """
     ratio = _given_age_ratio(x1, p)
     _check_reps(reps)
     rng = as_generator(rng)
-    rand = rng.random
+    rand, ints = rng.random, rng.integers
 
-    def draw_tree():
-        n = _geometric_count(rand(), ratio) + _geometric_count(rand(), ratio)
-        return n, rand(3 * n - 4)
+    def blocks():
+        start = 0
+        while start < reps:
+            ns, rows, picks, nodes = [], [], [], 0
+            while start + len(ns) < reps and nodes < BATCH_NODES:
+                n = _geometric_count(rand(), ratio) + _geometric_count(rand(), ratio)
+                ns.append(n)
+                rows.append(rand(3 * n - 4))
+                picks += [ints(d(n)) for d in draws]
+                nodes += 2 * n - 1
+            ns = np.array(ns)
+            picks = np.array(picks, dtype=np.int64).reshape(len(ns), len(draws))
+            for n in np.unique(ns).tolist():
+                sel = np.flatnonzero(ns == n)
+                times, parent = _given_n_age_trees(np.array([rows[i] for i in sel]), n, x1, p)
+                yield TreeBatch(times, parent, picks[sel], start + sel)
+            start += len(ns)
 
-    return _bucketed(reps, draw_tree, draws, rng.integers,
-                     lambda n, rows: _given_n_age_trees(np.array(rows), n, x1, p))
-
-
-def batch_rejection_given_age(
-    x1: float, raw: RawParams, reps: int, rng,
-    draws: Sequence[DrawBound] = (), stats: Optional[RejectionStats] = None,
-) -> Iterator[TreeBatch]:
-    """The rejection oracle as a batch sampler; one batch per tip count.
-
-    Calls :func:`sample_rejection_given_age` once per tree and stacks the
-    trees it returns, with their child tables (which :func:`reconstruct`
-    orders by descent, not by node number).
-    """
-    _check_x1(x1)
-    _check_reps(reps)
-    rng = as_generator(rng)
-
-    def draw_tree():
-        t = sample_rejection_given_age(x1, raw, rng, stats=stats)
-        return t.n, t
-
-    return _bucketed(reps, draw_tree, draws, rng.integers,
-                     lambda n, trees: tuple(np.array([getattr(t, a) for t in trees])
-                                            for a in ("times", "parent", "children")))
+    return blocks()
 
 
 # the single-tree entry points: each is its batch sampler's batch of one

@@ -167,6 +167,12 @@ class TestSimulate:
                             "--format", fmt, "-o", str(out)], "n must be >= 2", capsys)
         assert not out.exists()
 
+    def test_rejection_bad_x1_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert_usage_error(["simulate", "--scenario", "rejection-given-age", "--x1", "0",
+                            "--lam-hat", "1", "-o", str(out)], "x1 must be > 0", capsys)
+        assert not out.exists()
+
     def test_zero_reps_writes_the_manifest(self, tmp_path):
         out = tmp_path / "f"
         assert run(["simulate", "--scenario", "given-n", "--n", "4", "--reps", "0",

@@ -62,14 +62,15 @@ class TestLeafAdjacency:
 class TestPendantGivenN:
     @pytest.mark.parametrize("p", REGIMES, ids=lambda p: f"mu={p.mu}")
     def test_cdf_matches_quadrature(self, p):
+        law = dists.pendant_dist_given_n(p)
         for s in (0.3, 1.0, 2.5):
-            val, _ = quad(lambda u: dists.pendant_pdf_given_n(u, p), 0, s)
-            assert dists.pendant_cdf_given_n(s, p) == pytest.approx(val, abs=1e-10)
+            val, _ = quad(law.pdf, 0, s)
+            assert law.cdf(s) == pytest.approx(val, abs=1e-10)
 
     def test_yule_is_exp2(self):
         s = np.linspace(0.1, 3.0, 17)
         assert np.allclose(
-            dists.pendant_pdf_given_n(s, YULE), 2.0 * np.exp(-2.0 * s), rtol=1e-13
+            dists.pendant_dist_given_n(YULE).pdf(s), 2.0 * np.exp(-2.0 * s), rtol=1e-13
         )
 
     def test_mean_frozen_value(self):
@@ -109,7 +110,7 @@ class TestInteriorYule:
         with pytest.raises(ValueError):
             dists.interior_dist_yule(SUB)
         with pytest.raises(ValueError):
-            dists.interior_pdf_yule(1.0, 0.0)
+            dists.interior_dist_yule(0.0)
 
 
 class TestSpeciationTimes:
@@ -272,9 +273,9 @@ class TestHypoexp:
     def test_small_k_closed_forms(self):
         # k=2 is Exp(2 lam); k=3 is the two-term convolution
         t = np.linspace(0.05, 3.0, 9)
-        assert np.allclose(dists.hypoexp_pdf(t, 2, 1.0), 2 * np.exp(-2 * t))
+        assert np.allclose(dists.hypoexp_dist(2, 1.0).pdf(t), 2 * np.exp(-2 * t))
         assert np.allclose(
-            dists.hypoexp_pdf(t, 3, 1.0), 6 * (np.exp(-2 * t) - np.exp(-3 * t))
+            dists.hypoexp_dist(3, 1.0).pdf(t), 6 * (np.exp(-2 * t) - np.exp(-3 * t))
         )
 
     def test_monte_carlo_sum_of_exponentials(self):
@@ -283,7 +284,7 @@ class TestHypoexp:
         rng = np.random.default_rng(7)
         rates = lam * np.arange(2, k + 1)
         samples = np.sort((rng.exponential(1.0, size=(m, k - 1)) / rates).sum(axis=1))
-        cdf_vals = dists.hypoexp_cdf(samples, k, lam)
+        cdf_vals = dists.hypoexp_dist(k, lam).cdf(samples)
         grid = np.arange(1, m + 1) / m
         ks = np.max(np.abs(cdf_vals - grid))
         assert ks < 1.6276 / math.sqrt(m)
@@ -295,10 +296,10 @@ class TestHypoexp:
         assert dists.hypoexp_mean(5, 1.0) == pytest.approx(1.2833333333333334)
 
     def test_cdf_matches_quadrature_large_k(self):
-        k = 60
+        law = dists.hypoexp_dist(60, 1.0)
         for t in (0.5, 2.0, 5.0):
-            val, _ = quad(lambda u: dists.hypoexp_pdf(u, k, 1.0), 0, t, limit=200)
-            assert dists.hypoexp_cdf(t, k, 1.0) == pytest.approx(val, abs=1e-9)
+            val, _ = quad(law.pdf, 0, t, limit=200)
+            assert law.cdf(t) == pytest.approx(val, abs=1e-9)
 
     @pytest.mark.parametrize("k", [61, 300, 1000])
     def test_mass_and_mean_large_k(self, k):
@@ -315,34 +316,33 @@ class TestHypoexp:
 class TestRootEdge:
     @pytest.mark.parametrize("n", [2, 4, 10])
     def test_cdf_matches_quadrature(self, n):
+        law = dists.root_edge_dist_given_n(n, 1.0)
         for t in (0.3, 1.0, 3.0):
-            val, _ = quad(lambda u: dists.root_edge_pdf_given_n(u, n, 1.0), 0, t)
-            assert dists.root_edge_cdf_given_n(t, n, 1.0) == pytest.approx(
-                val, abs=1e-10
-            )
+            val, _ = quad(law.pdf, 0, t)
+            assert law.cdf(t) == pytest.approx(val, abs=1e-10)
 
     def test_n2_is_exp2(self):
         t = np.linspace(0.1, 2.0, 7)
         assert np.allclose(
-            dists.root_edge_pdf_given_n(t, 2, 1.0), 2 * np.exp(-2 * t), atol=1e-14
+            dists.root_edge_dist_given_n(2, 1.0).pdf(t), 2 * np.exp(-2 * t), atol=1e-14
         )
 
     @pytest.mark.parametrize("n", [2, 4, 10])
     def test_mean_matches_quadrature(self, n):
-        val, _ = quad(
-            lambda t: t * dists.root_edge_pdf_given_n(t, n, 1.0), 0, np.inf
-        )
+        law = dists.root_edge_dist_given_n(n, 1.0)
+        val, _ = quad(lambda t: t * law.pdf(t), 0, np.inf)
         assert dists.root_edge_mean_given_n(n, 1.0) == pytest.approx(val, rel=1e-8)
 
     def test_survival_given_age(self):
-        assert dists.root_edge_survival_given_age(0.5, 1.0, 1.0) == pytest.approx(
-            math.exp(-0.5)
-        )
-        assert dists.root_edge_survival_given_age(1.5, 1.0, 1.0) == 0.0
+        # P(L > l | x1) is 1 - cdf(l) below x1; the atom at x1 leaves no mass past it
+        law = dists.root_edge_dist_given_age(1.0, 1.0)
+        assert 1.0 - law.cdf(0.5) == pytest.approx(math.exp(-0.5))
+        assert law.support_end < 1.5
+        assert law.cdf(law.support_end) + law.atom_weight == pytest.approx(1.0)
 
     def test_mean_given_age(self):
-        val, _ = quad(lambda l: dists.root_edge_survival_given_age(l, 1.0, 1.0),
-                      0, 1.0)
+        law = dists.root_edge_dist_given_age(1.0, 1.0)
+        val, _ = quad(lambda l: 1.0 - law.cdf(l), 0, 1.0)
         assert dists.root_edge_mean_given_age(1.0, 1.0) == pytest.approx(val)
 
     def test_initial_edge_frozen_value(self):
@@ -381,8 +381,8 @@ class TestDiversity:
     def test_gamma_moments(self):
         assert dists.diversity_mean_given_n(10, 1.0) == 9.0
         assert dists.diversity_var_given_n(10, 2.0) == pytest.approx(2.25)
-        val, _ = quad(lambda d: d * dists.diversity_pdf_given_n(d, 10, 1.0),
-                      0, np.inf)
+        law = dists.diversity_dist_given_n(10, 1.0)
+        val, _ = quad(lambda d: d * law.pdf(d), 0, np.inf)
         assert val == pytest.approx(9.0, rel=1e-8)
 
     def test_mgf_at_zero(self):

@@ -141,6 +141,19 @@ class TestProbNGivenAge:
         total = sum(prob_n_given_age(n, x1, p) for n in range(2, 2001))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("x1", [30.0, 70.0])
+    def test_large_age_against_50_digits(self, x1):
+        # 1 - r is below 1e-8 here; taken by subtraction it lost 4e-9 relative
+        # at x1 = 30 and rounded to 0 at x1 = 70
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam, mu = mpmath.mpf(1.0), mpmath.mpf(0.4)
+            e = mpmath.exp(-(lam - mu) * x1)
+            r = lam * (1 - e) / (lam - mu * e)
+            want = 4 * (1 - r) ** 2 * r ** 3
+            got = prob_n_given_age(5, x1, Params(1.0, 0.4))
+            assert abs(got - want) < 1e-12 * want
+
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
             prob_n_given_age(1, 1.0, Params(1.0, 0.0))

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from recontree import dists, mc, sim
+from recontree import cli, dists, mc, sim
 from recontree.dists import MixedDist
 from recontree.kernel import Params
 from recontree.mc import (
@@ -165,6 +165,16 @@ class TestVerifySuite:
         )
         reports = verify_suite(cfg)
         assert reports and all(r.passed for r in reports)
+
+    def test_normalization_sweeps_every_density_law(self, monkeypatch):
+        # c12 checks the total mass of every law ``recontree density`` serves
+        names = {name for name, _, _ in cli._DENSITY_LAWS.values()}
+        built = set()
+        for name in names:
+            monkeypatch.setattr(dists, name, lambda *a, _name=name, _make=getattr(dists, name):
+                                built.add(_name) or _make(*a))
+        list(mc._normalization_laws())
+        assert built == names
 
     def test_wall_time_covers_the_check(self):
         cfg = VerifyConfig(checks=("root_edge_n",), reps=1000, seed=1)

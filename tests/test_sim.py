@@ -161,7 +161,7 @@ class TestYuleGivenN:
         rng = np.random.default_rng(8)
         ages = np.sort(np.concatenate(
             [b.times[:, n] for b in sim.batch_yule_given_n(n, 1.0, m, rng)]))
-        cdf = dists.hypoexp_cdf(ages, n, 1.0)
+        cdf = dists.hypoexp_dist(n, 1.0).cdf(ages)
         ks = np.max(np.abs(cdf - np.arange(1, m + 1) / m))
         assert ks < 1.6276 / math.sqrt(m)
 
@@ -290,7 +290,8 @@ class TestTreeStream:
 class TestBatchSamplerGuards:
     # each batch sampler refuses its bad arguments when called, before any
     # draw or allocation, not when its batches are read; the single-tree Yule
-    # sampler refuses a rate that is not > 0 as its batch sampler does
+    # sampler refuses a rate that is not > 0 as its batch sampler does, and
+    # the per-tree rejection oracle refuses x1 <= 0 before its first draw
     @pytest.mark.parametrize("make, message", [
         (lambda r: sim.batch_yule_given_n(1, 1.0, 10, r), "n must be >= 2"),
         (lambda r: sim.batch_yule_given_n(5, SUB, 10, r), "requires mu = 0"),
@@ -300,7 +301,7 @@ class TestBatchSamplerGuards:
         (lambda r: sim.batch_given_age(0.0, SUB, 10, r), "x1 must be > 0"),
         (lambda r: sim.batch_given_age(45.0, Params(1.0, 0.4), 10, r), "mean tip count"),
         (lambda r: sim.batch_given_age(70.0, Params(1.0, 0.4), 10, r), "mean tip count"),
-        (lambda r: sim.batch_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
+        (lambda r: sample_rejection_given_age(0.0, RawParams(1.0, 0.0, 1.0), r),
          "x1 must be > 0"),
         (lambda r: sim.batch_forward_given_age(0.0, RawParams(1.0, 0.0, 1.0), 10, r),
          "x1 must be > 0"),
@@ -314,7 +315,6 @@ class TestBatchSamplerGuards:
             partial(sim.batch_yule_given_n, 5, 1.0),
             partial(sim.batch_given_n_age, 4, 2.0, SUB),
             partial(sim.batch_given_age, 1.5, SUB),
-            partial(sim.batch_rejection_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
             partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
         )],
         # a Yule rate that is not > 0, for the single-tree and batch samplers
@@ -391,8 +391,14 @@ class TestForwardGivenAge:
         # two-sample KS at the 99% level, each oracle on its own test seed
         lockstep = mc.collect(partial(sim.batch_forward_given_age, self.X1, self.RAW),
                               self.READERS, 20_000, np.random.default_rng(21))
-        per_tree = mc.collect(partial(sim.batch_rejection_given_age, self.X1, self.RAW),
-                              self.READERS, 4000, np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        per_tree = {name: np.empty(4000) for name in self.READERS}
+        for i in range(4000):
+            t = sample_rejection_given_age(self.X1, self.RAW, rng)
+            # the pendant edge's draw, integers(n), follows its tree's draws
+            per_tree["pendant"][i] = t.times[t.parent[int(rng.integers(t.n))]]
+            per_tree["diversity"][i] = t.edge_lengths().sum()
+            per_tree["n"][i] = t.n
         for name in self.READERS:
             assert sps.ks_2samp(lockstep[name], per_tree[name]).pvalue > 0.01, name
 
