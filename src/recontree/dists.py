@@ -334,10 +334,14 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     """Pendant-edge law given only the age x1 (mixture over tip counts).
 
     Continuous part for s < x1:
-        2 p1(s) / p0(x1) * (W1 - (p0(s)/p0(x1)) W3),
+        2 p1(s) / p0(x1) * (W1 - G W3),  G = p0(s)/p0(x1),
     with r = lam p0(x1), c = 1 - r and W_k = c^2 w_k = pendant_age_weight(k,
     x1); atom at x1: -2 (log(c) + r) (c/r)^2, where -(log(c) + r) is summed
-    as sum_{j>=2} r^j/j for r < 0.25.
+    as sum_{j>=2} r^j/j for r < 0.25.  W1 - G W3 is O(c) as s -> x1, so it
+    is summed as (W1 - W3) + (1 - G) W3: W1 - W3 = 2(c - atom), or the series
+    c^2 sum 2m/(m+2) r^m for r < 0.25, and 1 - G from the rates, d e^{-ds}
+    (1 - e^{-d(x1-s)}) / ((lam - mu e^{-ds})(1 - e^{-d x1})) with d = lam - mu,
+    or (x1 - s)/(x1 (1 + lam s)) when critical.
     """
     _positive("x1", x1)
     q = p0(x1, p)
@@ -347,13 +351,21 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     amp = 2.0 / q
     log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
+    d = p.lam - p.mu
     if r < _SERIES_MAX_R:
         atom = 2.0 * cc * (0.5 + float(np.sum(r ** _SERIES_M / (_SERIES_M + 2))))
+        w13 = cc * float(np.sum(2.0 * _SERIES_M / (_SERIES_M + 2) * r ** _SERIES_M))
     else:
         atom = -2.0 * (log_c + r) * cc / (r * r)
+        w13 = 2.0 * (math.exp(log_c) - atom)  # W1 - W3
 
     def pdf(s):
-        return amp * p1(s, p) * (w1 - p0(s, p) / q * w3)
+        if p.is_critical:
+            gap = (x1 - s) / (x1 * (1.0 + p.lam * s))  # 1 - G
+        else:
+            e = np.exp(-d * s)
+            gap = d * e * np.expm1(-d * (x1 - s)) / ((p.lam - p.mu * e) * math.expm1(-d * x1))
+        return amp * p1(s, p) * (w13 + gap * w3)
 
     def cdf(s):
         u = p0(s, p)

@@ -10,10 +10,18 @@ Mixed distributions are handled by separating the atom: the KS test runs
 on the continuous part against the renormalized conditional CDF, and the
 atom mass is checked separately with a binomial confidence interval.
 
-Conventions (fixed for the whole tool):
-* one-sample KS threshold 1.6276/sqrt(m) (asymptotic 99% level),
-* atom and two-sample checks at the 99% level,
+Conventions (fixed for the whole tool, as module constants):
+* one-sample KS threshold ``KS_COEFF_99``/sqrt(m) (asymptotic 99% level),
+* atom mass within ``Z_99`` binomial standard errors (99% level),
+* two-sample KS and chi-square p-values above ``_ALPHA`` = 0.01, the
+  chi-square bins starting at ``_CHI2_START`` = 2 tips and pooled from the
+  right until each expects ``_CHI2_MIN_EXPECTED`` = 5 counts,
 * moment checks within 3 standard errors.
+
+Each check in the verify suite has one of two shapes: a sampled law check
+(``_sampled``: one stream, ``estimate``, ``compare``) or a report of
+numeric identities (``_report``).  Only the checks with extra statistics
+call ``compare`` or build their reports themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -53,6 +61,9 @@ __all__ = [
 
 KS_COEFF_99 = 1.6276  # sqrt(-0.5 ln(0.01/2))
 Z_99 = 2.5758
+_ALPHA = 0.01
+_CHI2_START = 2
+_CHI2_MIN_EXPECTED = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +146,6 @@ class EmpiricalDist:
     def mean_se(self) -> float:
         return float(self.samples.std(ddof=1) / np.sqrt(self.n_samples))
 
-    def ecdf(self, x) -> np.ndarray:
-        return np.searchsorted(self.samples, x, side="right") / self.n_samples
-
 
 # a batch sampler: (reps, rng, reader draw bounds) -> its TreeBatch blocks,
 # e.g. functools.partial(sim.batch_given_n_age, n, x1, p)
@@ -203,7 +211,7 @@ class KsCheck:
         return bool(self.stat < self.threshold)
 
     def to_dict(self):
-        return {"stat": self.stat, "threshold": self.threshold, "pass": self.passed}
+        return {**vars(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -218,13 +226,7 @@ class MomentCheck:
         return bool(abs(self.analytic - self.empirical) <= self.tolerance)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -238,12 +240,7 @@ class AtomCheck:
         return bool(abs(self.analytic_mass - self.empirical_fraction) <= self.ci_halfwidth)
 
     def to_dict(self):
-        return {
-            "analytic_mass": self.analytic_mass,
-            "empirical_fraction": self.empirical_fraction,
-            "ci_halfwidth": self.ci_halfwidth,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
 
 @dataclass
@@ -295,7 +292,7 @@ def ks_one_sample(sorted_samples: np.ndarray, cdf: Callable) -> float:
 
 def compare(
     emp: EmpiricalDist,
-    analytic: Union[MixedDist, Callable],
+    analytic: MixedDist,
     check: str = "",
     analytic_mean: Optional[float] = None,
     seed: Optional[int] = None,
@@ -310,69 +307,58 @@ def compare(
         raise ValueError("samples must be sorted")
     report = ComparisonReport(check=check, n_samples=emp.n_samples, seed=seed)
     cont = emp.continuous()
-    if isinstance(analytic, EmpiricalDist):
-        # exact sup-distance between the two step functions (0 for self)
-        stat = float(sps.ks_2samp(cont, analytic.continuous()).statistic)
+    aw = analytic.atom_weight
+    if aw < 1.0:
+        stat = ks_one_sample(cont, lambda s: analytic.cdf(s) / (1.0 - aw))
         report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
-    elif isinstance(analytic, MixedDist):
-        aw = analytic.atom_weight
-        if aw < 1.0:
-            cond = lambda s: analytic.cdf(s) / (1.0 - aw)
-            stat = ks_one_sample(cont, cond)
-            report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
-        if aw > 0.0 or emp.atom_location is not None:
-            report.atom = AtomCheck(
-                analytic_mass=aw,
-                empirical_fraction=emp.atom_fraction,
-                ci_halfwidth=Z_99 * np.sqrt(aw * (1.0 - aw) / emp.n_samples),
-            )
-    else:
-        stat = ks_one_sample(cont, analytic)
-        report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
-    if analytic_mean is not None:
-        report.moments.append(
-            MomentCheck(
-                name="mean",
-                analytic=analytic_mean,
-                empirical=emp.mean(),
-                tolerance=3.0 * emp.mean_se(),
-            )
+    if aw > 0.0 or emp.atom_location is not None:
+        report.atom = AtomCheck(
+            analytic_mass=aw,
+            empirical_fraction=emp.atom_fraction,
+            ci_halfwidth=Z_99 * np.sqrt(aw * (1.0 - aw) / emp.n_samples),
         )
+    if analytic_mean is not None:
+        report.moments.append(MomentCheck(*_mean_moment("mean", analytic_mean, emp)))
     return report
+
+
+def _mean_moment(name: str, analytic: float, emp: EmpiricalDist) -> tuple:
+    """(name, analytic, empirical, tolerance) of a sample mean within 3 SE."""
+    return name, analytic, emp.mean(), 3.0 * emp.mean_se()
+
+
+def _p_value_check(p: float) -> KsCheck:
+    """A p-value above ``_ALPHA``, encoded as "stat < threshold" on 1 - p."""
+    return KsCheck(stat=1.0 - p, threshold=1.0 - _ALPHA)
 
 
 def compare_two_sample(
-    a: np.ndarray, b: np.ndarray, check: str = "", alpha: float = 0.01,
-    seed: Optional[int] = None,
+    a: np.ndarray, b: np.ndarray, check: str = "", seed: Optional[int] = None,
 ) -> ComparisonReport:
-    """Two-sample KS comparison; passes when p > alpha."""
+    """Two-sample KS comparison; passes when p > ``_ALPHA``."""
     res = sps.ks_2samp(a, b)
     report = ComparisonReport(check=check, n_samples=len(a) + len(b), seed=seed)
-    # encode the p-value check as "stat < threshold" on (1 - p)
-    report.ks = KsCheck(stat=1.0 - float(res.pvalue), threshold=1.0 - alpha)
+    report.ks = _p_value_check(float(res.pvalue))
     return report
 
 
-def chi_square_counts(
-    values: np.ndarray, pmf: Callable[[int], float], start: int = 2,
-    min_expected: float = 5.0,
-) -> float:
+def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
     """Chi-square goodness-of-fit p-value for integer-valued samples.
 
-    Bins from ``start`` upward, pooling the tail so every expected count
-    is at least ``min_expected``.
+    Bins from ``_CHI2_START`` upward, pooling the tail so every expected
+    count is at least ``_CHI2_MIN_EXPECTED``.
     """
     values = np.asarray(values)
     m = len(values)
     kmax = int(values.max())
-    ks = np.arange(start, kmax + 1)
+    ks = np.arange(_CHI2_START, kmax + 1)
     probs = np.array([pmf(int(k)) for k in ks])
     tail = max(1.0 - probs.sum(), 0.0)
     observed = np.array([np.count_nonzero(values == k) for k in ks])
     observed = np.append(observed, m - observed.sum())
     expected = np.append(probs, tail) * m
     # pool small-expectation bins from the right
-    while len(expected) > 2 and expected[-1] < min_expected:
+    while len(expected) > 2 and expected[-1] < _CHI2_MIN_EXPECTED:
         expected[-2] += expected[-1]
         observed[-2] += observed[-1]
         expected = expected[:-1]
@@ -392,44 +378,42 @@ class VerifyConfig:
     seed: int = 20260824
 
 
+def _sampled(cfg, check, stream, sampler, reader, law, mean=None, atom_at=None):
+    """``reader`` over ``cfg.reps`` trees of stream ``stream``, compared with ``law``."""
+    rng = sim.RngStream(cfg.seed, stream).generator()
+    emp = estimate(sampler, reader, cfg.reps, rng, atom_at=atom_at)
+    return compare(emp, law, check=check, analytic_mean=mean, seed=cfg.seed)
+
+
+def _report(cfg, check, *moments, n_samples=0) -> ComparisonReport:
+    """A report of ``(name, analytic, empirical, tolerance)`` moment checks."""
+    return ComparisonReport(check=check, n_samples=n_samples, seed=cfg.seed,
+                            moments=[MomentCheck(*m) for m in moments])
+
+
 def _check_yule_pendant_n(cfg):
-    rng = sim.RngStream(cfg.seed, 1).generator()
-    lam, n = 1.0, 20
-    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_pendant,
-                   cfg.reps, rng)
     # the Yule pendant law given n is Exp(2 lam), the interior-edge law
-    rep = compare(
-        emp, dists.interior_dist_yule(lam),
-        check="yule_pendant_n", analytic_mean=1.0 / (2.0 * lam), seed=cfg.seed,
-    )
-    return [rep]
+    lam, n = 1.0, 20
+    return [_sampled(cfg, "yule_pendant_n", 1, partial(sim.batch_yule_given_n, n, lam),
+                     read_random_pendant, dists.interior_dist_yule(lam),
+                     mean=1.0 / (2.0 * lam))]
 
 
 def _check_yule_interior_n(cfg):
-    rng = sim.RngStream(cfg.seed, 2).generator()
     lam, n = 1.0, 20
-    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_interior,
-                   cfg.reps, rng)
-    rep = compare(
-        emp, dists.interior_dist_yule(lam),
-        check="yule_interior_n", analytic_mean=1.0 / (2.0 * lam), seed=cfg.seed,
-    )
-    return [rep]
+    return [_sampled(cfg, "yule_interior_n", 2, partial(sim.batch_yule_given_n, n, lam),
+                     read_random_interior, dists.interior_dist_yule(lam),
+                     mean=1.0 / (2.0 * lam))]
 
 
 def _check_root_edge_n(cfg):
     lam = 1.0
-    out = []
-    for i, n in enumerate((2, 4, 10)):
-        rng = sim.RngStream(cfg.seed, 10 + i).generator()
-        emp = estimate(partial(sim.batch_yule_given_n, n, lam),
-                       read_random_root_edge, cfg.reps, rng)
-        out.append(compare(
-            emp, dists.root_edge_dist_given_n(n, lam),
-            check=f"root_edge_n:n={n}",
-            analytic_mean=dists.root_edge_mean_given_n(n, lam), seed=cfg.seed,
-        ))
-    return out
+    return [
+        _sampled(cfg, f"root_edge_n:n={n}", 10 + i, partial(sim.batch_yule_given_n, n, lam),
+                 read_random_root_edge, dists.root_edge_dist_given_n(n, lam),
+                 mean=dists.root_edge_mean_given_n(n, lam))
+        for i, n in enumerate((2, 4, 10))
+    ]
 
 
 def _check_root_edge_mean(cfg):
@@ -437,33 +421,23 @@ def _check_root_edge_mean(cfg):
     rng = sim.RngStream(cfg.seed, 13).generator()
     emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_root_edge,
                    max(cfg.reps // 10, 1000), rng)
-    rep = ComparisonReport(check="root_edge_mean", n_samples=emp.n_samples, seed=cfg.seed)
-    rep.moments.append(MomentCheck(
-        name="mean", analytic=dists.root_edge_mean_given_n(n, lam),
-        empirical=emp.mean(), tolerance=3.0 * emp.mean_se(),
-    ))
-    return [rep]
+    return [_report(cfg, "root_edge_mean",
+                    _mean_moment("mean", dists.root_edge_mean_given_n(n, lam), emp),
+                    n_samples=emp.n_samples)]
 
 
 def _check_diversity_gamma(cfg):
     lam, n = 1.0, 10
     rng = sim.RngStream(cfg.seed, 20).generator()
-    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity,
-                   cfg.reps, rng)
-    rep = compare(
-        emp, dists.diversity_dist_given_n(n, lam),
-        check="diversity_gamma",
-        analytic_mean=dists.diversity_mean_given_n(n, lam), seed=cfg.seed,
-    )
+    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity, cfg.reps, rng)
+    rep = compare(emp, dists.diversity_dist_given_n(n, lam), check="diversity_gamma",
+                  analytic_mean=dists.diversity_mean_given_n(n, lam), seed=cfg.seed)
     # variance within 3 SE of the sample variance
-    m = emp.n_samples
     svar = float(emp.samples.var(ddof=1))
     mu4 = float(np.mean((emp.samples - emp.samples.mean()) ** 4))
-    var_se = np.sqrt(max(mu4 - svar ** 2, 0.0) / m)
-    rep.moments.append(MomentCheck(
-        name="variance", analytic=dists.diversity_var_given_n(n, lam),
-        empirical=svar, tolerance=3.0 * var_se,
-    ))
+    var_se = np.sqrt(max(mu4 - svar ** 2, 0.0) / emp.n_samples)
+    rep.moments.append(MomentCheck("variance", dists.diversity_var_given_n(n, lam),
+                                   svar, 3.0 * var_se))
     return [rep]
 
 
@@ -472,38 +446,25 @@ _PENDANT_NX1_GRID = [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
 
 def _check_pendant_given_n_age(cfg):
     x1 = 2.0
-    out = []
-    sid = 30
-    for lam, mu in _PENDANT_NX1_GRID:
-        p = Params(lam=lam, mu=mu)
-        for n in (3, 6):
-            rng = sim.RngStream(cfg.seed, sid).generator()
-            sid += 1
-            emp = estimate(partial(sim.batch_given_n_age, n, x1, p),
-                           read_random_pendant, cfg.reps, rng, atom_at=x1)
-            law = dists.pendant_dist_given_n_age(n, x1, p)
-            out.append(compare(
-                emp, law, check=f"pendant_given_n_age:lam={lam},mu={mu},n={n}",
-                seed=cfg.seed,
-            ))
-    return out
+    cases = [(Params(lam, mu), n) for lam, mu in _PENDANT_NX1_GRID for n in (3, 6)]
+    return [
+        _sampled(cfg, f"pendant_given_n_age:lam={p.lam},mu={p.mu},n={n}", 30 + i,
+                 partial(sim.batch_given_n_age, n, x1, p), read_random_pendant,
+                 dists.pendant_dist_given_n_age(n, x1, p), atom_at=x1)
+        for i, (p, n) in enumerate(cases)
+    ]
 
 
 def _check_given_age_n_law(cfg):
     lam, mu, x1 = 1.0, 0.4, 1.5
     p = Params(lam=lam, mu=mu)
     rng = sim.RngStream(cfg.seed, 40).generator()
-    data = collect(
-        partial(sim.batch_given_age, x1, p),
-        {"n": read_leaf_count, "pendant": read_random_pendant},
-        cfg.reps, rng,
-    )
-    ns = data["n"].astype(int)
-    p_chi = chi_square_counts(ns, lambda n: prob_n_given_age(n, x1, p))
-    rep_n = ComparisonReport(check="given_age_n_law:n", n_samples=cfg.reps, seed=cfg.seed)
-    rep_n.ks = KsCheck(stat=1.0 - p_chi, threshold=0.99)
-    law = dists.pendant_dist_given_age(x1, p)
-    rep_p = compare(_empirical(data["pendant"], x1), law,
+    data = collect(partial(sim.batch_given_age, x1, p),
+                   {"n": read_leaf_count, "pendant": read_random_pendant}, cfg.reps, rng)
+    p_chi = chi_square_counts(data["n"].astype(int), lambda n: prob_n_given_age(n, x1, p))
+    rep_n = ComparisonReport(check="given_age_n_law:n", n_samples=cfg.reps, seed=cfg.seed,
+                             ks=_p_value_check(p_chi))
+    rep_p = compare(_empirical(data["pendant"], x1), dists.pendant_dist_given_age(x1, p),
                     check="given_age_n_law:pendant", seed=cfg.seed)
     return [rep_n, rep_p]
 
@@ -514,24 +475,15 @@ def _check_transform_equivalence(cfg):
     x1 = 1.0
     rng_a = sim.RngStream(cfg.seed, 50).generator()
     rng_b = sim.RngStream(cfg.seed, 51).generator()
-    readers = {
-        "pendant": read_random_pendant,
-        "diversity": read_diversity,
-        "n": read_leaf_count,
-    }
+    readers = {"pendant": read_random_pendant, "diversity": read_diversity,
+               "n": read_leaf_count}
     direct = collect(partial(sim.batch_given_age, x1, p), readers, cfg.reps, rng_a)
     stats = sim.RejectionStats()
-    rejected = collect(
-        partial(sim.batch_forward_given_age, x1, raw, stats=stats),
-        readers, cfg.reps, rng_b,
-    )
-    out = [
-        compare_two_sample(
-            direct[name], rejected[name],
-            check=f"transform_equivalence:{name}", seed=cfg.seed,
-        )
-        for name in readers
-    ]
+    rejected = collect(partial(sim.batch_forward_given_age, x1, raw, stats=stats),
+                       readers, cfg.reps, rng_b)
+    out = [compare_two_sample(direct[name], rejected[name],
+                              check=f"transform_equivalence:{name}", seed=cfg.seed)
+           for name in readers]
     for rep in out:
         rep.rejection = stats
     return out
@@ -551,19 +503,12 @@ def _check_mixture_identity(cfg):
             pn = prob_n_given_age(n, x1, p)
             mix += pn * dists.pendant_dist_given_n_age(n, x1, p).pdf(grid)
         err = float(np.max(np.abs(mix - law.pdf(grid))))
-        rep = ComparisonReport(check=f"mixture_identity:lam={lam},mu={mu},x1={x1}",
-                               n_samples=0, seed=cfg.seed)
-        rep.moments.append(MomentCheck(
-            name="max_abs_density_gap", analytic=0.0, empirical=err, tolerance=1e-6,
-        ))
         atom_sum = sum(
             2.0 / (n * (n - 1)) * prob_n_given_age(n, x1, p) for n in range(2, 2001)
         )
-        rep.moments.append(MomentCheck(
-            name="atom_gap", analytic=law.atom_weight, empirical=atom_sum,
-            tolerance=1e-8,
-        ))
-        out.append(rep)
+        out.append(_report(cfg, f"mixture_identity:lam={lam},mu={mu},x1={x1}",
+                           ("max_abs_density_gap", 0.0, err, 1e-6),
+                           ("atom_gap", law.atom_weight, atom_sum, 1e-8)))
     return out
 
 
@@ -577,35 +522,20 @@ def _check_means_vs_quadrature(cfg):
     out = []
     for n, x1, lam, mu in _MEANS_GRID:
         p = Params(lam=lam, mu=mu)
-        closed = dists.pendant_mean_given_n_age(n, x1, p)
         quad = dists.pendant_dist_given_n_age(n, x1, p).mean()
-        rep = ComparisonReport(check=f"means_vs_quadrature:n={n},lam={lam},mu={mu}",
-                               n_samples=0, seed=cfg.seed)
-        rep.moments.append(MomentCheck(
-            name="pendant_mean_n_age", analytic=quad, empirical=closed,
-            tolerance=1e-6 * abs(quad),
-        ))
-        out.append(rep)
+        out.append(_report(cfg, f"means_vs_quadrature:n={n},lam={lam},mu={mu}",
+                           ("pendant_mean_n_age", quad,
+                            dists.pendant_mean_given_n_age(n, x1, p), 1e-6 * abs(quad))))
     for lam, mu in ((1.0, 0.5), (1.0, 0.999), (2.0, -1.0)):
         p = Params(lam=lam, mu=mu)
-        closed = dists.pendant_mean_given_n(p)
         quad = dists.pendant_dist_given_n(p).mean()
-        rep = ComparisonReport(check=f"means_vs_quadrature:pendant_n,lam={lam},mu={mu}",
-                               n_samples=0, seed=cfg.seed)
-        rep.moments.append(MomentCheck(
-            name="pendant_mean_n", analytic=quad, empirical=closed,
-            tolerance=1e-6 * abs(quad),
-        ))
-        out.append(rep)
+        out.append(_report(cfg, f"means_vs_quadrature:pendant_n,lam={lam},mu={mu}",
+                           ("pendant_mean_n", quad, dists.pendant_mean_given_n(p),
+                            1e-6 * abs(quad))))
     return out
 
 
 def _check_limit_constant(cfg):
-    rep = ComparisonReport(check="limit_constant", n_samples=0, seed=cfg.seed)
-    c = dists.root_edge_limit_constant()
-    rep.moments.append(MomentCheck(
-        name="c", analytic=0.8158, empirical=c, tolerance=5e-4,
-    ))
     # asymptotic survival at large n with lam at its ML value ln(n/2)/x1
     n, x1 = 1_000_000, 1.0
     lam = np.log(n / 2.0) / x1
@@ -614,11 +544,9 @@ def _check_limit_constant(cfg):
     w = 2.0 * np.expm1(lam * grid)
     asym = -np.expm1(-w) / w
     rel = float(np.max(np.abs(exact - asym) / asym))
-    rep.moments.append(MomentCheck(
-        name="asymptotic_survival_rel_err", analytic=0.0, empirical=rel,
-        tolerance=1e-3,
-    ))
-    return [rep]
+    return [_report(cfg, "limit_constant",
+                    ("c", 0.8158, dists.root_edge_limit_constant(), 5e-4),
+                    ("asymptotic_survival_rel_err", 0.0, rel, 1e-3))]
 
 
 def _check_diversity_mean_age(cfg):
@@ -626,12 +554,6 @@ def _check_diversity_mean_age(cfg):
     p = Params(lam=lam, mu=0.0)
     rng = sim.RngStream(cfg.seed, 60).generator()
     emp = estimate(partial(sim.batch_given_age, x1, p), read_diversity, cfg.reps, rng)
-    rep = ComparisonReport(check="diversity_mean_age", n_samples=emp.n_samples,
-                           seed=cfg.seed)
-    rep.moments.append(MomentCheck(
-        name="mean", analytic=dists.diversity_mean_given_age(x1, lam),
-        empirical=emp.mean(), tolerance=3.0 * emp.mean_se(),
-    ))
     # MGF derivative vs sampler mean under fixed (n, x1)
     n2, x2 = 6, 2.0
     rng2 = sim.RngStream(cfg.seed, 61).generator()
@@ -640,11 +562,10 @@ def _check_diversity_mean_age(cfg):
     h = 1e-6
     mgf_mean = (dists.diversity_mgf_given_n_age(h, n2, x2, lam)
                 - dists.diversity_mgf_given_n_age(-h, n2, x2, lam)) / (2.0 * h)
-    rep.moments.append(MomentCheck(
-        name="mgf_derivative_vs_sampler", analytic=mgf_mean,
-        empirical=emp2.mean(), tolerance=3.0 * emp2.mean_se(),
-    ))
-    return [rep]
+    return [_report(cfg, "diversity_mean_age",
+                    _mean_moment("mean", dists.diversity_mean_given_age(x1, lam), emp),
+                    _mean_moment("mgf_derivative_vs_sampler", mgf_mean, emp2),
+                    n_samples=emp.n_samples)]
 
 
 def _normalization_laws():
@@ -665,13 +586,10 @@ def _normalization_laws():
 
 
 def _check_normalization(cfg):
-    rep = ComparisonReport(check="normalization", n_samples=0, seed=cfg.seed)
     tol = dists.QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
-    for name, law in _normalization_laws():
-        rep.moments.append(MomentCheck(
-            name=name, analytic=1.0, empirical=law.total_mass(tol), tolerance=1e-8,
-        ))
-    return [rep]
+    return [_report(cfg, "normalization",
+                    *((name, 1.0, law.total_mass(tol), 1e-8)
+                      for name, law in _normalization_laws()))]
 
 
 _CHECKS = {
@@ -698,9 +616,7 @@ def verify_suite(config: VerifyConfig) -> List[ComparisonReport]:
     names = tuple(config.checks) or CHECK_NAMES
     unknown = [c for c in names if c not in _CHECKS]
     if unknown:
-        raise ValueError(
-            f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}"
-        )
+        raise ValueError(f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}")
     reports: List[ComparisonReport] = []
     for name in names:
         t0 = time.perf_counter()

@@ -279,25 +279,30 @@ class RejectionStats:
         return self.accepted / self.attempts if self.attempts else float("nan")
 
 
+# the per-tree rejection oracle gives up after this many attempts at one tree,
+# and the lockstep forward oracle once a block ends this many attempts after
+# its last acceptance
+MAX_ATTEMPTS = 10_000_000
+
+
 def sample_rejection_given_age(
     x1: float,
     raw: RawParams,
     rng,
-    max_attempts: int = 10_000_000,
     stats: Optional[RejectionStats] = None,
 ) -> ReconTree:
     """Forward-simulation oracle conditioned on MRCA age x1.
 
     Runs both root-child lineages forward for duration x1 and accepts only
     when each has at least one sampled extant descendant, which makes x1
-    exactly the MRCA age of the sampled tips.  Raises when ``max_attempts``
-    is exhausted, reporting the estimated acceptance rate.
+    exactly the MRCA age of the sampled tips.  Raises after
+    :data:`MAX_ATTEMPTS` attempts, reporting the estimated acceptance rate.
     """
     _check_x1(x1)
     rng = as_generator(rng)
     if stats is None:
         stats = RejectionStats()
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         stats.attempts += 1
         try:
             side_a = simulate_forward(raw, x1, rng)
@@ -327,7 +332,7 @@ def sample_rejection_given_age(
         assert tree is not None
         return tree
     raise RuntimeError(
-        f"no acceptance within {max_attempts} attempts "
+        f"no acceptance within {MAX_ATTEMPTS} attempts "
         f"(estimated acceptance rate {stats.acceptance_rate:.3g})"
     )
 
@@ -626,10 +631,6 @@ def sample_given_age(x1: float, p: Params, rng) -> ReconTree:
 # of the per-tree oracle; 1 << 17 ran 10^5 trees about 1.6x as fast but
 # peaked near 3 MB at 1000 trees
 FORWARD_NODES = 1 << 14
-
-# the lockstep forward oracle gives up once a block ends this many attempts
-# after its last acceptance (the per-tree oracle's default cap per tree)
-MAX_ATTEMPTS = 10_000_000
 
 
 def _forward_sides(sides: int, x1: float, raw: RawParams, rng) -> tuple:

@@ -15,7 +15,7 @@ meets the bounds below, which are stricter than the registry's:
 * c01's check runs within 30 s.
 """
 
-from recontree import mc
+from recontree import mc, sim
 
 REPS = 100_000
 SEED = 20260824
@@ -78,6 +78,22 @@ def test_criteria_cover_the_registry():
     # every registry check has exactly one gate, and every gate a check
     named = [c for _, checks in CRITERIA.values() for c in checks]
     assert sorted(named) == sorted(mc.CHECK_NAMES)
+
+
+def test_each_check_draws_its_own_streams(monkeypatch):
+    # no stream id is built twice across the suite, so a check run alone
+    # draws what it draws in the full suite
+    built = []
+
+    class Recording(sim.RngStream):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.seed, self.stream_id))
+
+    monkeypatch.setattr(sim, "RngStream", Recording)
+    mc.verify_suite(mc.VerifyConfig(reps=1000, seed=SEED))
+    assert built and {seed for seed, _ in built} == {SEED}
+    assert len(set(built)) == len(built), sorted(built)
 
 
 def test_c01_yule_pendant_law():

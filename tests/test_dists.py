@@ -215,6 +215,42 @@ class TestPendantGivenAge:
         d = dists.pendant_dist_given_age(x1, p)
         assert d.total_mass() == pytest.approx(1.0, abs=1e-8)
 
+    @staticmethod
+    def _pdf_80_digits(s, x1, p):
+        """2 p1(s)/p0(x1) (W1 - (p0(s)/p0(x1)) W3), the closed form at 80 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            lam, mu, s, x1 = (mpmath.mpf(v) for v in (p.lam, p.mu, s, x1))
+            if p.is_critical:
+                p0 = lambda t: t / (1 + lam * t)
+                p1 = lambda t: 1 / (1 + lam * t) ** 2
+            else:
+                e = lambda t: mpmath.exp(-(lam - mu) * t)
+                p0 = lambda t: (1 - e(t)) / (lam - mu * e(t))
+                p1 = lambda t: (lam - mu) ** 2 * e(t) / (lam - mu * e(t)) ** 2
+            r = lam * p0(x1)
+            c = 1 - r
+            w = lambda k: (k + 1) * r - k - 2 * k * c * c * (mpmath.log(c) / r + 1) / r
+            return float(2 * p1(s) / p0(x1) * (w(1) - p0(s) / p0(x1) * w(3)))
+
+    PDF_CASES = [
+        (YULE, 30.0), (Params(1.0, 0.5), 40.0), (Params(1.0, 0.9), 200.0), (NEG, 15.0),
+        (Params(38.704242132591524, 38.08867005325228), 98.0519235834409),
+        *((p, x1) for x1 in (1e-8, 1.5) for p in (*REGIMES, Params(1.0, 0.9))),
+    ]
+
+    @pytest.mark.parametrize("p, x1", PDF_CASES,
+                             ids=[f"lam={p.lam},mu={p.mu},x1={x1}" for p, x1 in PDF_CASES])
+    def test_pdf_against_80_digits(self, p, x1):
+        # W1 - G W3 with G = p0(s)/p0(x1) is O(1 - r) as s nears x1; formed
+        # directly it lost up to 3.6e-4 relative at Yule, x1 = 30, and went
+        # negative in the near-critical case
+        law = dists.pendant_dist_given_age(x1, p)
+        for frac in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+            want = self._pdf_80_digits(frac * x1, x1, p)
+            assert abs(law.pdf(frac * x1) - want) < 1e-12 * want, frac
+        assert np.all(law.pdf(np.linspace(0.0, x1, 2001)) >= 0.0)
+
     def test_age_weight_against_series(self):
         x1, p = 1.5, SUB
         r = p.lam * dists.p0(x1, p)

@@ -27,8 +27,6 @@ class TestEmpiricalDist:
         assert e.n_samples == 4
         assert e.mean() == 2.0
         assert e.atom_fraction == 0.0
-        assert e.ecdf(2.0) == 0.75
-        assert e.ecdf(0.5) == 0.0
 
     def test_atom_bucket(self):
         s = np.array([0.2, 0.5, 1.0, 1.0, 1.0])
@@ -67,20 +65,18 @@ class TestKsOneSample:
         assert stat > 0.1
 
 
-class TestCompare:
-    def test_self_comparison_is_zero(self):
-        rng = np.random.default_rng(1)
-        e = EmpiricalDist(samples=np.sort(rng.random(2000)))
-        rep = compare(e, e, check="self")
-        assert rep.ks.stat == 0.0
-        assert rep.passed
+def _law(pdf, cdf):
+    """A law without an atom, as ``compare`` takes it."""
+    return MixedDist(math.inf, pdf, cdf)
 
+
+class TestCompare:
     def test_callable_cdf_pass(self):
         rng = np.random.default_rng(2)
         samples = np.sort(rng.exponential(0.5, 20_000))
         rep = compare(
-            e := EmpiricalDist(samples=samples),
-            lambda s: -np.expm1(-2.0 * s),
+            EmpiricalDist(samples=samples),
+            _law(lambda s: 2.0 * np.exp(-2.0 * s), lambda s: -np.expm1(-2.0 * s)),
             analytic_mean=0.5,
         )
         assert rep.ks.passed
@@ -101,19 +97,22 @@ class TestCompare:
     def test_requires_sorted(self):
         e = EmpiricalDist(samples=np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match="sorted"):
-            compare(e, lambda s: s)
+            compare(e, _law(lambda s: np.ones_like(s), lambda s: s))
 
     def test_failing_mean_fails_report(self):
         rng = np.random.default_rng(3)
         e = EmpiricalDist(samples=np.sort(rng.exponential(1.0, 5000)))
-        rep = compare(e, lambda s: -np.expm1(-s), analytic_mean=2.0)
+        rep = compare(e, _law(lambda s: np.exp(-s), lambda s: -np.expm1(-s)),
+                      analytic_mean=2.0)
         assert not rep.moments[0].passed
         assert not rep.passed
 
     def test_report_schema(self):
         rng = np.random.default_rng(4)
         e = EmpiricalDist(samples=np.sort(rng.random(2000)))
-        d = compare(e, lambda s: np.clip(s, 0, 1), check="x", seed=5).to_dict()
+        uniform = _law(lambda s: ((s >= 0) & (s <= 1)).astype(float),
+                       lambda s: np.clip(s, 0, 1))
+        d = compare(e, uniform, check="x", seed=5).to_dict()
         assert set(d) == {"check", "n_samples", "seed", "ks", "moments",
                           "atom", "pass", "wall_time_s"}
         assert d["check"] == "x" and d["seed"] == 5

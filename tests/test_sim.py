@@ -373,11 +373,12 @@ class TestRejectionGivenAge:
             se = math.sqrt(predicted * (1 - predicted) / stats.attempts)
             assert abs(stats.acceptance_rate - predicted) < 4 * se
 
-    def test_max_attempts_exhausted(self):
+    def test_max_attempts_exhausted(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
         rng = np.random.default_rng(19)
         raw = RawParams(1.0, 1.0, 0.01)  # critical with heavy subsampling
-        with pytest.raises(RuntimeError, match="acceptance"):
-            sample_rejection_given_age(8.0, raw, rng, max_attempts=5)
+        with pytest.raises(RuntimeError, match="no acceptance within 5 attempts"):
+            sample_rejection_given_age(8.0, raw, rng)
 
 
 class TestForwardGivenAge:
