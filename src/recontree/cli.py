@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -78,8 +79,8 @@ def _parse_grid(spec: str):
     lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     if pts < 2:
         raise ValueError("grid needs at least 2 points")
-    if not hi > lo >= 0:
-        raise ValueError("grid must satisfy 0 <= min < max")
+    if not math.inf > hi > lo >= 0:
+        raise ValueError("grid must satisfy 0 <= min < max < inf")
     return np.linspace(lo, hi, pts)
 
 
@@ -144,17 +145,18 @@ def _require(value, flag):
 
 def cmd_density(args) -> int:
     p, raw = _resolve_params(args)
+    if args.x1 is not None:
+        sim._check_x1(args.x1)
     law, desc = _density_law(args, p)
     grid = _parse_grid(args.grid)
     if math.isfinite(law.support_end):
         grid = grid[grid <= law.support_end]
+    pdf = np.asarray(law.pdf(grid), dtype=float).tolist()
+    cdf = np.asarray(law.cdf(grid), dtype=float).tolist()
     with _open_out(args.output) as out:
-        out.write(f"# law: {desc}; {_params_label(p, raw)}\n")
-        out.write("s,pdf,cdf\n")
-        pdf = np.asarray(law.pdf(grid), dtype=float)
-        cdf = np.asarray(law.cdf(grid), dtype=float)
-        for s, d, c in zip(grid, pdf, cdf):
-            out.write(f"{s:.12g},{d:.12g},{c:.12g}\n")
+        out.write(f"# law: {desc}; {_params_label(p, raw)}\ns,pdf,cdf\n")
+        out.write("".join(f"{s:.12g},{d:.12g},{c:.12g}\n"
+                          for s, d, c in zip(grid.tolist(), pdf, cdf)))
         if law.atom_weight > 0.0:
             out.write(f"{law.support_end:.12g},atom,{law.atom_weight:.12g}\n")
     return 0
@@ -275,6 +277,7 @@ def cmd_expect(args) -> int:
     p, raw = _resolve_params(args)
     n = args.n if args.n is not None else 10
     x1 = args.x1 if args.x1 is not None else 1.0
+    sim._check_x1(x1)
     values = {"n": n, "x1": x1, "p": p}
     rows = [
         (label.format(**values), getattr(dists, name)(*(values[a] for a in names)))
@@ -298,6 +301,7 @@ def cmd_expect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; each parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recontree",
@@ -355,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad arguments, and parameters the library rejects
+    except (ValueError, OSError) as exc:  # bad arguments, rejected parameters, unwritable -o
         print(f"recontree {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, special, stats
+import scipy
 
 from .kernel import Params, _ratio_log_c, p0, p1, yule_rate
 
@@ -80,7 +80,7 @@ _MAX_SUBDIVISIONS = 200
 
 
 def _quad(f, a, b, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    val, _ = integrate.quad(
+    val, _ = scipy.integrate.quad(
         f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=_MAX_SUBDIVISIONS,
     )
     return val
@@ -211,8 +211,8 @@ def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
     _check_speciation_index(k, n)
     g, G = speciation_kernel(s, x1, p)
     return np.exp(
-        special.xlogy(n - k - 1, G) + special.xlog1py(k - 2, -G)
-        - special.betaln(n - k, k - 1)
+        scipy.special.xlogy(n - k - 1, G) + scipy.special.xlog1py(k - 2, -G)
+        - scipy.special.betaln(n - k, k - 1)
     ) * g
 
 
@@ -220,7 +220,7 @@ def speciation_time_cdf(s, k: int, n: int, x1: float, p: Params):
     _check_speciation_index(k, n)
     _, G = speciation_kernel(s, x1, p)
     # regularized incomplete beta: CDF of the (n-k)-th order statistic
-    return special.betainc(n - k, k - 1, G)
+    return scipy.special.betainc(n - k, k - 1, G)
 
 
 def _check_speciation_index(k: int, n: int):
@@ -512,7 +512,7 @@ def root_edge_limit_constant() -> float:
             return 0.5  # removable singularity
         return -math.expm1(-x) / (x * (2.0 + x))
 
-    val, err = integrate.quad(
+    val, err = scipy.integrate.quad(
         integrand, 0.0, np.inf,
         epsabs=_DEFAULT_QUAD.abs_tol, epsrel=_DEFAULT_QUAD.rel_tol, limit=400,
     )
@@ -531,8 +531,8 @@ def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
     _at_least("n", n, 2)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda d: stats.gamma.pdf(d, n - 1, scale=1.0 / lam),
-        cdf=lambda d: stats.gamma.cdf(d, n - 1, scale=1.0 / lam),
+        pdf=lambda d: scipy.stats.gamma.pdf(d, n - 1, scale=1.0 / lam),
+        cdf=lambda d: scipy.stats.gamma.cdf(d, n - 1, scale=1.0 / lam),
     )
 
 

@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+import scipy
 
 from . import dists, sim
 from .dists import MixedDist
@@ -336,7 +336,7 @@ def compare_two_sample(
     a: np.ndarray, b: np.ndarray, check: str = "", seed: Optional[int] = None,
 ) -> ComparisonReport:
     """Two-sample KS comparison; passes when p > ``_ALPHA``."""
-    res = sps.ks_2samp(a, b)
+    res = scipy.stats.ks_2samp(a, b)
     report = ComparisonReport(check=check, n_samples=len(a) + len(b), seed=seed)
     report.ks = _p_value_check(float(res.pvalue))
     return report
@@ -363,7 +363,7 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
         observed[-2] += observed[-1]
         expected = expected[:-1]
         observed = observed[:-1]
-    _, p = sps.chisquare(observed, expected)
+    _, p = scipy.stats.chisquare(observed, expected)
     return float(p)
 
 

@@ -225,8 +225,8 @@ def _check_n(n: int) -> None:
 
 
 def _check_x1(x1: float) -> None:
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    if not math.inf > x1 > 0:
+        raise ValueError(f"x1 must be > 0 and finite, got {x1}")
 
 
 def _check_reps(reps: int) -> None:

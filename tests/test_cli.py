@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recontree.cli import main
+from recontree.cli import build_parser, main
 from recontree.tree import from_newick
 
 
@@ -252,9 +256,117 @@ class TestExpect:
         assert not any(k.startswith("E[diversity") for k in payload["values"])
 
     def test_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RECONTREE_SEED", "99")
-        out = tmp_path / "t.ndjson"
-        run(["simulate", "--scenario", "given-n", "--n", "3", "--reps", "1",
-             "-o", str(out)])
-        man = json.loads(out.read_text().splitlines()[0])["manifest"]
-        assert man["seed"] == 99
+        seeds = []
+        for env in ("99", "100"):  # read again on each call
+            monkeypatch.setenv("RECONTREE_SEED", env)
+            out = tmp_path / env
+            assert run(["simulate", "--scenario", "given-n", "--n", "3", "--reps", "1",
+                        "-o", str(out)]) == 0
+            seeds.append(json.loads(out.read_text().splitlines()[0])["manifest"]["seed"])
+        assert seeds == [99, 100]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--scenario", "given-n-age", "--n", "3", "--x1", "inf"],
+         "x1 must be > 0 and finite"),
+        (["simulate", "--scenario", "given-age", "--x1", "inf"], "x1 must be > 0 and finite"),
+        (["simulate", "--scenario", "rejection-given-age", "--x1", "inf", "--lam-hat", "1"],
+         "x1 must be > 0 and finite"),
+        (["density", "--law", "pendant", "--grid", "0:inf:4"],
+         "grid must satisfy 0 <= min < max < inf"),
+        (["density", "--law", "pendant", "--grid", "nan:1:4"],
+         "grid must satisfy 0 <= min < max < inf"),
+        (["density", "--law", "pendant", "--scenario", "given-age", "--x1", "inf",
+          "--grid", "0:1:4"], "x1 must be > 0 and finite"),
+        (["expect", "--x1", "inf"], "x1 must be > 0 and finite"),
+        (["expect", "--x1", "nan", "--mu", "0.5"], "x1 must be > 0 and finite"),
+    ])
+    def test_non_finite_input_exits_2(self, args, message, tmp_path, capsys, recwarn):
+        out = tmp_path / "f"
+        assert_usage_error([*args, "-o", str(out)], f"recontree {args[0]}: {message}", capsys)
+        assert not out.exists()
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["density", "--law", "pendant", "--grid", "0:1:4"],
+        ["simulate", "--scenario", "given-n", "--n", "4", "--reps", "2", "--seed", "1"],
+        ["verify", "--check", "limit_constant", "--reps", "1000", "--seed", "1"],
+        ["expect"],
+    ])
+    def test_unwritable_output_exits_2(self, args, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x"
+        assert_usage_error([*args, "-o", str(out)],
+                           f"recontree {args[0]}: [Errno 2] No such file or directory", capsys)
+        assert not out.parent.exists()
+
+
+class TestCachedParser:
+    """``build_parser`` is cached; no call may see another call's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_append_option_starts_empty(self, tmp_path, capsys):
+        parse = build_parser().parse_args
+        assert parse(["verify", "--check", "a"]).check == ["a"]
+        assert parse(["verify", "--check", "b"]).check == ["b"]
+        # end to end: a left-over "bogus" would make the second call exit 2
+        assert run(["verify", "--check", "bogus", "--reps", "1000"]) == 2
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "limit_constant", "--reps", "1000", "--seed", "1",
+                    "-o", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["check"] for r in reports] == ["limit_constant"]
+
+    def test_defaults_come_back(self, tmp_path):
+        parse = build_parser().parse_args
+        given = ["density", "--law", "pendant", "--scenario", "given-n-age", "--n", "5",
+                 "--x1", "2", "--grid", "0:2:5"]
+        plain = ["density", "--law", "pendant", "--grid", "0:2:5"]
+        first = parse(given)
+        assert (first.scenario, first.n, first.x1) == ("given-n-age", 5, 2.0)
+        second = parse(plain)
+        assert (second.scenario, second.n, second.x1) == ("given-n", None, None)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run([*given, "-o", str(a)]) == 0
+        assert run([*plain, "-o", str(b)]) == 0
+        assert b.read_text().splitlines()[0] == "# law: pendant | n; lam=1.0 mu=0.0"
+
+
+# Run in a fresh interpreter, so that no other test has loaded scipy yet.
+_SCIPY_SUBMODULES_SCRIPT = """
+import os, sys
+from recontree import cli, dists, kernel, mc, sim, tree
+
+out = ["-o", os.path.join(sys.argv[1], "out")]
+simulate = ["simulate", "--reps", "5", "--seed", "1", "--scenario"]
+density = ["density", "--grid", "0:2:5", "--law"]
+for argv in (
+    [*simulate, "given-n", "--n", "6"],
+    [*simulate, "given-n-age", "--n", "6", "--x1", "2", "--mu", "0.5"],
+    [*simulate, "given-age", "--x1", "1", "--mu", "0.5"],
+    [*simulate, "rejection-given-age", "--x1", "1", "--lam-hat", "1", "--mu-hat", "0.5"],
+    [*density, "pendant", "--mu", "0.5"],
+    [*density, "pendant", "--scenario", "given-n-age", "--n", "6", "--x1", "2"],
+    [*density, "pendant", "--scenario", "given-age", "--x1", "2", "--mu", "0.5"],
+    [*density, "interior"],
+    [*density, "root-edge", "--n", "6"],
+    [*density, "root-edge", "--scenario", "given-age", "--x1", "2"],
+    [*density, "hypoexp", "--k", "4"],
+):
+    assert cli.main([*argv, *out]) == 0, argv
+loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.stats") if m in sys.modules]
+assert not loaded, f"loaded {loaded}"
+# the laws that need scipy still load it on first use
+assert cli.main([*density, "diversity", "--n", "5", *out]) == 0
+assert cli.main(["expect", *out]) == 0
+"""
+
+
+def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SUBMODULES_SCRIPT, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
