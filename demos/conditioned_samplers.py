@@ -2,7 +2,8 @@
 
 Demonstrates the three direct samplers (fixed n; fixed n and MRCA age;
 fixed age alone), reproducible seeding, Newick round trips, and the
-rejection oracle that validates the sampling-fraction transformation
+lockstep forward-simulation oracle (``batch_forward_given_age``) that
+validates the sampling-fraction transformation
 (lam = f*lam_hat, mu = mu_hat - lam_hat*(1-f)).
 
 Run:  python demos/conditioned_samplers.py
@@ -18,12 +19,16 @@ from recontree import (
     from_newick,
     sample_given_age,
     sample_given_n_age,
-    sample_rejection_given_age,
     sample_yule_given_n,
     to_newick,
     transform_params,
 )
-from recontree.sim import RejectionStats, batch_given_age, tree_stream
+from recontree.sim import (
+    RejectionStats,
+    batch_forward_given_age,
+    batch_given_age,
+    tree_stream,
+)
 
 
 def direct_samplers():
@@ -66,10 +71,8 @@ def rejection_oracle():
     x1, reps = 1.0, 4000
     stats_rej = RejectionStats()
     rng = RngStream(9, 0).generator()
-    rejected = np.array([
-        sample_rejection_given_age(x1, raw, rng, stats=stats_rej).n
-        for _ in range(reps)
-    ])
+    rejected = np.array([t.n for t in tree_stream(
+        batch_forward_given_age(x1, raw, reps, rng, stats=stats_rej))])
     rng = RngStream(9, 1).generator()
     direct = np.array([t.n for t in tree_stream(batch_given_age(x1, p, reps, rng))])
     print(f"rejection acceptance rate: {stats_rej.acceptance_rate:.3f}")

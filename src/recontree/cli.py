@@ -72,6 +72,11 @@ def _resolve_params(args) -> tuple[Params, Optional[RawParams]]:
     return Params(lam=lam, mu=mu), None
 
 
+# the most points a --grid may ask for, so that each array over the grid
+# stays within 8 MB
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -79,6 +84,8 @@ def _parse_grid(spec: str):
     lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     if pts < 2:
         raise ValueError("grid needs at least 2 points")
+    if pts > MAX_GRID_POINTS:
+        raise ValueError(f"grid takes at most {MAX_GRID_POINTS:.0e} points, got {pts}")
     if not math.inf > hi > lo >= 0:
         raise ValueError("grid must satisfy 0 <= min < max < inf")
     return np.linspace(lo, hi, pts)
@@ -194,8 +201,7 @@ def cmd_simulate(args) -> int:
             raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
                 raise ValueError("rejection simulation needs raw parameters")
-        sim._check_x1(args.x1)  # the oracle checks it only when the first tree is drawn
-        trees = (sim.sample_rejection_given_age(args.x1, raw, rng) for _ in range(args.reps))
+        trees = sim.tree_stream(sim.batch_forward_given_age(args.x1, raw, args.reps, rng))
     else:
         raise ValueError(f"unknown scenario {scen!r}")
 

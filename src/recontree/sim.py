@@ -24,13 +24,14 @@ descendant; an *attempt* is one pair of sides, and :class:`RejectionStats`
 counts attempts and acceptances.  Neither shares code with the exact
 samplers:
 
+* :func:`batch_forward_given_age` runs a block of sides in lockstep as
+  arrays.  The ``transform_equivalence`` check and ``recontree simulate
+  --scenario rejection-given-age`` draw from it.
 * :func:`sample_rejection_given_age` runs one pair at a time with scalar
   draws (:func:`simulate_forward`, then :func:`reconstruct`) and returns
-  one :class:`ReconTree`.  It is the reference, and ``recontree simulate
-  --scenario rejection-given-age`` streams its trees.
-* :func:`batch_forward_given_age` runs a block of sides in lockstep as
-  arrays, on a stream of its own; the ``transform_equivalence`` check draws
-  from it.
+  one :class:`ReconTree`.  It is the independent reference the tests hold
+  the lockstep oracle to; the benchmark's tracer looks it and its two
+  helpers up by name, so they keep their names.
 
 At lambda_hat=2, mu_hat=0.5, f=0.5, x1=1 (acceptance rate 0.455), the
 per-tree oracle took 200-230 µs per accepted tree and the lockstep oracle
@@ -46,7 +47,8 @@ a batch of a thousand.  A block with fewer than :data:`LOCKSTEP_ROWS` rows
 attaches its topology row by row on Python lists; a larger one runs a
 numpy loop over all rows in lockstep.  Both give the same trees.  The
 lockstep oracle instead draws block by block, so its trees depend on
-``reps`` and :data:`FORWARD_NODES`.
+``reps`` and :data:`FORWARD_NODES`: the first k trees of ``simulate
+--scenario rejection-given-age --reps 10`` are not those of ``--reps 100``.
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -291,12 +293,16 @@ def sample_rejection_given_age(
     rng,
     stats: Optional[RejectionStats] = None,
 ) -> ReconTree:
-    """Forward-simulation oracle conditioned on MRCA age x1.
+    """Forward-simulation oracle conditioned on MRCA age x1, one tree.
 
     Runs both root-child lineages forward for duration x1 and accepts only
     when each has at least one sampled extant descendant, which makes x1
     exactly the MRCA age of the sampled tips.  Raises after
     :data:`MAX_ATTEMPTS` attempts, reporting the estimated acceptance rate.
+
+    This is the scalar reference for :func:`batch_forward_given_age`, which
+    every caller in the package uses; the tests compare the two laws.  The
+    benchmark's tracer looks this name up, so it stays as it is.
     """
     _check_x1(x1)
     rng = as_generator(rng)

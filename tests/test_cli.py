@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from recontree import sim
 from recontree.cli import build_parser, main
 from recontree.tree import from_newick
 
@@ -68,6 +70,17 @@ class TestDensity:
     def test_rejects_bad_grid_values(self, grid, message, capsys):
         assert_usage_error(["density", "--law", "pendant", "--grid", grid],
                            message, capsys)
+
+    def test_rejects_huge_grid_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "d.csv"
+        assert_usage_error(["density", "--law", "pendant", "--grid", "0:1:1000000000000",
+                            "-o", str(out)],
+                           "recontree density: grid takes at most 1e+06 points", capsys)
+        assert not out.exists()
 
     def test_rejects_extinction_for_yule_law(self, capsys):
         assert_usage_error(["density", "--law", "diversity", "--scenario", "given-n",
@@ -153,6 +166,32 @@ class TestSimulate:
                     "--reps", "3", "--seed", "3", "-o", str(out)]) == 0
         recs = [json.loads(l) for l in out.read_text().splitlines()][1:]
         assert all(abs(r["x1"] - 1.0) < 1e-9 for r in recs)
+
+    def test_rejection_streams_the_lockstep_engine(self, tmp_path, monkeypatch):
+        def per_tree(*args, **kwargs):
+            raise AssertionError("the per-tree oracle was called")
+
+        monkeypatch.setattr(sim, "sample_rejection_given_age", per_tree)
+        monkeypatch.setattr(sim, "simulate_forward", per_tree)
+        out = tmp_path / "t.ndjson"
+        assert run(["simulate", "--scenario", "rejection-given-age", "--x1", "1",
+                    "--lam-hat", "2", "--mu-hat", "0.5", "--f", "0.5",
+                    "--reps", "50", "--seed", "5", "-o", str(out)]) == 0
+        recs = [json.loads(l) for l in out.read_text().splitlines()][1:]
+        assert [r["id"] for r in recs] == list(range(50))
+        for r in recs:
+            assert r["x1"] == 1.0
+            assert from_newick(r["newick"]).n == r["n"]
+
+    def test_rejection_size_guard(self, tmp_path, capsys):
+        # the lockstep engine refuses e^50 lineages per side before any draw
+        out = tmp_path / "f"
+        start = time.perf_counter()
+        assert_usage_error(["simulate", "--scenario", "rejection-given-age",
+                            "--lam-hat", "5", "--x1", "10", "-o", str(out)],
+                           "mean lineage count per side", capsys)
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,message", [
         (["--scenario", "given-n", "--n", "1"], "n must be >= 2"),

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from recontree import dists, mc, sim
-from recontree.kernel import Params, RawParams, p0, transform_params
+from recontree.kernel import Params, RawParams, p0, prob_n_given_age, transform_params
 from recontree.sim import (
     ExtinctRun,
     RejectionStats,
@@ -411,6 +411,16 @@ class TestForwardGivenAge:
                         {"n": mc.read_leaf_count}, 20_000, np.random.default_rng(23))["n"]
         exact = 2.0 / (1.0 - p.lam * p0(self.X1, p))
         assert abs(ns.mean() - exact) < 4 * ns.std(ddof=1) / math.sqrt(ns.size)
+
+    def test_tip_count_law(self):
+        # chi-square of n against the exact law p_n(x1) in the transformed
+        # rates, as c06 checks the exact sampler; no per-tree oracle involved
+        p = transform_params(self.RAW)
+        ns = mc.collect(partial(sim.batch_forward_given_age, self.X1, self.RAW),
+                        {"n": mc.read_leaf_count}, 20_000, np.random.default_rng(26))["n"]
+        p_chi = mc.chi_square_counts(ns.astype(int),
+                                     lambda n: prob_n_given_age(n, self.X1, p))
+        assert p_chi > 0.01
 
     @pytest.mark.parametrize("raw, x1", [(RawParams(2.0, 0.5, 0.5), 1.0),
                                          (RawParams(1.0, 0.3, 1.0), 1.5),
