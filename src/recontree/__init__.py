@@ -7,7 +7,7 @@ exact conditioned samplers and a Monte Carlo harness that cross-validates
 every law against simulation.
 """
 
-from .kernel import Params, RawParams, Regime, p0, p1, prob_n_given_age, transform_params
+from .kernel import Params, RawParams, p0, p1, prob_n_given_age, transform_params
 from .sim import (
     RngStream,
     ExtinctRun,
@@ -23,7 +23,6 @@ from .tree import FullTree, ReconTree, from_newick, to_newick
 __all__ = [
     "Params",
     "RawParams",
-    "Regime",
     "p0",
     "p1",
     "prob_n_given_age",

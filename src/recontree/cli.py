@@ -184,10 +184,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
     if scen == "given-n":
         _require(args.n, "--n")
-        if not p.is_yule:
-            raise ValueError("given-n simulation requires mu = 0 "
-                             "(the fixed-n sampler is pure birth)")
-        trees = sim.tree_stream(sim.batch_yule_given_n(args.n, p.lam, args.reps, rng))
+        trees = sim.tree_stream(sim.batch_yule_given_n(args.n, p, args.reps, rng))
     elif scen == "given-n-age":
         _require(args.n, "--n")
         _require(args.x1, "--x1")

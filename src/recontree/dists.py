@@ -30,7 +30,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy
 
-from .kernel import Params, _ratio_log_c, p0, p1, yule_rate
+from .kernel import Params, _at_least, _positive, _ratio_log_c, p0, p1, yule_rate
 
 __all__ = [
     "MixedDist",
@@ -113,16 +113,6 @@ class MixedDist:
         if self.atom_weight > 0.0:
             m += self.atom_weight * self.support_end
         return m
-
-
-def _at_least(name: str, value: int, least: int):
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
-def _positive(name: str, value: float):
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------

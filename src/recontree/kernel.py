@@ -19,10 +19,8 @@ descendant after time s.
 
 from __future__ import annotations
 
-import enum
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -30,7 +28,6 @@ import numpy as np
 __all__ = [
     "RawParams",
     "Params",
-    "Regime",
     "transform_params",
     "yule_rate",
     "p0",
@@ -58,50 +55,32 @@ class RawParams:
             raise ValueError(f"f must lie in (0, 1], got {self.f}")
 
 
-class Regime(enum.Enum):
-    SUBCRITICAL = "subcritical"  # mu < lam (includes mu < 0)
-    CRITICAL = "critical"        # |lam - mu| within tolerance
-    YULE = "yule"                # mu within tolerance of 0
+# |lam - mu| (critical) or |mu| (Yule) below CRITICAL_TOL * lam counts as zero;
+# the subcritical closed forms suffer 0/0 cancellation as lam - mu -> 0, and
+# the critical-branch formulas are used there instead
+CRITICAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Params:
-    """Transformed (complete-sampling) parameters.
-
-    ``critical_tol`` is the absolute threshold below which |lam - mu| is
-    treated as zero; the subcritical closed forms suffer 0/0 cancellation
-    there and the critical-branch formulas are used instead.
-    """
+    """Transformed (complete-sampling) parameters."""
 
     lam: float
     mu: float = 0.0
-    critical_tol: float = field(default=0.0)
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.mu > self.lam:
             raise ValueError(f"mu must be <= lam, got mu={self.mu} lam={self.lam}")
-        if self.critical_tol == 0.0:
-            object.__setattr__(self, "critical_tol", 1e-8 * self.lam)
-        if not self.critical_tol > 0:
-            raise ValueError("critical_tol must be > 0")
-
-    @functools.cached_property  # fixed per instance; stored in its __dict__
-    def regime(self) -> Regime:
-        if abs(self.lam - self.mu) <= self.critical_tol:
-            return Regime.CRITICAL
-        if abs(self.mu) <= self.critical_tol:
-            return Regime.YULE
-        return Regime.SUBCRITICAL
 
     @property
     def is_critical(self) -> bool:
-        return self.regime is Regime.CRITICAL
+        return abs(self.lam - self.mu) <= CRITICAL_TOL * self.lam
 
     @property
     def is_yule(self) -> bool:
-        return self.regime is Regime.YULE
+        return abs(self.mu) <= CRITICAL_TOL * self.lam
 
 
 def transform_params(raw: RawParams) -> Params:
@@ -121,6 +100,16 @@ def yule_rate(lam: Union[float, Params]) -> float:
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     return float(lam)
+
+
+def _at_least(name: str, value: int, least: int):
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _positive(name: str, value: float):
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _check_time(s):
@@ -185,9 +174,7 @@ def prob_n_given_age(n: int, x1: float, p: Params) -> float:
     which simplifies to (n-1) c^2 r^{n-2} with r = lam*p0(x1) and c = 1 - r,
     using the identity p1 = (1 - mu p0)(1 - lam p0).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not x1 > 0:
-        raise ValueError(f"x1 must be > 0, got {x1}")
+    _at_least("n", n, 2)
+    _positive("x1", x1)
     r, log_c = _ratio_log_c(x1, p)
     return (n - 1) * math.exp(2.0 * log_c) * r ** (n - 2)

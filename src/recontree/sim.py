@@ -4,13 +4,21 @@ brute-force oracles.
 Each conditioning scenario has one exact sampler, a batch sampler that
 draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
 
-* :func:`batch_yule_given_n` -- pure birth, fixed tip count (forward
-  construction stopped just before the next speciation event),
+* :func:`batch_yule_given_n` -- pure birth, fixed tip count (exponential
+  waits between speciation events, stopped just before the next one),
 * :func:`batch_given_n_age`  -- fixed n and MRCA age x1, drawing the n-2
-  free speciation times by inverse CDF and attaching a coalescent topology
-  (uniform random pair merged at each event, backward in time),
+  free speciation times by inverse CDF,
 * :func:`batch_given_age`    -- fixed x1 only; the tip count is the sum of
   two independent geometric counts, one per root-child lineage.
+
+In every scenario the ranked topology is uniform and independent of the
+node ages, and one builder attaches it (:func:`_merge_trees`).  It reads
+the tree backward in time as n-1 merges of live nodes, each given by two
+positions lo < hi.  Each sampler turns its draws into these positions
+before the builder runs.  The Yule sampler undoes its forward splits:
+split k took the lineage at position int(u*k) and put its children there
+and at the new last position k, so it is the merge (int(u*k), k).  The
+given-(n, x1) sampler merges a uniform pair of the live nodes.
 
 :func:`sample_yule_given_n`, :func:`sample_given_n_age` and
 :func:`sample_given_age` return one :class:`ReconTree`: each is its batch
@@ -40,15 +48,16 @@ about 30 µs (3.0 s for 10^5 trees), on a 2-core x86-64 VM with numpy 2.4.
 The other batch samplers make their random draws tree by tree: each
 tree's own draws, then each requested reader draw (an ``integers(bound)``
 call whose bound depends only on the tree's tip count).  Everything else
--- inverse CDFs, sorting, topology attachment -- runs per block, so the
-trees on a stream, node numbering included, do not depend on how they are
-split into blocks; a batch of one draws the same tree as the first row of
-a batch of a thousand.  A block with fewer than :data:`LOCKSTEP_ROWS` rows
-attaches its topology row by row on Python lists; a larger one runs a
-numpy loop over all rows in lockstep.  Both give the same trees.  The
-lockstep oracle instead draws block by block, so its trees depend on
-``reps`` and :data:`FORWARD_NODES`: the first k trees of ``simulate
---scenario rejection-given-age --reps 10`` are not those of ``--reps 100``.
+-- inverse CDFs, sorting, merge positions, topology attachment -- runs per
+block, so the trees on a stream, node numbering included, do not depend on
+how they are split into blocks; a batch of one draws the same tree as the
+first row of a batch of a thousand.  The builder attaches a block with
+fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python lists, and a
+larger one in one numpy loop over all rows in lockstep.  Both give the same
+trees.  The lockstep oracle instead draws block by block, so its trees
+depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
+``simulate --scenario rejection-given-age --reps 10`` are not those of
+``--reps 100``.
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -62,7 +71,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import Params, RawParams, p0, yule_rate
+from .kernel import Params, RawParams, _at_least, p0, yule_rate
 from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree
 
 __all__ = [
@@ -100,11 +109,7 @@ class RngStream:
 
 
 def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
+    return rng.generator() if isinstance(rng, RngStream) else rng
 
 
 class ExtinctRun(RuntimeError):
@@ -221,19 +226,9 @@ def reconstruct(full: FullTree) -> Optional[ReconTree]:
     return ReconTree(times, parent, children=ch, validate=False)
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-
-
 def _check_x1(x1: float) -> None:
     if not math.inf > x1 > 0:
         raise ValueError(f"x1 must be > 0 and finite, got {x1}")
-
-
-def _check_reps(reps: int) -> None:
-    if reps < 0:
-        raise ValueError(f"reps must be >= 0, got {reps}")
 
 
 def _speciation_time_inverse_cdf(y, x1: float, p: Params):
@@ -352,9 +347,9 @@ def sample_rejection_given_age(
 BATCH_NODES = 1 << 16
 
 # blocks with fewer rows attach their topology row by row on Python lists;
-# larger ones run one numpy loop over all rows in lockstep, whose per-split
-# overhead pays off only over several rows (timed at n = 6 to 1000: the row
-# path is faster below 16 rows, the lockstep loop from about 24)
+# larger ones run one numpy loop over all rows in lockstep, whose per-merge
+# overhead pays off only over several rows (timed at n = 6, 20 and 200: the
+# row path is faster below about 12, 16 and 20 rows)
 LOCKSTEP_ROWS = 16
 
 # a reader's per-tree draw: the bound of its integers() call, given n
@@ -439,89 +434,80 @@ def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
     return np.array(picks, dtype=np.int64).reshape(count, len(bounds))
 
 
-def _yule_parent(u: list, n: int) -> list:
-    """One Yule tree's parents: split k splits live lineage int(u[k-2] * k)."""
+def _merge_parent(lo: list, hi: list, n: int) -> list:
+    """One tree's parents from its merge positions (see :func:`_merge_trees`)."""
     parent = [-1] * (2 * n - 1)
-    active = [n, n]
-    for k, x in enumerate(u, start=2):
-        j = int(x * k)
-        v = n + k - 1
-        parent[v] = active[j]
-        active[j] = v
-        active.append(v)
-    parent[:n] = active
+    live = list(range(n))
+    for v, a, b in zip(range(2 * n - 2, n - 1, -1), lo, hi):
+        parent[live[a]] = parent[live[b]] = v
+        live[b] = live[-1]
+        live.pop()
+        live[a] = v
     return parent
 
 
+def _merge_trees(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Parents of R trees built backward in time from merge positions.
+
+    ``lo`` and ``hi`` are laid out (n-1, R): merge s of row r joins the live
+    nodes at positions lo[s, r] < hi[s, r] into node 2n-2-s, which takes
+    position lo; the last live node then moves to position hi.  Tips 0..n-1
+    start at positions 0..n-1, and the last merge, (0, 1), makes the root n.
+    """
+    count = lo.shape[1]
+    if count < LOCKSTEP_ROWS:
+        return np.array([_merge_parent(a, b, n) for a, b in zip(lo.T.tolist(), hi.T.tolist())],
+                        dtype=np.int64)
+    # flat arrays: ``live`` (n, R) holds the index in ``parent`` of each live
+    # node, and position p of row r sits at live[p * R + r]
+    width, rows = 2 * n - 1, np.arange(count)
+    first = rows * width
+    parent = np.full(count * width, -1, dtype=np.int64)
+    live = (np.arange(n)[:, None] + first).ravel()
+    lo, hi = lo * count + rows, hi * count + rows
+    for s in range(n - 1):
+        a, b, v, last = lo[s], hi[s], 2 * n - 2 - s, (n - 1 - s) * count
+        parent[live[a]] = v
+        parent[live[b]] = v
+        live[b] = live[last:last + count]
+        live[a] = first + v
+    return parent.reshape(count, width)
+
+
 def _yule_trees(w: np.ndarray, u: np.ndarray, n: int) -> tuple:
-    """Yule trees from rows of waits w (n-1 each) and uniforms u (n-2 each)."""
+    """Yule trees from rows of waits w (n-1 each) and uniforms u (n-2 each).
+
+    Split k = 2..n-1 puts the two children of the lineage at position
+    int(u[k-2] * k) at that position and at the new last position k.
+    Undone, it is merge n-1-k of positions (int(u[k-2] * k), k).
+    """
     count = w.shape[0]
     cum = np.cumsum(w, axis=1)
     times = np.zeros((count, 2 * n - 1))
     times[:, n] = cum[:, -1]                        # first split (the root)
     times[:, n + 1:] = cum[:, -1:] - cum[:, :-1]    # splits 2..n-1
-    if count < LOCKSTEP_ROWS:
-        parent = np.array([_yule_parent(row, n) for row in u.tolist()], dtype=np.int64)
-        return times, parent
-    parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
-    active = np.full((count, n), n, dtype=np.int64)  # first k live before split k
-    rows = np.arange(count)
-    for k in range(2, n):
-        j = (u[:, k - 2] * k).astype(np.int64)
-        v = n + k - 1
-        parent[rows, v] = active[rows, j]
-        active[rows, j] = v
-        active[:, k] = v
-    parent[:, :n] = active
-    return times, parent
-
-
-def _coalescent_parent(pairs: list, n: int) -> list:
-    """One tree's parents: each split merges a uniform pair of live nodes."""
-    parent = [-1] * (2 * n - 1)
-    active = list(range(n))
-    for v, a, b in zip(range(2 * n - 2, n - 1, -1), pairs[0::2], pairs[1::2]):
-        size = len(active)
-        i = int(a * size)
-        j = int(b * (size - 1))
-        if j >= i:
-            j += 1
-        parent[active[i]] = v
-        parent[active[j]] = v
-        lo, hi = (i, j) if i < j else (j, i)
-        active[hi] = active[-1]
-        active.pop()
-        active[lo] = v
-    return parent
+    k = np.arange(n - 1, 0, -1)[:, None]            # the split undone by each merge
+    lo = np.zeros((n - 1, count))                   # the root merge is (0, 1)
+    np.multiply(u.T[::-1], k[:-1], out=lo[:-1])
+    return times, _merge_trees(lo.astype(np.int64), np.broadcast_to(k, lo.shape), n)
 
 
 def _given_n_age_trees(u: np.ndarray, n: int, x1: float, p: Params) -> tuple:
     """Trees given (n, x1) from rows of 3n-4 uniforms: n-2 split ages, then
-    the (a, b) pair of each split, most recent (node 2n-2) first."""
+    the (a, b) pair of each merge, most recent (node 2n-2) first.  Among the
+    n-s live nodes, merge s joins positions int(a (n-s)) and the
+    int(b (n-s-1))-th of the others."""
     count = u.shape[0]
     times = np.zeros((count, 2 * n - 1))
     times[:, n] = x1
     if n > 2:
         draws = _speciation_time_inverse_cdf(u[:, :n - 2], x1, p)
         times[:, n + 1:] = np.sort(draws, axis=1)[:, ::-1]  # x_2 > ... > x_{n-1}
-    pairs = u[:, n - 2:]
-    if count < LOCKSTEP_ROWS:
-        parent = np.array([_coalescent_parent(row, n) for row in pairs.tolist()],
-                          dtype=np.int64)
-        return times, parent
-    parent = np.full((count, 2 * n - 1), -1, dtype=np.int64)
-    active = np.tile(np.arange(n), (count, 1))  # first `size` live at each split
-    rows = np.arange(count)
-    for s in range(n - 1):
-        size, v = n - s, 2 * n - 2 - s
-        i = (pairs[:, 2 * s] * size).astype(np.int64)
-        j = (pairs[:, 2 * s + 1] * (size - 1)).astype(np.int64)
-        j += j >= i
-        parent[rows, active[rows, i]] = v
-        parent[rows, active[rows, j]] = v
-        active[rows, np.maximum(i, j)] = active[:, size - 1]
-        active[rows, np.minimum(i, j)] = v
-    return times, parent
+    size = np.arange(n, 1, -1)[:, None]
+    i = (np.ascontiguousarray(u[:, n - 2::2].T) * size).astype(np.int64)
+    j = (np.ascontiguousarray(u[:, n - 1::2].T) * (size - 1)).astype(np.int64)
+    j += j >= i
+    return times, _merge_trees(np.minimum(i, j), np.maximum(i, j), n)
 
 
 def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
@@ -534,8 +520,8 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     standard exponentials, then n-2 uniforms.
     """
     lam = yule_rate(lam)
-    _check_n(n)
-    _check_reps(reps)
+    _at_least("n", n, 2)
+    _at_least("reps", reps, 0)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
     rates = lam * np.arange(2, n + 1)
@@ -559,9 +545,9 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     topology is attached: a uniform random pair merged at each split age,
     backward in time.  Per tree: 3n-4 uniforms.
     """
-    _check_n(n)
+    _at_least("n", n, 2)
     _check_x1(x1)
-    _check_reps(reps)
+    _at_least("reps", reps, 0)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
 
@@ -585,7 +571,7 @@ def batch_given_age(x1: float, p: Params, reps: int, rng,
     :data:`BATCH_NODES` nodes and yields one batch per tip count.
     """
     ratio = _given_age_ratio(x1, p)
-    _check_reps(reps)
+    _at_least("reps", reps, 0)
     rng = as_generator(rng)
     rand, ints = rng.random, rng.integers
 
@@ -786,7 +772,7 @@ def batch_forward_given_age(
     acceptance.  Shares no code with the exact samplers.
     """
     _check_x1(x1)
-    _check_reps(reps)
+    _at_least("reps", reps, 0)
     growth = (raw.lambda_hat - raw.mu_hat) * x1
     if growth > math.log(MAX_MEAN_TIPS):  # e^growth lineages per side on average
         raise ValueError(f"x1={x1} with lambda_hat={raw.lambda_hat}, mu_hat={raw.mu_hat} "

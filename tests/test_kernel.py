@@ -6,7 +6,6 @@ import pytest
 from recontree.kernel import (
     Params,
     RawParams,
-    Regime,
     p0,
     p1,
     prob_n_given_age,
@@ -27,7 +26,7 @@ class TestTransform:
     def test_critical_boundary(self):
         p = transform_params(RawParams(1.0, 1.0, 1.0))
         assert p.lam == 1.0 and p.mu == 1.0
-        assert p.regime is Regime.CRITICAL
+        assert p.is_critical
 
     @pytest.mark.parametrize(
         "lh,mh,f",
@@ -58,18 +57,19 @@ class TestKernels:
         assert p0(1.0, p) == pytest.approx(0.5, abs=1e-15)
 
     def test_p0_near_critical_matches_subcritical_branch(self):
-        # 50-digit evaluation of the subcritical branch at mu = 1 - 1e-9
-        # gives 0.500000000125...; the critical branch returns 0.5
-        p = Params(1.0, 1.0 - 1e-9, critical_tol=1e-15)
+        # just past the critical threshold, mu = 1 - 2e-8: 50-digit evaluation
+        # of the subcritical branch gives 0.5000000025...; the critical
+        # branch returns 0.5
+        p = Params(1.0, 1.0 - 2e-8)
         assert not p.is_critical
-        assert p0(1.0, p) == pytest.approx(0.500000000125, abs=1e-8)
+        assert p0(1.0, p) == pytest.approx(0.5000000025, abs=1e-8)
         crit = Params(1.0, 1.0)
         assert abs(p0(1.0, p) - p0(1.0, crit)) < 1e-8
 
     def test_regime_continuity(self):
         # |p0_subcritical - p0_critical| -> 0 as mu -> lam
         for s in (0.1, 1.0, 3.0):
-            sub = Params(1.0, 1.0 - 1e-9, critical_tol=1e-15)
+            sub = Params(1.0, 1.0 - 2e-8)  # just past the critical threshold
             crit = Params(1.0, 1.0)
             assert p0(s, sub) == pytest.approx(p0(s, crit), rel=1e-6)
             assert p1(s, sub) == pytest.approx(p1(s, crit), rel=1e-6)
@@ -118,9 +118,9 @@ class TestKernels:
             with pytest.raises(ValueError, match="s must be >= 0"):
                 kernel(s, p)
 
-    def test_cached_regime_leaves_equality_alone(self):
+    def test_regime_flags_leave_equality_alone(self):
         p = Params(1.0, 0.5)
-        assert p.regime is Regime.SUBCRITICAL
+        assert not p.is_critical and not p.is_yule
         assert p == Params(1.0, 0.5) and hash(p) == hash(Params(1.0, 0.5))
         assert repr(p) == repr(Params(1.0, 0.5))
 

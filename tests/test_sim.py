@@ -42,9 +42,6 @@ class TestRngStream:
         b = RngStream(42, 1).generator().random(5)
         assert not np.array_equal(a, b)
 
-    def test_as_generator_accepts_int(self):
-        assert isinstance(sim.as_generator(7), np.random.Generator)
-
 
 class TestSimulateForward:
     def test_duration_rule_times(self):
@@ -201,12 +198,17 @@ class TestGivenNAge:
             ks = np.max(np.abs(cdf - np.arange(1, m + 1) / m))
             assert ks < 1.6276 / math.sqrt(m)
 
-    def test_topology_uniform_cherry_fraction(self):
-        # among 4-leaf coalescent topologies the balanced shape has prob 1/3
+    @pytest.mark.parametrize("sampler", [
+        partial(sim.batch_given_n_age, 4, 1.0, SUB),
+        partial(sim.batch_yule_given_n, 4, 1.0),
+    ], ids=["given_n_age", "yule_given_n"])
+    def test_topology_uniform_cherry_fraction(self, sampler):
+        # among ranked 4-leaf topologies, uniform in every scenario, the
+        # balanced shape has prob 1/3
         rng = np.random.default_rng(13)
         m = 10_000
         balanced = 0
-        for b in sim.batch_given_n_age(4, 1.0, SUB, m, rng):
+        for b in sampler(m, rng):
             kids = b.child_table()[np.arange(len(b)), b.root - b.n]
             balanced += np.count_nonzero((kids >= b.n).all(axis=1))
         frac = balanced / m
