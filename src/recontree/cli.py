@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import dists, mc, sim
-from .kernel import Params, RawParams, transform_params
+from .kernel import Params, RawParams, _positive_finite, transform_params
 from .tree import to_newick
 
 SEED_ENV = "RECONTREE_SEED"
@@ -153,7 +153,7 @@ def _require(value, flag):
 def cmd_density(args) -> int:
     p, raw = _resolve_params(args)
     if args.x1 is not None:
-        sim._check_x1(args.x1)
+        _positive_finite("x1", args.x1)
     law, desc = _density_law(args, p)
     grid = _parse_grid(args.grid)
     if math.isfinite(law.support_end):
@@ -280,7 +280,7 @@ def cmd_expect(args) -> int:
     p, raw = _resolve_params(args)
     n = args.n if args.n is not None else 10
     x1 = args.x1 if args.x1 is not None else 1.0
-    sim._check_x1(x1)
+    _positive_finite("x1", x1)
     values = {"n": n, "x1": x1, "p": p}
     rows = [
         (label.format(**values), getattr(dists, name)(*(values[a] for a in names)))

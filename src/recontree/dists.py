@@ -13,12 +13,20 @@ reject non-Yule ``Params``.
 Each law is defined once, by its ``*_dist`` constructor: it checks its
 arguments and returns a :class:`MixedDist` whose ``pdf`` and ``cdf`` are
 closures over them (the speciation-time law wraps the public
-``speciation_time_pdf`` and ``speciation_time_cdf``).  Mixed distributions
-(a continuous density on (0, x1) plus a point mass at x1, arising because
-a pendant edge attached to the root has length exactly x1) carry an
-explicit ``atom_weight``, never a numerical spike.  Closed-form moments
-(``*_mean``, ``*_var``, ``*_mgf``) and the survival functions that have no
-constructor are plain functions.
+``speciation_time_pdf`` and ``speciation_time_cdf``).  The three pendant-edge
+laws share one builder, density amp p1(s) (edge + slope gap(s)) on (0, end),
+gap(s) = q - p0(s) from the rates (it never cancels), q = p0(end):
+
+    law             end   amp                 edge      slope     atom
+    given n         inf   2 lam               0         lam       0
+    given (n, x1)   x1    2(n-2)/(n(n-1)q)    2         (n-3)/q   2/(n(n-1))
+    given x1        x1    2/q                 W1 - W3   W3/q      (its docstring)
+
+Mixed distributions (a continuous density on (0, x1) plus a point mass at
+x1, arising because a pendant edge attached to the root has length exactly
+x1) carry an explicit ``atom_weight``, never a numerical spike.  Closed-form
+moments (``*_mean``, ``*_var``, ``*_mgf``) and the survival functions that
+have no constructor are plain functions.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy
 
-from .kernel import Params, _at_least, _positive, _ratio_log_c, p0, p1, yule_rate
+from .kernel import (Params, _at_least, _p1_gap, _positive_finite, _ratio_log_c, p0, p1,
+                     yule_rate)
 
 __all__ = [
     "MixedDist",
@@ -127,20 +136,29 @@ def leaf_adjacency_prob(k: int, n: int) -> float:
     return 2.0 * k / (n * (n - 1))
 
 
+def _pendant_law(end: float, q: float, amp: float, edge: float, slope: float,
+                 atom: float, p: Params) -> MixedDist:
+    """The pendant-edge law of every scenario (see the module docstring); the
+    gap is ``kernel._p1_gap``'s, and since p0' = p1 the cdf is
+    amp u (edge + slope (q - u/2)) with u = p0(s).
+    """
+    def pdf(s):
+        w, gap = _p1_gap(s, end, p)
+        return amp * w * (edge + slope * gap)
+
+    def cdf(s):
+        u = p0(s, p)
+        return amp * u * (edge + slope * (q - u / 2.0))
+
+    return MixedDist(support_end=end, pdf=pdf, cdf=cdf, atom_weight=atom)
+
+
 def pendant_dist_given_n(p: Params) -> MixedDist:
     """Pendant-edge length law given n: density 2 lam p1(s)(1 - lam p0(s)).
 
     The formula contains no n; the law is the same for every tip count.
     """
-    def pdf(s):
-        return 2.0 * p.lam * p1(s, p) * (1.0 - p.lam * p0(s, p))
-
-    def cdf(s):
-        # antiderivative of p1(1-lam*p0) is p0 - lam*p0^2/2, since p0' = p1
-        q = p0(s, p)
-        return 2.0 * p.lam * (q - p.lam * q * q / 2.0)
-
-    return MixedDist(support_end=math.inf, pdf=pdf, cdf=cdf)
+    return _pendant_law(math.inf, 1.0 / p.lam, 2.0 * p.lam, 0.0, p.lam, 0.0, p)
 
 
 def pendant_mean_given_n(p: Params) -> float:
@@ -184,6 +202,7 @@ def speciation_kernel(s, x1: float, p: Params):
 
     g(s|x1) = p1(s)/p0(x1), G(s|x1) = p0(s)/p0(x1).
     """
+    _positive_finite("x1", x1)
     if np.any(np.asarray(s) > x1):
         raise ValueError("s must not exceed x1")
     q = p0(x1, p)
@@ -222,7 +241,7 @@ def _check_speciation_index(k: int, n: int):
 def speciation_time_dist(k: int, n: int, x1: float, p: Params) -> MixedDist:
     """Law of the k-th speciation time given n tips and age x1."""
     _check_speciation_index(k, n)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     return MixedDist(
         support_end=x1,
         pdf=lambda s: speciation_time_pdf(s, k, n, x1, p),
@@ -235,27 +254,13 @@ def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
 
     Continuous part for s < x1:
         2(n-2)/(n(n-1)) * g(s|x1) * ((n-1) - (n-3) G(s|x1)).
-    For n = 2 both pendant edges span the full age, so all mass is atomic.
+    For n = 2 amp is 0: both pendant edges span the full age.
     """
     _at_least("n", n, 2)
-    _positive("x1", x1)
-    atom = 2.0 / (n * (n - 1))
-    if n == 2:
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-        return MixedDist(support_end=x1, pdf=zero, cdf=zero, atom_weight=1.0)
+    _positive_finite("x1", x1)
     q = p0(x1, p)
-    c = 2.0 * (n - 2) / (n * (n - 1))
-
-    def pdf(s):
-        g = p1(s, p) / q
-        G = p0(s, p) / q
-        return c * g * ((n - 1) - (n - 3) * G)
-
-    def cdf(s):
-        G = p0(s, p) / q
-        return c * ((n - 1) * G - (n - 3) * G * G / 2.0)
-
-    return MixedDist(support_end=x1, pdf=pdf, cdf=cdf, atom_weight=atom)
+    amp = 2.0 * (n - 2) / (n * (n - 1) * q)
+    return _pendant_law(x1, q, amp, 2.0, (n - 3) / q, 2.0 / (n * (n - 1)), p)
 
 
 def pendant_mean_given_n_age(n: int, x1: float, p: Params) -> float:
@@ -266,6 +271,7 @@ def pendant_mean_given_n_age(n: int, x1: float, p: Params) -> float:
     where the closed form divides by ~0.
     """
     _at_least("n", n, 2)
+    _positive_finite("x1", x1)
     if n == 2:
         return x1
     lam, mu = p.lam, p.mu
@@ -311,6 +317,7 @@ def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     as r -> 1 because log c comes from the rates; for r < 0.25 the series
     itself is summed.
     """
+    _positive_finite("x1", x1)
     r = p.lam * p0(x1, p)
     log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
@@ -329,39 +336,20 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     x1); atom at x1: -2 (log(c) + r) (c/r)^2, where -(log(c) + r) is summed
     as sum_{j>=2} r^j/j for r < 0.25.  W1 - G W3 is O(c) as s -> x1, so it
     is summed as (W1 - W3) + (1 - G) W3: W1 - W3 = 2(c - atom), or the series
-    c^2 sum 2m/(m+2) r^m for r < 0.25, and 1 - G from the rates, d e^{-ds}
-    (1 - e^{-d(x1-s)}) / ((lam - mu e^{-ds})(1 - e^{-d x1})) with d = lam - mu,
-    or (x1 - s)/(x1 (1 + lam s)) when critical.
+    c^2 sum 2m/(m+2) r^m for r < 0.25, and p0(x1) (1 - G) is the gap.
     """
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     q = p0(x1, p)
     r = p.lam * q
-    w1 = pendant_age_weight(1, x1, p)
-    w3 = pendant_age_weight(3, x1, p)
-    amp = 2.0 / q
     log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
-    d = p.lam - p.mu
     if r < _SERIES_MAX_R:
         atom = 2.0 * cc * (0.5 + float(np.sum(r ** _SERIES_M / (_SERIES_M + 2))))
         w13 = cc * float(np.sum(2.0 * _SERIES_M / (_SERIES_M + 2) * r ** _SERIES_M))
     else:
         atom = -2.0 * (log_c + r) * cc / (r * r)
         w13 = 2.0 * (math.exp(log_c) - atom)  # W1 - W3
-
-    def pdf(s):
-        if p.is_critical:
-            gap = (x1 - s) / (x1 * (1.0 + p.lam * s))  # 1 - G
-        else:
-            e = np.exp(-d * s)
-            gap = d * e * np.expm1(-d * (x1 - s)) / ((p.lam - p.mu * e) * math.expm1(-d * x1))
-        return amp * p1(s, p) * (w13 + gap * w3)
-
-    def cdf(s):
-        u = p0(s, p)
-        return amp * (w1 * u - w3 * u * u / (2.0 * q))
-
-    return MixedDist(support_end=x1, pdf=pdf, cdf=cdf, atom_weight=atom)
+    return _pendant_law(x1, q, 2.0 / q, w13, pendant_age_weight(3, x1, p) / q, atom, p)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +418,7 @@ def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
     """Root-edge law given x1 (pure birth): Exp(lam) on (0, x1), atom
     e^{-lam x1} at x1; so P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond."""
     lam = yule_rate(lam)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     return MixedDist(
         support_end=x1,
         pdf=lambda l: lam * np.exp(-lam * np.asarray(l, dtype=float)),
@@ -441,6 +429,7 @@ def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
 
 def root_edge_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     lam = yule_rate(lam)
+    _positive_finite("x1", x1)
     return -math.expm1(-lam * x1) / lam
 
 
@@ -451,7 +440,7 @@ def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
     """
     lam = yule_rate(lam)
     _at_least("k", k, 1)
-    _positive("t", t)
+    _positive_finite("t", t)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("l must be >= 0")
@@ -469,7 +458,7 @@ def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Param
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     scalar = np.isscalar(l)
     l = np.atleast_1d(np.asarray(l, dtype=float))
     if np.any(l < 0):
@@ -544,7 +533,7 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     s = np.asarray(s, dtype=float)
     if np.any(s >= lam):
         raise ValueError("MGF argument must be < lam")
@@ -564,6 +553,7 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
     """E[D|n,x1] = 2 x1 + (n-2) E[S] with S a speciation time on (0, x1)."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
+    _positive_finite("x1", x1)
     if n == 2:
         return 2.0 * x1
     v = -math.expm1(-lam * x1)
@@ -574,5 +564,5 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth)."""
     lam = yule_rate(lam)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     return 2.0 * math.expm1(lam * x1) / lam

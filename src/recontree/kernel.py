@@ -56,8 +56,8 @@ class RawParams:
 
 
 # |lam - mu| (critical) or |mu| (Yule) below CRITICAL_TOL * lam counts as zero;
-# the subcritical closed forms suffer 0/0 cancellation as lam - mu -> 0, and
-# the critical-branch formulas are used there instead
+# p0 and p1 stay exact as lam - mu -> 0, but the sampler's inverse CDF and the
+# pendant means divide by lam - mu, so the critical-branch formulas serve there
 CRITICAL_TOL = 1e-8
 
 
@@ -107,9 +107,9 @@ def _at_least(name: str, value: int, least: int):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _positive(name: str, value: float):
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+def _positive_finite(name: str, value: float):
+    if not math.inf > value > 0:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
 def _check_time(s):
@@ -121,7 +121,8 @@ def _check_time(s):
 def p0(s: float, p: Params) -> float:
     """Kernel p0: mu*p0(s) is the probability of 0 surviving sampled offspring.
 
-    Subcritical: (1 - e^{-(lam-mu)s}) / (lam - mu e^{-(lam-mu)s});
+    Subcritical: (1 - e^{-ds}) / D(s), d = lam - mu, D(s) = lam - mu e^{-ds}
+                 formed as d + mu (1 - e^{-ds}), exact as mu nears lam;
     critical:    s / (1 + lam s).
 
     Strictly increasing from 0, with lam*p0(s) < 1 for finite s.
@@ -132,22 +133,35 @@ def p0(s: float, p: Params) -> float:
         return s / (1.0 + p.lam * s)
     d = p.lam - p.mu
     em = -np.expm1(-d * s)  # 1 - e^{-d s}, accurate for small d*s
-    return em / (p.lam - p.mu * (1.0 - em))
+    return em / (d + p.mu * em)
 
 
 def p1(s: float, p: Params) -> float:
     """Kernel p1: probability of exactly 1 surviving sampled offspring.
 
-    Subcritical: (lam-mu)^2 e^{-(lam-mu)s} / (lam - mu e^{-(lam-mu)s})^2;
+    Subcritical: d^2 e^{-ds} / D(s)^2, with d and D(s) as in p0;
     critical:    1 / (1 + lam s)^2.
     Accepts scalars or numpy arrays.
     """
+    return _p1_gap(s, math.inf, p)[0]
+
+
+def _p1_gap(s, end: float, p: Params) -> tuple:
+    """(p1(s), p0(end) - p0(s)) for 0 <= s <= end <= inf, both from one
+    e^{-ds}; the gap is d e^{-ds} (1 - e^{-d(end-s)}) / (D(s) D(end)), with
+    D(inf) = lam, or (end - s) / ((1 + lam end)(1 + lam s)) when critical, so
+    it keeps full precision in the tail and as s nears end.
+    """
     _check_time(s)
     if p.is_critical:
-        return 1.0 / (1.0 + p.lam * s) ** 2
+        h = 1.0 + p.lam * s
+        gap = 1.0 / p.lam if end == math.inf else (end - s) / (1.0 + p.lam * end)
+        return 1.0 / (h * h), gap / h
     d = p.lam - p.mu
     e = np.exp(-d * s)
-    return d * d * e / (p.lam - p.mu * e) ** 2
+    ds = d + p.mu * -np.expm1(-d * s)  # D(s)
+    far = 1.0 if end == math.inf else -np.expm1(-d * (end - s))  # 1 - e^{-d(end-s)}
+    return d * d * e / (ds * ds), d * e * far / (ds * (d + p.mu * -math.expm1(-d * end)))
 
 
 def _ratio_log_c(x1: float, p: Params) -> tuple:
@@ -163,7 +177,7 @@ def _ratio_log_c(x1: float, p: Params) -> tuple:
         return lx / (1.0 + lx), -math.log1p(lx)
     d = p.lam - p.mu
     em = -math.expm1(-d * x1)  # 1 - e^{-d x1}
-    r = p.lam * (em / (p.lam - p.mu * (1.0 - em)))
+    r = p.lam * (em / (d + p.mu * em))
     return r, math.log(d) - d * x1 - math.log(d + p.mu * em)
 
 
@@ -175,6 +189,6 @@ def prob_n_given_age(n: int, x1: float, p: Params) -> float:
     using the identity p1 = (1 - mu p0)(1 - lam p0).
     """
     _at_least("n", n, 2)
-    _positive("x1", x1)
+    _positive_finite("x1", x1)
     r, log_c = _ratio_log_c(x1, p)
     return (n - 1) * math.exp(2.0 * log_c) * r ** (n - 2)

@@ -71,7 +71,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import Params, RawParams, _at_least, p0, yule_rate
+from .kernel import Params, RawParams, _at_least, _positive_finite, p0, yule_rate
 from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree
 
 __all__ = [
@@ -226,11 +226,6 @@ def reconstruct(full: FullTree) -> Optional[ReconTree]:
     return ReconTree(times, parent, children=ch, validate=False)
 
 
-def _check_x1(x1: float) -> None:
-    if not math.inf > x1 > 0:
-        raise ValueError(f"x1 must be > 0 and finite, got {x1}")
-
-
 def _speciation_time_inverse_cdf(y, x1: float, p: Params):
     """Inverse of G(s|x1) = p0(s)/p0(x1): exact closed form."""
     q = np.asarray(y, dtype=float) * p0(x1, p)
@@ -254,7 +249,7 @@ def _geometric_count(u: float, ratio: float) -> int:
 
 def _given_age_ratio(x1: float, p: Params) -> float:
     """The ratio lam*p0(x1) of the per-side geometric tip counts, checked."""
-    _check_x1(x1)
+    _positive_finite("x1", x1)
     ratio = p.lam * p0(x1, p)
     if (1.0 - ratio) * MAX_MEAN_TIPS < 2.0:  # the mean tip count is 2/(1 - ratio)
         raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
@@ -299,7 +294,7 @@ def sample_rejection_given_age(
     every caller in the package uses; the tests compare the two laws.  The
     benchmark's tracer looks this name up, so it stays as it is.
     """
-    _check_x1(x1)
+    _positive_finite("x1", x1)
     rng = as_generator(rng)
     if stats is None:
         stats = RejectionStats()
@@ -546,7 +541,7 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     backward in time.  Per tree: 3n-4 uniforms.
     """
     _at_least("n", n, 2)
-    _check_x1(x1)
+    _positive_finite("x1", x1)
     _at_least("reps", reps, 0)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
@@ -771,7 +766,7 @@ def batch_forward_given_age(
     when a block ends :data:`MAX_ATTEMPTS` or more pairs after the last
     acceptance.  Shares no code with the exact samplers.
     """
-    _check_x1(x1)
+    _positive_finite("x1", x1)
     _at_least("reps", reps, 0)
     growth = (raw.lambda_hat - raw.mu_hat) * x1
     if growth > math.log(MAX_MEAN_TIPS):  # e^growth lineages per side on average

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from recontree import dists
@@ -14,6 +16,17 @@ SUB = Params(1.0, 0.5)
 CRIT = Params(1.0, 1.0)
 NEG = Params(1.0, -0.5)
 REGIMES = [YULE, SUB, CRIT, NEG]
+
+
+def _mp_kernels(p):
+    """p0 and p1 in mpmath, evaluated at the caller's working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    lam, mu = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+    if p.is_critical:
+        return (lambda t: t / (1 + lam * t)), (lambda t: 1 / (1 + lam * t) ** 2)
+    e = lambda t: mpmath.exp(-(lam - mu) * t)
+    return ((lambda t: (1 - e(t)) / (lam - mu * e(t))),
+            (lambda t: (lam - mu) ** 2 * e(t) / (lam - mu * e(t)) ** 2))
 
 
 def test_mixed_dist_rejects_bad_atom():
@@ -72,6 +85,20 @@ class TestPendantGivenN:
         assert np.allclose(
             dists.pendant_dist_given_n(YULE).pdf(s), 2.0 * np.exp(-2.0 * s), rtol=1e-13
         )
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 0.9, 1.0])
+    def test_pdf_tail_against_80_digits(self, mu):
+        # 1 - lam p0(s) cancels in the tail; formed directly it lost 1.7e-4
+        # relative at Yule, s = 30, and gave 0.0 at s = 40
+        mpmath = pytest.importorskip("mpmath")
+        p = Params(1.0, mu)
+        law = dists.pendant_dist_given_n(p)
+        p0, p1 = _mp_kernels(p)
+        for s in (0.001, 0.5, 5.0, 20.0, 40.0):
+            with mpmath.workdps(80):
+                t = mpmath.mpf(s)
+                want = float(2 * p.lam * p1(t) * (1 - p.lam * p0(t)))
+            assert abs(law.pdf(s) - want) <= 1e-13 * want, s
 
     def test_mean_frozen_value(self):
         # 50-digit reference for (lam, mu) = (1, 0.5)
@@ -219,15 +246,9 @@ class TestPendantGivenAge:
     def _pdf_80_digits(s, x1, p):
         """2 p1(s)/p0(x1) (W1 - (p0(s)/p0(x1)) W3), the closed form at 80 digits."""
         mpmath = pytest.importorskip("mpmath")
+        p0, p1 = _mp_kernels(p)
         with mpmath.workdps(80):
-            lam, mu, s, x1 = (mpmath.mpf(v) for v in (p.lam, p.mu, s, x1))
-            if p.is_critical:
-                p0 = lambda t: t / (1 + lam * t)
-                p1 = lambda t: 1 / (1 + lam * t) ** 2
-            else:
-                e = lambda t: mpmath.exp(-(lam - mu) * t)
-                p0 = lambda t: (1 - e(t)) / (lam - mu * e(t))
-                p1 = lambda t: (lam - mu) ** 2 * e(t) / (lam - mu * e(t)) ** 2
+            lam, s, x1 = (mpmath.mpf(v) for v in (p.lam, s, x1))
             r = lam * p0(x1)
             c = 1 - r
             w = lambda k: (k + 1) * r - k - 2 * k * c * c * (mpmath.log(c) / r + 1) / r
@@ -284,6 +305,59 @@ class TestPendantGivenAge:
             assert d.cdf(s) == pytest.approx(val, abs=1e-10)
 
 
+# each pendant-edge constructor, called with (n, x1, p)
+PENDANT_LAWS = {
+    "given_n": lambda n, x1, p: dists.pendant_dist_given_n(p),
+    "given_n_age": lambda n, x1, p: dists.pendant_dist_given_n_age(n, x1, p),
+    "given_age": lambda n, x1, p: dists.pendant_dist_given_age(x1, p),
+}
+# s / end on [0, 1], dense near both ends
+_FRACS = np.unique(np.concatenate([
+    np.linspace(0.0, 1.0, 41), np.geomspace(1e-12, 0.5, 25), 1.0 - np.geomspace(1e-12, 0.5, 25),
+]))
+
+
+class TestPendantLaws:
+    @pytest.mark.parametrize("build", ["given_n_age", "given_age"])
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("x1", [0.01, 0.5, 2.0, 20.0])
+    def test_mass_near_critical(self, build, k, lam, x1):
+        # lam - mu e^{-ds} formed directly drifted the given-x1 mass by 4.1e-10
+        # at lam = 0.5, mu = lam (1 - 1e-7), x1 = 0.5
+        for n in (3, 6, 353):
+            law = PENDANT_LAWS[build](n, x1, Params(lam, lam * (1.0 - 10.0 ** -k)))
+            assert abs(law.cdf(x1) + law.atom_weight - 1.0) <= 1e-13, n
+
+    @settings(max_examples=200)
+    @given(
+        lam=st.floats(-2.0, 2.0).map(lambda t: 10.0 ** t),
+        ratio=st.one_of(st.floats(-3.0, 1.0), st.sampled_from([1 - 1e-9, 1 - 1e-7, 1e-9, -1e-9])),
+        x1=st.floats(-8.0, 3.0).map(lambda t: 10.0 ** t),
+        n=st.integers(2, 10 ** 5),
+    )
+    @example(lam=0.5, ratio=1 - 1e-7, x1=0.5, n=353)  # mu = 0.49999995
+    def test_properties(self, lam, ratio, x1, n):
+        # on s = frac * x1 (frac in [0, 1]): pdf finite and >= 0; cdf finite,
+        # within [0, 1 - atom] up to 1e-12 and non-decreasing up to a few
+        # ulps (near 1 - atom its true steps are below one ulp, and the cdf,
+        # a product of a rising and a falling factor, rounds either way);
+        # a law with a finite end holds all its mass; numpy floating-point
+        # warnings are errors
+        p = Params(lam, ratio * lam)
+        s = _FRACS * x1
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for name, build in PENDANT_LAWS.items():
+                law = build(n, x1, p)
+                f, c = law.pdf(s), law.cdf(s)
+                assert np.all(np.isfinite(f) & (f >= 0.0)), name
+                assert np.all(np.isfinite(c)), name
+                assert np.all(np.diff(c) >= -4 * np.finfo(float).eps), name
+                assert c[0] >= 0.0 and c[-1] <= 1.0 - law.atom_weight + 1e-12, name
+                if math.isfinite(law.support_end):
+                    assert abs(c[-1] + law.atom_weight - 1.0) <= 1e-12, name
+
+
 class TestLawConstructors:
     @pytest.mark.parametrize("build", [
         lambda: dists.root_edge_dist_given_n(1, 1.0),
@@ -297,6 +371,30 @@ class TestLawConstructors:
     def test_rejects_bad_arguments_when_built(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("x1", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda x1: prob_n_given_age(5, x1, SUB),
+        lambda x1: dists.speciation_kernel(0.0, x1, SUB),
+        lambda x1: dists.speciation_time_pdf(0.0, 3, 5, x1, SUB),
+        lambda x1: dists.speciation_time_cdf(0.0, 3, 5, x1, SUB),
+        lambda x1: dists.speciation_time_dist(3, 5, x1, SUB),
+        lambda x1: dists.pendant_dist_given_n_age(5, x1, SUB),
+        lambda x1: dists.pendant_mean_given_n_age(5, x1, SUB),
+        lambda x1: dists.pendant_mean_given_n_age(2, x1, SUB),
+        lambda x1: dists.pendant_age_weight(3, x1, SUB),
+        lambda x1: dists.pendant_dist_given_age(x1, SUB),
+        lambda x1: dists.root_edge_dist_given_age(x1, 1.0),
+        lambda x1: dists.root_edge_mean_given_age(x1, 1.0),
+        lambda x1: dists.root_edge_survival_given_n_age(0.0, 5, x1, 1.0),
+        lambda x1: dists.diversity_mgf_given_n_age(0.0, 5, x1, 1.0),
+        lambda x1: dists.diversity_mean_given_n_age(5, x1, 1.0),
+        lambda x1: dists.diversity_mean_given_n_age(2, x1, 1.0),
+        lambda x1: dists.diversity_mean_given_age(x1, 1.0),
+    ])
+    def test_rejects_bad_age(self, call, x1):
+        with pytest.raises(ValueError, match="x1 must be > 0 and finite"):
+            call(x1)
 
     def test_root_edge_given_age_mass(self):
         law = dists.root_edge_dist_given_age(1.5, 2.0)

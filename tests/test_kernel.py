@@ -6,6 +6,7 @@ import pytest
 from recontree.kernel import (
     Params,
     RawParams,
+    _ratio_log_c,
     p0,
     p1,
     prob_n_given_age,
@@ -58,21 +59,39 @@ class TestKernels:
 
     def test_p0_near_critical_matches_subcritical_branch(self):
         # just past the critical threshold, mu = 1 - 2e-8: 50-digit evaluation
-        # of the subcritical branch gives 0.5000000025...; the critical
-        # branch returns 0.5
+        # of the subcritical branch gives 0.50000000250000000285; the
+        # critical branch returns 0.5, 5e-9 away
         p = Params(1.0, 1.0 - 2e-8)
         assert not p.is_critical
-        assert p0(1.0, p) == pytest.approx(0.5000000025, abs=1e-8)
+        assert p0(1.0, p) == pytest.approx(0.50000000250000000285, rel=1e-14, abs=0.0)
         crit = Params(1.0, 1.0)
         assert abs(p0(1.0, p) - p0(1.0, crit)) < 1e-8
 
     def test_regime_continuity(self):
-        # |p0_subcritical - p0_critical| -> 0 as mu -> lam
+        # |p0_subcritical - p0_critical| -> 0 as mu -> lam; just past the
+        # threshold the branches differ by at most 1.5e-8 relative here
         for s in (0.1, 1.0, 3.0):
             sub = Params(1.0, 1.0 - 2e-8)  # just past the critical threshold
             crit = Params(1.0, 1.0)
-            assert p0(s, sub) == pytest.approx(p0(s, crit), rel=1e-6)
-            assert p1(s, sub) == pytest.approx(p1(s, crit), rel=1e-6)
+            assert p0(s, sub) == pytest.approx(p0(s, crit), rel=3e-8)
+            assert p1(s, sub) == pytest.approx(p1(s, crit), rel=3e-8)
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @pytest.mark.parametrize("s", [0.1, 1.0, 3.0])
+    def test_near_critical_against_50_digits(self, lam, s):
+        # lam - mu e^{-ds} cancels as mu nears lam unless it is formed as
+        # d + mu (1 - e^{-ds}); formed directly, p0, p1 and r lost ~1e-8
+        mpmath = pytest.importorskip("mpmath")
+        p = Params(lam, lam * (1.0 - 2e-8))
+        assert not p.is_critical
+        with mpmath.workdps(50):
+            l, m = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+            e = mpmath.exp(-(l - m) * s)
+            want0 = (1 - e) / (l - m * e)
+            want1 = (l - m) ** 2 * e / (l - m * e) ** 2
+        assert p0(s, p) == pytest.approx(float(want0), rel=1e-14, abs=0.0)
+        assert p1(s, p) == pytest.approx(float(want1), rel=1e-14, abs=0.0)
+        assert _ratio_log_c(s, p)[0] == pytest.approx(float(l * want0), rel=1e-14, abs=0.0)
 
     def test_p1_examples(self):
         assert p1(0.0, Params(1.0, 0.3)) == 1.0
