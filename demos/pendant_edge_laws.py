@@ -63,7 +63,7 @@ def scenario_given_n_age():
                          mass=1.0 - law.atom_weight)
     print(f"\n  atom fraction {at_atom.mean():.4f}  analytic {law.atom_weight:.4f}")
     print(f"  sample mean {samples.mean():.4f}  "
-          f"closed form {dists.pendant_mean_given_n_age(n, x1, P):.4f}")
+          f"analytic {dists.pendant_mean_given_n_age(n, x1, P):.4f}")
 
 
 def scenario_given_age():
@@ -84,6 +84,8 @@ def scenario_given_age():
     samples = pendant_samples(partial(sim.batch_given_age, x1, P), rng)
     at_atom = np.abs(samples - x1) <= 1e-9 * x1
     print(f"\n  atom fraction {at_atom.mean():.4f}  analytic {law.atom_weight:.4f}")
+    print(f"  sample mean {samples.mean():.4f}  "
+          f"analytic {dists.pendant_mean_given_age(x1, P):.4f}")
 
 
 if __name__ == "__main__":

@@ -267,6 +267,7 @@ def cmd_verify(args) -> int:
 _EXPECT_MEANS = (
     ("E[pendant | n]", "pendant_mean_given_n", ("p",), False),
     ("E[pendant | n={n}, x1={x1}]", "pendant_mean_given_n_age", ("n", "x1", "p"), False),
+    ("E[pendant | x1={x1}]", "pendant_mean_given_age", ("x1", "p"), False),
     ("E[root edge | n={n}]", "root_edge_mean_given_n", ("n", "p"), True),
     ("E[root edge | x1={x1}]", "root_edge_mean_given_age", ("x1", "p"), True),
     ("E[diversity | n={n}]", "diversity_mean_given_n", ("n", "p"), True),

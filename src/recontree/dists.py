@@ -22,6 +22,10 @@ gap(s) = q - p0(s) from the rates (it never cancels), q = p0(end):
     given (n, x1)   x1    2(n-2)/(n(n-1)q)    2         (n-3)/q   2/(n(n-1))
     given x1        x1    2/q                 W1 - W3   W3/q      (its docstring)
 
+Each finite-end row is one coefficient helper, giving both the law and its
+mean: atom end plus the integral of the survival atom + amp gap(s) (edge +
+slope gap(s)/2) over (0, end).  The given-n mean keeps its closed form.
+
 Mixed distributions (a continuous density on (0, x1) plus a point mass at
 x1, arising because a pendant edge attached to the root has length exactly
 x1) carry an explicit ``atom_weight``, never a numerical spike.  Closed-form
@@ -56,6 +60,7 @@ __all__ = [
     "pendant_mean_given_n_age",
     "pendant_age_weight",
     "pendant_dist_given_age",
+    "pendant_mean_given_age",
     "hypoexp_mean",
     "hypoexp_dist",
     "root_edge_mean_given_n",
@@ -93,6 +98,12 @@ def _quad(f, a, b, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
         f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=_MAX_SUBDIVISIONS,
     )
     return val
+
+
+# below this r the closed forms' 1/r terms cancel, so the series are summed;
+# m = 1..40 leave r^m m^2 under 1e-17 r^2 there
+_SERIES_MAX_R = 0.25
+_SERIES_M = np.arange(1.0, 41.0)
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,23 @@ def _pendant_law(end: float, q: float, amp: float, edge: float, slope: float,
     return MixedDist(support_end=end, pdf=pdf, cdf=cdf, atom_weight=atom)
 
 
+def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
+                  atom: float, p: Params) -> float:
+    """The mean of :func:`_pendant_law` for a finite end: atom end plus the
+    survival's integral, in t = s/end, split at 10, 100, ... times the scale
+    1/(lam + |mu|) over which the gap falls off.
+    """
+    def tail(t):
+        gap = _p1_gap(t * end, end, p)[1]
+        return gap * (edge + 0.5 * slope * gap)
+
+    scale = (p.lam + abs(p.mu)) * end
+    points = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
+    val, _ = scipy.integrate.quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                                  limit=_MAX_SUBDIVISIONS, points=points or None)
+    return float(atom * end + amp * end * val)
+
+
 def pendant_dist_given_n(p: Params) -> MixedDist:
     """Pendant-edge length law given n: density 2 lam p1(s)(1 - lam p0(s)).
 
@@ -162,25 +190,17 @@ def pendant_dist_given_n(p: Params) -> MixedDist:
 
 
 def pendant_mean_given_n(p: Params) -> float:
-    """Expected pendant length given n: (mu + (lam-mu)log(1-mu/lam)) / mu^2.
-
-    Evaluated through the series 1/lam * sum_{k>=2} r^{k-2}/(k(k-1)) with
-    r = mu/lam when |r| is small (the closed form divides ~0 by ~0 there);
-    limits: 1/(2 lam) at mu=0 and 1/lam at mu=lam.
+    """Expected pendant length given n: (mu + (lam-mu) log(1-mu/lam)) / mu^2,
+    or (1/lam) sum_{m>=0} r^m/((m+1)(m+2)) with r = mu/lam for |r| < 0.25,
+    where that divides ~0 by ~0; 1/(2 lam) at mu = 0, 1/lam at mu = lam.
     """
     r = p.mu / p.lam
-    if abs(r) < 1e-4:
-        # numerator of the closed form = sum_{k>=2} r^k / (k(k-1))
-        acc = 0.0
-        for k in range(2, 12):
-            acc += r ** (k - 2) / (k * (k - 1))
-        return acc / p.lam
-    x = 1.0 - r  # = 1 - mu/lam, in (0, 2)
-    if x <= 0.0:
-        num = 1.0  # limit of r + (1-r)log(1-r) at r = 1
-    else:
-        num = r + x * math.log(x)
-    return num / (p.lam * r * r)
+    if abs(r) < _SERIES_MAX_R:
+        m = _SERIES_M
+        return (0.5 + float(np.sum(r ** m / ((m + 1) * (m + 2))))) / p.lam
+    if r >= 1.0:  # mu = lam, up to the rounding of mu/lam
+        return 1.0 / p.lam
+    return (r + (p.lam - p.mu) / p.lam * math.log1p(-r)) / (p.lam * r * r)
 
 
 def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
@@ -249,6 +269,14 @@ def speciation_time_dist(k: int, n: int, x1: float, p: Params) -> MixedDist:
     )
 
 
+def _pendant_coefs_given_n_age(n: int, x1: float, p: Params) -> tuple:
+    """(end, q, amp, edge, slope, atom) of the pendant law given n and x1."""
+    _at_least("n", n, 2)
+    _positive_finite("x1", x1)
+    q = p0(x1, p)
+    return x1, q, 2.0 * (n - 2) / (n * (n - 1) * q), 2.0, (n - 3) / q, 2.0 / (n * (n - 1))
+
+
 def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
     """Pendant-edge law given n and x1: mixed with atom 2/(n(n-1)) at x1.
 
@@ -256,58 +284,17 @@ def pendant_dist_given_n_age(n: int, x1: float, p: Params) -> MixedDist:
         2(n-2)/(n(n-1)) * g(s|x1) * ((n-1) - (n-3) G(s|x1)).
     For n = 2 amp is 0: both pendant edges span the full age.
     """
-    _at_least("n", n, 2)
-    _positive_finite("x1", x1)
-    q = p0(x1, p)
-    amp = 2.0 * (n - 2) / (n * (n - 1) * q)
-    return _pendant_law(x1, q, amp, 2.0, (n - 3) / q, 2.0 / (n * (n - 1)), p)
+    return _pendant_law(*_pendant_coefs_given_n_age(n, x1, p), p)
 
 
 def pendant_mean_given_n_age(n: int, x1: float, p: Params) -> float:
-    """Expected pendant length given n and x1.
-
-    Uses the closed forms (separate branches for mu < lam and mu = lam);
-    falls back to quadrature of the density near mu = 0 and for n = 3 ties
-    where the closed form divides by ~0.
-    """
-    _at_least("n", n, 2)
-    _positive_finite("x1", x1)
-    if n == 2:
-        return x1
-    lam, mu = p.lam, p.mu
-    if p.is_critical:
-        q = x1 / (1.0 + lam * x1)
-        inner = (
-            (n - 7) * x1 + (n + 1) * q
-            + (6.0 - 2.0 * n + 4.0 * lam * x1) / lam * math.log1p(lam * x1)
-        )
-        return (2.0 * x1 + (n - 2) / (x1 * q * lam * lam) * inner) / (n * (n - 1))
-    if abs(mu) <= 1e-4 * lam or abs(lam - mu) <= 1e-4 * lam:
-        # closed form has 1/(lam*mu) and 1/(lam-mu) factors; integrate instead
-        return pendant_dist_given_n_age(n, x1, p).mean()
-    q = p0(x1, p)
-    P1 = p1(x1, p)
-    e = math.exp(-(lam - mu) * x1)
-    a = lam - mu * e
-    c_val = (
-        (n - 3) * q / (lam * mu) * a
-        - x1 * P1 * a / lam ** 2 * (4.0 / (lam - mu) * a - e * (n + 1))
-        - math.log(1.0 - mu * q) / (lam * mu) ** 2
-        * (e * mu * (-4.0 * mu - (n + 1) * (lam - mu))
-           - lam * (-4.0 * lam + (n + 1) * (lam - mu)))
-    )
-    return (2.0 * x1 + (n - 2) / (q * (1.0 - e)) * c_val) / (n * (n - 1))
+    """Expected pendant length given n and x1 (exactly x1 at n = 2)."""
+    return _pendant_mean(*_pendant_coefs_given_n_age(n, x1, p), p)
 
 
 # ---------------------------------------------------------------------------
 # Scenario (iii): conditioning on x1
 # ---------------------------------------------------------------------------
-
-# below this r the closed forms' 1/r terms cancel, so the series are summed;
-# m = 1..40 leave r^m m^2 under 1e-17 r^2 there
-_SERIES_MAX_R = 0.25
-_SERIES_M = np.arange(1.0, 41.0)
-
 
 def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     """c^2 w_k, with w_k = sum_{n>=3} ((n-2)/n)(n-k) r^{n-2}, r = lam p0(x1)
@@ -327,16 +314,12 @@ def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     return ((k + 1) * r - k) - 2.0 * k * cc * log_c / (r * r) - 2.0 * k * cc / r
 
 
-def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
-    """Pendant-edge law given only the age x1 (mixture over tip counts).
-
-    Continuous part for s < x1:
-        2 p1(s) / p0(x1) * (W1 - G W3),  G = p0(s)/p0(x1),
-    with r = lam p0(x1), c = 1 - r and W_k = c^2 w_k = pendant_age_weight(k,
-    x1); atom at x1: -2 (log(c) + r) (c/r)^2, where -(log(c) + r) is summed
-    as sum_{j>=2} r^j/j for r < 0.25.  W1 - G W3 is O(c) as s -> x1, so it
-    is summed as (W1 - W3) + (1 - G) W3: W1 - W3 = 2(c - atom), or the series
-    c^2 sum 2m/(m+2) r^m for r < 0.25, and p0(x1) (1 - G) is the gap.
+def _pendant_coefs_given_age(x1: float, p: Params) -> tuple:
+    """(end, q, amp, edge, slope, atom) of the pendant law given only x1; the
+    atom's -(log(c) + r) is summed as sum_{j>=2} r^j/j for r < 0.25.  W1 - G W3
+    is O(c) as s -> x1, so it is summed as (W1 - W3) + (1 - G) W3: W1 - W3 =
+    2(c - atom), or the series c^2 sum 2m/(m+2) r^m for r < 0.25, and
+    p0(x1) (1 - G) is the gap.
     """
     _positive_finite("x1", x1)
     q = p0(x1, p)
@@ -349,7 +332,23 @@ def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
     else:
         atom = -2.0 * (log_c + r) * cc / (r * r)
         w13 = 2.0 * (math.exp(log_c) - atom)  # W1 - W3
-    return _pendant_law(x1, q, 2.0 / q, w13, pendant_age_weight(3, x1, p) / q, atom, p)
+    return x1, q, 2.0 / q, w13, pendant_age_weight(3, x1, p) / q, atom
+
+
+def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:
+    """Pendant-edge law given only the age x1 (mixture over tip counts).
+
+    Continuous part for s < x1:
+        2 p1(s) / p0(x1) * (W1 - G W3),  G = p0(s)/p0(x1),
+    with r = lam p0(x1), c = 1 - r and W_k = c^2 w_k = pendant_age_weight(k,
+    x1); atom at x1: -2 (log(c) + r) (c/r)^2.
+    """
+    return _pendant_law(*_pendant_coefs_given_age(x1, p), p)
+
+
+def pendant_mean_given_age(x1: float, p: Params) -> float:
+    """Expected pendant length given only the age x1."""
+    return _pendant_mean(*_pendant_coefs_given_age(x1, p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ class RawParams:
     f: float = 1.0
 
     def __post_init__(self):
-        if not self.lambda_hat > 0:
-            raise ValueError(f"lambda_hat must be > 0, got {self.lambda_hat}")
+        _positive_finite("lambda_hat", self.lambda_hat)
         if not 0 <= self.mu_hat <= self.lambda_hat:
             raise ValueError(
                 f"mu_hat must lie in [0, lambda_hat], got {self.mu_hat}"
@@ -69,8 +68,9 @@ class Params:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        _positive_finite("lam", self.lam)
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.mu > self.lam:
             raise ValueError(f"mu must be <= lam, got mu={self.mu} lam={self.lam}")
 
@@ -97,8 +97,7 @@ def yule_rate(lam: Union[float, Params]) -> float:
         if not lam.is_yule:
             raise ValueError(f"requires mu = 0 (pure birth), got mu={lam.mu}")
         return lam.lam
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive_finite("lam", lam)
     return float(lam)
 
 

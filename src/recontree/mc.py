@@ -371,11 +371,21 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
 # Verification suite (drives the acceptance table)
 # ---------------------------------------------------------------------------
 
+# most reps a verify run accepts: each sampled statistic holds 8 bytes a rep,
+# and transform_equivalence, which holds the most, peaked near 190 MB at 10^6
+# reps, so about 2 GB at the bound
+MAX_REPS = 10**7
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     checks: Sequence[str] = ()
     reps: int = 100_000
     seed: int = 20260824
+
+    def __post_init__(self):
+        if self.reps > MAX_REPS:
+            raise ValueError(f"reps must be <= {MAX_REPS:.0e}, got {self.reps}")
 
 
 def _sampled(cfg, check, stream, sampler, reader, law, mean=None, atom_at=None):
@@ -515,23 +525,33 @@ def _check_mixture_identity(cfg):
 _MEANS_GRID = [
     (5, 2.0, 1.0, 0.5), (3, 2.0, 1.0, 0.5), (6, 1.5, 1.0, 0.4),
     (5, 2.0, 1.0, 1.0), (10, 1.0, 2.0, 2.0), (5, 2.0, 1.0, -0.5),
+    # a four-branch closed form was 17.5%, 28.8% and 8.7e-3 off at these
+    (10, 1e-5, 1.0, 0.5), (10, 1e-5, 1.0, -0.5), (20, 0.01, 1.0, 1.0001e-4),
 ]
+
+
+def _mean_report(cfg, label, name, mean, law):
+    """``mean`` against the quadrature mean of ``law``, to 1e-6 relative."""
+    quad = law.mean()
+    return _report(cfg, f"means_vs_quadrature:{label}", (name, quad, mean, 1e-6 * abs(quad)))
 
 
 def _check_means_vs_quadrature(cfg):
     out = []
     for n, x1, lam, mu in _MEANS_GRID:
         p = Params(lam=lam, mu=mu)
-        quad = dists.pendant_dist_given_n_age(n, x1, p).mean()
-        out.append(_report(cfg, f"means_vs_quadrature:n={n},lam={lam},mu={mu}",
-                           ("pendant_mean_n_age", quad,
-                            dists.pendant_mean_given_n_age(n, x1, p), 1e-6 * abs(quad))))
-    for lam, mu in ((1.0, 0.5), (1.0, 0.999), (2.0, -1.0)):
+        out.append(_mean_report(cfg, f"n={n},lam={lam},mu={mu}", "pendant_mean_n_age",
+                                dists.pendant_mean_given_n_age(n, x1, p),
+                                dists.pendant_dist_given_n_age(n, x1, p)))
+    for lam, mu in ((1.0, 0.5), (1.0, 0.999), (2.0, -1.0), (1.0, 1.0001e-4), (1.0, -1.0001e-4)):
         p = Params(lam=lam, mu=mu)
-        quad = dists.pendant_dist_given_n(p).mean()
-        out.append(_report(cfg, f"means_vs_quadrature:pendant_n,lam={lam},mu={mu}",
-                           ("pendant_mean_n", quad, dists.pendant_mean_given_n(p),
-                            1e-6 * abs(quad))))
+        out.append(_mean_report(cfg, f"pendant_n,lam={lam},mu={mu}", "pendant_mean_n",
+                                dists.pendant_mean_given_n(p), dists.pendant_dist_given_n(p)))
+    for lam, mu, x1 in _MIXTURE_GRID:
+        p = Params(lam=lam, mu=mu)
+        out.append(_mean_report(cfg, f"pendant_age,x1={x1},lam={lam},mu={mu}",
+                                "pendant_mean_age", dists.pendant_mean_given_age(x1, p),
+                                dists.pendant_dist_given_age(x1, p)))
     return out
 
 

@@ -235,9 +235,17 @@ def _speciation_time_inverse_cdf(y, x1: float, p: Params):
     return (np.log1p(-p.mu * q) - np.log1p(-p.lam * q)) / d
 
 
-# largest mean tip count the given-x1 sampler accepts; its draws stay far below
-# the memory of one machine (P(n > 20 * MAX_MEAN_TIPS) < 1e-8)
+# largest tip count the samplers accept: n itself given n or (n, x1), where a
+# one-tree block at n = 10^6 peaks near 250 MB, and the mean count given x1,
+# whose draws stay far below the memory of one machine
+# (P(n > 20 * MAX_MEAN_TIPS) < 1e-8)
 MAX_MEAN_TIPS = 10**6
+
+
+def _check_tips(n: int):
+    _at_least("n", n, 2)
+    if n > MAX_MEAN_TIPS:
+        raise ValueError(f"n must be <= {MAX_MEAN_TIPS:.0e}, got {n}")
 
 
 def _geometric_count(u: float, ratio: float) -> int:
@@ -515,7 +523,7 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     standard exponentials, then n-2 uniforms.
     """
     lam = yule_rate(lam)
-    _at_least("n", n, 2)
+    _check_tips(n)
     _at_least("reps", reps, 0)
     rng = as_generator(rng)
     bounds = [d(n) for d in draws]
@@ -540,7 +548,7 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     topology is attached: a uniform random pair merged at each split age,
     backward in time.  Per tree: 3n-4 uniforms.
     """
-    _at_least("n", n, 2)
+    _check_tips(n)
     _positive_finite("x1", x1)
     _at_least("reps", reps, 0)
     rng = as_generator(rng)

@@ -320,6 +320,15 @@ class TestBadInput:
           "--grid", "0:1:4"], "x1 must be > 0 and finite"),
         (["expect", "--x1", "inf"], "x1 must be > 0 and finite"),
         (["expect", "--x1", "nan", "--mu", "0.5"], "x1 must be > 0 and finite"),
+        # non-finite rates wrote nan rows or means and exited 0
+        (["density", "--law", "pendant", "--scenario", "given-n", "--lam", "inf",
+          "--grid", "0:1:4"], "lam must be > 0 and finite"),
+        (["density", "--law", "pendant", "--mu", "nan", "--grid", "0:1:4"],
+         "mu must be finite"),
+        (["expect", "--mu", "nan"], "mu must be finite"),
+        (["expect", "--lam-hat", "inf"], "lambda_hat must be > 0 and finite"),
+        (["simulate", "--scenario", "given-n", "--n", "5", "--lam-hat", "inf"],
+         "lambda_hat must be > 0 and finite"),
     ])
     def test_non_finite_input_exits_2(self, args, message, tmp_path, capsys, recwarn):
         out = tmp_path / "f"
@@ -338,6 +347,39 @@ class TestBadInput:
         assert_usage_error([*args, "-o", str(out)],
                            f"recontree {args[0]}: [Errno 2] No such file or directory", capsys)
         assert not out.parent.exists()
+
+
+_MEMORY_LIMITED_SCRIPT = """
+import resource, sys
+limit = 2 << 30  # 2 GiB of address space for this process only
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from recontree.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSizeBounds:
+    # without a bound each of these asked for 8 GB to 745 GiB; under the
+    # child's own 2 GiB limit a missing bound ends in a MemoryError traceback
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--scenario", "given-n-age", "--n", "1000000000", "--x1", "1"],
+         "n must be <= 1e+06, got 1000000000"),
+        (["simulate", "--scenario", "given-n", "--n", "1000000000"],
+         "n must be <= 1e+06, got 1000000000"),
+        (["verify", "--reps", "100000000000", "--check", "yule_pendant_n"],
+         "reps must be <= 1e+07, got 100000000000"),
+    ])
+    def test_oversized_run_exits_2_before_allocating(self, args, message, tmp_path):
+        out = tmp_path / "f"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEMORY_LIMITED_SCRIPT, *args, "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"recontree {args[0]}: {message}\n"
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestCachedParser:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from recontree import dists
 from recontree.dists import MixedDist, QuadratureConfig
@@ -27,6 +28,14 @@ def _mp_kernels(p):
     e = lambda t: mpmath.exp(-(lam - mu) * t)
     return ((lambda t: (1 - e(t)) / (lam - mu * e(t))),
             (lambda t: (lam - mu) ** 2 * e(t) / (lam - mu * e(t)) ** 2))
+
+
+def _mp_mean(law_pdf, x1, atom):
+    """atom x1 plus the integral of s pdf(s) over (0, x1), at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x1 = mpmath.mpf(x1)
+        return float(mpmath.quad(lambda s: s * law_pdf(s), [0, x1]) + atom(x1) * x1)
 
 
 def test_mixed_dist_rejects_bad_atom():
@@ -109,6 +118,8 @@ class TestPendantGivenN:
     def test_mean_limits(self):
         assert dists.pendant_mean_given_n(YULE) == pytest.approx(0.5, rel=1e-12)
         assert dists.pendant_mean_given_n(CRIT) == pytest.approx(1.0, rel=1e-12)
+        for lam in (0.3, 1.0, 7.0):
+            assert dists.pendant_mean_given_n(Params(lam, lam)) == 1.0 / lam
 
     @pytest.mark.parametrize("p", [SUB, NEG, Params(1.0, 1e-5), Params(2.0, 1.0)],
                              ids=lambda p: f"lam={p.lam},mu={p.mu}")
@@ -117,14 +128,23 @@ class TestPendantGivenN:
         assert dists.pendant_mean_given_n(p) == pytest.approx(q, rel=1e-8)
 
     def test_closed_form_branch_matches_series(self):
-        # just above the series/closed-form switch the two evaluations of
-        # the same mu must agree
-        mu = 1.01e-4
-        closed = dists.pendant_mean_given_n(Params(1.0, mu))
-        series = sum(mu ** (k - 2) / (k * (k - 1)) for k in range(2, 12))
-        # the closed form cancels ~5 digits this close to mu = 0, which is
-        # why the series branch exists below the switch
-        assert closed == pytest.approx(series, rel=1e-7)
+        # at the series/closed-form switch |mu/lam| = 0.25 the closed form
+        # cancels about 3 bits; both sides agree with the full series
+        for mu in (0.25, -0.25, 0.2499999, -0.2499999):
+            closed = dists.pendant_mean_given_n(Params(1.0, mu))
+            series = math.fsum(mu ** (k - 2) / (k * (k - 1)) for k in range(2, 80))
+            assert closed == pytest.approx(series, rel=2e-15, abs=0.0), mu
+
+    @pytest.mark.parametrize("mu", [1.0001e-4, -1.0001e-4, 1e-9, 0.3, 0.999, -3.0])
+    def test_mean_against_60_digits(self, mu):
+        # just past a 1e-4 cut to a closed form the mean was 7.8e-9 (mu > 0)
+        # and 1.4e-8 (mu < 0) off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            r = mpmath.mpf(mu)
+            want = float((r + (1 - r) * mpmath.log(1 - r)) / (r * r))
+        got = dists.pendant_mean_given_n(Params(1.0, mu))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestInteriorYule:
@@ -228,6 +248,22 @@ class TestPendantGivenNAge:
     def test_mean_n2(self):
         assert dists.pendant_mean_given_n_age(2, 1.3, SUB) == 1.3
 
+    @pytest.mark.parametrize("n, x1, mu", [(10, 1e-5, 0.5), (10, 1e-5, -0.5),
+                                           (20, 0.01, 1.0001e-4), (6, 2.0, 1.0)])
+    def test_mean_against_50_digits(self, n, x1, mu):
+        # a four-branch closed form was 17.5%, 28.8% and 8.7e-3 off at the
+        # first three points
+        p = Params(1.0, mu)
+        p0, p1 = _mp_kernels(p)
+
+        def pdf(s):
+            q = p0(x1)
+            return 2 * (n - 2) / (n * (n - 1) * q) * p1(s) * (2 + (n - 3) * (q - p0(s)) / q)
+
+        want = _mp_mean(pdf, x1, lambda x: 2 / (n * (n - 1)))
+        got = dists.pendant_mean_given_n_age(n, x1, p)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestPendantGivenAge:
     @pytest.mark.parametrize("p", REGIMES, ids=lambda p: f"mu={p.mu}")
@@ -304,12 +340,52 @@ class TestPendantGivenAge:
             val, _ = quad(d.pdf, 0, s)
             assert d.cdf(s) == pytest.approx(val, abs=1e-10)
 
+    @pytest.mark.parametrize("x1", [1e-5, 1.5, 30.0])
+    @pytest.mark.parametrize("p", REGIMES, ids=lambda p: f"mu={p.mu}")
+    def test_mean_against_50_digits(self, p, x1):
+        mpmath = pytest.importorskip("mpmath")
+        p0, p1 = _mp_kernels(p)
+
+        def w(k, r):
+            c = 1 - r
+            return (k + 1) * r - k - 2 * k * c * c * (mpmath.log(c) / r + 1) / r
+
+        def pdf(s):
+            q = p0(x1)
+            r = p.lam * q
+            return 2 * p1(s) / q * (w(1, r) - p0(s) / q * w(3, r))
+
+        def atom(x):
+            r = p.lam * p0(x)
+            return -2 * (mpmath.log(1 - r) + r) * ((1 - r) / r) ** 2
+
+        want = _mp_mean(pdf, x1, atom)
+        got = dists.pendant_mean_given_age(x1, p)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mean_tends_to_given_n_mean(self):
+        # as x1 grows the tree's tip count does too, and the pendant law
+        # given x1 tends to the law given n
+        p = SUB
+        gaps = [dists.pendant_mean_given_age(x1, p) - dists.pendant_mean_given_n(p)
+                for x1 in (5.0, 10.0, 20.0, 30.0)]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert dists.pendant_mean_given_age(30.0, p) == pytest.approx(0.6137058752, rel=1e-9)
+        assert dists.pendant_mean_given_n(p) == pytest.approx(0.6137056389, rel=1e-9)
+        assert 0.0 < gaps[-1] < 1e-6
+
 
 # each pendant-edge constructor, called with (n, x1, p)
 PENDANT_LAWS = {
     "given_n": lambda n, x1, p: dists.pendant_dist_given_n(p),
     "given_n_age": lambda n, x1, p: dists.pendant_dist_given_n_age(n, x1, p),
     "given_age": lambda n, x1, p: dists.pendant_dist_given_age(x1, p),
+}
+# the mean of each, called likewise
+PENDANT_MEANS = {
+    "given_n": lambda n, x1, p: dists.pendant_mean_given_n(p),
+    "given_n_age": lambda n, x1, p: dists.pendant_mean_given_n_age(n, x1, p),
+    "given_age": lambda n, x1, p: dists.pendant_mean_given_age(x1, p),
 }
 # s / end on [0, 1], dense near both ends
 _FRACS = np.unique(np.concatenate([
@@ -342,13 +418,21 @@ class TestPendantLaws:
         # within [0, 1 - atom] up to 1e-12 and non-decreasing up to a few
         # ulps (near 1 - atom its true steps are below one ulp, and the cdf,
         # a product of a rising and a falling factor, rounds either way);
-        # a law with a finite end holds all its mass; numpy floating-point
-        # warnings are errors
+        # a law with a finite end holds all its mass; the mean is finite and
+        # within [atom end, end]; numpy floating-point warnings and scipy
+        # integration warnings are errors
         p = Params(lam, ratio * lam)
         s = _FRACS * x1
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for name, build in PENDANT_LAWS.items():
                 law = build(n, x1, p)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", IntegrationWarning)
+                    m = PENDANT_MEANS[name](n, x1, p)
+                # the mean lies between the atom's share of it and the end
+                assert math.isfinite(m) and m > 0.0, name
+                if math.isfinite(law.support_end):
+                    assert law.atom_weight * law.support_end <= m <= law.support_end, name
                 f, c = law.pdf(s), law.cdf(s)
                 assert np.all(np.isfinite(f) & (f >= 0.0)), name
                 assert np.all(np.isfinite(c)), name
@@ -384,6 +468,7 @@ class TestLawConstructors:
         lambda x1: dists.pendant_mean_given_n_age(2, x1, SUB),
         lambda x1: dists.pendant_age_weight(3, x1, SUB),
         lambda x1: dists.pendant_dist_given_age(x1, SUB),
+        lambda x1: dists.pendant_mean_given_age(x1, SUB),
         lambda x1: dists.root_edge_dist_given_age(x1, 1.0),
         lambda x1: dists.root_edge_mean_given_age(x1, 1.0),
         lambda x1: dists.root_edge_survival_given_n_age(0.0, 5, x1, 1.0),

@@ -38,6 +38,17 @@ class TestTransform:
         with pytest.raises(ValueError):
             RawParams(lh, mh, f)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Params(math.inf, 0.0), lambda: Params(math.nan, 0.0),
+        lambda: Params(1.0, math.nan), lambda: Params(1.0, -math.inf),
+        lambda: RawParams(math.inf, 0.0), lambda: RawParams(math.nan, 0.0),
+        lambda: RawParams(1.0, math.nan), lambda: RawParams(1.0, 0.0, math.nan),
+    ])
+    def test_rejects_non_finite_rates(self, make):
+        # RawParams(inf, 0) was accepted, and transformed to Params(inf, nan)
+        with pytest.raises(ValueError, match="finite|must lie in"):
+            make()
+
     def test_mu_never_exceeds_lam(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

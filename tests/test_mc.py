@@ -175,6 +175,25 @@ class TestVerifySuite:
         list(mc._normalization_laws())
         assert built == names
 
+    def test_means_check_covers_every_pendant_mean(self, monkeypatch):
+        # c09 checks every pendant mean ``recontree expect`` prints against
+        # its law's quadrature mean
+        names = {name for _, name, _, _ in cli._EXPECT_MEANS if name.startswith("pendant_")}
+        called = set()
+        for name in names:
+            monkeypatch.setattr(dists, name, lambda *a, _name=name, _f=getattr(dists, name):
+                                called.add(_name) or _f(*a))
+        reports = mc._check_means_vs_quadrature(VerifyConfig())
+        assert called == names
+        assert all(r.passed for r in reports)
+
+    def test_reps_bound(self):
+        # each rep holds 8 bytes per sampled statistic; 10^11 reps asked for
+        # 745 GiB before the first draw
+        assert VerifyConfig(reps=mc.MAX_REPS).reps == mc.MAX_REPS
+        with pytest.raises(ValueError, match=r"reps must be <= 1e\+07, got 100000000000"):
+            VerifyConfig(reps=10**11)
+
     def test_wall_time_covers_the_check(self):
         cfg = VerifyConfig(checks=("root_edge_n",), reps=1000, seed=1)
         t0 = time.perf_counter()

@@ -298,6 +298,12 @@ class TestBatchSamplerGuards:
         (lambda r: sim.batch_yule_given_n(1, 1.0, 10, r), "n must be >= 2"),
         (lambda r: sim.batch_yule_given_n(5, SUB, 10, r), "requires mu = 0"),
         (lambda r: sim.batch_given_n_age(1, 2.0, SUB, 10, r), "n must be >= 2"),
+        # a tip count above the bound; tests/test_cli.py::TestSizeBounds runs
+        # the sizes that would exhaust memory, in a child with its own limit
+        (lambda r: sim.batch_yule_given_n(sim.MAX_MEAN_TIPS + 1, 1.0, 1, r),
+         r"n must be <= 1e\+06, got 1000001"),
+        (lambda r: sim.batch_given_n_age(sim.MAX_MEAN_TIPS + 1, 2.0, SUB, 1, r),
+         r"n must be <= 1e\+06, got 1000001"),
         (lambda r: sim.batch_given_n_age(4, 0.0, SUB, 10, r), "x1 must be > 0"),
         (lambda r: sim.batch_given_n_age(4, -1.0, SUB, 10, r), "x1 must be > 0"),
         (lambda r: sim.batch_given_age(0.0, SUB, 10, r), "x1 must be > 0"),
@@ -319,11 +325,11 @@ class TestBatchSamplerGuards:
             partial(sim.batch_given_age, 1.5, SUB),
             partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
         )],
-        # a Yule rate that is not > 0, for the single-tree and batch samplers
+        # a Yule rate that is not > 0 and finite, for the single-tree and batch samplers
         *[(lambda r, lam=lam: sample_yule_given_n(5, lam, r), "lam must be > 0")
-          for lam in (0.0, -1.0, math.nan)],
+          for lam in (0.0, -1.0, math.nan, math.inf)],
         *[(lambda r, lam=lam: sim.batch_yule_given_n(5, lam, 10, r), "lam must be > 0")
-          for lam in (0.0, -1.0, math.nan)],
+          for lam in (0.0, -1.0, math.nan, math.inf)],
     ])
     def test_rejects_before_any_draw(self, make, message):
         rng = np.random.default_rng(0)
