@@ -8,17 +8,8 @@ every law against simulation.
 """
 
 from .kernel import Params, RawParams, p0, p1, prob_n_given_age, transform_params
-from .sim import (
-    RngStream,
-    ExtinctRun,
-    reconstruct,
-    sample_given_age,
-    sample_given_n_age,
-    sample_rejection_given_age,
-    sample_yule_given_n,
-    simulate_forward,
-)
-from .tree import FullTree, ReconTree, from_newick, to_newick
+from .sim import RngStream, sample_given_age, sample_given_n_age, sample_yule_given_n
+from .tree import ReconTree, from_newick, to_newick
 
 __all__ = [
     "Params",
@@ -28,15 +19,10 @@ __all__ = [
     "prob_n_given_age",
     "transform_params",
     "RngStream",
-    "ExtinctRun",
-    "simulate_forward",
-    "reconstruct",
     "sample_yule_given_n",
     "sample_given_n_age",
     "sample_given_age",
-    "sample_rejection_given_age",
     "ReconTree",
-    "FullTree",
     "to_newick",
     "from_newick",
 ]

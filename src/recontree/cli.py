@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad arguments, rejected parameters, unwritable -o
+    # bad arguments, rejected parameters, a result past the float range, unwritable -o
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"recontree {args.command}: {exc}", file=sys.stderr)
         return 2
 

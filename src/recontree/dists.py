@@ -24,7 +24,10 @@ gap(s) = q - p0(s) from the rates (it never cancels), q = p0(end):
 
 Each finite-end row is one coefficient helper, giving both the law and its
 mean: atom end plus the integral of the survival atom + amp gap(s) (edge +
-slope gap(s)/2) over (0, end).  The given-n mean keeps its closed form.
+slope gap(s)/2) over (0, end).  The given-n mean keeps its closed form.  The
+pure-birth root-edge survivals read the node-depth law G(s | x1) = p0(s)/q
+from the same piece, 1 - G = gap/q.  Special functions come from
+``scipy.special`` only.
 
 Mixed distributions (a continuous density on (0, x1) plus a point mass at
 x1, arising because a pendant edge attached to the root has length exactly
@@ -168,16 +171,18 @@ def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
                   atom: float, p: Params) -> float:
     """The mean of :func:`_pendant_law` for a finite end: atom end plus the
     survival's integral, in t = s/end, split at 10, 100, ... times the scale
-    1/(lam + |mu|) over which the gap falls off.
+    1/(lam + |mu|) over which the gap falls off, with room for three
+    subdivisions a split.
     """
     def tail(t):
         gap = _p1_gap(t * end, end, p)[1]
         return gap * (edge + 0.5 * slope * gap)
 
     scale = (p.lam + abs(p.mu)) * end
+    _positive_finite("(lam + |mu|) x1", scale)
     points = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
     val, _ = scipy.integrate.quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
-                                  limit=_MAX_SUBDIVISIONS, points=points or None)
+                                  limit=_MAX_SUBDIVISIONS + 3 * len(points), points=points or None)
     return float(atom * end + amp * end * val)
 
 
@@ -432,51 +437,48 @@ def root_edge_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     return -math.expm1(-lam * x1) / lam
 
 
-def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
-    """P(initial edge > l | k tips at time t) = alpha^{k-1} (pure birth),
+# pure birth at rate 1: G depends on lam s only, so the root-edge survivals
+# take their times in units of 1/lam, where no kernel product underflows
+_YULE = Params(1.0)
 
-    with alpha = (1 - e^{-lam(t-l)})/(1 - e^{-lam t}); 0 for l >= t.
+
+def _depth_survival(l, t: float, lam: float, f):
+    """f(G, 1 - G) for 0 <= l <= t, 0 beyond (a float for a scalar l), with
+    G = G(t - l | t) = p0(t - l)/p0(t) at pure birth; 1 - G is the kernel's
+    gap over p0(t), at most 1, so it stays exact as l -> 0."""
+    l = np.asarray(l, dtype=float)
+    if np.any(l < 0):
+        raise ValueError("l must be >= 0")
+    s, u = lam * (t - np.minimum(l, t)), lam * t
+    q = p0(u, _YULE)
+    with np.errstate(divide="ignore", invalid="ignore"):  # G = 0 at l = t, 1 - G = 0 at 0
+        out = np.where(l <= t, f(p0(s, _YULE) / q, np.minimum(_p1_gap(s, u, _YULE)[1] / q, 1.0)),
+                       0.0)
+    return out if out.ndim else float(out)
+
+
+def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
+    """P(initial edge > l | k tips at time t) = G(t - l | t)^{k-1} (pure
+    birth), G(t - l | t) = (1 - e^{-lam(t-l)})/(1 - e^{-lam t}); 0 for l >= t.
+    log G is log1p(-(1 - G)) while 1 - G < 1/2 and log G beyond, exact at both ends.
     """
     lam = yule_rate(lam)
     _at_least("k", k, 1)
     _positive_finite("t", t)
-    l = np.asarray(l, dtype=float)
-    if np.any(l < 0):
-        raise ValueError("l must be >= 0")
-    with np.errstate(invalid="ignore"):
-        alpha = np.expm1(-lam * (t - l)) / np.expm1(-lam * t)
-    out = np.where(l < t, alpha ** (k - 1), 0.0)
-    return out if out.ndim else float(out)
+    return _depth_survival(l, t, lam, lambda g, eps: np.where(
+        g > 0.0, np.exp((k - 1) * np.where(eps < 0.5, np.log1p(-eps), np.log(g))), 0.0))
 
 
 def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Params]):
-    """P(L > l | n, x1) = (1/(n-1)) (1 - alpha^{n-1})/(1 - alpha), 0 past x1.
-
-    Equivalent to the geometric mean-sum (1/(n-1)) sum_{j=0..n-2} alpha^j,
-    which is what the limit handling below reproduces as alpha -> 1.
+    """P(L > l | n, x1) = (1/(n-1)) sum_{j=0..n-2} G^j (pure birth), G =
+    G(x1 - l | x1); 0 past x1.  With eps = 1 - G exact and m = n - 1 that is
+    -expm1(m log1p(-eps))/(m eps), whose limit 1 is needed only at eps = 0.
     """
-    lam = yule_rate(lam)
+    lam, m = yule_rate(lam), n - 1
     _at_least("n", n, 2)
     _positive_finite("x1", x1)
-    scalar = np.isscalar(l)
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    if np.any(l < 0):
-        raise ValueError("l must be >= 0")
-    m = n - 1
-    out = np.zeros_like(l)
-    inside = l <= x1
-    li = l[inside]
-    alpha = np.expm1(-lam * (x1 - li)) / np.expm1(-lam * x1)
-    eps = 1.0 - alpha
-    vals = np.empty_like(alpha)
-    near = m * np.abs(eps) < 1e-8
-    # first-order expansion of the geometric sum around alpha = 1
-    vals[near] = 1.0 - (m - 1) * eps[near] / 2.0
-    far = ~near
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at l = x1 is fine
-        vals[far] = -np.expm1(m * np.log1p(-eps[far])) / (m * eps[far])
-    out[inside] = vals
-    return float(out[0]) if scalar else out
+    return _depth_survival(l, x1, lam, lambda g, eps: np.where(
+        eps > 0.0, -np.expm1(m * np.log1p(-eps)) / (m * eps), 1.0))
 
 
 def root_edge_limit_constant() -> float:
@@ -485,13 +487,8 @@ def root_edge_limit_constant() -> float:
     Scaled by 1/lam, this is the large-n limit of the expected root-edge
     length when lam is set to its ML value ln(n/2)/x1.
     """
-    def integrand(x):
-        if x == 0.0:
-            return 0.5  # removable singularity
-        return -math.expm1(-x) / (x * (2.0 + x))
-
     val, err = scipy.integrate.quad(
-        integrand, 0.0, np.inf,
+        lambda x: scipy.special.exprel(-x) / (2.0 + x), 0.0, np.inf,
         epsabs=_DEFAULT_QUAD.abs_tol, epsrel=_DEFAULT_QUAD.rel_tol, limit=400,
     )
     if not math.isfinite(val) or err > 1e-6:
@@ -504,13 +501,17 @@ def root_edge_limit_constant() -> float:
 # ---------------------------------------------------------------------------
 
 def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
-    """Diversity law given n (pure birth): gamma with shape n-1 and rate lam."""
+    """Diversity law given n (pure birth): gamma with shape n-1 and rate lam;
+    in x = d/(1/lam) the cdf is gammainc(n-1, x), the pdf formed in log space."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
+    scale = 1.0 / lam
+    x = lambda d: np.asarray(d, dtype=float) / scale
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda d: scipy.stats.gamma.pdf(d, n - 1, scale=1.0 / lam),
-        cdf=lambda d: scipy.stats.gamma.cdf(d, n - 1, scale=1.0 / lam),
+        pdf=lambda d: np.exp(scipy.special.xlogy(n - 2.0, x(d)) - x(d)
+                             - scipy.special.gammaln(n - 1)) / scale,
+        cdf=lambda d: scipy.special.gammainc(n - 1, x(d)),
     )
 
 
@@ -536,28 +537,20 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     s = np.asarray(s, dtype=float)
     if np.any(s >= lam):
         raise ValueError("MGF argument must be < lam")
-    d = lam - s
-    # (1 - e^{-d x1})/d, stable as d -> 0
-    ratio = np.where(
-        np.abs(d * x1) < 1e-8,
-        x1 * (1.0 - d * x1 / 2.0),
-        -np.expm1(-d * x1) / np.where(d == 0.0, 1.0, d),
-    )
+    ratio = x1 * scipy.special.exprel((s - lam) * x1)  # (1 - e^{(s-lam) x1})/(lam-s)
     base = lam * ratio / (-math.expm1(-lam * x1))
     out = np.exp(2.0 * x1 * s) * base ** (n - 2)
     return out if out.ndim else float(out)
 
 
 def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> float:
-    """E[D|n,x1] = 2 x1 + (n-2) E[S] with S a speciation time on (0, x1)."""
+    """E[D|n,x1] = 2 x1 + (n-2) E[S], E[S] = gammainc(2, y)/(lam(1 - e^-y)), y = lam x1."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
     _positive_finite("x1", x1)
-    if n == 2:
-        return 2.0 * x1
-    v = -math.expm1(-lam * x1)
-    mean_s = 1.0 / lam - x1 * (1.0 - v) / v
-    return 2.0 * x1 + (n - 2) * mean_s
+    y = lam * x1
+    mean_s = scipy.special.gammainc(2, y) / -math.expm1(-y) / lam
+    return 2.0 * x1 + (n - 2) * float(mean_s)
 
 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:

@@ -59,6 +59,10 @@ class RawParams:
 # pendant means divide by lam - mu, so the critical-branch formulas serve there
 CRITICAL_TOL = 1e-8
 
+# lam and |mu| must lie in this range: the kernels square lam - mu, which
+# under- or overflows by about 1e+-154
+RATE_RANGE = (1e-100, 1e100)
+
 
 @dataclass(frozen=True)
 class Params:
@@ -68,9 +72,11 @@ class Params:
     mu: float = 0.0
 
     def __post_init__(self):
-        _positive_finite("lam", self.lam)
+        _rate("lam", self.lam)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
+        if abs(self.mu) > RATE_RANGE[1]:
+            raise ValueError(f"|mu| must be <= {RATE_RANGE[1]:g}, got {self.mu}")
         if self.mu > self.lam:
             raise ValueError(f"mu must be <= lam, got mu={self.mu} lam={self.lam}")
 
@@ -97,7 +103,7 @@ def yule_rate(lam: Union[float, Params]) -> float:
         if not lam.is_yule:
             raise ValueError(f"requires mu = 0 (pure birth), got mu={lam.mu}")
         return lam.lam
-    _positive_finite("lam", lam)
+    _rate("lam", lam)
     return float(lam)
 
 
@@ -109,6 +115,13 @@ def _at_least(name: str, value: int, least: int):
 def _positive_finite(name: str, value: float):
     if not math.inf > value > 0:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
+def _rate(name: str, value: float):
+    _positive_finite(name, value)
+    if not RATE_RANGE[0] <= value <= RATE_RANGE[1]:
+        raise ValueError(f"{name} must lie in [{RATE_RANGE[0]:g}, {RATE_RANGE[1]:g}], "
+                         f"got {value}")
 
 
 def _check_time(s):

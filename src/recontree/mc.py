@@ -402,11 +402,11 @@ def _report(cfg, check, *moments, n_samples=0) -> ComparisonReport:
 
 
 def _check_yule_pendant_n(cfg):
-    # the Yule pendant law given n is Exp(2 lam), the interior-edge law
-    lam, n = 1.0, 20
-    return [_sampled(cfg, "yule_pendant_n", 1, partial(sim.batch_yule_given_n, n, lam),
-                     read_random_pendant, dists.interior_dist_yule(lam),
-                     mean=1.0 / (2.0 * lam))]
+    # the served pendant law given n, at mu = 0 (where it is Exp(2 lam))
+    p, n = Params(1.0, 0.0), 20
+    return [_sampled(cfg, "yule_pendant_n", 1, partial(sim.batch_yule_given_n, n, p.lam),
+                     read_random_pendant, dists.pendant_dist_given_n(p),
+                     mean=dists.pendant_mean_given_n(p))]
 
 
 def _check_yule_interior_n(cfg):

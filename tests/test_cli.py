@@ -336,6 +336,40 @@ class TestBadInput:
         assert not out.exists()
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("args, message", [
+        # d^2 underflowed in the kernel: a nan pdf with RuntimeWarnings, exit 0
+        (["density", "--law", "pendant", "--lam", "1e-300", "--grid", "0:2:3"],
+         "lam must lie in [1e-100, 1e+100], got 1e-300"),
+        (["density", "--law", "diversity", "--n", "5", "--lam", "1e300", "--grid", "0:2:3"],
+         "lam must lie in [1e-100, 1e+100], got 1e+300"),
+        (["expect", "--lam", "1e300"], "lam must lie in [1e-100, 1e+100]"),
+        (["expect", "--mu=-1e300"], "|mu| must be <= 1e+100"),
+        (["expect", "--lam-hat", "1e300", "--f", "0.5"], "lam must lie in [1e-100, 1e+100]"),
+        (["simulate", "--scenario", "given-n", "--n", "5", "--lam", "1e-300"],
+         "lam must lie in [1e-100, 1e+100]"),
+        # past the float range the pendant means refuse (lam + |mu|) x1
+        (["expect", "--lam", "1e100", "--mu", "5e99", "--x1", "1e300"],
+         "(lam + |mu|) x1 must be > 0 and finite, got inf"),
+        # E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range
+        (["expect", "--x1", "800"], "math range error"),
+    ])
+    def test_out_of_range_input_exits_2(self, args, message, tmp_path, capsys, recwarn):
+        out = tmp_path / "f"
+        assert_usage_error([*args, "-o", str(out)], f"recontree {args[0]}: {message}", capsys)
+        assert not out.exists()
+        assert len(recwarn) == 0
+
+    def test_huge_age_is_served(self, tmp_path, recwarn):
+        # lam x1 = 1e200: the pendant means' quadrature breakpoints outgrew its
+        # subdivision limit, and scipy raised "The input is invalid."
+        out = tmp_path / "e.json"
+        assert run(["expect", "--lam", "1e100", "--mu", "5e99", "--x1", "1e100", "--n", "5",
+                    "--format", "json", "-o", str(out)]) == 0
+        values = json.loads(out.read_text())["values"]
+        assert values["E[pendant | n=5, x1=1e+100]"] == pytest.approx(1e99, rel=1e-12)
+        assert all(np.isfinite(v) for v in values.values())
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("args", [
         ["density", "--law", "pendant", "--grid", "0:1:4"],
         ["simulate", "--scenario", "given-n", "--n", "4", "--reps", "2", "--seed", "1"],
@@ -445,9 +479,35 @@ assert cli.main(["expect", *out]) == 0
 """
 
 
-def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
+def _run_fresh(script, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_SUBMODULES_SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
+    _run_fresh(_SCIPY_SUBMODULES_SCRIPT, tmp_path)
+
+
+# Every density law, expect and simulate, in one fresh interpreter: none of
+# them loads scipy.stats, which only verify's two-sample and chi-square tests use.
+_NO_SCIPY_STATS_SCRIPT = """
+import os, sys
+from recontree import cli
+
+values = {"n": "6", "k": "3", "x1": "2"}
+runs = [["simulate", "--scenario", "given-n-age", "--n", "6", "--x1", "2", "--reps", "5",
+         "--seed", "1"], ["expect", "--mu", "0"], ["expect", "--mu", "0.5"]]
+for (law, scenario), (_, flags, _) in cli._DENSITY_LAWS.items():
+    runs.append(["density", "--law", law, "--grid", "0:2:5", *(["--scenario", scenario] if
+                 scenario else []), *(a for f in flags for a in (f"--{f}", values[f]))])
+for argv in runs:
+    assert cli.main([*argv, "-o", os.path.join(sys.argv[1], "out")]) == 0, argv
+    assert "scipy.stats" not in sys.modules, argv
+"""
+
+
+def test_density_expect_and_simulate_load_no_scipy_stats(tmp_path):
+    _run_fresh(_NO_SCIPY_STATS_SCRIPT, tmp_path)

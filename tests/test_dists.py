@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from recontree import dists
+from recontree import dists, mc
 from recontree.dists import MixedDist, QuadratureConfig
-from recontree.kernel import Params, prob_n_given_age
+from recontree.kernel import Params, RawParams, prob_n_given_age, transform_params
 
 
 YULE = Params(1.0, 0.0)
@@ -503,9 +503,7 @@ class TestHypoexp:
         rng = np.random.default_rng(7)
         rates = lam * np.arange(2, k + 1)
         samples = np.sort((rng.exponential(1.0, size=(m, k - 1)) / rates).sum(axis=1))
-        cdf_vals = dists.hypoexp_dist(k, lam).cdf(samples)
-        grid = np.arange(1, m + 1) / m
-        ks = np.max(np.abs(cdf_vals - grid))
+        ks = mc.ks_one_sample(samples, dists.hypoexp_dist(k, lam).cdf)
         assert ks < 1.6276 / math.sqrt(m)
         assert samples.mean() == pytest.approx(
             dists.hypoexp_mean(k, lam), abs=3 * samples.std() / math.sqrt(m)
@@ -580,8 +578,8 @@ class TestRootEdge:
         assert np.all(np.diff(vals) < 0)
 
     def test_survival_series_branch_matches_direct_sum(self):
-        # tiny lam pushes alpha -> 1, exercising the expansion branch;
-        # the direct geometric sum is itself well conditioned there
+        # tiny lam pushes G -> 1, where 1 - G is small and taken from the kernel's
+        # gap; the direct geometric sum is itself well conditioned there
         lam, n, x1 = 1e-10, 400, 1.0
         for l in (0.3, 0.9):
             alpha = math.expm1(-lam * (x1 - l)) / math.expm1(-lam * x1)
@@ -594,6 +592,34 @@ class TestRootEdge:
         assert dists.root_edge_limit_constant() == pytest.approx(
             0.8158457311748504, abs=1e-10
         )
+
+    @pytest.mark.parametrize("n", [5, 10, 400, 10**6])
+    @pytest.mark.parametrize("lam", [1e-10, 1e-3, 1.0, math.log(5e5), 40.0])
+    def test_survival_given_n_age_matches_mpmath(self, n, lam):
+        # at n = 10^6 and lam = ln(5 10^5) (limit_constant's point) the power
+        # G^(n-1) of a rounded G was 1.8e-11 off
+        mpmath = pytest.importorskip("mpmath")
+        for x1 in (1.0, 0.3):
+            ls = np.concatenate([np.linspace(0.0, x1, 21), np.linspace(0.05 * x1, 0.6 * x1, 12)])
+            got = dists.root_edge_survival_given_n_age(ls, n, x1, lam)
+            with mpmath.workdps(60):
+                lam_, x1_ = mpmath.mpf(lam), mpmath.mpf(x1)
+                for l, value in zip(ls, got):
+                    g = mpmath.expm1(-lam_ * (x1_ - mpmath.mpf(l))) / mpmath.expm1(-lam_ * x1_)
+                    want = 1 if g == 1 else (1 - g ** (n - 1)) / ((n - 1) * (1 - g))
+                    assert value == pytest.approx(float(want), rel=1e-14, abs=0), (x1, l)
+
+    def test_initial_edge_survival_matches_mpmath(self):
+        # relative precision at both ends: G near 1 for small l, near 0 as l -> t
+        mpmath = pytest.importorskip("mpmath")
+        t = 1.0
+        ls = [0.0, 0.3, 0.5, 0.9, 1 - 1e-9]
+        for k, lam in ((2, 1.0), (5, 13.0), (1000, 1e-3), (10**6, 1.0)):
+            got = dists.initial_edge_survival(np.array(ls), t, k, lam)
+            with mpmath.workdps(60):
+                for l, value in zip(ls, got):
+                    g = mpmath.expm1(-mpmath.mpf(lam) * (1 - mpmath.mpf(l))) / mpmath.expm1(-lam)
+                    assert value == pytest.approx(float(g ** (k - 1)), rel=1e-12, abs=0), (k, l)
 
 
 class TestDiversity:
@@ -642,3 +668,82 @@ class TestDiversity:
     def test_rejects_extinction(self):
         with pytest.raises(ValueError):
             dists.diversity_mean_given_n(5, SUB)
+
+    @pytest.mark.parametrize("n", [3, 10, 1000])
+    def test_mean_given_n_age_matches_mpmath(self, n):
+        # 1/lam - x1 (1 - v)/v cancelled: 1.2e-8 off at lam x1 = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        for y in np.logspace(-10.0, math.log10(60.0), 41):
+            for x1 in (1.0, 0.25):
+                lam = float(y) / x1
+                with mpmath.workdps(60):
+                    lam_, x1_ = mpmath.mpf(lam), mpmath.mpf(x1)
+                    mean_s = 1 / lam_ - x1_ / mpmath.expm1(lam_ * x1_)
+                    want = float(2 * x1_ + (n - 2) * mean_s)
+                assert dists.diversity_mean_given_n_age(n, x1, lam) == pytest.approx(
+                    want, rel=1e-14, abs=0), (lam, x1)
+
+    def test_gamma_law_matches_scipy_stats(self):
+        stats = pytest.importorskip("scipy.stats")
+        d = np.concatenate([[0.0], np.linspace(0.01, 30.0, 301)])
+        for n, lam in ((2, 1.0), (5, 0.3), (10, 2.0), (400, 7.5)):
+            law = dists.diversity_dist_given_n(n, lam)
+            assert np.array_equal(law.pdf(d), stats.gamma.pdf(d, n - 1, scale=1.0 / lam))
+            assert np.array_equal(law.cdf(d), stats.gamma.cdf(d, n - 1, scale=1.0 / lam))
+
+
+class TestExtremeRates:
+    """Rates outside kernel.RATE_RANGE are refused with a message naming it;
+    inside it, laws at lam x1 near 1e200 return finite values with no warning."""
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e300])
+    @pytest.mark.parametrize("call", [
+        lambda lam: Params(lam),
+        lambda lam: transform_params(RawParams(lam, 0.0)),
+        lambda lam: dists.pendant_dist_given_n(Params(lam)),
+        lambda lam: dists.interior_dist_yule(lam),
+        lambda lam: dists.root_edge_survival_given_n_age(0.5, 5, 1.0, lam),
+        lambda lam: dists.initial_edge_survival(0.5, 1.0, 5, lam),
+        lambda lam: dists.diversity_dist_given_n(5, lam),
+        lambda lam: dists.diversity_mean_given_n_age(5, 1.0, lam),
+    ])
+    def test_rate_outside_range_is_refused(self, call, lam):
+        with pytest.raises(ValueError, match=r"lam must lie in \[1e-100, 1e\+100\]"):
+            call(lam)
+
+    @pytest.mark.parametrize("mu", [-1e300, -1e101])
+    def test_large_negative_mu_is_refused(self, mu):
+        with pytest.raises(ValueError, match=r"\|mu\| must be <= 1e\+100"):
+            Params(1.0, mu)
+
+    @pytest.mark.parametrize("lam, x1", [(1e100, 1e100), (1.0, 1e200), (1e-100, 1e300)])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, -1.0, 1.0])
+    def test_pendant_means_at_huge_age(self, lam, x1, ratio):
+        # the survival quadrature's breakpoints outgrew its subdivision limit
+        p, unit = Params(lam, ratio * lam), Params(1.0, ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            given_n_age = dists.pendant_mean_given_n_age(5, x1, p)
+            given_age = dists.pendant_mean_given_age(x1, p)
+            # every law depends on lam s and mu/lam only
+            unit_given_age = dists.pendant_mean_given_age(lam * x1, unit)
+        # the atom 2/(n(n-1)) at x1 carries all but O(log(lam x1)/lam) of the mean
+        assert given_n_age == pytest.approx(0.1 * x1, rel=1e-12)
+        assert 0.0 < given_age < x1
+        assert lam * given_age == pytest.approx(unit_given_age, rel=1e-12)
+
+    @pytest.mark.parametrize("lam, x1", [(1e100, 1e100), (1.0, 1e200), (1e-100, 1e300)])
+    def test_pure_birth_laws_at_huge_age(self, lam, x1):
+        ls = np.array([0.0, 1e-200 * x1, 0.5 * x1, x1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = dists.root_edge_survival_given_n_age(ls, 5, x1, lam)
+            initial = dists.initial_edge_survival(ls, x1, 5, lam)
+            mean = dists.diversity_mean_given_n_age(5, x1, lam)
+            mgf = dists.diversity_mgf_given_n_age(0.0, 5, x1, lam)
+        # every other node lies within a few 1/lam of the tips, so G(x1 - l | x1)
+        # is 1 below x1 and 0 at it
+        assert root.tolist() == [1.0, 1.0, 1.0, 0.25]
+        assert initial.tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert mean == pytest.approx(2.0 * x1 + 3.0 / lam, rel=1e-15)
+        assert mgf == pytest.approx(1.0, rel=1e-15)

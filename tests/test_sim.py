@@ -158,8 +158,7 @@ class TestYuleGivenN:
         rng = np.random.default_rng(8)
         ages = np.sort(np.concatenate(
             [b.times[:, n] for b in sim.batch_yule_given_n(n, 1.0, m, rng)]))
-        cdf = dists.hypoexp_dist(n, 1.0).cdf(ages)
-        ks = np.max(np.abs(cdf - np.arange(1, m + 1) / m))
+        ks = mc.ks_one_sample(ages, dists.hypoexp_dist(n, 1.0).cdf)
         assert ks < 1.6276 / math.sqrt(m)
 
     def test_rejects_extinction_params(self):
@@ -193,9 +192,8 @@ class TestGivenNAge:
         times = np.concatenate([np.sort(b.times[:, n + 1:], axis=1)[:, ::-1]
                                 for b in sim.batch_given_n_age(n, x1, SUB, m, rng)])
         for k in (2, 3, n - 1):
-            vals = np.sort(times[:, k - 2])
-            cdf = dists.speciation_time_cdf(vals, k, n, x1, SUB)
-            ks = np.max(np.abs(cdf - np.arange(1, m + 1) / m))
+            ks = mc.ks_one_sample(np.sort(times[:, k - 2]),
+                                  lambda s: dists.speciation_time_cdf(s, k, n, x1, SUB))
             assert ks < 1.6276 / math.sqrt(m)
 
     @pytest.mark.parametrize("sampler", [
