@@ -544,12 +544,20 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
 
 
 def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> float:
-    """E[D|n,x1] = 2 x1 + (n-2) E[S], E[S] = gammainc(2, y)/(lam(1 - e^-y)), y = lam x1."""
+    """E[D|n,x1] = 2 x1 + (n-2) E[S], E[S] = gammainc(2, y)/(lam(1 - e^-y)), y = lam x1.
+
+    Below y = 1e-2, E[S] = (1 - y/expm1(y))/lam is summed as its series
+    x1 (1/2 - y/12 + y^3/720 - y^5/30240), which keeps full precision where
+    gammainc(2, y) loses digits (y < 1e-50) or underflows.
+    """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
     _positive_finite("x1", x1)
     y = lam * x1
-    mean_s = scipy.special.gammainc(2, y) / -math.expm1(-y) / lam
+    if y < 1e-2:
+        mean_s = x1 * (0.5 - y * (1.0 / 12.0 - y * y * (1.0 / 720.0 - y * y / 30240.0)))
+    else:
+        mean_s = scipy.special.gammainc(2, y) / -math.expm1(-y) / lam
     return 2.0 * x1 + (n - 2) * float(mean_s)
 
 

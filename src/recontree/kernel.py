@@ -168,7 +168,8 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
     if p.is_critical:
         h = 1.0 + p.lam * s
         gap = 1.0 / p.lam if end == math.inf else (end - s) / (1.0 + p.lam * end)
-        return 1.0 / (h * h), gap / h
+        with np.errstate(over="ignore"):  # h*h is inf past lam*s ~ 1.3e154: p1 -> 0
+            return 1.0 / (h * h), gap / h
     d = p.lam - p.mu
     e = np.exp(-d * s)
     ds = d + p.mu * -np.expm1(-d * s)  # D(s)

@@ -7,7 +7,12 @@ internal nodes are n..2n-2, and the root is the internal node of maximal
 age, which equals the MRCA age x1.
 
 :func:`to_newick` and :func:`from_newick` convert to and from Newick text
-without recursion; the parser rebuilds each age bottom-up from the lengths.
+without recursion, in time linear in n for any shape, caterpillars included:
+the writer collects its pieces in one preorder pass and joins them once, and
+the parser walks the parts of one ``re.split`` at the delimiters.  The parser
+rebuilds each age bottom-up from the lengths.  The text written, the ages
+read back and every ``NewickError`` equal, bit for bit, those of the
+per-token reference kept in the tests.
 
 A :class:`FullTree` is the raw output of forward simulation: a table of
 lineage segments that may include the stem above the root, extinct tips,
@@ -31,6 +36,21 @@ __all__ = [
     "from_newick",
     "NewickError",
 ]
+
+
+_RESERVED = re.compile(r"[(),:;]").search
+
+
+def _check_labels(labels):
+    """Refuse a label that :func:`from_newick` could not read back as written."""
+    try:
+        ok = "" not in labels and not _RESERVED("".join(labels))
+    except TypeError:  # a label that is not a string
+        ok = False
+    if not ok:
+        bad = next(x for x in labels if not isinstance(x, str) or not x or _RESERVED(x))
+        raise ValueError(f"label {bad!r} cannot be written as Newick: labels must be "
+                         "non-empty strings without any of '(),:;'")
 
 
 class ReconTree:
@@ -69,6 +89,8 @@ class ReconTree:
         n = self.n
         if len(self.labels) != n:
             raise ValueError("label count must equal leaf count")
+        if self._labels is not None:
+            _check_labels(self._labels)
         if np.count_nonzero(self.parent < 0) != 1:
             raise ValueError("tree must have exactly one root")
         root = self.root
@@ -121,105 +143,125 @@ def to_newick(t: ReconTree) -> str:
     :func:`from_newick` gives back the topology and labels exactly, and each
     age as a child's age plus that child's length: exact for most nodes, and
     within about an ulp of the age otherwise, so the text need not round-trip
-    exactly.
+    exactly.  One preorder pass collects the pieces and one join writes them,
+    so the cost is linear in n whatever the tree's depth.
     """
-    lens = t.edge_lengths().tolist()
-    kids = t.children.tolist()
     n, labels = t.n, t.labels
-    # iterative post-order to avoid recursion limits on large trees
-    stack = [(t.root, False)]
-    pieces = {}
+    kids = t.children.tolist()
+    lens = list(map(repr, t.edge_lengths().tolist()))
+    # what follows a node's subtree: its length, then ',' after a first child
+    # and ')' after a second; the root is followed by ';'
+    close = [";"] * (2 * n - 1)
+    for c0, c1 in kids:
+        close[c0] = f":{lens[c0]},"
+        close[c1] = f":{lens[c1]})"
+    out = []
+    stack = [t.root]  # nodes still to write, and ~v for the close of node v
+    emit, push, pop = out.append, stack.append, stack.pop
     while stack:
-        node, done = stack.pop()
-        if node < n:
-            pieces[node] = labels[node]
+        v = pop()
+        if v < 0:
+            emit(close[~v])
             continue
-        c0, c1 = kids[node - n]
-        if not done:
-            stack += ((node, True), (c1, False), (c0, False))
-        else:
-            pieces[node] = (f"({pieces.pop(c0)}:{lens[c0]!r},"
-                            f"{pieces.pop(c1)}:{lens[c1]!r})")
-    return pieces[t.root] + ";"
+        while v >= n:  # down the first children to a leaf
+            emit("(")
+            c0, c1 = kids[v - n]
+            push(~v)
+            push(c1)
+            v = c0
+        emit(labels[v])
+        emit(close[v])
+    return "".join(out)
 
 
-_TOKEN = re.compile(r"[(),;]|:[^,();]*|[^:,();]+")
+_SPLIT = re.compile(r"([(),;])").split
+
+
+def _position(parts, k):
+    """Character offset of ``parts[k]`` in the text that ``parts`` split."""
+    return sum(map(len, parts[:k]))
 
 
 def from_newick(text: str) -> ReconTree:
     """Parse a binary ultrametric Newick string into a ReconTree.
 
-    One pass over the tokens on an explicit stack.  Leaves are numbered in
-    text order and internal nodes in post-order.  A tip's age is 0 and a
-    node's age is a child's age plus that child's length, from a tip child if
-    there is one (exact) and else from the older child.  Rejects non-binary
-    topologies and trees whose tips are not contemporaneous (within 1e-9
-    relative of the tree height).
+    One ``re.split`` at the delimiters ``(),;`` and one pass over the parts,
+    on an explicit stack: a step per leaf and one per ``)``.  Leaves are
+    numbered in text order and internal nodes in post-order.  A tip's age is
+    0 and a node's age is a child's age plus that child's length, from a tip
+    child if there is one (exact) and else from the older child.  Rejects
+    non-binary topologies and trees whose tips are not contemporaneous
+    (within 1e-9 relative of the tree height).  The cost is linear in the
+    text's length, however deep the tree.
     """
     text = text.strip()
     if not text.endswith(";"):
         raise NewickError("newick must end with ';'", len(text))
-    s = text[:-1]
-    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(s)]
-    tokens.append((len(s), ""))  # end of text
+    # text parts at even indices, each followed by its delimiter; "" ends it
+    parts = _SPLIT(text[:-1])
+    parts.append("")
     labels: List[str] = []
     kids: List[tuple] = []  # per internal node: its two child refs
     ages: List[float] = []  # per internal node
-    # a clade is (ref, age, min tip depth, max tip depth); ref is a leaf
-    # index, or ~i for internal node i.  Each open clade on the stack lists
-    # its children so far as (clade, length).
+    # the last clade read is (ref, age, min tip depth, max tip depth); ref is
+    # a leaf index, or ~i for internal node i.  Each open clade on the stack
+    # lists its children so far, five numbers each: the four and the length.
     stack: List[list] = []
-    i = 0
+    isfinite = math.isfinite
+    j = 0
     while True:
-        pos, tok = tokens[i]
-        while tok == "(":
+        part = parts[j]
+        while not part and parts[j + 1] == "(":
             stack.append([])
-            i += 1
-            pos, tok = tokens[i]
-        if tok[:1] in "(),;:":  # also the end of text
-            raise NewickError("expected a leaf label", pos)
-        clade = (len(labels), 0.0, 0.0, 0.0)
-        labels.append(tok)
-        i += 1
+            j += 2
+            part = parts[j]
+        label, colon, length = part.partition(":")
+        if not label:
+            raise NewickError("expected a leaf label", _position(parts, j))
+        ref, age, lo, hi = len(labels), 0.0, 0.0, 0.0
+        labels.append(label)
         while stack:
-            pos, tok = tokens[i]
-            if tok[:1] != ":":
-                raise NewickError("expected ':<length>'", pos)
-            end = pos + len(tok)
+            if not colon:
+                raise NewickError("expected ':<length>'", _position(parts, j + 1))
             try:
-                length = float(tok[1:])
+                size = float(length)
             except ValueError:
-                raise NewickError(f"bad branch length {tok[1:]!r}", end) from None
-            if not math.isfinite(length) or length <= 0:
-                raise NewickError(
-                    f"branch length must be finite and > 0, got {length}", end)
-            stack[-1].append((clade, length))
-            pos, tok = tokens[i + 1]
-            i += 2
-            if tok == ",":
+                raise NewickError(f"bad branch length {length!r}",
+                                  _position(parts, j + 1)) from None
+            if not (size > 0 and isfinite(size)):
+                raise NewickError(f"branch length must be finite and > 0, got {size}",
+                                  _position(parts, j + 1))
+            frame = stack[-1]
+            frame += (ref, age, lo, hi, size)
+            delim = parts[j + 1]
+            j += 2
+            if delim == ",":
                 break
-            if tok != ")":
-                raise NewickError("expected ')' or ','", pos)
-            frame = stack.pop()
-            if len(frame) != 2:
-                raise NewickError(f"non-binary node with {len(frame)} children", pos + 1)
-            ((r0, a0, lo0, hi0), l0), ((r1, a1, lo1, hi1), l1) = frame
+            if delim != ")":
+                raise NewickError("expected ')' or ','", _position(parts, j - 1))
+            stack.pop()
+            if len(frame) != 10:
+                raise NewickError(f"non-binary node with {len(frame) // 5} children",
+                                  _position(parts, j - 1) + 1)
+            r0, a0, lo0, hi0, l0, r1, a1, lo1, hi1, l1 = frame
             # a tip child gives the age exactly; else the older child, whose
             # length was most likely an exact subtraction
             age = a0 + l0 if r0 >= 0 or (r1 < 0 and a0 >= a1) else a1 + l1
-            clade = (~len(ages), age, min(lo0 + l0, lo1 + l1), max(hi0 + l0, hi1 + l1))
+            lo, hi, lo1, hi1 = lo0 + l0, hi0 + l0, lo1 + l1, hi1 + l1
+            if lo1 < lo:
+                lo = lo1
+            if hi1 > hi:
+                hi = hi1
+            ref = ~len(ages)
             kids.append((r0, r1))
             ages.append(age)
-            if tokens[i][1][:1] not in "(),;:":
-                i += 1  # an internal label, ignored
+            label, colon, length = parts[j].partition(":")  # an internal label, ignored
         else:
             break
-    pos, tok = tokens[i]
-    if tok:
-        raise NewickError("trailing characters after tree", pos)
+    if colon or parts[j + 1]:  # a length or a delimiter after the root's label
+        raise NewickError("trailing characters after tree", _position(parts, j) + len(label))
     if not ages:
         raise NewickError("root must have 2 children")
-    _, _, lo, hi = clade
     if hi - lo > 1e-9 * max(hi, 1.0):
         raise NewickError("tips are not contemporaneous (tree not ultrametric)")
     n = len(labels)

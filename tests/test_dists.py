@@ -683,6 +683,20 @@ class TestDiversity:
                 assert dists.diversity_mean_given_n_age(n, x1, lam) == pytest.approx(
                     want, rel=1e-14, abs=0), (lam, x1)
 
+    @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 1.0, 30.0])
+    @pytest.mark.parametrize("lam", [1e-100, 1.0])
+    def test_mean_given_n_age_at_small_rate_times_age(self, y, lam):
+        # gammainc(2, y) underflowed below y ~ 1.5e-154 (the mean read 2 x1) and
+        # was up to 5e-14 off for y between 1e-150 and 1e-50
+        mpmath = pytest.importorskip("mpmath")
+        x1 = y / lam
+        with mpmath.workdps(int(80 - min(math.log10(y), 0.0))):
+            lam_, x1_ = mpmath.mpf(lam), mpmath.mpf(x1)
+            mean_s = (1 - lam_ * x1_ / mpmath.expm1(lam_ * x1_)) / lam_
+            want = float(2 * x1_ + 8 * mean_s)
+        assert dists.diversity_mean_given_n_age(10, x1, lam) == pytest.approx(
+            want, rel=1e-14, abs=0)
+
     def test_gamma_law_matches_scipy_stats(self):
         stats = pytest.importorskip("scipy.stats")
         d = np.concatenate([[0.0], np.linspace(0.01, 30.0, 301)])
@@ -747,3 +761,19 @@ class TestExtremeRates:
         assert initial.tolist() == [1.0, 1.0, 1.0, 0.0]
         assert mean == pytest.approx(2.0 * x1 + 3.0 / lam, rel=1e-15)
         assert mgf == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_critical_laws_at_huge_age(self):
+        # the critical p1 = 1/(1 + lam s)^2 squared past the float range with a
+        # RuntimeWarning from lam s ~ 1.3e154 on; its limit there is 0
+        x1, n = 1e200, 5
+        s = np.array([0.0, 0.25 * x1, 0.5 * x1, x1])
+        laws = [dists.pendant_dist_given_n(CRIT), dists.pendant_dist_given_n_age(n, x1, CRIT),
+                dists.pendant_dist_given_age(x1, CRIT), dists.speciation_time_dist(3, n, x1, CRIT)]
+        for law in laws:
+            pdf, cdf = law.pdf(s), law.cdf(s)
+            assert pdf[1:].tolist() == [0.0, 0.0, 0.0]
+            assert cdf[0] == 0.0
+            assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0.0)
+            assert cdf[-1] + law.atom_weight == pytest.approx(1.0, rel=1e-15)
+

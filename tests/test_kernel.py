@@ -68,6 +68,14 @@ class TestKernels:
         p = Params(1.0, 1.0)
         assert p0(1.0, p) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_p1_critical_tends_to_zero_without_overflow(self):
+        p = Params(1.0, 1.0)
+        s = np.array([1e150, 1e154, 1.3e154, 1.4e154, 1e200, 1.7e308])
+        h = 1.0 + s
+        assert p1(s, p).tolist() == [1.0 / (x * x) for x in h[:3]] + [0.0, 0.0, 0.0]
+        assert p1(np.float64(1e200), p) == 0.0
+
     def test_p0_near_critical_matches_subcritical_branch(self):
         # just past the critical threshold, mu = 1 - 2e-8: 50-digit evaluation
         # of the subcritical branch gives 0.50000000250000000285; the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import newick_reference as reference
 from recontree import sim
 from recontree.kernel import Params
 from recontree.tree import NewickError, ReconTree, from_newick, to_newick
@@ -59,6 +60,11 @@ class TestReconTree:
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError, match="odd"):
             ReconTree([0.0, 0.0, 1.0, 2.0], [2, 2, -1, -1])
+
+    @pytest.mark.parametrize("label", ["a:b", "a,b", "", "a(", "b)", "a;b", 7])
+    def test_rejects_label_newick_cannot_read_back(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            ReconTree([0.0, 0.0, 1.0], [2, 2, -1], labels=[label, "c"])
 
 
 class TestTreeStats:
@@ -215,7 +221,80 @@ class TestNewick:
         u = from_newick(text)
         assert u.n == n
         assert u.mrca_age == n - 1
+        assert to_newick(u) == text
 
     def test_accepts_tiny_depth_jitter(self):
         u = from_newick("(t1:1.0,t2:1.0000000001);")
         assert u.n == 2
+
+
+# any label that ReconTree accepts: no delimiter or ':', and not empty
+LABELS = st.text(st.characters(exclude_characters="(),:;", exclude_categories=("Cs",)),
+                 min_size=1, max_size=6)
+
+
+@st.composite
+def labelled_trees(draw):
+    """A random binary tree with random ages and random leaf labels."""
+    times, parent = draw(binary_trees())
+    n = (len(times) + 1) // 2
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    ages = np.cumsum(gaps).tolist()  # increasing, so each parent stays older
+    times = [ages[int(a) - 1] if a else 0.0 for a in times]
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n))
+    return ReconTree(times, parent, labels=labels)
+
+
+def parsed(parse, text):
+    """What a parser makes of ``text``: the tree's arrays and labels, or its error."""
+    try:
+        u = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return (u.times.tobytes(), u.parent.tobytes(), u.children.tobytes(),
+            u.children.shape, u.labels)
+
+
+class TestNewickAgainstReference:
+    """The linear-time writer and parser against the per-token reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_trees())
+    def test_same_text_and_same_tree(self, t):
+        text = to_newick(t)
+        assert text == reference.to_newick(t)
+        assert parsed(from_newick, text) == parsed(reference.from_newick, text)
+        assert sorted(from_newick(text).labels) == sorted(t.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_trees(), st.data())
+    def test_same_error_or_same_tree_after_one_edit(self, t, data):
+        text = to_newick(t)
+        edits = data.draw(st.lists(st.tuples(
+            st.integers(0, len(text)), st.sampled_from(["insert", "delete", "replace"]),
+            st.sampled_from("(),:;a1.e- ")), min_size=1, max_size=20))
+        for i, edit, c in edits:  # each edit on its own, to the valid text
+            if edit == "insert":
+                edited = text[:i] + c + text[i:]
+            elif edit == "delete":
+                edited = text[:i] + text[i + 1:]
+            else:
+                edited = text[:i] + c + text[i + 1:]
+            assert parsed(from_newick, edited) == parsed(reference.from_newick, edited)
+
+    @pytest.mark.parametrize("text", [
+        # two internal children of equal age: the first one gives the age
+        "((a:1,b:1):0.3,(c:1,d:1):0.3000000001);",
+        # internal labels, spaces around the parts, and text around the tree
+        " ( a:1.0 ,(b:0.5,c:0.5)x:0.5 )root;\n",
+    ])
+    def test_same_tree_as_reference(self, text):
+        assert parsed(from_newick, text) == parsed(reference.from_newick, text)
+
+    def test_caterpillar_writes_back_its_own_text(self):
+        n = 2_000
+        text = ("(" * (n - 1) + "t1:1.0,t2:1.0)"
+                + "".join(f":1.0,t{i}:{i - 1}.0)" for i in range(3, n + 1)) + ";")
+        u = from_newick(text)
+        assert parsed(from_newick, text) == parsed(reference.from_newick, text)
+        assert to_newick(u) == reference.to_newick(u) == text
