@@ -310,9 +310,12 @@ def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     itself is summed.
     """
     _positive_finite("x1", x1)
-    r = p.lam * p0(x1, p)
     log_c = _ratio_log_c(x1, p)[1]
-    cc = math.exp(2.0 * log_c)
+    return _age_weight(k, p.lam * p0(x1, p), log_c, math.exp(2.0 * log_c))
+
+
+def _age_weight(k: int, r: float, log_c: float, cc: float) -> float:
+    """:func:`pendant_age_weight` from r, log c and c^2."""
     if r < _SERIES_MAX_R:
         m = _SERIES_M
         return cc * float(np.sum(m * (m + 2 - k) / (m + 2) * r ** m))
@@ -337,7 +340,7 @@ def _pendant_coefs_given_age(x1: float, p: Params) -> tuple:
     else:
         atom = -2.0 * (log_c + r) * cc / (r * r)
         w13 = 2.0 * (math.exp(log_c) - atom)  # W1 - W3
-    return x1, q, 2.0 / q, w13, pendant_age_weight(3, x1, p) / q, atom
+    return x1, q, 2.0 / q, w13, _age_weight(3, r, log_c, cc) / q, atom
 
 
 def pendant_dist_given_age(x1: float, p: Params) -> MixedDist:

@@ -162,7 +162,11 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
     """(p1(s), p0(end) - p0(s)) for 0 <= s <= end <= inf, both from one
     e^{-ds}; the gap is d e^{-ds} (1 - e^{-d(end-s)}) / (D(s) D(end)), with
     D(inf) = lam, or (end - s) / ((1 + lam end)(1 + lam s)) when critical, so
-    it keeps full precision in the tail and as s nears end.
+    it keeps full precision in the tail and as s nears end.  The gap takes d
+    and D(end) in units of about lam (times w, the power of two in
+    [1/(2 lam), 1/lam)), so that d e^{-ds} (1 - e^{-d(end-s)}), about
+    d^2 (end - s), cannot underflow at small lam; scaling by w is exact, so
+    the gap is bit for bit the unscaled one wherever that did not underflow.
     """
     _check_time(s)
     if p.is_critical:
@@ -174,7 +178,8 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
     e = np.exp(-d * s)
     ds = d + p.mu * -np.expm1(-d * s)  # D(s)
     far = 1.0 if end == math.inf else -np.expm1(-d * (end - s))  # 1 - e^{-d(end-s)}
-    return d * d * e / (ds * ds), d * e * far / (ds * (d + p.mu * -math.expm1(-d * end)))
+    w = math.ldexp(1.0, -math.frexp(p.lam)[1])
+    return d * d * e / (ds * ds), d * w * e * far / (ds * (w * (d + p.mu * -math.expm1(-d * end))))
 
 
 def _ratio_log_c(x1: float, p: Params) -> tuple:

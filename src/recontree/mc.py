@@ -6,6 +6,7 @@ length), and compares the empirical distribution with the corresponding
 closed-form law.  A reader's per-tree draw depends only on the tip count,
 so the sampler makes it right after the tree's own draws, and a reader
 reads the same value from a tree whatever block the tree is drawn in.
+Every reader indexes :attr:`sim.TreeBatch.lengths`, with the root at node n.
 Mixed distributions are handled by separating the atom: the KS test runs
 on the continuous part against the renormalized conditional CDF, and the
 atom mass is checked separately with a binomial confidence interval.
@@ -83,34 +84,17 @@ class Reader:
     draw: Optional[sim.DrawBound] = None
 
 
-def _read_random_pendant(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(b))
-    return b.times[rows, b.parent[rows, d]]  # leaf ages are 0
-
-
-def _read_random_interior(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(b))
-    v = b.n + d  # an internal node, skipping the root
-    v += v >= b.root
-    return b.times[rows, b.parent[rows, v]] - b.times[rows, v]
-
-
 def _read_random_root_edge(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
-    rows, root = np.arange(len(b)), b.root
-    kids = b.child_table()[rows, root - b.n]
-    return b.times[rows, root] - b.times[rows, kids[rows, d]]
+    rows = np.arange(len(b))  # row i's children of the root n, ascending, at 2i and 2i+1
+    return b.lengths[rows, np.nonzero(b.parent == b.n)[1][2 * rows + d]]
 
 
-def _read_diversity(b: sim.TreeBatch, d) -> np.ndarray:
-    lens = np.take_along_axis(b.times, np.maximum(b.parent, 0), axis=1) - b.times
-    lens[np.arange(len(b)), b.root] = 0.0
-    return lens.sum(axis=1)
-
-
-read_random_pendant = Reader(_read_random_pendant, draw=lambda n: n)
-read_random_interior = Reader(_read_random_interior, draw=lambda n: n - 2)
+# a random pendant edge is that of leaf d, a random interior edge that of node n+1+d
+read_random_pendant = Reader(lambda b, d: b.lengths[np.arange(len(b)), d], draw=lambda n: n)
+read_random_interior = Reader(lambda b, d: b.lengths[np.arange(len(b)), b.n + 1 + d],
+                              draw=lambda n: n - 2)
 read_random_root_edge = Reader(_read_random_root_edge, draw=lambda n: 2)
-read_diversity = Reader(_read_diversity)
+read_diversity = Reader(lambda b, d: b.lengths.sum(axis=1))
 read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
 
 

@@ -11,6 +11,11 @@ draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
 * :func:`batch_given_age`    -- fixed x1 only; the tip count is the sum of
   two independent geometric counts, one per root-child lineage.
 
+Every batch has one layout: tips 0..n-1 at age 0, the root at node n, and
+nodes n+1..2n-2 in non-increasing age (the forward oracle orders these by
+when their lineages arose).  The readers in :mod:`recontree.mc` index its
+:attr:`TreeBatch.lengths`, the edge above each node.
+
 In every scenario the ranked topology is uniform and independent of the
 node ages, and one builder attaches it (:func:`_merge_trees`).  It reads
 the tree backward in time as n-1 merges of live nodes, each given by two
@@ -67,12 +72,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .kernel import Params, RawParams, _at_least, _positive_finite, p0, yule_rate
-from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree
+from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _edge_lengths
 
 __all__ = [
     "RngStream",
@@ -364,9 +370,10 @@ class TreeBatch:
     """R trees with one tip count n, as arrays of shape (R, 2n-1).
 
     Row i holds the ``times`` and ``parent`` of one tree, numbered as its
-    :class:`ReconTree` is.  ``draws[i]`` holds the tree's reader draws in
-    the order they were requested, and ``index[i]`` the tree's position in
-    the sampler's stream.
+    :class:`ReconTree` is: tips 0..n-1 at age 0, the root at node n, then
+    n+1..2n-2, which the exact samplers rank by age (node n+k-1 is the k-th
+    split).  Readers index ``lengths``.  ``draws[i]`` holds the tree's reader
+    draws in the order requested, and ``index[i]`` its stream position.
     """
 
     times: np.ndarray
@@ -381,15 +388,10 @@ class TreeBatch:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    @property
-    def root(self) -> np.ndarray:
-        """The root of each row: its one node with parent -1."""
-        return self.parent.argmin(axis=1)
-
-    def child_table(self) -> np.ndarray:
-        """(R, n-1, 2): the children of internal node n+k in row i at [i, k]."""
-        order = np.argsort(self.parent, axis=1, kind="stable")  # as ReconTree
-        return order[:, 1:].reshape(len(self), self.n - 1, 2)
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """(R, 2n-1): the edge above each node, 0 at the root; computed once per batch."""
+        return _edge_lengths(self.times, self.parent, self.n)
 
     def tree(self, i: int) -> ReconTree:
         return ReconTree(self.times[i], self.parent[i], validate=False)

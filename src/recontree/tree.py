@@ -103,10 +103,7 @@ class ReconTree:
             raise ValueError("every internal node must have exactly 2 children")
         if np.any(self.parent[kids] != np.arange(n, 2 * n - 1)[:, None]):
             raise ValueError("children table inconsistent with parents")
-        lens = self.edge_lengths()
-        mask = np.ones(2 * n - 1, dtype=bool)
-        mask[root] = False
-        if np.any(lens[mask] <= 0.0):
+        if np.any(np.delete(self.edge_lengths(), root) <= 0.0):
             raise ValueError("all edge lengths must be > 0")
         if self.times[root] != self.times.max():
             raise ValueError("root must carry the maximal age")
@@ -117,12 +114,19 @@ class ReconTree:
 
     def edge_lengths(self) -> np.ndarray:
         """Length of the edge above each node; the root entry is 0."""
-        lens = self.times[np.maximum(self.parent, 0)] - self.times
-        lens[self.root] = 0.0
-        return lens
+        return _edge_lengths(self.times, self.parent, self.root)
 
     def children_of(self, node: int) -> Sequence[int]:
         return self.children[node - self.n]
+
+
+def _edge_lengths(times: np.ndarray, parent: np.ndarray, root) -> np.ndarray:
+    """Parent age minus node age, for one tree or each row of several; 0 at node
+    ``root``.  One tree is indexed directly, as take_along_axis adds ~4 µs a call."""
+    up = np.maximum(parent, 0)
+    lens = (times[up] if times.ndim == 1 else np.take_along_axis(times, up, axis=1)) - times
+    lens[..., root] = 0.0
+    return lens
 
 
 # ---------------------------------------------------------------------------

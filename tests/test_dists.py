@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from recontree import dists, mc
+from recontree import dists, kernel, mc
 from recontree.dists import MixedDist, QuadratureConfig
 from recontree.kernel import Params, RawParams, prob_n_given_age, transform_params
 
@@ -26,7 +26,7 @@ def _mp_kernels(p):
     if p.is_critical:
         return (lambda t: t / (1 + lam * t)), (lambda t: 1 / (1 + lam * t) ** 2)
     e = lambda t: mpmath.exp(-(lam - mu) * t)
-    return ((lambda t: (1 - e(t)) / (lam - mu * e(t))),
+    return ((lambda t: -mpmath.expm1(-(lam - mu) * t) / (lam - mu * e(t))),
             (lambda t: (lam - mu) ** 2 * e(t) / (lam - mu * e(t)) ** 2))
 
 
@@ -708,7 +708,9 @@ class TestDiversity:
 
 class TestExtremeRates:
     """Rates outside kernel.RATE_RANGE are refused with a message naming it;
-    inside it, laws at lam x1 near 1e200 return finite values with no warning."""
+    inside it, laws at lam x1 near 1e200 return finite values with no warning,
+    and the given-(n, x1) pendant law keeps full precision from lam x1 = 1e-250
+    at every rate."""
 
     @pytest.mark.parametrize("lam", [1e-300, 1e300])
     @pytest.mark.parametrize("call", [
@@ -777,3 +779,40 @@ class TestExtremeRates:
             assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0.0)
             assert cdf[-1] + law.atom_weight == pytest.approx(1.0, rel=1e-15)
 
+    SMALL_CASES = [(lam, prod, ratio) for lam in (1e-100, 1.0, 1e100)
+                   for prod in (1e-250, 1e-220, 1e-150, 1e-50, 1e-8, 1.0, 1e2)
+                   for ratio in (-0.5, 0.0, 0.5, 1.0) if prod / lam >= 1e-300]
+
+    @pytest.mark.parametrize("lam, prod, ratio", SMALL_CASES,
+                             ids=[f"lam={a:g},lam*x1={b:g},mu/lam={c:g}"
+                                  for a, b, c in SMALL_CASES])
+    def test_pendant_given_n_age_against_50_digits(self, lam, prod, ratio):
+        # at lam = 1e-100, x1 = 1e-150 the gap's (lam - mu)^2 (x1 - s) underflowed:
+        # the pdf read 0.6/x1 for 0.9/x1 at x1/2 and the mean 0.1 x1 for 0.5 x1;
+        # at x1 = 1e-120 the mean raised an IntegrationWarning
+        n, x1, p = 5, prod / lam, Params(lam, ratio * lam)
+        mpmath = pytest.importorskip("mpmath")
+        p0, p1 = _mp_kernels(p)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x1)
+            q = p0(x)
+
+            def pdf(t):  # at s = t x1, times x1
+                s = t * x
+                g, big_g = p1(s) / q, p0(s) / q
+                return 2 * (n - 2) / (n * (n - 1)) * g * ((n - 1) - (n - 3) * big_g) * x
+
+            cuts = [mpmath.mpf(10) ** k / (lam * x) for k in range(3) if 10 ** k < prod]
+            atom = mpmath.mpf(2) / (n * (n - 1))
+            mean = x * (mpmath.quad(lambda t: t * pdf(t), [0, *cuts, 1]) + atom)
+            want = [(float(p1(t * x)), float(pdf(t) / x)) for t in (0.5, 0.9)]
+            want_mean = float(mean)
+        law = dists.pendant_dist_given_n_age(n, x1, p)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            for t, (w1, wpdf) in zip((0.5, 0.9), want):
+                assert kernel.p1(t * x1, p) == pytest.approx(w1, rel=1e-13, abs=0.0), t
+                assert law.pdf(t * x1) == pytest.approx(wpdf, rel=1e-13, abs=0.0), t
+            got_mean = dists.pendant_mean_given_n_age(n, x1, p)
+        assert got_mean == pytest.approx(want_mean, rel=1e-13, abs=0.0)

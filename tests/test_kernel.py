@@ -6,6 +6,7 @@ import pytest
 from recontree.kernel import (
     Params,
     RawParams,
+    _p1_gap,
     _ratio_log_c,
     p0,
     p1,
@@ -111,6 +112,31 @@ class TestKernels:
         assert p0(s, p) == pytest.approx(float(want0), rel=1e-14, abs=0.0)
         assert p1(s, p) == pytest.approx(float(want1), rel=1e-14, abs=0.0)
         assert _ratio_log_c(s, p)[0] == pytest.approx(float(l * want0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 0.3, 3.0])
+    def test_p1_gap_bit_identical_to_rate_form(self, lam):
+        # the gap scales d and D(end) by a power of two near 1/lam, which only
+        # moves their exponents: where nothing underflows, (p1, gap) equal
+        # those of the unscaled formula bit for bit, and no law value or
+        # golden moves
+        def rate_form(s, end, p):
+            if p.is_critical:
+                h = 1.0 + p.lam * s
+                gap = 1.0 / p.lam if end == math.inf else (end - s) / (1.0 + p.lam * end)
+                return 1.0 / (h * h), gap / h
+            d = p.lam - p.mu
+            e = np.exp(-d * s)
+            ds = d + p.mu * -np.expm1(-d * s)
+            far = 1.0 if end == math.inf else -np.expm1(-d * (end - s))
+            return d * d * e / (ds * ds), d * e * far / (ds * (d + p.mu * -math.expm1(-d * end)))
+
+        for ratio in (-3.0, -0.5, -1e-9, 0.0, 0.5, 0.9, 1.0 - 1e-7, 1.0):
+            p = Params(lam, ratio * lam)
+            for end in (1e-9 / lam, 0.01 / lam, 1.0 / lam, 3.7 / lam, 40.0 / lam, math.inf):
+                for s in (np.linspace(0.0, min(end, 50.0 / lam), 101), 0.3 * min(end, 1.0)):
+                    got, want = _p1_gap(s, end, p), rate_form(s, end, p)
+                    for a, b in zip(got, want):
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (ratio, end)
 
     def test_p1_examples(self):
         assert p1(0.0, Params(1.0, 0.3)) == 1.0

@@ -207,10 +207,41 @@ class TestGivenNAge:
         m = 10_000
         balanced = 0
         for b in sampler(m, rng):
-            kids = b.child_table()[np.arange(len(b)), b.root - b.n]
+            kids = np.nonzero(b.parent == b.n)[1].reshape(len(b), 2)  # the root's
             balanced += np.count_nonzero((kids >= b.n).all(axis=1))
         frac = balanced / m
         assert abs(frac - 1 / 3) < 3 * math.sqrt((1 / 3) * (2 / 3) / m)
+
+
+class TestBatchLayout:
+    # the layout every reader indexes: tips 0..n-1 at age 0 and the root at
+    # node n, the one node with parent -1; the exact samplers rank nodes
+    # n..2n-2 in non-increasing age, while the forward oracle orders n+1..2n-2
+    # by when their lineages arose
+    @pytest.mark.parametrize("rows", [1, 10**9], ids=["lockstep", "row_by_row"])
+    @pytest.mark.parametrize("sampler, ranked", [
+        (partial(sim.batch_yule_given_n, 2, 1.0), True),
+        (partial(sim.batch_yule_given_n, 20, 1.0), True),
+        (partial(sim.batch_given_n_age, 7, 1.5, SUB), True),
+        (partial(sim.batch_given_age, 1.5, SUB), True),
+        (partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)), False),
+    ], ids=["yule_given_n2", "yule_given_n20", "given_n_age", "given_age", "forward"])
+    def test_layout_and_lengths(self, sampler, ranked, rows, monkeypatch):
+        monkeypatch.setattr(sim, "LOCKSTEP_ROWS", rows)
+        monkeypatch.setattr(sim, "BATCH_NODES", 60)
+        monkeypatch.setattr(sim, "FORWARD_NODES", 200)
+        count = 0
+        for b in sampler(200, np.random.default_rng(31)):
+            n, count = b.n, count + len(b)
+            assert np.all(b.times[:, :n] == 0.0)
+            assert np.array_equal(b.parent < 0, np.broadcast_to(np.arange(2 * n - 1) == n,
+                                                                 b.parent.shape))
+            if ranked:
+                assert np.all(np.diff(b.times[:, n:], axis=1) <= 0.0)
+            lengths = b.lengths
+            for i in range(len(b)):
+                assert lengths[i].tobytes() == b.tree(i).edge_lengths().tobytes()
+        assert count == 200
 
 
 class TestGeometricCount:
