@@ -29,16 +29,23 @@ import numpy as np
 
 from . import dists, mc, sim
 from .kernel import Params, RawParams, _positive_finite, transform_params
-from .tree import to_newick
 
 SEED_ENV = "RECONTREE_SEED"
 
 
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return secrets.randbits(48)
+def _seed(args) -> int:
+    """``--seed``, else $RECONTREE_SEED, else a fresh random seed: an integer >= 0."""
+    if args.seed is not None:
+        flag, value = "--seed", args.seed
+    else:
+        flag, value = SEED_ENV, os.environ.get(SEED_ENV, secrets.randbits(48))
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{flag} must be an integer >= 0, got {value!r}")
+    return seed
 
 
 def _add_param_args(sub):
@@ -162,8 +169,7 @@ def cmd_density(args) -> int:
     cdf = np.asarray(law.cdf(grid), dtype=float).tolist()
     with _open_out(args.output) as out:
         out.write(f"# law: {desc}; {_params_label(p, raw)}\ns,pdf,cdf\n")
-        out.write("".join(f"{s:.12g},{d:.12g},{c:.12g}\n"
-                          for s, d, c in zip(grid.tolist(), pdf, cdf)))
+        out.write("".join(map("%.12g,%.12g,%.12g\n".__mod__, zip(grid.tolist(), pdf, cdf))))
         if law.atom_weight > 0.0:
             out.write(f"{law.support_end:.12g},atom,{law.atom_weight:.12g}\n")
     return 0
@@ -175,7 +181,9 @@ def cmd_density(args) -> int:
 
 def cmd_simulate(args) -> int:
     p, raw = _resolve_params(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
+    if args.stream_id < 0:
+        raise ValueError(f"--stream-id must be >= 0, got {args.stream_id}")
     stream = sim.RngStream(seed, args.stream_id)
     rng = stream.generator()
     scen = args.scenario
@@ -184,21 +192,21 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
     if scen == "given-n":
         _require(args.n, "--n")
-        trees = sim.tree_stream(sim.batch_yule_given_n(args.n, p, args.reps, rng))
+        batches = sim.batch_yule_given_n(args.n, p, args.reps, rng)
     elif scen == "given-n-age":
         _require(args.n, "--n")
         _require(args.x1, "--x1")
-        trees = sim.tree_stream(sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng))
+        batches = sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng)
     elif scen == "given-age":
         _require(args.x1, "--x1")
-        trees = sim.tree_stream(sim.batch_given_age(args.x1, p, args.reps, rng))
+        batches = sim.batch_given_age(args.x1, p, args.reps, rng)
     elif scen == "rejection-given-age":
         _require(args.x1, "--x1")
         if raw is None:
             raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
                 raise ValueError("rejection simulation needs raw parameters")
-        trees = sim.tree_stream(sim.batch_forward_given_age(args.x1, raw, args.reps, rng))
+        batches = sim.batch_forward_given_age(args.x1, raw, args.reps, rng)
     else:
         raise ValueError(f"unknown scenario {scen!r}")
 
@@ -213,24 +221,23 @@ def cmd_simulate(args) -> int:
         manifest["raw_params"] = {
             "lambda_hat": raw.lambda_hat, "mu_hat": raw.mu_hat, "f": raw.f,
         }
+    rows = sim.rows_in_order(batches)
     # every argument is checked, and nothing is drawn yet
     with _open_out(args.output) as out:
         if args.format == "ndjson":
             out.write(json.dumps({"manifest": manifest}) + "\n")
-            for i, t in enumerate(trees):
-                rec = {
-                    "id": i,
-                    "newick": to_newick(t),
-                    "n": t.n,
-                    "x1": t.mrca_age,
-                    "seed": seed,
-                    "stream_id": args.stream_id,
-                }
-                out.write(json.dumps(rec) + "\n")
+            # each record is the text json.dumps gives its dict {id, newick, n,
+            # x1, seed, stream_id}: ints and a finite float print as their repr,
+            # and only the Newick text could need escaping
+            tail = f', "seed": {seed}, "stream_id": {args.stream_id}}}\n'
+            for i, (b, row) in enumerate(rows):
+                n = b.n
+                out.write(f'{{"id": {i}, "newick": {json.dumps(b.newick(row))}, "n": {n}, '
+                          f'"x1": {float(b.times[row, n])!r}{tail}')
         else:  # newick
             out.write(f"[{json.dumps(manifest)}]\n")
-            for t in trees:
-                out.write(to_newick(t) + "\n")
+            for b, row in rows:
+                out.write(b.newick(row) + "\n")
     return 0
 
 
@@ -239,7 +246,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     checks = tuple(args.check) if args.check else ()
     cfg = mc.VerifyConfig(checks=checks, reps=args.reps, seed=seed)
     reports = mc.verify_suite(cfg)

@@ -149,8 +149,8 @@ def estimate(
     Values within 1e-9*atom_at of ``atom_at`` are counted into the atom
     bucket (samplers place atom samples exactly at x1 up to rounding).
     """
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000, got {reps}")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     return _empirical(collect(sampler, {"value": reader}, reps, rng)["value"], atom_at)
 
 
@@ -359,6 +359,8 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
 # and transform_equivalence, which holds the most, peaked near 190 MB at 10^6
 # reps, so about 2 GB at the bound
 MAX_REPS = 10**7
+# fewest reps an estimate accepts, and so a verify run
+MIN_REPS = 1000
 
 
 @dataclass(frozen=True)
@@ -368,6 +370,8 @@ class VerifyConfig:
     seed: int = 20260824
 
     def __post_init__(self):
+        if self.reps < MIN_REPS:
+            raise ValueError(f"reps must be >= {MIN_REPS}, got {self.reps}")
         if self.reps > MAX_REPS:
             raise ValueError(f"reps must be <= {MAX_REPS:.0e}, got {self.reps}")
 

@@ -14,7 +14,11 @@ draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
 Every batch has one layout: tips 0..n-1 at age 0, the root at node n, and
 nodes n+1..2n-2 in non-increasing age (the forward oracle orders these by
 when their lineages arose).  The readers in :mod:`recontree.mc` index its
-:attr:`TreeBatch.lengths`, the edge above each node.
+:attr:`TreeBatch.lengths`, the edge above each node.  :func:`rows_in_order`
+yields each tree's ``(batch, row)`` in the order drawn; :func:`tree_stream`
+builds a :class:`ReconTree` from each, and ``recontree simulate`` writes each
+with :meth:`TreeBatch.newick`, from the batch's ``children`` and ``lengths``
+tables, the text :func:`recontree.tree.to_newick` gives its ReconTree.
 
 In every scenario the ranked topology is uniform and independent of the
 node ages, and one builder attaches it (:func:`_merge_trees`).  It reads
@@ -78,7 +82,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .kernel import Params, RawParams, _at_least, _positive_finite, p0, yule_rate
-from .tree import EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _edge_lengths
+from .tree import (EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _edge_lengths, _newick,
+                   _tip_labels)
 
 __all__ = [
     "RngStream",
@@ -91,6 +96,7 @@ __all__ = [
     "sample_given_age",
     "sample_rejection_given_age",
     "TreeBatch",
+    "rows_in_order",
     "tree_stream",
     "BATCH_NODES",
     "LOCKSTEP_ROWS",
@@ -393,12 +399,29 @@ class TreeBatch:
         """(R, 2n-1): the edge above each node, 0 at the root; computed once per batch."""
         return _edge_lengths(self.times, self.parent, self.n)
 
+    @cached_property
+    def children(self) -> np.ndarray:
+        """(R, n-1, 2): the two children of node n+k at [:, k], in ascending node
+        order, as :class:`ReconTree` finds them; one stable argsort per batch."""
+        order = np.argsort(self.parent, axis=1, kind="stable")
+        return order[:, 1:].reshape(len(self), self.n - 1, 2)
+
+    @cached_property
+    def labels(self) -> list:
+        return _tip_labels(self.n)
+
     def tree(self, i: int) -> ReconTree:
         return ReconTree(self.times[i], self.parent[i], validate=False)
 
+    def newick(self, i: int) -> str:
+        """Row i as Newick text, the text of ``to_newick(self.tree(i))``, written
+        from the batch's ``children`` and ``lengths`` tables."""
+        n = self.n
+        return _newick(n, self.labels, self.children[i].tolist(), self.lengths[i].tolist(), n)
 
-def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
-    """The trees of a batch sampler as ReconTrees, in the order drawn.
+
+def rows_in_order(batches: Iterable[TreeBatch]) -> Iterator[tuple]:
+    """``(batch, row)`` of each tree of a batch sampler, in the order drawn.
 
     A block's batches come one after another and cover its stream positions,
     so at most one block is held back at a time.
@@ -408,9 +431,13 @@ def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
         for row, j in enumerate(b.index.tolist()):
             pending[j] = (b, row)
         while k in pending:
-            held, row = pending.pop(k)
-            yield held.tree(row)
+            yield pending.pop(k)
             k += 1
+
+
+def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
+    """The trees of a batch sampler as ReconTrees, in the order drawn."""
+    return (b.tree(row) for b, row in rows_in_order(batches))
 
 
 def _blocks(reps: int, n: int) -> Iterator[tuple]:

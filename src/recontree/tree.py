@@ -10,7 +10,10 @@ age, which equals the MRCA age x1.
 without recursion, in time linear in n for any shape, caterpillars included:
 the writer collects its pieces in one preorder pass and joins them once, and
 the parser walks the parts of one ``re.split`` at the delimiters.  The parser
-rebuilds each age bottom-up from the lengths.  The text written, the ages
+rebuilds each age bottom-up from the lengths.  The writer, :func:`_newick`,
+takes one tree's children and lengths as lists, so that
+:meth:`recontree.sim.TreeBatch.newick` writes a sampled row with it from the
+batch's tables, without building a ReconTree.  The text written, the ages
 read back and every ``NewickError`` equal, bit for bit, those of the
 per-token reference kept in the tests.
 
@@ -82,7 +85,7 @@ class ReconTree:
     @property
     def labels(self):
         if self._labels is None:
-            self._labels = [f"t{i + 1}" for i in range(self.n)]
+            self._labels = _tip_labels(self.n)
         return self._labels
 
     def _validate(self):
@@ -120,6 +123,11 @@ class ReconTree:
         return self.children[node - self.n]
 
 
+def _tip_labels(n: int) -> List[str]:
+    """The default leaf labels t1..tn."""
+    return [f"t{i + 1}" for i in range(n)]
+
+
 def _edge_lengths(times: np.ndarray, parent: np.ndarray, root) -> np.ndarray:
     """Parent age minus node age, for one tree or each row of several; 0 at node
     ``root``.  One tree is indexed directly, as take_along_axis adds ~4 µs a call."""
@@ -150,17 +158,20 @@ def to_newick(t: ReconTree) -> str:
     exactly.  One preorder pass collects the pieces and one join writes them,
     so the cost is linear in n whatever the tree's depth.
     """
-    n, labels = t.n, t.labels
-    kids = t.children.tolist()
-    lens = list(map(repr, t.edge_lengths().tolist()))
+    return _newick(t.n, t.labels, t.children.tolist(), t.edge_lengths().tolist(), t.root)
+
+
+def _newick(n: int, labels: List[str], kids: List[list], lens: List[float], root: int) -> str:
+    """The Newick text of one tree from Python lists: ``kids[v - n]`` holds the
+    two children of internal node v, and ``lens[v]`` the edge above node v."""
     # what follows a node's subtree: its length, then ',' after a first child
     # and ')' after a second; the root is followed by ';'
     close = [";"] * (2 * n - 1)
     for c0, c1 in kids:
-        close[c0] = f":{lens[c0]},"
-        close[c1] = f":{lens[c1]})"
+        close[c0] = f":{lens[c0]!r},"
+        close[c1] = f":{lens[c1]!r})"
     out = []
-    stack = [t.root]  # nodes still to write, and ~v for the close of node v
+    stack = [root]  # nodes still to write, and ~v for the close of node v
     emit, push, pop = out.append, stack.append, stack.pop
     while stack:
         v = pop()

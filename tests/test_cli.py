@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from recontree import sim
 from recontree.cli import build_parser, main
-from recontree.tree import from_newick
+from recontree.kernel import Params, RawParams
+from recontree.tree import ReconTree, from_newick, to_newick
 
 
 def run(args):
@@ -230,6 +232,43 @@ class TestSimulate:
                            "--reps must be >= 0", capsys)
         assert not out.exists()
 
+    # the per-tree path each record is held to: to_newick over tree_stream, and
+    # json.dumps of the record's dict; given x1 with blocks of several batches
+    @pytest.mark.parametrize("fmt", ["ndjson", "newick"])
+    @pytest.mark.parametrize("args, sampler", [
+        (["--scenario", "given-n", "--n", "7"], partial(sim.batch_yule_given_n, 7, 1.0)),
+        (["--scenario", "given-n-age", "--n", "7", "--x1", "1.5", "--mu", "0.5"],
+         partial(sim.batch_given_n_age, 7, 1.5, Params(1.0, 0.5))),
+        (["--scenario", "given-age", "--x1", "1.5", "--mu", "0.4"],
+         partial(sim.batch_given_age, 1.5, Params(1.0, 0.4))),
+        (["--scenario", "rejection-given-age", "--x1", "1", "--lam-hat", "2", "--mu-hat",
+          "0.5", "--f", "0.5"], partial(sim.batch_forward_given_age, 1.0, RawParams(2, 0.5, 0.5))),
+    ], ids=["given-n", "given-n-age", "given-age", "rejection-given-age"])
+    def test_records_are_the_per_tree_text(self, args, sampler, fmt, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "BATCH_NODES", 60)
+        out = tmp_path / "f"
+        assert run(["simulate", *args, "--reps", "40", "--seed", "9", "--stream-id", "3",
+                    "--format", fmt, "-o", str(out)]) == 0
+        trees = sim.tree_stream(sampler(40, sim.RngStream(9, 3).generator()))
+        if fmt == "newick":
+            want = [to_newick(t) for t in trees]
+        else:
+            want = [json.dumps({"id": i, "newick": to_newick(t), "n": t.n, "x1": t.mrca_age,
+                                "seed": 9, "stream_id": 3}) for i, t in enumerate(trees)]
+        assert out.read_text().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "newick"])
+    def test_builds_no_recon_tree(self, fmt, tmp_path, monkeypatch):
+        built = []
+        init = ReconTree.__init__
+        monkeypatch.setattr(ReconTree, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        assert run(["simulate", "--scenario", "given-age", "--x1", "1.5", "--mu", "0.4",
+                    "--reps", "50", "--seed", "2", "--format", fmt,
+                    "-o", str(tmp_path / "f")]) == 0
+        assert sim.sample_given_age(1.5, Params(1.0, 0.4), np.random.default_rng(2)).n >= 2
+        assert len(built) == 1  # the probe above, so the patch sees every tree built
+
     def test_given_n_rejects_extinction(self, capsys):
         assert_usage_error(["simulate", "--scenario", "given-n", "--n", "5",
                             "--mu", "0.5", "--reps", "1"], "pure birth", capsys)
@@ -304,6 +343,15 @@ class TestExpect:
             seeds.append(json.loads(out.read_text().splitlines()[0])["manifest"]["seed"])
         assert seeds == [99, 100]
 
+    @pytest.mark.parametrize("env", ["-3", "abc", "1.5"])
+    def test_bad_env_seed_exits_2(self, env, tmp_path, monkeypatch, capsys):
+        # "abc" exited 2 with "invalid literal for int()", naming no variable
+        monkeypatch.setenv("RECONTREE_SEED", env)
+        out = tmp_path / "f"
+        assert_usage_error(["simulate", "--scenario", "given-n", "--n", "3", "-o", str(out)],
+                           f"RECONTREE_SEED must be an integer >= 0, got {env!r}", capsys)
+        assert not out.exists()
+
 
 class TestBadInput:
     @pytest.mark.parametrize("args, message", [
@@ -352,6 +400,16 @@ class TestBadInput:
          "(lam + |mu|) x1 must be > 0 and finite, got inf"),
         # E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range
         (["expect", "--x1", "800"], "math range error"),
+        # numpy refused these with "expected non-negative integer", naming no flag
+        (["simulate", "--scenario", "given-n", "--n", "5", "--seed=-1"],
+         "--seed must be an integer >= 0, got -1"),
+        (["simulate", "--scenario", "given-n", "--n", "5", "--stream-id=-1"],
+         "--stream-id must be >= 0, got -1"),
+        (["verify", "--check", "yule_pendant_n", "--reps", "1000", "--seed=-1"],
+         "--seed must be an integer >= 0, got -1"),
+        # the numeric-only checks never read reps, and wrote "reps": -5 with exit 0
+        (["verify", "--check", "limit_constant", "--reps=-5"],
+         "reps must be >= 1000, got -5"),
     ])
     def test_out_of_range_input_exits_2(self, args, message, tmp_path, capsys, recwarn):
         out = tmp_path / "f"

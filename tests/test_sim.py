@@ -213,23 +213,33 @@ class TestGivenNAge:
         assert abs(frac - 1 / 3) < 3 * math.sqrt((1 / 3) * (2 / 3) / m)
 
 
+# every batch sampler, in both topology paths (with small_blocks)
+BOTH_TOPOLOGY_PATHS = pytest.mark.parametrize("rows", [1, 10**9], ids=["lockstep", "row_by_row"])
+EVERY_BATCH_SAMPLER = pytest.mark.parametrize("sampler, ranked", [
+    (partial(sim.batch_yule_given_n, 2, 1.0), True),
+    (partial(sim.batch_yule_given_n, 20, 1.0), True),
+    (partial(sim.batch_given_n_age, 7, 1.5, SUB), True),
+    (partial(sim.batch_given_age, 1.5, SUB), True),
+    (partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)), False),
+], ids=["yule_given_n2", "yule_given_n20", "given_n_age", "given_age", "forward"])
+
+
+def small_blocks(monkeypatch, rows):
+    """Blocks of a few trees each; the given-x1 ones hold several tip-count batches."""
+    monkeypatch.setattr(sim, "LOCKSTEP_ROWS", rows)
+    monkeypatch.setattr(sim, "BATCH_NODES", 60)
+    monkeypatch.setattr(sim, "FORWARD_NODES", 200)
+
+
 class TestBatchLayout:
     # the layout every reader indexes: tips 0..n-1 at age 0 and the root at
     # node n, the one node with parent -1; the exact samplers rank nodes
     # n..2n-2 in non-increasing age, while the forward oracle orders n+1..2n-2
     # by when their lineages arose
-    @pytest.mark.parametrize("rows", [1, 10**9], ids=["lockstep", "row_by_row"])
-    @pytest.mark.parametrize("sampler, ranked", [
-        (partial(sim.batch_yule_given_n, 2, 1.0), True),
-        (partial(sim.batch_yule_given_n, 20, 1.0), True),
-        (partial(sim.batch_given_n_age, 7, 1.5, SUB), True),
-        (partial(sim.batch_given_age, 1.5, SUB), True),
-        (partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)), False),
-    ], ids=["yule_given_n2", "yule_given_n20", "given_n_age", "given_age", "forward"])
+    @BOTH_TOPOLOGY_PATHS
+    @EVERY_BATCH_SAMPLER
     def test_layout_and_lengths(self, sampler, ranked, rows, monkeypatch):
-        monkeypatch.setattr(sim, "LOCKSTEP_ROWS", rows)
-        monkeypatch.setattr(sim, "BATCH_NODES", 60)
-        monkeypatch.setattr(sim, "FORWARD_NODES", 200)
+        small_blocks(monkeypatch, rows)
         count = 0
         for b in sampler(200, np.random.default_rng(31)):
             n, count = b.n, count + len(b)
@@ -316,6 +326,22 @@ class TestTreeStream:
                           {"n": mc.read_leaf_count}, reps, np.random.default_rng(3))["n"]
         assert ns == want.astype(int).tolist()
         assert sorted(drawn) == list(range(reps))
+
+
+class TestBatchNewick:
+    @BOTH_TOPOLOGY_PATHS
+    @EVERY_BATCH_SAMPLER
+    def test_rows_in_order_write_the_tree_stream(self, sampler, ranked, rows, monkeypatch):
+        # TreeBatch.newick over rows_in_order is to_newick over tree_stream,
+        # byte for byte and in the same order
+        small_blocks(monkeypatch, rows)
+        batches = list(sampler(200, np.random.default_rng(37)))
+        texts = [b.newick(row) for b, row in sim.rows_in_order(batches)]
+        want = [to_newick(t) for t in sim.tree_stream(sampler(200, np.random.default_rng(37)))]
+        assert texts == want and len(texts) == 200
+        if sampler.func is sim.batch_given_age:
+            # a block of several tip-count batches: stream order is not batch order
+            assert any(np.any(np.diff(b.index) != 1) for b in batches)
 
 
 class TestBatchSamplerGuards:
