@@ -369,7 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``recontree simulate | head``): end quietly
+        # with 128 + SIGPIPE, and let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # bad arguments, rejected parameters, a result past the float range, unwritable -o
     except (ValueError, OverflowError, OSError) as exc:
         print(f"recontree {args.command}: {exc}", file=sys.stderr)

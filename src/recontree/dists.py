@@ -50,7 +50,6 @@ from .kernel import (Params, _at_least, _p1_gap, _positive_finite, _ratio_log_c,
 
 __all__ = [
     "MixedDist",
-    "QuadratureConfig",
     "leaf_adjacency_prob",
     "pendant_dist_given_n",
     "pendant_mean_given_n",
@@ -82,24 +81,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be > 0")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
+# the tolerances of MixedDist.total_mass and mean and of the limit constant
+_QUAD_ABS, _QUAD_REL = 1e-12, 1e-10
 _MAX_SUBDIVISIONS = 200
 
 
-def _quad(f, a, b, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    val, _ = scipy.integrate.quad(
-        f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=_MAX_SUBDIVISIONS,
-    )
+def _quad(f, a, b) -> float:
+    val, _ = scipy.integrate.quad(f, a, b, epsabs=_QUAD_ABS, epsrel=_QUAD_REL,
+                                  limit=_MAX_SUBDIVISIONS)
     return val
 
 
@@ -115,7 +104,8 @@ class MixedDist:
 
     ``cdf`` is the cumulative mass of the continuous part only; it rises to
     ``1 - atom_weight`` at ``support_end``.  ``support_end`` may be +inf for
-    laws without an atom.
+    laws without an atom.  ``total_mass`` and ``mean`` integrate the density
+    by quadrature, to the module's one tolerance pair.
     """
 
     support_end: float
@@ -127,9 +117,9 @@ class MixedDist:
         if not 0.0 <= self.atom_weight <= 1.0:
             raise ValueError(f"atom_weight must be in [0,1], got {self.atom_weight}")
 
-    def total_mass(self, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
+    def total_mass(self) -> float:
         """Quadrature of the density plus the atom; should be 1."""
-        return _quad(self.pdf, 0.0, self.support_end, cfg) + self.atom_weight
+        return _quad(self.pdf, 0.0, self.support_end) + self.atom_weight
 
     def mean(self) -> float:
         m = _quad(lambda s: s * self.pdf(s), 0.0, self.support_end)
@@ -492,7 +482,7 @@ def root_edge_limit_constant() -> float:
     """
     val, err = scipy.integrate.quad(
         lambda x: scipy.special.exprel(-x) / (2.0 + x), 0.0, np.inf,
-        epsabs=_DEFAULT_QUAD.abs_tol, epsrel=_DEFAULT_QUAD.rel_tol, limit=400,
+        epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=400,
     )
     if not math.isfinite(val) or err > 1e-6:
         raise RuntimeError(f"quadrature did not converge (err={err})")

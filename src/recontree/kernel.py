@@ -130,11 +130,20 @@ def _check_time(s):
         raise ValueError(f"s must be >= 0, got {s}")
 
 
+def _denominator(em, y, p: Params):
+    """D = lam - mu e^y at y = -(lam - mu) s, given em = 1 - e^y, as a sum of
+    non-negative terms: d + mu em for mu >= 0, exact as mu nears lam, and
+    lam + |mu| e^y for mu < 0, exact however large |mu| is."""
+    if p.mu < 0.0:
+        return p.lam - p.mu * np.exp(y)
+    return (p.lam - p.mu) + p.mu * em
+
+
 def p0(s: float, p: Params) -> float:
     """Kernel p0: mu*p0(s) is the probability of 0 surviving sampled offspring.
 
     Subcritical: (1 - e^{-ds}) / D(s), d = lam - mu, D(s) = lam - mu e^{-ds}
-                 formed as d + mu (1 - e^{-ds}), exact as mu nears lam;
+                 (see :func:`_denominator`);
     critical:    s / (1 + lam s).
 
     Strictly increasing from 0, with lam*p0(s) < 1 for finite s.
@@ -143,9 +152,9 @@ def p0(s: float, p: Params) -> float:
     _check_time(s)
     if p.is_critical:
         return s / (1.0 + p.lam * s)
-    d = p.lam - p.mu
-    em = -np.expm1(-d * s)  # 1 - e^{-d s}, accurate for small d*s
-    return em / (d + p.mu * em)
+    y = -(p.lam - p.mu) * s
+    em = -np.expm1(y)  # 1 - e^{-d s}, accurate for small d*s
+    return em / _denominator(em, y, p)
 
 
 def p1(s: float, p: Params) -> float:
@@ -175,11 +184,13 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
         with np.errstate(over="ignore"):  # h*h is inf past lam*s ~ 1.3e154: p1 -> 0
             return 1.0 / (h * h), gap / h
     d = p.lam - p.mu
-    e = np.exp(-d * s)
-    ds = d + p.mu * -np.expm1(-d * s)  # D(s)
+    y, y_end = -d * s, -d * end
+    e = np.exp(y)
+    ds = _denominator(-np.expm1(y), y, p)  # D(s)
+    dend = _denominator(-math.expm1(y_end), y_end, p)  # D(end)
     far = 1.0 if end == math.inf else -np.expm1(-d * (end - s))  # 1 - e^{-d(end-s)}
     w = math.ldexp(1.0, -math.frexp(p.lam)[1])
-    return d * d * e / (ds * ds), d * w * e * far / (ds * (w * (d + p.mu * -math.expm1(-d * end))))
+    return d * d * e / (ds * ds), d * w * e * far / (ds * (w * dend))
 
 
 def _ratio_log_c(x1: float, p: Params) -> tuple:
@@ -194,9 +205,10 @@ def _ratio_log_c(x1: float, p: Params) -> tuple:
         lx = p.lam * x1
         return lx / (1.0 + lx), -math.log1p(lx)
     d = p.lam - p.mu
-    em = -math.expm1(-d * x1)  # 1 - e^{-d x1}
-    r = p.lam * (em / (d + p.mu * em))
-    return r, math.log(d) - d * x1 - math.log(d + p.mu * em)
+    y = -d * x1
+    em = -math.expm1(y)  # 1 - e^{-d x1}
+    dx = float(_denominator(em, y, p))  # D(x1)
+    return p.lam * (em / dx), math.log(d) + y - math.log(dx)
 
 
 def prob_n_given_age(n: int, x1: float, p: Params) -> float:

@@ -12,13 +12,13 @@ draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
   two independent geometric counts, one per root-child lineage.
 
 Every batch has one layout: tips 0..n-1 at age 0, the root at node n, and
-nodes n+1..2n-2 in non-increasing age (the forward oracle orders these by
-when their lineages arose).  The readers in :mod:`recontree.mc` index its
-:attr:`TreeBatch.lengths`, the edge above each node.  :func:`rows_in_order`
-yields each tree's ``(batch, row)`` in the order drawn; :func:`tree_stream`
-builds a :class:`ReconTree` from each, and ``recontree simulate`` writes each
-with :meth:`TreeBatch.newick`, from the batch's ``children`` and ``lengths``
-tables, the text :func:`recontree.tree.to_newick` gives its ReconTree.
+nodes n+1..2n-2 in non-increasing age, so node n+k-1 is the k-th split.  The
+readers in :mod:`recontree.mc` index its :attr:`TreeBatch.lengths`, the edge
+above each node.  :func:`rows_in_order` yields each tree's ``(batch, row)``
+in the order drawn; :func:`tree_stream` builds a :class:`ReconTree` from
+each, and ``recontree simulate`` writes each with :meth:`TreeBatch.newick`,
+from the batch's ``children`` and ``lengths`` tables, the text
+:func:`recontree.tree.to_newick` gives its ReconTree.
 
 In every scenario the ranked topology is uniform and independent of the
 node ages, and one builder attaches it (:func:`_merge_trees`).  It reads
@@ -377,9 +377,9 @@ class TreeBatch:
 
     Row i holds the ``times`` and ``parent`` of one tree, numbered as its
     :class:`ReconTree` is: tips 0..n-1 at age 0, the root at node n, then
-    n+1..2n-2, which the exact samplers rank by age (node n+k-1 is the k-th
-    split).  Readers index ``lengths``.  ``draws[i]`` holds the tree's reader
-    draws in the order requested, and ``index[i]`` its stream position.
+    n+1..2n-2 in non-increasing age (node n+k-1 is the k-th split).  Readers
+    index ``lengths``.  ``draws[i]`` holds the tree's reader draws in the
+    order requested, and ``index[i]`` its stream position.
     """
 
     times: np.ndarray
@@ -454,10 +454,6 @@ def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
     ``ints(b)`` for each reader bound b; returns the (count, len(bounds))
     table of reader draws.
     """
-    if len(fills) == 1 and not bounds:  # consecutive rows: one call
-        fill, a = fills[0]
-        fill(out=a)
-        return np.empty((count, 0), dtype=np.int64)
     picks = []
     for i in range(count):
         for fill, a in fills:
@@ -733,7 +729,8 @@ def _forward_trees(sides: int, x1: float, split, when, row, steps, sampled,
     Sides 2i and 2i+1 form pair i, accepted when both leave a sampled
     extant lineage.  Returns the indices of the first ``need`` accepted
     pairs, their tip counts n, and their trees as flat ``times``/``parent``
-    arrays (tree after tree, 2n-1 nodes each, tips 0..n-1, root n).
+    arrays (tree after tree, 2n-1 nodes each, in the layout of
+    :class:`TreeBatch`).
     """
     # node-sized arrays hold counts and tree-local ids, far below 2^31; int32
     # halves them, which keeps a block's peak below the other verify checks'
@@ -752,14 +749,14 @@ def _forward_trees(sides: int, x1: float, split, when, row, steps, sampled,
     n = side_n[2 * pairs] + side_n[2 * pairs + 1]
 
     # number the kept nodes of the accepted pairs tree by tree: n sampled
-    # tips, the root n, then the n-2 kept splits in the order made
+    # tips, the root n, then the n-2 kept splits oldest first
     node = np.concatenate((sampled, split[kept]))
     age = np.concatenate((np.zeros(sampled.size), x1 - when[kept]))
     inner = np.repeat((False, True), (sampled.size, kept.sum()))
     tree = rank[np.concatenate((sampled_row, row[kept])) // 2]
     mine = tree >= 0
     node, age, inner, tree = node[mine], age[mine], inner[mine], tree[mine]
-    order = np.lexsort((node, inner, tree))
+    order = np.lexsort((node, -age, inner, tree))
     node, age, inner, tree = node[order], age[order], inner[order], tree[order]
     first = np.cumsum(2 * n - 2) - (2 * n - 2)
     local = np.arange(node.size) - first[tree] + inner

@@ -428,6 +428,22 @@ class TestBadInput:
         assert all(np.isfinite(v) for v in values.values())
         assert len(recwarn) == 0
 
+    def test_large_negative_mu_is_served(self, tmp_path, recwarn):
+        # D(s) = lam - mu e^{-ds} cancelled at -mu >> lam: expect ended in a
+        # ZeroDivisionError traceback, and density wrote nan rows with exit 0
+        out = tmp_path / "e.json"
+        assert run(["expect", "--n", "5", "--x1", "1", "--mu=-1e20", "--format", "json",
+                    "-o", str(out)]) == 0
+        values = json.loads(out.read_text())["values"]
+        assert len(values) == 4 and all(np.isfinite(v) for v in values.values())
+        out = tmp_path / "d.csv"
+        assert run(["density", "--law", "pendant", "--scenario", "given-n-age", "--n", "5",
+                    "--x1", "1", "--mu=-1e20", "--grid", "0.1:0.9:3", "-o", str(out)]) == 0
+        text = out.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert text.splitlines()[2:] == ["0.1,0,0.9", "0.5,0,0.9", "0.9,0,0.9", "1,atom,0.1"]
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("args", [
         ["density", "--law", "pendant", "--grid", "0:1:4"],
         ["simulate", "--scenario", "given-n", "--n", "4", "--reps", "2", "--seed", "1"],
@@ -472,6 +488,22 @@ class TestSizeBounds:
         assert proc.stderr == f"recontree {args[0]}: {message}\n"
         assert proc.stdout == ""
         assert not out.exists()
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    # a reader that stops early (``recontree simulate | head -1``) is not bad
+    # input: the run used to print "[Errno 32] Broken pipe" and exit 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+            [sys.executable, "-m", "recontree.cli", "simulate", "--scenario", "given-n",
+             "--n", "5", "--reps", "200000", "--seed", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["manifest"]["seed"] == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 class TestCachedParser:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from recontree import dists, kernel, mc
-from recontree.dists import MixedDist, QuadratureConfig
+from recontree.dists import MixedDist
 from recontree.kernel import Params, RawParams, prob_n_given_age, transform_params
 
 
@@ -42,11 +42,6 @@ def test_mixed_dist_rejects_bad_atom():
     f = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     with pytest.raises(ValueError):
         MixedDist(support_end=1.0, pdf=f, cdf=f, atom_weight=1.5)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
 
 
 class TestLeafAdjacency:
@@ -747,6 +742,21 @@ class TestExtremeRates:
         assert given_n_age == pytest.approx(0.1 * x1, rel=1e-12)
         assert 0.0 < given_age < x1
         assert lam * given_age == pytest.approx(unit_given_age, rel=1e-12)
+
+    def test_pendant_means_at_large_negative_mu(self):
+        # D(s) = lam - mu e^{-ds} cancelled at -mu >> lam: the given-(n, x1)
+        # mean raised ZeroDivisionError, and the pendant laws were nan
+        p = Params(1.0, -1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            given_n = dists.pendant_mean_given_n(p)
+            given_n_age = dists.pendant_mean_given_n_age(5, 1.0, p)
+            given_age = dists.pendant_mean_given_age(1.0, p)
+        # (mu + (lam - mu) log(1 - mu/lam))/mu^2 to 50 digits
+        assert given_n == pytest.approx(4.5051701859880913680830346e-19, rel=1e-14)
+        # every split lies within a few 1/|mu| of the tips: the atom carries the mean
+        assert given_n_age == pytest.approx(0.1, rel=1e-14)
+        assert 0.0 < given_age < 1.0 and math.isfinite(given_age)
 
     @pytest.mark.parametrize("lam, x1", [(1e100, 1e100), (1.0, 1e200), (1e-100, 1e300)])
     def test_pure_birth_laws_at_huge_age(self, lam, x1):

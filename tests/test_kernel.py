@@ -6,6 +6,7 @@ import pytest
 from recontree.kernel import (
     Params,
     RawParams,
+    _denominator,
     _p1_gap,
     _ratio_log_c,
     p0,
@@ -117,8 +118,8 @@ class TestKernels:
     def test_p1_gap_bit_identical_to_rate_form(self, lam):
         # the gap scales d and D(end) by a power of two near 1/lam, which only
         # moves their exponents: where nothing underflows, (p1, gap) equal
-        # those of the unscaled formula bit for bit, and no law value or
-        # golden moves
+        # those of the unscaled formula, with D formed as the kernel forms it,
+        # bit for bit, and no law value or golden moves
         def rate_form(s, end, p):
             if p.is_critical:
                 h = 1.0 + p.lam * s
@@ -126,9 +127,10 @@ class TestKernels:
                 return 1.0 / (h * h), gap / h
             d = p.lam - p.mu
             e = np.exp(-d * s)
-            ds = d + p.mu * -np.expm1(-d * s)
+            ds = _denominator(-np.expm1(-d * s), -d * s, p)
+            dend = _denominator(-math.expm1(-d * end), -d * end, p)
             far = 1.0 if end == math.inf else -np.expm1(-d * (end - s))
-            return d * d * e / (ds * ds), d * e * far / (ds * (d + p.mu * -math.expm1(-d * end)))
+            return d * d * e / (ds * ds), d * e * far / (ds * dend)
 
         for ratio in (-3.0, -0.5, -1e-9, 0.0, 0.5, 0.9, 1.0 - 1e-7, 1.0):
             p = Params(lam, ratio * lam)
@@ -187,6 +189,38 @@ class TestKernels:
         assert not p.is_critical and not p.is_yule
         assert p == Params(1.0, 0.5) and hash(p) == hash(Params(1.0, 0.5))
         assert repr(p) == repr(Params(1.0, 0.5))
+
+
+class TestLargeNegativeMu:
+    # D(s) = lam - mu e^{-ds} formed as d + mu (1 - e^{-ds}) cancels once
+    # -mu >> lam: at (1, -1e20) p0 divided by zero and _ratio_log_c raised
+    # ZeroDivisionError; lam + |mu| e^{-ds} has no cancellation
+    @pytest.mark.parametrize("lam, mu", [(1.0, -1e20), (1e-100, -1e60), (1.0, -0.5)])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 3.0, 40.0, None])
+    def test_against_50_digits(self, lam, mu, t):
+        mpmath = pytest.importorskip("mpmath")
+        p = Params(lam, mu)
+        s = 1.0 if t is None else t / (lam - mu)  # t in units of the scale 1/d
+        with mpmath.workdps(50):
+            l, m = mpmath.mpf(lam), mpmath.mpf(mu)
+
+            def want0(x):
+                e = mpmath.exp(-(l - m) * x)
+                return (1 - e) / (l - m * e)
+
+            e = mpmath.exp(-(l - m) * s)
+            want = [float(want0(s)), float((l - m) ** 2 * e / (l - m * e) ** 2)]
+            gaps = [(end, float((1 / l if end == math.inf else want0(end)) - want0(s)))
+                    for end in (2.0 * s, math.inf)]
+            want_r = float(l * want0(s))
+            want_c = float((l - m) * e / (l - m * e))  # c = 1 - r, from the rates
+        # a RuntimeWarning fails the test, as every warning does here
+        assert [p0(s, p), p1(s, p)] == pytest.approx(want, rel=1e-14, abs=0.0)
+        for end, gap in gaps:
+            assert _p1_gap(s, end, p)[1] == pytest.approx(gap, rel=1e-14, abs=0.0)
+        r, log_c = _ratio_log_c(s, p)
+        assert r == pytest.approx(want_r, rel=1e-14, abs=0.0)
+        assert math.exp(log_c) == pytest.approx(want_c, rel=1e-14, abs=0.0)
 
 
 class TestProbNGivenAge:

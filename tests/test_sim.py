@@ -215,12 +215,12 @@ class TestGivenNAge:
 
 # every batch sampler, in both topology paths (with small_blocks)
 BOTH_TOPOLOGY_PATHS = pytest.mark.parametrize("rows", [1, 10**9], ids=["lockstep", "row_by_row"])
-EVERY_BATCH_SAMPLER = pytest.mark.parametrize("sampler, ranked", [
-    (partial(sim.batch_yule_given_n, 2, 1.0), True),
-    (partial(sim.batch_yule_given_n, 20, 1.0), True),
-    (partial(sim.batch_given_n_age, 7, 1.5, SUB), True),
-    (partial(sim.batch_given_age, 1.5, SUB), True),
-    (partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)), False),
+EVERY_BATCH_SAMPLER = pytest.mark.parametrize("sampler", [
+    partial(sim.batch_yule_given_n, 2, 1.0),
+    partial(sim.batch_yule_given_n, 20, 1.0),
+    partial(sim.batch_given_n_age, 7, 1.5, SUB),
+    partial(sim.batch_given_age, 1.5, SUB),
+    partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
 ], ids=["yule_given_n2", "yule_given_n20", "given_n_age", "given_age", "forward"])
 
 
@@ -232,13 +232,12 @@ def small_blocks(monkeypatch, rows):
 
 
 class TestBatchLayout:
-    # the layout every reader indexes: tips 0..n-1 at age 0 and the root at
-    # node n, the one node with parent -1; the exact samplers rank nodes
-    # n..2n-2 in non-increasing age, while the forward oracle orders n+1..2n-2
-    # by when their lineages arose
+    # the layout every reader indexes: tips 0..n-1 at age 0, the root at
+    # node n, the one node with parent -1, and nodes n..2n-2 in
+    # non-increasing age
     @BOTH_TOPOLOGY_PATHS
     @EVERY_BATCH_SAMPLER
-    def test_layout_and_lengths(self, sampler, ranked, rows, monkeypatch):
+    def test_layout_and_lengths(self, sampler, rows, monkeypatch):
         small_blocks(monkeypatch, rows)
         count = 0
         for b in sampler(200, np.random.default_rng(31)):
@@ -246,8 +245,7 @@ class TestBatchLayout:
             assert np.all(b.times[:, :n] == 0.0)
             assert np.array_equal(b.parent < 0, np.broadcast_to(np.arange(2 * n - 1) == n,
                                                                  b.parent.shape))
-            if ranked:
-                assert np.all(np.diff(b.times[:, n:], axis=1) <= 0.0)
+            assert np.all(np.diff(b.times[:, n:], axis=1) <= 0.0)
             lengths = b.lengths
             for i in range(len(b)):
                 assert lengths[i].tobytes() == b.tree(i).edge_lengths().tobytes()
@@ -331,7 +329,7 @@ class TestTreeStream:
 class TestBatchNewick:
     @BOTH_TOPOLOGY_PATHS
     @EVERY_BATCH_SAMPLER
-    def test_rows_in_order_write_the_tree_stream(self, sampler, ranked, rows, monkeypatch):
+    def test_rows_in_order_write_the_tree_stream(self, sampler, rows, monkeypatch):
         # TreeBatch.newick over rows_in_order is to_newick over tree_stream,
         # byte for byte and in the same order
         small_blocks(monkeypatch, rows)
