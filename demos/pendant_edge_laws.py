@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from recontree import Params, RngStream, dists, mc, sim
+from recontree import Params, RngStream, dists, mc, prob_n_given_age, sim
 
 LAM, MU = 1.0, 0.5
 P = Params(LAM, MU)
@@ -73,11 +73,11 @@ def scenario_given_age():
     print("is the p_n(x1)-weighted mixture of the scenario (ii) densities:\n")
     law = dists.pendant_dist_given_age(x1, P)
     grid = np.linspace(0.1, 1.4, 6)
-    from recontree.kernel import prob_n_given_age
-    mixture = sum(
-        prob_n_given_age(n, x1, P) * dists.pendant_dist_given_n_age(n, x1, P).pdf(grid)
-        for n in range(3, 400)
-    )
+    # one row of p_n(x1) times the given-(n, x1) density per n, summed in n order
+    ns = np.arange(3, 400)
+    end, _, amp, edge, slope, _ = dists._pendant_coefs_given_n_age(ns[:, None], x1, P)
+    pdfs = dists._pendant_pdf(grid, end, amp, edge, slope, P)
+    mixture = np.add.reduce(prob_n_given_age(ns, x1, P)[:, None] * pdfs, axis=0)
     for s, d, m in zip(grid, law.pdf(grid), mixture):
         print(f"  s={s:.2f}  closed form {d:.6f}  mixture {m:.6f}")
     rng = RngStream(3, 0).generator()

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import dists, mc, sim
-from .kernel import Params, RawParams, _positive_finite, transform_params
+from .kernel import Params, RawParams, _check_age, _positive_finite, transform_params
 
 SEED_ENV = "RECONTREE_SEED"
 
@@ -161,6 +161,7 @@ def cmd_density(args) -> int:
     p, raw = _resolve_params(args)
     if args.x1 is not None:
         _positive_finite("x1", args.x1)
+        _check_age(args.x1, p, args.n if args.n is not None else 2, name="--x1")
     law, desc = _density_law(args, p)
     grid = _parse_grid(args.grid)
     if math.isfinite(law.support_end):
@@ -289,6 +290,7 @@ def cmd_expect(args) -> int:
     n = args.n if args.n is not None else 10
     x1 = args.x1 if args.x1 is not None else 1.0
     _positive_finite("x1", x1)
+    _check_age(x1, p, n, name="--x1")
     values = {"n": n, "x1": x1, "p": p}
     rows = [
         (label.format(**values), getattr(dists, name)(*(values[a] for a in names)))

@@ -45,8 +45,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy
 
-from .kernel import (Params, _at_least, _p1_gap, _positive_finite, _ratio_log_c, p0, p1,
-                     yule_rate)
+from .kernel import (Params, _at_least, _check_age, _p1_gap, _positive_finite, _ratio_log_c,
+                     p0, p1, yule_rate)
 
 __all__ = [
     "MixedDist",
@@ -142,19 +142,26 @@ def leaf_adjacency_prob(k: int, n: int) -> float:
 
 def _pendant_law(end: float, q: float, amp: float, edge: float, slope: float,
                  atom: float, p: Params) -> MixedDist:
-    """The pendant-edge law of every scenario (see the module docstring); the
-    gap is ``kernel._p1_gap``'s, and since p0' = p1 the cdf is
+    """The pendant-edge law of every scenario (see the module docstring); its
+    density is :func:`_pendant_pdf`, and since p0' = p1 the cdf is
     amp u (edge + slope (q - u/2)) with u = p0(s).
     """
     def pdf(s):
-        w, gap = _p1_gap(s, end, p)
-        return amp * w * (edge + slope * gap)
+        return _pendant_pdf(s, end, amp, edge, slope, p)
 
     def cdf(s):
         u = p0(s, p)
         return amp * u * (edge + slope * (q - u / 2.0))
 
     return MixedDist(support_end=end, pdf=pdf, cdf=cdf, atom_weight=atom)
+
+
+def _pendant_pdf(s, end: float, amp, edge: float, slope, p: Params):
+    """The pendant-edge density amp p1(s) (edge + slope gap(s)), the gap being
+    ``kernel._p1_gap``'s; a column of amp and slope gives one row per law.
+    """
+    w, gap = _p1_gap(s, end, p)
+    return amp * w * (edge + slope * gap)
 
 
 def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
@@ -217,10 +224,9 @@ def speciation_kernel(s, x1: float, p: Params):
 
     g(s|x1) = p1(s)/p0(x1), G(s|x1) = p0(s)/p0(x1).
     """
-    _positive_finite("x1", x1)
+    q = _check_age(x1, p)
     if np.any(np.asarray(s) > x1):
         raise ValueError("s must not exceed x1")
-    q = p0(x1, p)
     return p1(s, p) / q, p0(s, p) / q
 
 
@@ -256,7 +262,7 @@ def _check_speciation_index(k: int, n: int):
 def speciation_time_dist(k: int, n: int, x1: float, p: Params) -> MixedDist:
     """Law of the k-th speciation time given n tips and age x1."""
     _check_speciation_index(k, n)
-    _positive_finite("x1", x1)
+    _check_age(x1, p)
     return MixedDist(
         support_end=x1,
         pdf=lambda s: speciation_time_pdf(s, k, n, x1, p),
@@ -264,11 +270,11 @@ def speciation_time_dist(k: int, n: int, x1: float, p: Params) -> MixedDist:
     )
 
 
-def _pendant_coefs_given_n_age(n: int, x1: float, p: Params) -> tuple:
-    """(end, q, amp, edge, slope, atom) of the pendant law given n and x1."""
+def _pendant_coefs_given_n_age(n, x1: float, p: Params) -> tuple:
+    """(end, q, amp, edge, slope, atom) of the pendant law given n and x1; a
+    column ``n[:, None]`` gives columns of amp, slope and atom."""
     _at_least("n", n, 2)
-    _positive_finite("x1", x1)
-    q = p0(x1, p)
+    q = _check_age(x1, p, n)
     return x1, q, 2.0 * (n - 2) / (n * (n - 1) * q), 2.0, (n - 3) / q, 2.0 / (n * (n - 1))
 
 
@@ -299,9 +305,9 @@ def pendant_age_weight(k: int, x1: float, p: Params) -> float:
     as r -> 1 because log c comes from the rates; for r < 0.25 the series
     itself is summed.
     """
-    _positive_finite("x1", x1)
+    q = _check_age(x1, p)
     log_c = _ratio_log_c(x1, p)[1]
-    return _age_weight(k, p.lam * p0(x1, p), log_c, math.exp(2.0 * log_c))
+    return _age_weight(k, p.lam * q, log_c, math.exp(2.0 * log_c))
 
 
 def _age_weight(k: int, r: float, log_c: float, cc: float) -> float:
@@ -319,8 +325,7 @@ def _pendant_coefs_given_age(x1: float, p: Params) -> tuple:
     2(c - atom), or the series c^2 sum 2m/(m+2) r^m for r < 0.25, and
     p0(x1) (1 - G) is the gap.
     """
-    _positive_finite("x1", x1)
-    q = p0(x1, p)
+    q = _check_age(x1, p)
     r = p.lam * q
     log_c = _ratio_log_c(x1, p)[1]
     cc = math.exp(2.0 * log_c)
@@ -438,12 +443,13 @@ _YULE = Params(1.0)
 def _depth_survival(l, t: float, lam: float, f):
     """f(G, 1 - G) for 0 <= l <= t, 0 beyond (a float for a scalar l), with
     G = G(t - l | t) = p0(t - l)/p0(t) at pure birth; 1 - G is the kernel's
-    gap over p0(t), at most 1, so it stays exact as l -> 0."""
+    gap over p0(t), at most 1, so it stays exact as l -> 0; lam t must leave
+    p0 a normal float."""
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("l must be >= 0")
     s, u = lam * (t - np.minimum(l, t)), lam * t
-    q = p0(u, _YULE)
+    q = _check_age(u, _YULE, name="lam times the age")
     with np.errstate(divide="ignore", invalid="ignore"):  # G = 0 at l = t, 1 - G = 0 at 0
         out = np.where(l <= t, f(p0(s, _YULE) / q, np.minimum(_p1_gap(s, u, _YULE)[1] / q, 1.0)),
                        0.0)

@@ -20,6 +20,7 @@ descendant after time s.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,6 +63,9 @@ CRITICAL_TOL = 1e-8
 # lam and |mu| must lie in this range: the kernels square lam - mu, which
 # under- or overflows by about 1e+-154
 RATE_RANGE = (1e-100, 1e100)
+
+# the normal floats' range, which p0(x1) and n/p0(x1) must not leave
+_NORMAL = (sys.float_info.min, sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,31 @@ def yule_rate(lam: Union[float, Params]) -> float:
     return float(lam)
 
 
-def _at_least(name: str, value: int, least: int):
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+def _at_least(name: str, value, least: int):
+    """Reject a value below ``least``: a Python comparison for an int, numpy
+    otherwise, naming an array's smallest entry."""
+    low = value if isinstance(value, int) else np.min(value)
+    if low < least:
+        raise ValueError(f"{name} must be >= {least}, got {low}")
 
 
 def _positive_finite(name: str, value: float):
     if not math.inf > value > 0:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
+def _check_age(x1: float, p: Params, n=2, name: str = "x1"):
+    """q = p0(x1) for an age x1 > 0 at which q, 1/q and n/q (the largest of
+    an array n) are normal floats, as the laws that divide by q need; any
+    other x1 is refused, naming ``name``.  A Python comparison for an int n.
+    """
+    _positive_finite(name, x1)
+    q = p0(x1, p)
+    top = n if isinstance(n, int) else np.max(n)
+    if not q >= _NORMAL[0] or q < top / _NORMAL[1]:
+        raise ValueError(f"{name} is too small for p0 and n/p0 to be normal floats "
+                         f"(p0 = {q:.3g}, n = {top}), got {x1}")
+    return q
 
 
 def _rate(name: str, value: float):
@@ -211,14 +232,23 @@ def _ratio_log_c(x1: float, p: Params) -> tuple:
     return p.lam * (em / dx), math.log(d) + y - math.log(dx)
 
 
-def prob_n_given_age(n: int, x1: float, p: Params) -> float:
+def prob_n_given_age(n, x1: float, p: Params):
     """Probability that a reconstructed tree of age x1 has n extant tips.
 
     p_n(x1) = (n-1) p1(x1)^2 (lam p0(x1))^{n-2} / (1 - mu p0(x1))^2,
     which simplifies to (n-1) c^2 r^{n-2} with r = lam*p0(x1) and c = 1 - r,
     using the identity p1 = (1 - mu p0)(1 - lam p0).
+
+    ``n`` is an int or an integer array; an array's r^{n-2} are Python float
+    powers, one per entry, so each entry is bit for bit the int's value
+    (numpy's power may differ from libm's in the last bit, by host).
     """
     _at_least("n", n, 2)
     _positive_finite("x1", x1)
     r, log_c = _ratio_log_c(x1, p)
-    return (n - 1) * math.exp(2.0 * log_c) * r ** (n - 2)
+    cc = math.exp(2.0 * log_c)
+    if isinstance(n, int):
+        return (n - 1) * cc * r ** (n - 2)
+    k = np.asarray(n) - 2
+    powers = np.array([r ** j for j in k.ravel().tolist()]).reshape(k.shape)
+    return (k + 1) * cc * powers

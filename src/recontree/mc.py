@@ -22,7 +22,11 @@ Conventions (fixed for the whole tool, as module constants):
 Each check in the verify suite has one of two shapes: a sampled law check
 (``_sampled``: one stream, ``estimate``, ``compare``) or a report of
 numeric identities (``_report``).  Only the checks with extra statistics
-call ``compare`` or build their reports themselves.
+call ``compare`` or build their reports themselves.  The mixture identity
+takes its 498 given-(n, x1) densities and 1999 atoms as arrays over n,
+from one ``prob_n_given_age`` call and one pendant-density pass per
+regime; it adds the density rows in n order and the atoms with Python's
+``sum``, as a loop over n would, so its report is that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -338,7 +342,7 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
     ks = np.arange(_CHI2_START, kmax + 1)
     probs = np.array([pmf(int(k)) for k in ks])
     tail = max(1.0 - probs.sum(), 0.0)
-    observed = np.array([np.count_nonzero(values == k) for k in ks])
+    observed = np.bincount(values, minlength=kmax + 1)[_CHI2_START:]
     observed = np.append(observed, m - observed.sum())
     expected = np.append(probs, tail) * m
     # pool small-expectation bins from the right
@@ -491,19 +495,20 @@ _MIXTURE_GRID = [(1.0, 0.4, 1.5), (1.0, 0.0, 1.0), (1.0, 0.9, 2.0)]
 
 
 def _check_mixture_identity(cfg):
+    # the given-x1 law against the p_n(x1)-weighted sum of the given-(n, x1)
+    # laws: atoms over n = 2..2000, densities over ns[1:499], n = 3..500
     out = []
+    ns = np.arange(2, 2001)
     for lam, mu, x1 in _MIXTURE_GRID:
         p = Params(lam=lam, mu=mu)
         law = dists.pendant_dist_given_age(x1, p)
         grid = np.linspace(x1 * 1e-3, x1 * (1.0 - 1e-3), 50)
-        mix = np.zeros_like(grid)
-        for n in range(3, 501):
-            pn = prob_n_given_age(n, x1, p)
-            mix += pn * dists.pendant_dist_given_n_age(n, x1, p).pdf(grid)
+        pn = prob_n_given_age(ns, x1, p)
+        end, _, amp, edge, slope, _ = dists._pendant_coefs_given_n_age(ns[1:499, None], x1, p)
+        pdfs = dists._pendant_pdf(grid, end, amp, edge, slope, p)
+        mix = np.add.reduce(pn[1:499, None] * pdfs, axis=0)
         err = float(np.max(np.abs(mix - law.pdf(grid))))
-        atom_sum = sum(
-            2.0 / (n * (n - 1)) * prob_n_given_age(n, x1, p) for n in range(2, 2001)
-        )
+        atom_sum = sum((2.0 / (ns * (ns - 1)) * pn).tolist())
         out.append(_report(cfg, f"mixture_identity:lam={lam},mu={mu},x1={x1}",
                            ("max_abs_density_gap", 0.0, err, 1e-6),
                            ("atom_gap", law.atom_weight, atom_sum, 1e-8)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -382,6 +383,32 @@ class TestBadInput:
         out = tmp_path / "f"
         assert_usage_error([*args, "-o", str(out)], f"recontree {args[0]}: {message}", capsys)
         assert not out.exists()
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("args", [
+        # p0(x1) is subnormal, so 2/p0(x1) overflowed: inf and nan rows, exit 0
+        ["density", "--law", "pendant", "--scenario", "given-age", "--lam", "1",
+         "--x1", "1e-310", "--grid", "0:1e-310:3"],
+        ["density", "--law", "speciation-time", "--k", "3", "--n", "5", "--x1", "1e-310",
+         "--grid", "0:1e-310:3"],
+        ["expect", "--n", "5", "--x1", "1e-310"],
+        # (n - 3)/p0(x1) overflows
+        ["density", "--law", "pendant", "--scenario", "given-n-age", "--n", "1000000000",
+         "--x1", "1e-300", "--grid", "0:1e-300:3"],
+    ])
+    def test_age_below_the_float_range_exits_2(self, args, tmp_path, capsys, recwarn):
+        out = tmp_path / "f"
+        assert_usage_error([*args, "-o", str(out)],
+                           f"recontree {args[0]}: --x1 is too small for p0 and n/p0", capsys)
+        assert not out.exists()
+        assert len(recwarn) == 0
+
+    def test_smallest_served_age(self, tmp_path, recwarn):
+        out = tmp_path / "f"
+        assert run(["expect", "--n", "5", "--x1", "1e-300", "--format", "json",
+                    "-o", str(out)]) == 0
+        values = json.loads(out.read_text())["values"].values()
+        assert all(math.isfinite(v) and v > 0 for v in values)
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("args, message", [

@@ -243,6 +243,18 @@ class TestPendantGivenNAge:
     def test_mean_n2(self):
         assert dists.pendant_mean_given_n_age(2, 1.3, SUB) == 1.3
 
+    @pytest.mark.parametrize("p", REGIMES, ids=lambda p: f"mu={p.mu}")
+    def test_column_of_n_bit_identical_to_laws(self, p):
+        # the mixture check's array pass: one row per n from one _p1_gap call
+        x1, ns = 2.0, np.arange(2, 80)
+        grid = np.linspace(0.0, x1, 41)
+        end, _, amp, edge, slope, atom = dists._pendant_coefs_given_n_age(ns[:, None], x1, p)
+        rows = dists._pendant_pdf(grid, end, amp, edge, slope, p)
+        for n, row, a in zip(ns.tolist(), rows, atom[:, 0].tolist()):
+            law = dists.pendant_dist_given_n_age(n, x1, p)
+            assert row.tolist() == law.pdf(grid).tolist(), n
+            assert a == law.atom_weight, n
+
     @pytest.mark.parametrize("n, x1, mu", [(10, 1e-5, 0.5), (10, 1e-5, -0.5),
                                            (20, 0.01, 1.0001e-4), (6, 2.0, 1.0)])
     def test_mean_against_50_digits(self, n, x1, mu):
@@ -788,6 +800,58 @@ class TestExtremeRates:
             assert cdf[0] == 0.0
             assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0.0)
             assert cdf[-1] + law.atom_weight == pytest.approx(1.0, rel=1e-15)
+
+    # p0(x1) ~ min(x1, 1/lam) is subnormal, or 0 where lam x1 underflows
+    TINY_AGES = [(1.0, 1e-310), (1e100, 1e-320), (1e-100, 1e-310)]
+    X1_CALLS = [
+        lambda x1, p: dists.speciation_kernel(0.0, x1, p),
+        lambda x1, p: dists.speciation_time_pdf(0.0, 3, 5, x1, p),
+        lambda x1, p: dists.speciation_time_dist(3, 5, x1, p),
+        lambda x1, p: dists.pendant_dist_given_n_age(5, x1, p),
+        lambda x1, p: dists.pendant_mean_given_n_age(5, x1, p),
+        lambda x1, p: dists.pendant_age_weight(3, x1, p),
+        lambda x1, p: dists.pendant_dist_given_age(x1, p),
+        lambda x1, p: dists.pendant_mean_given_age(x1, p),
+    ]
+    YULE_CALLS = [
+        lambda x1, lam: dists.root_edge_survival_given_n_age(0.5 * x1, 5, x1, lam),
+        lambda x1, lam: dists.initial_edge_survival(0.5 * x1, x1, 5, lam),
+    ]
+
+    @pytest.mark.parametrize("lam, x1", TINY_AGES)
+    @pytest.mark.parametrize("call", X1_CALLS)
+    def test_age_below_the_float_range_is_refused(self, call, lam, x1):
+        # 2/p0(x1) overflowed: the pdf read inf, the cdf and the given-x1 mean nan
+        for ratio in (0.0, 0.5, 1.0, -0.5):
+            with pytest.raises(ValueError, match=r"^x1 is too small for p0 and n/p0 to be "
+                                                 r"normal floats \(p0 = "):
+                call(x1, Params(lam, ratio * lam))
+
+    @pytest.mark.parametrize("lam, x1", [(1.0, 1e-310), (1e-100, 1e-215)])
+    @pytest.mark.parametrize("call", YULE_CALLS)
+    def test_yule_age_below_the_float_range_is_refused(self, call, lam, x1):
+        # at lam x1 = 0 the survivals read 1 and 0 at every l
+        with pytest.raises(ValueError, match="lam times the age is too small"):
+            call(x1, lam)
+
+    def test_tip_count_past_the_float_range_is_refused(self):
+        # the slope (n - 3)/p0(x1) overflows past n ~ 1.8e8 at x1 = 1e-300
+        assert dists.pendant_dist_given_n_age(10**7, 1e-300, YULE).atom_weight > 0.0
+        with pytest.raises(ValueError, match=r"n = 1000000000\), got 1e-300"):
+            dists.pendant_dist_given_n_age(10**9, 1e-300, YULE)
+
+    @pytest.mark.parametrize("lam, x1", [(1e100, 1e-300), (1.0, 1e-300), (1e-100, 1e-150)])
+    @pytest.mark.parametrize("call", X1_CALLS + YULE_CALLS)
+    def test_smallest_served_ages(self, call, lam, x1):
+        # x1 >= 1e-300 with lam x1 >= 1e-250 stays served, finite and quiet
+        arg = lam if call in self.YULE_CALLS else Params(lam, 0.5 * lam)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            out = call(x1, arg)
+            if isinstance(out, MixedDist):
+                out = (out.pdf(0.5 * x1), out.cdf(0.5 * x1), out.atom_weight)
+        assert np.all(np.isfinite(np.asarray(out, dtype=float)))
 
     SMALL_CASES = [(lam, prod, ratio) for lam in (1e-100, 1.0, 1e100)
                    for prod in (1e-250, 1e-220, 1e-150, 1e-50, 1e-8, 1.0, 1e2)

@@ -255,3 +255,21 @@ class TestProbNGivenAge:
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
             prob_n_given_age(1, 1.0, Params(1.0, 0.0))
+
+    @pytest.mark.parametrize("mu, x1", [(0.0, 1.5), (0.4, 1.5), (1.0, 1.5), (-0.5, 1.5),
+                                        (0.4, 1e-3), (0.4, 40.0)],
+                             ids=["yule", "mu=0.4", "critical", "mu=-0.5", "r<0.25", "r~1"])
+    def test_array_n_bit_identical_to_scalar(self, mu, x1):
+        # the array's r^(n-2) are Python float powers: numpy's power can
+        # differ from libm's in the last bit, depending on the host
+        p = Params(1.0, mu)
+        got = prob_n_given_age(np.arange(2, 2001), x1, p)
+        assert got.tolist() == [prob_n_given_age(n, x1, p) for n in range(2, 2001)]
+
+    def test_array_n_below_2_raises_the_scalar_message(self):
+        p = Params(1.0, 0.0)
+        with pytest.raises(ValueError) as scalar:
+            prob_n_given_age(1, 1.0, p)
+        with pytest.raises(ValueError) as array:
+            prob_n_given_age(np.array([3, 1, 2]), 1.0, p)
+        assert str(array.value) == str(scalar.value) == "n must be >= 2, got 1"

@@ -4,8 +4,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy
 
-from recontree import cli, dists, mc, sim
+from recontree import cli, dists, kernel, mc, sim
 from recontree.dists import MixedDist
 from recontree.kernel import Params
 from recontree.mc import (
@@ -146,6 +147,22 @@ class TestChiSquare:
         pmf = lambda k: 0.5 * 0.5 ** (k - 2)
         assert chi_square_counts(vals, pmf) < 1e-6
 
+    def test_same_p_value_as_counting_each_k(self):
+        # the reference counts each bin in its own pass; the rest is the harness's
+        vals = np.random.default_rng(10).geometric(0.3, 5_000) + 1
+        pmf = lambda k: 0.3 * 0.7 ** (k - 2)
+        ks = np.arange(2, vals.max() + 1)
+        probs = np.array([pmf(int(k)) for k in ks])
+        observed = np.array([np.count_nonzero(vals == k) for k in ks])
+        observed = np.append(observed, len(vals) - observed.sum())
+        expected = np.append(probs, max(1.0 - probs.sum(), 0.0)) * len(vals)
+        while len(expected) > 2 and expected[-1] < 5.0:
+            expected[-2] += expected[-1]
+            observed[-2] += observed[-1]
+            expected, observed = expected[:-1], observed[:-1]
+        want = scipy.stats.chisquare(observed, expected).pvalue
+        assert chi_square_counts(vals, pmf) == want
+
 
 class TestVerifySuite:
     def test_unknown_check_raises(self):
@@ -186,6 +203,18 @@ class TestVerifySuite:
         reports = mc._check_means_vs_quadrature(VerifyConfig())
         assert called == names
         assert all(r.passed for r in reports)
+
+    def test_mixture_identity_builds_no_per_n_law(self, monkeypatch):
+        # c08 sums its 498 given-(n, x1) densities and 1999 atoms as arrays over n
+        calls = {"prob_n_given_age": 0, "pendant_dist_given_n_age": 0}
+        for module, name in [(kernel, "prob_n_given_age"), (mc, "prob_n_given_age"),
+                             (dists, "pendant_dist_given_n_age")]:
+            monkeypatch.setattr(module, name, lambda *a, _name=name, _f=getattr(module, name):
+                                calls.__setitem__(_name, calls[_name] + 1) or _f(*a))
+        reports = mc._check_mixture_identity(VerifyConfig())
+        assert len(reports) == len(mc._MIXTURE_GRID) and all(r.passed for r in reports)
+        assert calls["pendant_dist_given_n_age"] == 0
+        assert 0 < calls["prob_n_given_age"] <= 2 * len(mc._MIXTURE_GRID)
 
     def test_reps_bound(self):
         # each rep holds 8 bytes per sampled statistic; 10^11 reps asked for
