@@ -146,15 +146,16 @@ def _density_law(args, p: Params):
         scenarios = [s for law, s in _DENSITY_LAWS if law == args.law]
         raise ValueError(f"--law {args.law} takes --scenario {' or '.join(scenarios)}")
     name, flags, header = entry
-    for flag in flags:
-        _require(getattr(args, flag), f"--{flag}")
-    law = getattr(dists, name)(*(getattr(args, f) for f in flags), p)
+    law = getattr(dists, name)(*_require(args, flags), p)
     return law, header.format(**vars(args))
 
 
-def _require(value, flag):
-    if value is None:
-        raise ValueError(f"{flag} is required for this law/scenario")
+def _require(args, flags) -> list:
+    """The values of the named flags, each of which must be given."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for this law/scenario")
+    return [getattr(args, flag) for flag in flags]
 
 
 def cmd_density(args) -> int:
@@ -180,6 +181,18 @@ def cmd_density(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+# scenario -> (sim batch sampler, required flags).  Each sampler takes the
+# flags in order, then the rates, reps and rng; it is looked up by name on
+# ``sim`` when called, as the laws are on ``dists``.  The rejection oracle
+# takes the raw rates.
+_SCENARIOS = {
+    "given-n": ("batch_yule_given_n", ("n",)),
+    "given-n-age": ("batch_given_n_age", ("n", "x1")),
+    "given-age": ("batch_given_age", ("x1",)),
+    "rejection-given-age": ("batch_forward_given_age", ("x1",)),
+}
+
+
 def cmd_simulate(args) -> int:
     p, raw = _resolve_params(args)
     seed = _seed(args)
@@ -191,25 +204,16 @@ def cmd_simulate(args) -> int:
 
     if args.reps < 0:
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
-    if scen == "given-n":
-        _require(args.n, "--n")
-        batches = sim.batch_yule_given_n(args.n, p, args.reps, rng)
-    elif scen == "given-n-age":
-        _require(args.n, "--n")
-        _require(args.x1, "--x1")
-        batches = sim.batch_given_n_age(args.n, args.x1, p, args.reps, rng)
-    elif scen == "given-age":
-        _require(args.x1, "--x1")
-        batches = sim.batch_given_age(args.x1, p, args.reps, rng)
-    elif scen == "rejection-given-age":
-        _require(args.x1, "--x1")
+    name, flags = _SCENARIOS[scen]
+    values = _require(args, flags)
+    rates = p
+    if scen == "rejection-given-age":
         if raw is None:
-            raw = RawParams(lambda_hat=p.lam, mu_hat=max(p.mu, 0.0), f=1.0)
             if p.mu < 0:
                 raise ValueError("rejection simulation needs raw parameters")
-        batches = sim.batch_forward_given_age(args.x1, raw, args.reps, rng)
-    else:
-        raise ValueError(f"unknown scenario {scen!r}")
+            raw = RawParams(lambda_hat=p.lam, mu_hat=p.mu, f=1.0)
+        rates = raw
+    batches = getattr(sim, name)(*values, rates, args.reps, rng)
 
     manifest = {
         "params": {"lam": p.lam, "mu": p.mu},
@@ -338,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("simulate", help="sample conditioned trees")
     _add_param_args(s)
-    s.add_argument("--scenario", required=True,
-                   choices=["given-n", "given-n-age", "given-age",
-                            "rejection-given-age"])
+    s.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--x1", type=float, default=None)
     s.add_argument("--reps", type=int, default=1)

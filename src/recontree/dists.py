@@ -169,14 +169,14 @@ def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
     """The mean of :func:`_pendant_law` for a finite end: atom end plus the
     survival's integral, in t = s/end, split at 10, 100, ... times the scale
     1/(lam + |mu|) over which the gap falls off, with room for three
-    subdivisions a split.
+    subdivisions a split.  Every caller's x1 passed ``kernel._check_age``, so
+    (lam + |mu|) x1 is a positive float.
     """
     def tail(t):
         gap = _p1_gap(t * end, end, p)[1]
         return gap * (edge + 0.5 * slope * gap)
 
     scale = (p.lam + abs(p.mu)) * end
-    _positive_finite("(lam + |mu|) x1", scale)
     points = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
     val, _ = scipy.integrate.quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
                                   limit=_MAX_SUBDIVISIONS + 3 * len(points), points=points or None)

@@ -94,10 +94,16 @@ class Params:
 
 
 def transform_params(raw: RawParams) -> Params:
-    """Fold incomplete sampling into effective complete-sampling rates."""
+    """Fold incomplete sampling into effective complete-sampling rates.
+
+    mu_hat <= lambda_hat gives mu <= lam, but at mu_hat = lambda_hat and f < 1
+    the rounded mu can land an ulp above lam (mu_hat = lambda_hat = 1, f = 0.3
+    gives mu = 0.30000000000000004, lam = 0.3), so mu is clamped to lam; every
+    other mu is the formula's value, bit for bit.
+    """
     lam = raw.f * raw.lambda_hat
     mu = raw.mu_hat - raw.lambda_hat * (1.0 - raw.f)
-    return Params(lam=lam, mu=mu)
+    return Params(lam=lam, mu=min(mu, lam))
 
 
 def yule_rate(lam: Union[float, Params]) -> float:
@@ -126,15 +132,19 @@ def _positive_finite(name: str, value: float):
 
 def _check_age(x1: float, p: Params, n=2, name: str = "x1"):
     """q = p0(x1) for an age x1 > 0 at which q, 1/q and n/q (the largest of
-    an array n) are normal floats, as the laws that divide by q need; any
-    other x1 is refused, naming ``name``.  A Python comparison for an int n.
+    an array n) are normal floats, as the laws that divide by q need, and
+    (lam + |mu|) x1 is a positive float.  Any other x1 is refused: past the
+    float range naming that product, otherwise naming ``name``.  A Python
+    comparison for an int n.
     """
     _positive_finite(name, x1)
     q = p0(x1, p)
     top = n if isinstance(n, int) else np.max(n)
-    if not q >= _NORMAL[0] or q < top / _NORMAL[1]:
+    scale = (p.lam + abs(p.mu)) * x1
+    if scale < math.inf and (not q >= _NORMAL[0] or q < top / _NORMAL[1]):
         raise ValueError(f"{name} is too small for p0 and n/p0 to be normal floats "
                          f"(p0 = {q:.3g}, n = {top}), got {x1}")
+    _positive_finite("(lam + |mu|) x1", scale)
     return q
 
 

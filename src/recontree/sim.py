@@ -38,8 +38,8 @@ Two brute-force oracles draw the given-x1 law from the raw rates
 Both simulate the two root-child lineages (the *sides*) forward for
 duration x1 and accept when each side leaves at least one sampled extant
 descendant; an *attempt* is one pair of sides, and :class:`RejectionStats`
-counts attempts and acceptances.  Neither shares code with the exact
-samplers:
+counts attempts and acceptances.  Neither shares sampling code with the
+exact samplers:
 
 * :func:`batch_forward_given_age` runs a block of sides in lockstep as
   arrays.  The ``transform_equivalence`` check and ``recontree simulate
@@ -54,18 +54,21 @@ At lambda_hat=2, mu_hat=0.5, f=0.5, x1=1 (acceptance rate 0.455), the
 per-tree oracle took 200-230 µs per accepted tree and the lockstep oracle
 about 30 µs (3.0 s for 10^5 trees), on a 2-core x86-64 VM with numpy 2.4.
 
-The other batch samplers make their random draws tree by tree: each
-tree's own draws, then each requested reader draw (an ``integers(bound)``
-call whose bound depends only on the tree's tip count).  Everything else
--- inverse CDFs, sorting, merge positions, topology attachment -- runs per
-block, so the trees on a stream, node numbering included, do not depend on
-how they are split into blocks; a batch of one draws the same tree as the
-first row of a batch of a thousand.  The builder attaches a block with
-fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python lists, and a
-larger one in one numpy loop over all rows in lockstep.  Both give the same
-trees.  The lockstep oracle instead draws block by block, so its trees
-depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
-``simulate --scenario rejection-given-age --reps 10`` are not those of
+The exact samplers make their random draws tree by tree: each tree's own
+draws, then each requested reader draw (an ``integers(bound)`` call whose
+bound depends only on the tree's tip count).  The two fixed-n samplers
+share one block loop, :func:`_fixed_n_batches`; :func:`batch_given_age`,
+whose tip count varies by tree, has its own.  Everything else -- inverse
+CDFs, sorting, merge positions, topology attachment -- runs per block, so
+the trees on a stream, node numbering included, do not depend on how they
+are split into blocks; a batch of one draws the same tree as the first row
+of a batch of a thousand.  Every sampler that takes x1 checks it with the
+laws' guard, :func:`recontree.kernel._check_age`.  The builder attaches a
+block with fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python
+lists, and a larger one in one numpy loop over all rows in lockstep.  Both
+give the same trees.  The lockstep oracle instead draws block by block, so
+its trees depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees
+of ``simulate --scenario rejection-given-age --reps 10`` are not those of
 ``--reps 100``.
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
@@ -81,7 +84,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import Params, RawParams, _at_least, _positive_finite, p0, yule_rate
+from .kernel import Params, RawParams, _at_least, _check_age, p0, transform_params, yule_rate
 from .tree import (EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _edge_lengths, _newick,
                    _tip_labels)
 
@@ -269,8 +272,7 @@ def _geometric_count(u: float, ratio: float) -> int:
 
 def _given_age_ratio(x1: float, p: Params) -> float:
     """The ratio lam*p0(x1) of the per-side geometric tip counts, checked."""
-    _positive_finite("x1", x1)
-    ratio = p.lam * p0(x1, p)
+    ratio = p.lam * _check_age(x1, p)
     if (1.0 - ratio) * MAX_MEAN_TIPS < 2.0:  # the mean tip count is 2/(1 - ratio)
         raise ValueError(f"x1={x1} with lam={p.lam}, mu={p.mu} gives a mean tip "
                          f"count above {MAX_MEAN_TIPS:.0e}; use a smaller x1")
@@ -314,7 +316,7 @@ def sample_rejection_given_age(
     every caller in the package uses; the tests compare the two laws.  The
     benchmark's tracer looks this name up, so it stays as it is.
     """
-    _positive_finite("x1", x1)
+    _check_age(x1, transform_params(raw))
     rng = as_generator(rng)
     if stats is None:
         stats = RejectionStats()
@@ -440,26 +442,36 @@ def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
     return (b.tree(row) for b, row in rows_in_order(batches))
 
 
-def _blocks(reps: int, n: int) -> Iterator[tuple]:
-    """(start, stop) of each block of ``reps`` trees with n tips."""
-    step = max(1, BATCH_NODES // (2 * n - 1))
-    for start in range(0, reps, step):
-        yield start, min(start + step, reps)
+def _fixed_n_batches(n: int, reps: int, rng, draws: Sequence[DrawBound], fills: tuple,
+                     build: Callable) -> Iterator[TreeBatch]:
+    """The batches of ``reps`` trees with n tips; the arguments are checked
+    when called, before anything is drawn or allocated.
 
-
-def _per_tree(count: int, fills: list, bounds: list, ints) -> np.ndarray:
-    """Make each tree's draws, tree by tree.
-
-    For tree i, ``fill(out=a[i])`` for each (fill, a) in ``fills``, then
-    ``ints(b)`` for each reader bound b; returns the (count, len(bounds))
-    table of reader draws.
+    ``fills`` gives each tree's draws as (Generator method, width).  A block
+    of R trees holds an (R, width) array per fill.  Tree by tree, each fill of
+    nonzero width makes its row, ``method(out=a[i])``, then each reader its
+    ``integers`` draw.  ``build(*arrays)`` gives the block's times and parent.
     """
-    picks = []
-    for i in range(count):
-        for fill, a in fills:
-            fill(out=a[i])
-        picks += [ints(b) for b in bounds]
-    return np.array(picks, dtype=np.int64).reshape(count, len(bounds))
+    _check_tips(n)
+    _at_least("reps", reps, 0)
+    rng = as_generator(rng)
+    bounds = [d(n) for d in draws]
+    step = max(1, BATCH_NODES // (2 * n - 1))
+
+    def blocks():
+        for start in range(0, reps, step):
+            count = min(step, reps - start)
+            arrays = [np.empty((count, width)) for _, width in fills]
+            calls = [(getattr(rng, name), a) for (name, width), a in zip(fills, arrays) if width]
+            picks, ints = [], rng.integers
+            for i in range(count):
+                for fill, a in calls:
+                    fill(out=a[i])
+                picks += [ints(b) for b in bounds]
+            picks = np.array(picks, dtype=np.int64).reshape(count, len(bounds))
+            yield TreeBatch(*build(*arrays), picks, np.arange(start, start + count))
+
+    return blocks()
 
 
 def _merge_parent(lo: list, hi: list, n: int) -> list:
@@ -548,21 +560,9 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     standard exponentials, then n-2 uniforms.
     """
     lam = yule_rate(lam)
-    _check_tips(n)
-    _at_least("reps", reps, 0)
-    rng = as_generator(rng)
-    bounds = [d(n) for d in draws]
-    rates = lam * np.arange(2, n + 1)
-
-    def blocks():
-        for start, stop in _blocks(reps, n):
-            e = np.empty((stop - start, n - 1))
-            u = np.empty((stop - start, n - 2))
-            fills = [(rng.standard_exponential, e)] + ([(rng.random, u)] if n > 2 else [])
-            picks = _per_tree(stop - start, fills, bounds, rng.integers)
-            yield TreeBatch(*_yule_trees(e / rates, u, n), picks, np.arange(start, stop))
-
-    return blocks()
+    fills = (("standard_exponential", n - 1), ("random", n - 2))
+    return _fixed_n_batches(n, reps, rng, draws, fills,
+                            lambda e, u: _yule_trees(e / (lam * np.arange(2, n + 1)), u, n))
 
 
 def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
@@ -573,19 +573,9 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     topology is attached: a uniform random pair merged at each split age,
     backward in time.  Per tree: 3n-4 uniforms.
     """
-    _check_tips(n)
-    _positive_finite("x1", x1)
-    _at_least("reps", reps, 0)
-    rng = as_generator(rng)
-    bounds = [d(n) for d in draws]
-
-    def blocks():
-        for start, stop in _blocks(reps, n):
-            u = np.empty((stop - start, 3 * n - 4))
-            picks = _per_tree(stop - start, [(rng.random, u)], bounds, rng.integers)
-            yield TreeBatch(*_given_n_age_trees(u, n, x1, p), picks, np.arange(start, stop))
-
-    return blocks()
+    _check_age(x1, p)
+    return _fixed_n_batches(n, reps, rng, draws, (("random", 3 * n - 4),),
+                            lambda u: _given_n_age_trees(u, n, x1, p))
 
 
 def batch_given_age(x1: float, p: Params, reps: int, rng,
@@ -798,15 +788,17 @@ def batch_forward_given_age(
     about 1.1 times the pairs still needed at the acceptance rate seen so
     far, so the trees drawn depend on ``reps``.  Raises ``RuntimeError``
     when a block ends :data:`MAX_ATTEMPTS` or more pairs after the last
-    acceptance.  Shares no code with the exact samplers.
+    acceptance.  Shares no sampling code with the exact samplers.
     """
-    _positive_finite("x1", x1)
+    p = transform_params(raw)
+    _check_age(x1, p)
     _at_least("reps", reps, 0)
     growth = (raw.lambda_hat - raw.mu_hat) * x1
     if growth > math.log(MAX_MEAN_TIPS):  # e^growth lineages per side on average
         raise ValueError(f"x1={x1} with lambda_hat={raw.lambda_hat}, mu_hat={raw.mu_hat} "
                          f"gives a mean lineage count per side above "
                          f"{MAX_MEAN_TIPS:.0e}; use a smaller x1")
+    _given_age_ratio(x1, p)  # its trees follow batch_given_age's law, and take its bound
     # a side logs its stem and two nodes per birth
     births = raw.lambda_hat * (x1 if growth == 0 else x1 * math.expm1(growth) / growth)
     most = max(1, int(FORWARD_NODES // (2 * (1 + 2 * births))))  # pairs per block

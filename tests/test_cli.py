@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -425,6 +426,14 @@ class TestBadInput:
         # past the float range the pendant means refuse (lam + |mu|) x1
         (["expect", "--lam", "1e100", "--mu", "5e99", "--x1", "1e300"],
          "(lam + |mu|) x1 must be > 0 and finite, got inf"),
+        # so do the laws and the samplers: lam x1 = inf made p0(x1) = 0, so
+        # every tree had two tips, and the law warned, then refused a nan atom
+        (["simulate", "--scenario", "given-age", "--lam", "1e100", "--mu", "1e100",
+          "--x1", "1e300", "--reps", "1", "--seed", "1"],
+         "(lam + |mu|) x1 must be > 0 and finite, got inf"),
+        (["density", "--law", "pendant", "--scenario", "given-age", "--lam", "1e100",
+          "--x1", "1e300", "--grid", "0:1e300:3"],
+         "(lam + |mu|) x1 must be > 0 and finite, got inf"),
         # E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range
         (["expect", "--x1", "800"], "math range error"),
         # numpy refused these with "expected non-negative integer", naming no flag
@@ -444,6 +453,29 @@ class TestBadInput:
         assert not out.exists()
         assert len(recwarn) == 0
 
+    # a subnormal x1 wrote subnormal branch lengths with exit 0, and the
+    # critical forward oracle ran without end at x1 = 1e300
+    @pytest.mark.parametrize("x1", ["1e-310", "1e300"])
+    @pytest.mark.parametrize("scenario", [["given-n-age", "--n", "5"], ["given-age"],
+                                          ["rejection-given-age"]],
+                             ids=["given-n-age", "given-age", "rejection-given-age"])
+    @pytest.mark.parametrize("rates", [[], ["--mu", "0.4"], ["--mu", "1"], ["--mu=-0.5"]],
+                             ids=["yule", "mu0.4", "critical", "mu-0.5"])
+    def test_extreme_age_writes_only_normal_numbers(self, x1, scenario, rates, tmp_path,
+                                                    recwarn):
+        out = tmp_path / "f"
+        code = run(["simulate", "--scenario", *scenario, "--lam", "1", *rates, "--x1", x1,
+                    "--reps", "3", "--seed", "1", "-o", str(out)])
+        assert code in (0, 2)
+        assert len(recwarn) == 0
+        if code == 2:
+            assert not out.exists()
+            return
+        numbers = [float(v) for v in re.findall(
+            r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf", out.read_text())]
+        assert numbers and all(v == 0.0 or sys.float_info.min <= abs(v) < math.inf
+                               for v in numbers)
+
     def test_huge_age_is_served(self, tmp_path, recwarn):
         # lam x1 = 1e200: the pendant means' quadrature breakpoints outgrew its
         # subdivision limit, and scipy raised "The input is invalid."
@@ -453,6 +485,19 @@ class TestBadInput:
         values = json.loads(out.read_text())["values"]
         assert values["E[pendant | n=5, x1=1e+100]"] == pytest.approx(1e99, rel=1e-12)
         assert all(np.isfinite(v) for v in values.values())
+        assert len(recwarn) == 0
+
+    # mu_hat = lambda_hat with f < 1 rounded mu one ulp past lam, and the
+    # critical rates were refused with "mu must be <= lam"
+    @pytest.mark.parametrize("lh", ["0.1", "0.3", "1", "2", "3", "7"])
+    @pytest.mark.parametrize("f", ["0.01", "0.1", "0.2", "0.3", "0.5", "0.7", "0.9", "0.99"])
+    def test_critical_raw_rates_are_served(self, lh, f, tmp_path, recwarn):
+        out = tmp_path / "e.json"
+        assert run(["expect", "--lam-hat", lh, "--mu-hat", lh, "--f", f, "--n", "5",
+                    "--x1", "2", "--format", "json", "-o", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert Params(**result["params"]).is_critical
+        assert all(math.isfinite(v) for v in result["values"].values())
         assert len(recwarn) == 0
 
     def test_large_negative_mu_is_served(self, tmp_path, recwarn):

@@ -577,6 +577,10 @@ class TestRootEdge:
         assert dists.initial_edge_survival(0.0, 1.0, 5, 1.0) == 1.0
         assert dists.initial_edge_survival(1.0, 1.0, 5, 1.0) == 0.0
 
+    def test_initial_edge_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            dists.initial_edge_survival(-0.5, 1.0, 3, 1.0)
+
     def test_survival_given_n_age_boundaries(self):
         s = dists.root_edge_survival_given_n_age
         assert s(0.0, 5, 2.0, 1.0) == pytest.approx(1.0)

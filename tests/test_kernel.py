@@ -51,6 +51,18 @@ class TestTransform:
         with pytest.raises(ValueError, match="finite|must lie in"):
             make()
 
+    def test_rejects_mu_above_lam(self):
+        with pytest.raises(ValueError, match="mu must be <= lam, got mu=2.0 lam=1.0"):
+            Params(1.0, 2.0)
+
+    # at mu_hat = lambda_hat and f < 1, mu_hat - lambda_hat (1 - f) rounded one
+    # ulp past f lambda_hat at 13 of these 48 points, and Params refused them
+    @pytest.mark.parametrize("lh", [0.1, 0.3, 1.0, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("f", [0.01, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_critical_raw_rates_stay_critical(self, lh, f):
+        p = transform_params(RawParams(lh, lh, f))
+        assert p.lam == f * lh and p.mu <= p.lam and p.is_critical
+
     def test_mu_never_exceeds_lam(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

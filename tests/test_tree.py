@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -60,6 +61,18 @@ class TestReconTree:
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError, match="odd"):
             ReconTree([0.0, 0.0, 1.0, 2.0], [2, 2, -1, -1])
+
+    @pytest.mark.parametrize("times, parent, kwargs, message", [
+        ([0.0, 0.0, 1.0], [2, 2, -1], {"labels": ["a"]}, "label count must equal leaf count"),
+        ([0.0, 0.0, 1.0], [-1, 0, 0], {}, "root must be an internal node"),
+        ([0.0, 0.0, 1.0], [2, 2, -1], {"children": [[0, 3]]},
+         "every internal node must have exactly 2 children"),
+        # only a NaN internal age passes the edge-length check and gets this far
+        ([0.0, 0.0, math.nan], [2, 2, -1], {}, "root must carry the maximal age"),
+    ])
+    def test_rejects_malformed_table(self, times, parent, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ReconTree(times, parent, **kwargs)
 
     @pytest.mark.parametrize("label", ["a:b", "a,b", "", "a(", "b)", "a;b", 7])
     def test_rejects_label_newick_cannot_read_back(self, label):
