@@ -45,7 +45,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy
 
-from .kernel import (Params, _at_least, _check_age, _p1_gap, _positive_finite, _ratio_log_c,
+from .kernel import (Params, _at_least, _check_age, _p1_gap, _ratio_log_c,
                      p0, p1, yule_rate)
 
 __all__ = [
@@ -420,7 +420,7 @@ def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
     """Root-edge law given x1 (pure birth): Exp(lam) on (0, x1), atom
     e^{-lam x1} at x1; so P(L > l | x1) = e^{-lam l} for l < x1, 0 beyond."""
     lam = yule_rate(lam)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     return MixedDist(
         support_end=x1,
         pdf=lambda l: lam * np.exp(-lam * np.asarray(l, dtype=float)),
@@ -431,7 +431,7 @@ def root_edge_dist_given_age(x1: float, lam: Union[float, Params]) -> MixedDist:
 
 def root_edge_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     lam = yule_rate(lam)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     return -math.expm1(-lam * x1) / lam
 
 
@@ -463,7 +463,7 @@ def initial_edge_survival(l, t: float, k: int, lam: Union[float, Params]):
     """
     lam = yule_rate(lam)
     _at_least("k", k, 1)
-    _positive_finite("t", t)
+    _check_age(t, Params(lam), name="t")
     return _depth_survival(l, t, lam, lambda g, eps: np.where(
         g > 0.0, np.exp((k - 1) * np.where(eps < 0.5, np.log1p(-eps), np.log(g))), 0.0))
 
@@ -475,7 +475,7 @@ def root_edge_survival_given_n_age(l, n: int, x1: float, lam: Union[float, Param
     """
     lam, m = yule_rate(lam), n - 1
     _at_least("n", n, 2)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     return _depth_survival(l, x1, lam, lambda g, eps: np.where(
         eps > 0.0, -np.expm1(m * np.log1p(-eps)) / (m * eps), 1.0))
 
@@ -532,7 +532,7 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     s = np.asarray(s, dtype=float)
     if np.any(s >= lam):
         raise ValueError("MGF argument must be < lam")
@@ -551,7 +551,7 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     y = lam * x1
     if y < 1e-2:
         mean_s = x1 * (0.5 - y * (1.0 / 12.0 - y * y * (1.0 / 720.0 - y * y / 30240.0)))
@@ -563,5 +563,5 @@ def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth)."""
     lam = yule_rate(lam)
-    _positive_finite("x1", x1)
+    _check_age(x1, Params(lam))
     return 2.0 * math.expm1(lam * x1) / lam

@@ -138,6 +138,7 @@ def _check_age(x1: float, p: Params, n=2, name: str = "x1"):
     comparison for an int n.
     """
     _positive_finite(name, x1)
+    x1 = float(x1)  # a numpy scalar would warn where a product overflows
     q = p0(x1, p)
     top = n if isinstance(n, int) else np.max(n)
     scale = (p.lam + abs(p.mu)) * x1

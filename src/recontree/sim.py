@@ -54,22 +54,39 @@ At lambda_hat=2, mu_hat=0.5, f=0.5, x1=1 (acceptance rate 0.455), the
 per-tree oracle took 200-230 µs per accepted tree and the lockstep oracle
 about 30 µs (3.0 s for 10^5 trees), on a 2-core x86-64 VM with numpy 2.4.
 
-The exact samplers make their random draws tree by tree: each tree's own
-draws, then each requested reader draw (an ``integers(bound)`` call whose
-bound depends only on the tree's tip count).  The two fixed-n samplers
-share one block loop, :func:`_fixed_n_batches`; :func:`batch_given_age`,
-whose tip count varies by tree, has its own.  Everything else -- inverse
-CDFs, sorting, merge positions, topology attachment -- runs per block, so
-the trees on a stream, node numbering included, do not depend on how they
-are split into blocks; a batch of one draws the same tree as the first row
-of a batch of a thousand.  Every sampler that takes x1 checks it with the
-laws' guard, :func:`recontree.kernel._check_age`.  The builder attaches a
-block with fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python
-lists, and a larger one in one numpy loop over all rows in lockstep.  Both
-give the same trees.  The lockstep oracle instead draws block by block, so
-its trees depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees
-of ``simulate --scenario rejection-given-age --reps 10`` are not those of
+The exact samplers draw, tree after tree, each tree's own draws, then each
+requested reader draw (an ``integers(bound)`` call whose bound depends only
+on the tree's tip count).  The Yule sampler makes these calls itself,
+filling each tree's rows: how many words numpy's ziggurat takes for an
+exponential cannot be told from outside.  The given-(n, x1) and given-x1
+samplers replay them instead (:class:`_Replay`): a block draws its words
+with one ``random_raw`` call, reads each tree's doubles and reader draws
+from them as the Generator's calls would, and leaves the bit generator in
+the state those calls leave.  The replay follows PCG64, which
+``default_rng`` and :class:`RngStream` give; these two samplers refuse any
+other bit generator before a draw.  The digests pinned by
+``tests/test_same_samples.py`` are the contract with numpy's stream: a
+numpy that changed how its Generator turns words into doubles or integers
+would move them.  The two fixed-n samplers share one block loop,
+:func:`_fixed_n_batches`, which takes each one's block-draw function;
+:func:`batch_given_age`, whose tip count varies by tree, has its own.
+Everything else -- inverse CDFs, sorting, merge positions, topology
+attachment -- runs per block, so the trees on a stream, node numbering
+included, do not depend on how they are split into blocks; a batch of one
+draws the same tree as the first row of a batch of a thousand.  Every
+sampler that takes x1 checks it with the laws' guard,
+:func:`recontree.kernel._check_age`.  The builder attaches a block with
+fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python lists, and a
+larger one in one numpy loop over all rows in lockstep.  Both give the
+same trees.  The lockstep oracle instead draws block by block, so its trees
+depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
+``simulate --scenario rejection-given-age --reps 10`` are not those of
 ``--reps 100``.
+
+Replayed, 2000 trees given (n=6, x1=2) with three readers took 4.7 ms
+(25 ms by the Generator's calls), and 2000 given x1=1.5 (lam=1, mu=0.4)
+with two readers 10.7 ms (34 ms), on the same VM; one tree alone costs
+about 10-15 µs more (see README).
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -79,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -442,36 +459,138 @@ def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
     return (b.tree(row) for b, row in rows_in_order(batches))
 
 
-def _fixed_n_batches(n: int, reps: int, rng, draws: Sequence[DrawBound], fills: tuple,
+def _fixed_n_batches(n: int, reps: int, rng, draws: Sequence[DrawBound], draw_block: Callable,
                      build: Callable) -> Iterator[TreeBatch]:
     """The batches of ``reps`` trees with n tips; the arguments are checked
     when called, before anything is drawn or allocated.
 
-    ``fills`` gives each tree's draws as (Generator method, width).  A block
-    of R trees holds an (R, width) array per fill.  Tree by tree, each fill of
-    nonzero width makes its row, ``method(out=a[i])``, then each reader its
-    ``integers`` draw.  ``build(*arrays)`` gives the block's times and parent.
+    ``draw_block(rng, count, bounds)`` draws a block of ``count`` trees: each
+    tree's own draws, then its reader draws, one ``integers(b)`` per bound.
+    It returns the arrays ``build`` takes, which gives the block's times and
+    parent, and the reader draws as a flat list, tree after tree.
     """
     _check_tips(n)
     _at_least("reps", reps, 0)
     rng = as_generator(rng)
-    bounds = [d(n) for d in draws]
+    bounds = [int(d(n)) for d in draws]
     step = max(1, BATCH_NODES // (2 * n - 1))
 
     def blocks():
         for start in range(0, reps, step):
             count = min(step, reps - start)
-            arrays = [np.empty((count, width)) for _, width in fills]
-            calls = [(getattr(rng, name), a) for (name, width), a in zip(fills, arrays) if width]
-            picks, ints = [], rng.integers
-            for i in range(count):
-                for fill, a in calls:
-                    fill(out=a[i])
-                picks += [ints(b) for b in bounds]
+            arrays, picks = draw_block(rng, count, bounds)
             picks = np.array(picks, dtype=np.int64).reshape(count, len(bounds))
             yield TreeBatch(*build(*arrays), picks, np.arange(start, start + count))
 
     return blocks()
+
+
+def _pcg64(rng) -> np.random.Generator:
+    """``rng`` as a Generator on PCG64, the bit generator whose words
+    :class:`_Replay` replays; any other is refused before anything is drawn."""
+    rng = as_generator(rng)
+    bits = getattr(rng, "bit_generator", rng)
+    if type(bits) is not np.random.PCG64:
+        raise ValueError(f"the given-(n, x1) and given-x1 samplers replay PCG64 draws; "
+                         f"got {type(bits).__name__}")
+    return rng
+
+
+class _Replay:
+    """A PCG64 Generator's draws, replayed from buffers of its raw 64-bit words.
+
+    numpy's Generator makes a double from one word w as (w >> 11) 2^-53.
+    ``integers(b)`` draws nothing for b = 1; for 1 < b <= 2^32 it takes
+    Lemire's method (Lemire, ACM TOMACS 29, 2019) on 32-bit halves: the low
+    half of a new word, with the high half held in the bit generator's state
+    (``has_uint32``, ``uinteger``) for the next half drawn, and another half
+    after each rejection.  A larger b takes the method on whole words.
+    Doubles leave the held half alone.  :meth:`finish` leaves the bit
+    generator where the Generator's own calls would have: the words used
+    consumed and the held half, even a used one, as they left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.bits = rng.bit_generator
+        state = self.bits.state
+        self.start = self.held, self.half = state["has_uint32"], state["uinteger"]
+        self.words = self.bits.random_raw(size)
+        self.pos = 0
+
+    def take(self, k: int) -> int:
+        """The offset of the next k words, drawing on when the buffer runs out."""
+        at, self.pos = self.pos, self.pos + k
+        if self.pos > self.words.size:
+            more = self.bits.random_raw(max(self.pos - self.words.size, self.words.size))
+            self.words = np.concatenate((self.words, more))
+        return at
+
+    def word(self) -> int:
+        at = self.take(1)  # before self.words is read: take() may replace it
+        return self.words.item(at)
+
+    def double(self) -> float:
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def doubles(self, at: np.ndarray, width: int) -> np.ndarray:
+        """(len(at), width) doubles, row i from the ``width`` words at at[i]."""
+        return (self.words[at[:, None] + np.arange(width)] >> 11) * 2.0 ** -53
+
+    def integer(self, b: int) -> int:
+        if b == 1:
+            return 0
+        if not 1 < b <= 1 << 63:  # the messages of integers(b)
+            raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
+        if b > 1 << 32:
+            while True:
+                m = self.word() * b
+                if m & 0xFFFFFFFFFFFFFFFF >= (1 << 64) % b:
+                    return m >> 64
+        while True:
+            if self.held:
+                x, self.held = self.half, 0
+            else:
+                w = self.word()
+                x, self.half, self.held = w & 0xFFFFFFFF, w >> 32, 1
+            m = x * b
+            if m & 0xFFFFFFFF >= (1 << 32) % b:
+                return m >> 32
+
+    def finish(self):
+        now = self.start  # the half the bit generator holds
+        if self.pos < self.words.size:
+            self.bits.advance(self.pos - self.words.size)  # give back the words not used
+            now = (0, 0)  # advance() clears the held half
+        if (self.held, self.half) != now:
+            state = self.bits.state
+            state["has_uint32"], state["uinteger"] = self.held, self.half
+            self.bits.state = state
+
+
+def _yule_block(n: int, rng, count: int, bounds: list) -> tuple:
+    """A block of Yule trees' draws by the Generator's own calls, tree by
+    tree: n-1 standard exponentials and n-2 uniforms, each filled into its
+    row, then the reader draws."""
+    arrays = [np.empty((count, n - 1)), np.empty((count, n - 2))]
+    fills = [(rng.standard_exponential, arrays[0])] + [(rng.random, arrays[1])] * (n > 2)
+    picks, ints = [], rng.integers
+    for i in range(count):
+        for fill, a in fills:
+            fill(out=a[i])
+        picks += [ints(b) for b in bounds]
+    return arrays, picks
+
+
+def _given_n_age_block(width: int, rng, count: int, bounds: list) -> tuple:
+    """A block of given-(n, x1) trees' draws, replayed: ``width`` doubles per
+    tree, then its reader draws."""
+    r = _Replay(rng, count * (width + (len(bounds) + 1) // 2))
+    at, picks = [], []
+    for _ in range(count):
+        at.append(r.take(width))
+        picks += [r.integer(b) for b in bounds]
+    r.finish()
+    return [r.doubles(np.array(at), width)], picks
 
 
 def _merge_parent(lo: list, hi: list, n: int) -> list:
@@ -560,8 +679,7 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     standard exponentials, then n-2 uniforms.
     """
     lam = yule_rate(lam)
-    fills = (("standard_exponential", n - 1), ("random", n - 2))
-    return _fixed_n_batches(n, reps, rng, draws, fills,
+    return _fixed_n_batches(n, reps, rng, draws, partial(_yule_block, n),
                             lambda e, u: _yule_trees(e / (lam * np.arange(2, n + 1)), u, n))
 
 
@@ -574,7 +692,7 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
     backward in time.  Per tree: 3n-4 uniforms.
     """
     _check_age(x1, p)
-    return _fixed_n_batches(n, reps, rng, draws, (("random", 3 * n - 4),),
+    return _fixed_n_batches(n, reps, _pcg64(rng), draws, partial(_given_n_age_block, 3 * n - 4),
                             lambda u: _given_n_age_trees(u, n, x1, p))
 
 
@@ -590,24 +708,28 @@ def batch_given_age(x1: float, p: Params, reps: int, rng,
     """
     ratio = _given_age_ratio(x1, p)
     _at_least("reps", reps, 0)
-    rng = as_generator(rng)
-    rand, ints = rng.random, rng.integers
+    rng = _pcg64(rng)
+    mean = 2.0 / (1.0 - ratio)  # the mean tip count
+    trees = BATCH_NODES / (2.0 * mean - 1.0) + 1.0  # trees per block, about
+    words = 3.0 * mean - 2.0 + (len(draws) + 1) // 2  # words per tree, about
 
     def blocks():
         start = 0
         while start < reps:
-            ns, rows, picks, nodes = [], [], [], 0
+            r = _Replay(rng, int(min(reps - start, trees) * words) + 1)
+            ns, at, picks, nodes = [], [], [], 0
             while start + len(ns) < reps and nodes < BATCH_NODES:
-                n = _geometric_count(rand(), ratio) + _geometric_count(rand(), ratio)
+                n = _geometric_count(r.double(), ratio) + _geometric_count(r.double(), ratio)
                 ns.append(n)
-                rows.append(rand(3 * n - 4))
-                picks += [ints(d(n)) for d in draws]
+                at.append(r.take(3 * n - 4))
+                picks += [r.integer(int(d(n))) for d in draws]
                 nodes += 2 * n - 1
-            ns = np.array(ns)
+            r.finish()
+            ns, at = np.array(ns), np.array(at)
             picks = np.array(picks, dtype=np.int64).reshape(len(ns), len(draws))
             for n in np.unique(ns).tolist():
                 sel = np.flatnonzero(ns == n)
-                times, parent = _given_n_age_trees(np.array([rows[i] for i in sel]), n, x1, p)
+                times, parent = _given_n_age_trees(r.doubles(at[sel], 3 * n - 4), n, x1, p)
                 yield TreeBatch(times, parent, picks[sel], start + sel)
             start += len(ns)
 
@@ -786,13 +908,21 @@ def batch_forward_given_age(
     are accepted; an attempt is one pair, counted up to the last accepted
     one.  A block holds at most :data:`FORWARD_NODES` expected nodes and
     about 1.1 times the pairs still needed at the acceptance rate seen so
-    far, so the trees drawn depend on ``reps``.  Raises ``RuntimeError``
-    when a block ends :data:`MAX_ATTEMPTS` or more pairs after the last
+    far, so the trees drawn depend on ``reps``.  Refuses, before any draw,
+    rates whose acceptance rate (f (1 - mu p0(x1)))^2 in the transformed
+    rates is below 1/:data:`MAX_ATTEMPTS`, and raises ``RuntimeError`` when
+    a block ends :data:`MAX_ATTEMPTS` or more pairs after the last
     acceptance.  Shares no sampling code with the exact samplers.
     """
     p = transform_params(raw)
-    _check_age(x1, p)
+    q = _check_age(x1, p)
     _at_least("reps", reps, 0)
+    # a side keeps a sampled extant lineage with probability f (1 - mu p0(x1))
+    rate = (raw.f * (1.0 - p.mu * q)) ** 2
+    if rate * MAX_ATTEMPTS < 1.0:
+        raise ValueError(f"x1={x1} with lambda_hat={raw.lambda_hat}, mu_hat={raw.mu_hat}, "
+                         f"f={raw.f} gives an acceptance rate of {rate:.3g}, below "
+                         f"1/{MAX_ATTEMPTS}")
     growth = (raw.lambda_hat - raw.mu_hat) * x1
     if growth > math.log(MAX_MEAN_TIPS):  # e^growth lineages per side on average
         raise ValueError(f"x1={x1} with lambda_hat={raw.lambda_hat}, mu_hat={raw.mu_hat} "

@@ -197,6 +197,17 @@ class TestSimulate:
         assert time.perf_counter() - start < 1.0
         assert not out.exists()
 
+    def test_rejection_hopeless_rates(self, tmp_path, capsys):
+        # acceptance rate 7.4e-8: this ran 20 s and ended in a RuntimeError traceback
+        out = tmp_path / "f"
+        start = time.perf_counter()
+        assert_usage_error(["simulate", "--scenario", "rejection-given-age", "--lam-hat", "1",
+                            "--mu-hat", "0", "--f", "0.0001", "--x1", "1", "--reps", "1",
+                            "--seed", "1", "-o", str(out)],
+                           "gives an acceptance rate of 7.39e-08, below 1/10000000", capsys)
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,message", [
         (["--scenario", "given-n", "--n", "1"], "n must be >= 2"),
         (["--scenario", "given-n-age", "--n", "4", "--x1", "-1"], "x1 must be > 0"),

@@ -831,12 +831,34 @@ class TestExtremeRates:
                                                  r"normal floats \(p0 = "):
                 call(x1, Params(lam, ratio * lam))
 
-    @pytest.mark.parametrize("lam, x1", [(1.0, 1e-310), (1e-100, 1e-215)])
+    @pytest.mark.parametrize("lam, x1, message", [
+        # a subnormal age is refused by the age guard, naming the age (x1 or t)
+        (1.0, 1e-310, r"^(x1|t) is too small for p0 and n/p0 to be normal floats \(p0 = 1e-310"),
+        (1e-100, 1e-215, "lam times the age is too small"),
+    ])
     @pytest.mark.parametrize("call", YULE_CALLS)
-    def test_yule_age_below_the_float_range_is_refused(self, call, lam, x1):
+    def test_yule_age_below_the_float_range_is_refused(self, call, lam, x1, message):
         # at lam x1 = 0 the survivals read 1 and 0 at every l
-        with pytest.raises(ValueError, match="lam times the age is too small"):
+        with pytest.raises(ValueError, match=message):
             call(x1, lam)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x1", [1e300, np.float64(1e300)], ids=["float", "float64"])
+    @pytest.mark.parametrize("call", [
+        lambda x1, lam: dists.root_edge_dist_given_age(x1, lam),
+        lambda x1, lam: dists.root_edge_mean_given_age(x1, lam),
+        lambda x1, lam: dists.initial_edge_survival(0.5, x1, 5, lam),
+        lambda x1, lam: dists.root_edge_survival_given_n_age(0.5, 5, x1, lam),
+        lambda x1, lam: dists.diversity_mgf_given_n_age(0.0, 5, x1, lam),
+        lambda x1, lam: dists.diversity_mean_given_n_age(5, x1, lam),
+        lambda x1, lam: dists.diversity_mean_given_age(x1, lam),
+    ])
+    def test_yule_laws_refuse_lam_x1_past_the_float_range(self, call, x1):
+        # diversity_mean_given_age returned inf, and the two survivals warned
+        # "overflow encountered in scalar multiply" before refusing
+        with pytest.raises(ValueError, match=r"^\(lam \+ \|mu\|\) x1 must be > 0 and "
+                                             r"finite, got inf$"):
+            call(x1, 1e100)
 
     def test_tip_count_past_the_float_range_is_refused(self):
         # the slope (n - 3)/p0(x1) overflows past n ~ 1.8e8 at x1 = 1e-300

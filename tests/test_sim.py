@@ -503,11 +503,27 @@ class TestForwardGivenAge:
         assert stats.accepted == 500 and stats.attempts >= 500
 
     def test_max_attempts_exhausted(self, monkeypatch):
+        # acceptance rate (1/2.2)^2 = 0.207, just above 1/5: served, and at this
+        # seed a block ends with 5 failed pairs
         monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
+        rng = np.random.default_rng(25)
+        with pytest.raises(RuntimeError, match="no acceptance within 5 attempts"):
+            list(sim.batch_forward_given_age(1.2, RawParams(1.0, 1.0, 1.0), 10, rng))
+
+    @pytest.mark.parametrize("raw, x1, cap", [
+        (RawParams(1.0, 0.0, 1e-4), 1.0, sim.MAX_ATTEMPTS),  # rate 7.4e-8
+        (RawParams(1.0, 1.0, 0.01), 8.0, 5),                 # rate 8.6e-5
+        (RawParams(1.0, 1.0, 1.0), 1.3, 5),                  # rate (1/2.3)^2 = 0.189
+    ])
+    def test_hopeless_rates_refused_before_any_draw(self, raw, x1, cap, monkeypatch):
+        # the closed-form acceptance rate (f (1 - mu p0(x1)))^2 below 1/MAX_ATTEMPTS
+        # is refused up front; at the first rates the oracle ran 20 s into a RuntimeError
+        monkeypatch.setattr(sim, "MAX_ATTEMPTS", cap)
         rng = np.random.default_rng(19)
-        raw = RawParams(1.0, 1.0, 0.01)  # acceptance rate about 1e-4
-        with pytest.raises(RuntimeError, match="acceptance rate 0"):
-            list(sim.batch_forward_given_age(8.0, raw, 10, rng))
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"acceptance rate of .*, below 1/{cap}"):
+            sim.batch_forward_given_age(x1, raw, 10, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestInitialEdge:
