@@ -62,7 +62,11 @@ exponential cannot be told from outside.  The given-(n, x1) and given-x1
 samplers replay them instead (:class:`_Replay`): a block draws its words
 with one ``random_raw`` call, reads each tree's doubles and reader draws
 from them as the Generator's calls would, and leaves the bit generator in
-the state those calls leave.  The replay follows PCG64, which
+the state those calls leave.  The reads are array passes: given (n, x1)
+each tree's offsets are closed form, given x1 a chain of list lookups over
+a tip-count table finds them, and one vectorized Lemire test reads every
+reader half; only a tree with a rejected half (or a bound above 2^32) is
+walked draw by draw.  The replay follows PCG64, which
 ``default_rng`` and :class:`RngStream` give; these two samplers refuse any
 other bit generator before a draw.  The digests pinned by
 ``tests/test_same_samples.py`` are the contract with numpy's stream: a
@@ -83,10 +87,10 @@ depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
 ``simulate --scenario rejection-given-age --reps 10`` are not those of
 ``--reps 100``.
 
-Replayed, 2000 trees given (n=6, x1=2) with three readers took 4.7 ms
-(25 ms by the Generator's calls), and 2000 given x1=1.5 (lam=1, mu=0.4)
-with two readers 10.7 ms (34 ms), on the same VM; one tree alone costs
-about 10-15 µs more (see README).
+On the same VM, 2000 trees given (n=6, x1=2) with three readers took
+1.9 ms read as arrays (6.7 ms walked tree by tree), and 2000 given x1=1.5
+(lam=1, mu=0.4) with two readers 6.2 ms (13.0 ms); one tree alone costs
+about what the walk cost (see README).
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -285,6 +289,33 @@ def _geometric_count(u: float, ratio: float) -> int:
     if ratio <= 0.0:
         return 1
     return max(1, math.ceil(math.log(u) / math.log(ratio)))
+
+
+# |q - round(q)| / q below this marks a quotient q = log(u) / log(ratio)
+# whose ceiling np.log, a few ulps off math.log at some u, could move
+TIE_GAP = 2.0 ** -40
+
+# the tip-count table's entry for u = 0: any tip count with it is below 2
+ZERO_DOUBLE = -1 << 40
+
+
+def _tip_counts(u: np.ndarray, ratio: float) -> list:
+    """:func:`_geometric_count` of each u, as a list of ints, with
+    :data:`ZERO_DOUBLE` where u = 0: the count refuses it, so a sampler that
+    reads one as a count raises through :func:`_geometric_count`.
+
+    One ``np.log`` pass; the entries whose quotient lies within
+    :data:`TIE_GAP` of an integer are recomputed through
+    :func:`_geometric_count` and its ``math.log``.  ``ratio`` lies in
+    (0, 1), as :func:`_given_age_ratio` leaves it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 gives q = inf
+        q = np.log(u) / math.log(ratio)
+        tie = ~(np.abs(q - np.rint(q)) > TIE_GAP * q)  # and u = 0
+    counts = np.maximum(np.ceil(np.where(tie, 1.0, q)), 1.0).astype(np.int64).tolist()
+    for i in np.flatnonzero(tie).tolist():
+        counts[i] = _geometric_count(u.item(i), ratio) if u[i] else ZERO_DOUBLE
+    return counts
 
 
 def _given_age_ratio(x1: float, p: Params) -> float:
@@ -496,6 +527,11 @@ def _pcg64(rng) -> np.random.Generator:
     return rng
 
 
+def _as_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles numpy's Generator makes from raw 64-bit words."""
+    return (words >> 11) * 2.0 ** -53
+
+
 class _Replay:
     """A PCG64 Generator's draws, replayed from buffers of its raw 64-bit words.
 
@@ -505,47 +541,69 @@ class _Replay:
     half of a new word, with the high half held in the bit generator's state
     (``has_uint32``, ``uinteger``) for the next half drawn, and another half
     after each rejection.  A larger b takes the method on whole words.
-    Doubles leave the held half alone.  :meth:`finish` leaves the bit
+    Doubles leave the held half alone.
+
+    Blocks read their trees as arrays (:func:`_read_halves`) and walk a tree
+    here, draw by draw (:meth:`integer`), only where a half is rejected or a
+    bound passes 2^32.  ``held`` and ``half`` are read from the state only
+    when a reader first needs a half.  :meth:`finish` leaves the bit
     generator where the Generator's own calls would have: the words used
     consumed and the held half, even a used one, as they left it.
     """
 
     def __init__(self, rng: np.random.Generator, size: int):
         self.bits = rng.bit_generator
-        state = self.bits.state
-        self.start = self.held, self.half = state["has_uint32"], state["uinteger"]
         self.words = self.bits.random_raw(size)
         self.pos = 0
+        self.held = self.half = None
+
+    @cached_property
+    def start(self) -> tuple:
+        """The half held before the block; ``random_raw`` leaves it alone."""
+        state = self.bits.state
+        return state["has_uint32"], state["uinteger"]
+
+    def load(self):
+        """Read the held half, before a reader takes one."""
+        if self.held is None:
+            self.held, self.half = self.start
+
+    def need(self, end: int):
+        """Draw on until the buffer holds ``end`` words."""
+        if end > self.words.size:
+            more = self.bits.random_raw(max(end - self.words.size, self.words.size))
+            self.words = np.concatenate((self.words, more))
 
     def take(self, k: int) -> int:
-        """The offset of the next k words, drawing on when the buffer runs out."""
+        """The offset of the next k words."""
         at, self.pos = self.pos, self.pos + k
-        if self.pos > self.words.size:
-            more = self.bits.random_raw(max(self.pos - self.words.size, self.words.size))
-            self.words = np.concatenate((self.words, more))
+        self.need(self.pos)
         return at
 
     def word(self) -> int:
         at = self.take(1)  # before self.words is read: take() may replace it
         return self.words.item(at)
 
-    def double(self) -> float:
-        return (self.word() >> 11) * 2.0 ** -53
-
     def doubles(self, at: np.ndarray, width: int) -> np.ndarray:
-        """(len(at), width) doubles, row i from the ``width`` words at at[i]."""
-        return (self.words[at[:, None] + np.arange(width)] >> 11) * 2.0 ** -53
+        """(len(at), width) doubles, row i from the ``width`` words at at[i]:
+        one slice where the rows lie end to end, as one row does."""
+        first, last = int(at[0]), int(at[-1])
+        if last - first == (len(at) - 1) * width:
+            words = self.words[first:last + width].reshape(len(at), width)
+        else:
+            words = self.words[at[:, None] + np.arange(width)]
+        return _as_doubles(words)
 
     def integer(self, b: int) -> int:
+        _check_bound(b)
         if b == 1:
             return 0
-        if not 1 < b <= 1 << 63:  # the messages of integers(b)
-            raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
         if b > 1 << 32:
             while True:
                 m = self.word() * b
                 if m & 0xFFFFFFFFFFFFFFFF >= (1 << 64) % b:
                     return m >> 64
+        self.load()
         while True:
             if self.held:
                 x, self.held = self.half, 0
@@ -557,14 +615,72 @@ class _Replay:
                 return m >> 32
 
     def finish(self):
+        if self.held is None and self.pos == self.words.size:
+            return  # no half read and every word used: nothing to give back
+        end = self.start if self.held is None else (self.held, self.half)
         now = self.start  # the half the bit generator holds
         if self.pos < self.words.size:
             self.bits.advance(self.pos - self.words.size)  # give back the words not used
             now = (0, 0)  # advance() clears the held half
-        if (self.held, self.half) != now:
+        if end != now:
             state = self.bits.state
-            state["has_uint32"], state["uinteger"] = self.held, self.half
+            state["has_uint32"], state["uinteger"] = end
             self.bits.state = state
+
+
+def _check_bound(b: int):
+    """Refuse a bound as ``integers(b)`` does, with its messages."""
+    if not 1 <= b <= 1 << 63:
+        raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
+
+
+def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> tuple:
+    """The reader draws of a run of trees, read from ``r``'s words as arrays.
+
+    Tree i draws one 32-bit half for each bound above 1 in ``bounds[i]``
+    (uint64, none above 2^32), taking its new words from ``offsets[i]`` on.
+    Number the run's halves j = 0, 1, ... in draw order, and let k = j - H0,
+    where H0 is ``r.held`` at the start.  Half j < H0 is the held half
+    ``r.half``.  Half k >= 0 is the low half of a new word when k is even,
+    and the high half of the same word as half k - 1 when k is odd.  So a
+    tree that starts holding a half (H0 plus the halves before it is odd)
+    takes it first, from the word of the half just before; its other halves
+    are the low and high halves of its own words in turn.
+
+    One Lemire test, (x b) mod 2^32 < 2^32 mod b, finds the first rejected
+    half.  Returns an array shaped like ``bounds``, holding the draws of the
+    trees before that half's tree and 0 after, and the count of those
+    trees; ``r.held`` and ``r.half`` become the held half they leave.
+    """
+    picks = np.zeros(bounds.shape, dtype=np.int64)
+    rows, cols = np.nonzero(bounds > 1)
+    if not rows.size:
+        return picks, len(offsets)
+    h = np.bincount(rows, minlength=len(offsets))  # halves per tree
+    before = np.cumsum(h) - h
+    held0 = r.held
+    k = np.arange(rows.size) - before[rows]  # the tree's own halves
+    k -= (held0 + before[rows]) & 1  # the half it starts holding is -1
+    at = offsets[rows] + (k >> 1)
+    held = np.flatnonzero(k < 0)[held0:]
+    at[held] = at[held - 1]  # the word whose low half came just before
+    if held0:
+        at[0] = 0  # any word: the value is r.half
+    x = r.words[at]
+    x = np.where(k & 1, x >> 32, x & 0xFFFFFFFF)
+    if held0:
+        x[0] = r.half
+    b = bounds[rows, cols]
+    m = x * b  # below 2^64: x < 2^32 and b <= 2^32
+    bad = np.flatnonzero((m & 0xFFFFFFFF) < np.uint64(1 << 32) % b)
+    done = int(rows[bad[0]]) if bad.size else len(offsets)
+    used = int(before[done]) if bad.size else rows.size
+    picks[rows[:used], cols[:used]] = m[:used] >> 32
+    if used > held0:
+        r.held, r.half = (held0 + used) & 1, int(r.words[at[used - 1]]) >> 32
+    elif used:
+        r.held = 0
+    return picks, done
 
 
 def _yule_block(n: int, rng, count: int, bounds: list) -> tuple:
@@ -582,15 +698,53 @@ def _yule_block(n: int, rng, count: int, bounds: list) -> tuple:
 
 
 def _given_n_age_block(width: int, rng, count: int, bounds: list) -> tuple:
-    """A block of given-(n, x1) trees' draws, replayed: ``width`` doubles per
-    tree, then its reader draws."""
-    r = _Replay(rng, count * (width + (len(bounds) + 1) // 2))
-    at, picks = [], []
-    for _ in range(count):
-        at.append(r.take(width))
-        picks += [r.integer(b) for b in bounds]
+    """A block of given-(n, x1) trees' draws, replayed: w = ``width``
+    doubles per tree, then its reader draws, h of them halves.
+
+    Until a half is rejected the offsets are closed form, with H0 the held
+    half at the start of the run.  Tree t's doubles start at word
+    t w + ceil(max(t h - H0, 0) / 2).  Half j of the run, with
+    k = j - H0 >= 0, is the low half of the word (t' + 1) w + floor(k/2)
+    when k is even, and its high half when k is odd, where t' is the tree
+    that holds half 2 floor(k/2) + H0, the low half of that word; for odd k
+    this is not always the tree that holds half j.  :func:`_read_halves`
+    reads the halves this way.  A rejected half ends the run: its tree is
+    walked with :class:`_Replay`, and the next run starts after it.  A bound
+    above 2^32 takes whole words between the halves, so such a block is
+    walked tree by tree.  With no reader half the rows lie end to end.
+    """
+    for b in bounds:
+        _check_bound(b)
+    h = sum(b > 1 for b in bounds)
+    r = _Replay(rng, count * (width + (h + 1) // 2))
+    if not h:  # no reader draws: the doubles fill the buffer, row after row
+        return [_as_doubles(r.words.reshape(count, width))], [0] * (count * len(bounds))
+    r.load()
+    wide = max(bounds) > 1 << 32
+    at = np.empty(count, dtype=np.int64)
+    picks = np.zeros((count, len(bounds)), dtype=np.int64)
+    run = np.empty(picks.shape, dtype=np.uint64)
+    run[:] = bounds
+    t = 0
+    while t < count:
+        if not wide:
+            i = np.arange(count - t)
+            at[t:] = r.pos + i * width + (np.maximum(i * h - r.held, 0) + 1) // 2
+            end = r.pos + (count - t) * width + (max((count - t) * h - r.held, 0) + 1) // 2
+            r.need(end)
+            got, done = _read_halves(r, at[t:] + width, run[t:])
+            picks[t:] = got
+            t += done
+            if t == count:
+                r.pos = end
+                break
+            r.pos = int(at[t]) + width  # the rejected tree's halves
+        else:
+            at[t] = r.take(width)
+        picks[t] = [r.integer(b) for b in bounds]
+        t += 1
     r.finish()
-    return [r.doubles(np.array(at), width)], picks
+    return [r.doubles(at, width)], picks.ravel().tolist()
 
 
 def _merge_parent(lo: list, hi: list, n: int) -> list:
@@ -705,30 +859,107 @@ def batch_given_age(x1: float, p: Params, reps: int, rng,
     given (n, x1) as :func:`batch_given_n_age` draws it.  Per tree: two
     uniforms, then 3n-4, then its reader draws.  A block holds about
     :data:`BATCH_NODES` nodes and yields one batch per tip count.
+
+    A tree's offset depends on the tip counts before it, so a block follows
+    a chain of list lookups.  With g(o) the count from word o
+    (:func:`_tip_counts`, one table over the buffer), the tree at word o
+    has n = g(o) + g(o+1) tips, and its h reader halves, starting from held
+    half H, take (h - H + 1) // 2 new words after its 3n-4 doubles; the
+    next tree starts there, holding (H + h) mod 2.  The chain's halves are
+    then read as arrays (:func:`_read_halves`).  A rejected half, a bound
+    outside [1, 2^32] or a zero double ends the chain at its tree, which is
+    walked with :class:`_Replay`, and the chain resumes after it.
     """
     ratio = _given_age_ratio(x1, p)
     _at_least("reps", reps, 0)
     rng = _pcg64(rng)
     mean = 2.0 / (1.0 - ratio)  # the mean tip count
     trees = BATCH_NODES / (2.0 * mean - 1.0) + 1.0  # trees per block, about
-    words = 3.0 * mean - 2.0 + (len(draws) + 1) // 2  # words per tree, about
+    # words per tree, about, and 5% more: the words of a block of thousands of
+    # trees vary by a few percent, and growing the buffer tabulates it again
+    words = 1.05 * (3.0 * mean - 2.0 + (len(draws) + 1) // 2)
+    # per tip count n: its reader bounds, and the chain's step (the words to
+    # the next tree when holding no half and when holding one, the parity of
+    # its halves, its nodes), or None where the tree is walked; a count below
+    # 2 comes from a zero double
+    bounds, steps = {}, {}
+
+    def spec(n: int) -> Optional[tuple]:
+        if n < 2:
+            return None
+        bounds[n] = b = [int(d(n)) for d in draws]
+        h = sum(v > 1 for v in b)
+        walk = not all(1 <= v <= 1 << 32 for v in b)
+        steps[n] = None if walk else (3 * n - 2 + (h + 1) // 2, 3 * n - 2 + h // 2, h & 1, 2 * n - 1)
+        return steps[n]
 
     def blocks():
         start = 0
         while start < reps:
-            r = _Replay(rng, int(min(reps - start, trees) * words) + 1)
-            ns, at, picks, nodes = [], [], [], 0
-            while start + len(ns) < reps and nodes < BATCH_NODES:
-                n = _geometric_count(r.double(), ratio) + _geometric_count(r.double(), ratio)
-                ns.append(n)
-                at.append(r.take(3 * n - 4))
-                picks += [r.integer(int(d(n))) for d in draws]
-                nodes += 2 * n - 1
+            # the first tree's two count words, then the words expected after
+            # them; a block of one tree then draws its doubles exactly
+            r = _Replay(rng, 2 + int((min(reps - start, trees) - 1) * words))
+            if draws:
+                r.load()
+            # the first tree's two counts; the table covers the rest when reached
+            g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:2]).tolist()]
+            ns, at, rows = [], [], []  # tip counts, first words, reader draws
+            o = nodes = 0
+            budget = BATCH_NODES
+            while start + len(ns) < reps and nodes < budget:
+                first, held, left, size = len(ns), r.held or 0, reps - start - len(ns), len(g)
+                while left and nodes < budget:
+                    if o + 2 > size:
+                        r.need(o + 2)
+                        g += _tip_counts(_as_doubles(r.words[size:]), ratio)
+                        size = len(g)
+                    n = g[o] + g[o + 1]
+                    try:
+                        step = steps[n]
+                    except KeyError:
+                        step = spec(n)
+                    if step is None:
+                        break
+                    ns.append(n)
+                    at.append(o)
+                    o += step[held]
+                    held ^= step[2]
+                    nodes += step[3]
+                    left -= 1
+                if draws and len(ns) > first:
+                    run = np.array(ns[first:])
+                    sizes, where = np.unique(run, return_inverse=True)
+                    table = np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)
+                    r.need(o)
+                    got, done = _read_halves(r, np.array(at[first:]) + 3 * run - 2,
+                                             table[where])
+                    rows.append(got[:done])
+                    if first + done < len(ns):  # a rejected half: its tree is walked
+                        o = at[first + done]
+                        nodes -= sum(2 * v - 1 for v in ns[first + done:])
+                        del ns[first + done:], at[first + done:]
+                if start + len(ns) < reps and nodes < budget:  # walk the tree at o
+                    n = g[o] + g[o + 1]
+                    if n < 2:  # a zero double: refused as the count refuses it
+                        for u in _as_doubles(r.words[o:o + 2]).tolist():
+                            _geometric_count(u, ratio)
+                    ns.append(n)
+                    at.append(o)
+                    nodes += 2 * n - 1
+                    r.pos = o + 3 * n - 2
+                    r.need(r.pos)
+                    rows.append([[r.integer(b) for b in bounds[n]]])
+                    o = r.pos
+            r.pos = o
+            r.need(o)
             r.finish()
-            ns, at = np.array(ns), np.array(at)
-            picks = np.array(picks, dtype=np.int64).reshape(len(ns), len(draws))
-            for n in np.unique(ns).tolist():
-                sel = np.flatnonzero(ns == n)
+            picks = np.concatenate(rows) if draws else np.empty((len(ns), 0), dtype=np.int64)
+            ns, at = np.array(ns), np.array(at) + 2
+            order = np.argsort(ns, kind="stable")
+            sizes = ns[order]
+            cuts = (np.nonzero(sizes[1:] != sizes[:-1])[0] + 1).tolist()
+            for a, b in zip([0] + cuts, cuts + [len(ns)]):
+                sel, n = order[a:b], int(sizes[a])
                 times, parent = _given_n_age_trees(r.doubles(at[sel], 3 * n - 4), n, x1, p)
                 yield TreeBatch(times, parent, picks[sel], start + sel)
             start += len(ns)

@@ -4,8 +4,14 @@
 ``random_raw`` call and read each tree's doubles and reader draws from them
 as numpy's Generator would (``sim._Replay``).  These tests hold the replay
 to the scalar calls it stands for: the same doubles, the same picks, and
-the same ``bit_generator.state`` afterwards, held half included.
+the same ``bit_generator.state`` afterwards, held half included.  Blocks
+are read as arrays; the tests below the first class also put the first
+rejected reader half at chosen trees, drive given-x1 streams through
+rejections, and hold the given-x1 tip-count table to ``_geometric_count``
+at near-ties and at a zero double.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -128,3 +134,159 @@ def test_other_bit_generators_are_refused_before_any_draw(draw):
         draw(rng)
     state, before = rng.bit_generator.state["state"], untouched.bit_generator.state["state"]
     assert state["pos"] == before["pos"] and np.array_equal(state["key"], before["key"])
+
+
+# -- the rejection path: a rejected half ends the array read at its tree,
+# which is walked draw by draw, and the read resumes after it
+
+MASK = 0xFFFFFFFF
+
+
+def _first_rejection(seed: int, held: str, count: int, width: int, bounds: list):
+    """The first tree of a block whose reader half Lemire rejects, found from
+    raw words as numpy takes them (bounds in [1, 2^32]), or None."""
+    rng = _start(seed, held)
+    state = rng.bit_generator.state
+    has, half = state["has_uint32"], state["uinteger"]
+    words = rng.bit_generator.random_raw(count * (width + len(bounds))).tolist()
+    pos = 0
+    for t in range(count):
+        pos += width
+        for b in bounds:
+            if b == 1:
+                continue
+            if has:
+                x, has = half, 0
+            else:
+                x, half, has = words[pos] & MASK, words[pos] >> 32, 1
+                pos += 1
+            if (x * b) & MASK < (1 << 32) % b:
+                return t
+    return None
+
+
+@pytest.mark.parametrize("held", ["none", "held", "stale"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bounds", [[REJECTING_32], [6, REJECTING_32, 15]], ids=["one", "three"])
+def test_first_rejection_anywhere_in_the_block(held, where, bounds):
+    count, width = 9, 5
+    target = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+    seed = next(s for s in range(10_000)
+                if _first_rejection(s, held, count, width, bounds) == target)
+    ref, rng = _start(seed, held), _start(seed, held)
+    want_u, want_picks = _scalar_block(ref, count, width, bounds)
+    (u,), picks = sim._given_n_age_block(width, rng, count, bounds)
+    assert np.array_equal(u, want_u) and picks == want_picks
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _scalar_given_age_stream(rng, reps: int, bounds) -> list:
+    """Each given-x1 tree from the Generator's own calls, with its reader draws."""
+    ratio = sim._given_age_ratio(X1, P)
+    out = []
+    for _ in range(reps):
+        n = sim._geometric_count(rng.random(), ratio) + sim._geometric_count(rng.random(), ratio)
+        times, parent = sim._given_n_age_trees(rng.random((1, 3 * n - 4)), n, X1, P)
+        out.append((times[0], parent[0], [int(rng.integers(b(n))) for b in bounds]))
+    return out
+
+
+@pytest.mark.parametrize("held", ["none", "held", "stale"])
+@pytest.mark.parametrize("nodes", [sim.BATCH_NODES, 500], ids=["default", "small"])
+def test_given_age_stream_with_a_rejecting_reader(held, nodes, monkeypatch):
+    # a reader of bound 3 * 2^30 rejects a quarter of its halves, so most
+    # blocks walk several trees; the pendant reader's bound n never passes 2^32
+    monkeypatch.setattr(sim, "BATCH_NODES", nodes)
+    bounds = [lambda n: REJECTING_32, lambda n: n, lambda n: 1]
+    ref, rng = _start(11, held), _start(11, held)
+    want = _scalar_given_age_stream(ref, 400, bounds)
+    got = list(sim.rows_in_order(sim.batch_given_age(X1, P, 400, rng, bounds)))
+    assert len(got) == len(want)
+    for (b, row), (times, parent, picks) in zip(got, want):
+        assert np.array_equal(b.times[row], times) and np.array_equal(b.parent[row], parent)
+        assert b.draws[row].tolist() == picks
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# -- the given-x1 tip-count table against _geometric_count and its math.log
+
+def _crafted_ties() -> list:
+    """(ratio, u) pairs whose quotient log(u) / log(ratio) lies at or within a
+    few ulps of an integer: u = ratio^k and its neighbours, and ratios built
+    from u where np.log(u) and math.log(u) differ."""
+    cases = []
+    for ratio in (0.5, 0.3, 0.77, 0.9, 0.123, 1 - 1e-3, 1 - 2e-6):
+        us = []
+        for k in range(1, 120):
+            u = ratio ** k
+            for _ in range(3):
+                u = np.nextafter(u, 0.0)
+            for _ in range(7):
+                us.append(float(u))
+                u = np.nextafter(u, 1.0)
+        cases.append((ratio, [u for u in us if 0.0 < u < 1.0]))
+    u = np.random.default_rng(5).random(4000)
+    differ = u[np.log(u) != np.array([math.log(v) for v in u.tolist()])][:40].tolist()
+    for v in differ:
+        for k in range(1, 25):
+            r = math.exp(math.log(v) / k)
+            for ratio in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)):
+                if 0.0 < ratio < 1.0:
+                    cases.append((float(ratio), [v]))
+    return cases
+
+
+def test_tip_count_table_equals_geometric_count_at_ties():
+    moved = 0
+    for ratio, us in _crafted_ties():
+        # pad to a long array: np.log may take another code path on short ones
+        pad = np.random.default_rng(len(us)).random(64).tolist()
+        u = np.array(us + pad)
+        assert sim._tip_counts(u, ratio) == [sim._geometric_count(v, ratio) for v in u.tolist()]
+        raw = np.maximum(np.ceil(np.log(u) / math.log(ratio)), 1).astype(int).tolist()
+        moved += raw != [sim._geometric_count(v, ratio) for v in u.tolist()]
+    # where this numpy's log differs from math.log, some crafted ceiling moves
+    u = np.random.default_rng(5).random(4000)
+    if (np.log(u) != np.array([math.log(v) for v in u.tolist()])).any():
+        assert moved > 0
+
+
+def test_tip_count_table_marks_a_zero_double():
+    ratio = sim._given_age_ratio(X1, P)
+    assert sim._tip_counts(np.array([0.0, 0.5, 0.0]), ratio)[::2] == [sim.ZERO_DOUBLE] * 2
+
+
+def _zeroed(at: int, after_first: bool, length: int) -> type:
+    """A replay whose first buffer holds ``length`` zero words from offset
+    ``at``, counted from the second tree's first word when ``after_first``
+    (a block with no readers)."""
+
+    class Zeroed(sim._Replay):
+        def __init__(self, rng, size):
+            super().__init__(rng, size)
+            ratio = sim._given_age_ratio(X1, P)
+            u = (self.words[:2] >> 11) * 2.0 ** -53
+            n = sum(sim._geometric_count(v, ratio) for v in u.tolist())
+            first = at + (3 * n - 2) * after_first
+            self.need(first + length + 2)
+            self.words[first:first + length] = 0
+
+    return Zeroed
+
+
+@pytest.mark.parametrize("zero, raises", [
+    ((2, False, 10), False),   # the first tree's doubles: never read as a count
+    ((0, False, 1), True),     # the first tree's first count word
+    ((1, True, 1), True),      # the second tree's second count word
+], ids=["doubles", "first-count", "second-count"])
+def test_zero_double_raises_only_where_a_count_reads_it(zero, raises, monkeypatch):
+    monkeypatch.setattr(sim, "_Replay", _zeroed(*zero))
+    draw = lambda: list(sim.batch_given_age(X1, P, 2, sim.RngStream(3, 0).generator()))
+    if not raises:
+        assert sum(len(b) for b in draw()) == 2
+        return
+    with pytest.raises(ValueError) as want:
+        sim._geometric_count(0.0, sim._given_age_ratio(X1, P))
+    with pytest.raises(ValueError) as got:
+        draw()
+    assert str(got.value) == str(want.value)
