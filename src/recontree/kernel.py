@@ -133,9 +133,9 @@ def _positive_finite(name: str, value: float):
 def _check_age(x1: float, p: Params, n=2, name: str = "x1"):
     """q = p0(x1) for an age x1 > 0 at which q, 1/q and n/q (the largest of
     an array n) are normal floats, as the laws that divide by q need, and
-    (lam + |mu|) x1 is a positive float.  Any other x1 is refused: past the
-    float range naming that product, otherwise naming ``name``.  A Python
-    comparison for an int n.
+    (lam + |mu|) x1 is a positive float.  Any other x1 is refused, naming
+    ``name``: past the float range as that product.  A Python comparison for
+    an int n.
     """
     _positive_finite(name, x1)
     x1 = float(x1)  # a numpy scalar would warn where a product overflows
@@ -145,7 +145,7 @@ def _check_age(x1: float, p: Params, n=2, name: str = "x1"):
     if scale < math.inf and (not q >= _NORMAL[0] or q < top / _NORMAL[1]):
         raise ValueError(f"{name} is too small for p0 and n/p0 to be normal floats "
                          f"(p0 = {q:.3g}, n = {top}), got {x1}")
-    _positive_finite("(lam + |mu|) x1", scale)
+    _positive_finite(f"(lam + |mu|) {name}", scale)
     return q
 
 

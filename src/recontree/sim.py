@@ -62,23 +62,22 @@ exponential cannot be told from outside.  The given-(n, x1) and given-x1
 samplers replay them instead (:class:`_Replay`): a block draws its words
 with one ``random_raw`` call, reads each tree's doubles and reader draws
 from them as the Generator's calls would, and leaves the bit generator in
-the state those calls leave.  The reads are array passes: given (n, x1)
-each tree's offsets are closed form, given x1 a chain of list lookups over
-a tip-count table finds them, and one vectorized Lemire test reads every
-reader half; only a tree with a rejected half (or a bound above 2^32) is
-walked draw by draw.  The replay follows PCG64, which
+the state those calls leave.  Both run one block loop,
+:func:`_replayed_batches`: a given-x1 tree is a given-(n, x1) tree after
+two head doubles, whose geometric counts give its n.  The reads are array
+passes: given (n, x1) each tree's offset is closed form, given x1 a chain
+of list lookups over a tip-count table finds it, and one vectorized Lemire
+test reads every reader half; only a tree with a rejected half (or a
+bound above 2^32) is walked draw by draw.  The replay follows PCG64, which
 ``default_rng`` and :class:`RngStream` give; these two samplers refuse any
 other bit generator before a draw.  The digests pinned by
 ``tests/test_same_samples.py`` are the contract with numpy's stream: a
 numpy that changed how its Generator turns words into doubles or integers
-would move them.  The two fixed-n samplers share one block loop,
-:func:`_fixed_n_batches`, which takes each one's block-draw function;
-:func:`batch_given_age`, whose tip count varies by tree, has its own.
-Everything else -- inverse CDFs, sorting, merge positions, topology
-attachment -- runs per block, so the trees on a stream, node numbering
-included, do not depend on how they are split into blocks; a batch of one
-draws the same tree as the first row of a batch of a thousand.  Every
-sampler that takes x1 checks it with the laws' guard,
+would move them.  Everything else -- inverse CDFs, sorting, merge
+positions, topology attachment -- runs per block, so the trees on a
+stream, node numbering included, do not depend on how they are split into
+blocks; a batch of one draws the same tree as the first row of a batch of
+a thousand.  Every sampler that takes x1 checks it with the laws' guard,
 :func:`recontree.kernel._check_age`.  The builder attaches a block with
 fewer than :data:`LOCKSTEP_ROWS` rows row by row on Python lists, and a
 larger one in one numpy loop over all rows in lockstep.  Both give the
@@ -88,9 +87,9 @@ depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
 ``--reps 100``.
 
 On the same VM, 2000 trees given (n=6, x1=2) with three readers took
-1.9 ms read as arrays (6.7 ms walked tree by tree), and 2000 given x1=1.5
-(lam=1, mu=0.4) with two readers 6.2 ms (13.0 ms); one tree alone costs
-about what the walk cost (see README).
+about 2 ms read as arrays (6.7 ms walked tree by tree), and 2000 given
+x1=1.5 (lam=1, mu=0.4) with two readers 6-10 ms (13.0 ms); one tree alone
+takes 60-100 µs given (n, x1) and 90-150 µs given x1 (see README).
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -100,7 +99,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -490,32 +489,6 @@ def tree_stream(batches: Iterable[TreeBatch]) -> Iterator[ReconTree]:
     return (b.tree(row) for b, row in rows_in_order(batches))
 
 
-def _fixed_n_batches(n: int, reps: int, rng, draws: Sequence[DrawBound], draw_block: Callable,
-                     build: Callable) -> Iterator[TreeBatch]:
-    """The batches of ``reps`` trees with n tips; the arguments are checked
-    when called, before anything is drawn or allocated.
-
-    ``draw_block(rng, count, bounds)`` draws a block of ``count`` trees: each
-    tree's own draws, then its reader draws, one ``integers(b)`` per bound.
-    It returns the arrays ``build`` takes, which gives the block's times and
-    parent, and the reader draws as a flat list, tree after tree.
-    """
-    _check_tips(n)
-    _at_least("reps", reps, 0)
-    rng = as_generator(rng)
-    bounds = [int(d(n)) for d in draws]
-    step = max(1, BATCH_NODES // (2 * n - 1))
-
-    def blocks():
-        for start in range(0, reps, step):
-            count = min(step, reps - start)
-            arrays, picks = draw_block(rng, count, bounds)
-            picks = np.array(picks, dtype=np.int64).reshape(count, len(bounds))
-            yield TreeBatch(*build(*arrays), picks, np.arange(start, start + count))
-
-    return blocks()
-
-
 def _pcg64(rng) -> np.random.Generator:
     """``rng`` as a Generator on PCG64, the bit generator whose words
     :class:`_Replay` replays; any other is refused before anything is drawn."""
@@ -574,20 +547,15 @@ class _Replay:
             more = self.bits.random_raw(max(end - self.words.size, self.words.size))
             self.words = np.concatenate((self.words, more))
 
-    def take(self, k: int) -> int:
-        """The offset of the next k words."""
-        at, self.pos = self.pos, self.pos + k
-        self.need(self.pos)
-        return at
-
     def word(self) -> int:
-        at = self.take(1)  # before self.words is read: take() may replace it
-        return self.words.item(at)
+        self.pos += 1
+        self.need(self.pos)  # before self.words is read: need() may replace it
+        return self.words.item(self.pos - 1)
 
     def doubles(self, at: np.ndarray, width: int) -> np.ndarray:
         """(len(at), width) doubles, row i from the ``width`` words at at[i]:
         one slice where the rows lie end to end, as one row does."""
-        first, last = int(at[0]), int(at[-1])
+        first, last = at.item(0), at.item(-1)
         if last - first == (len(at) - 1) * width:
             words = self.words[first:last + width].reshape(len(at), width)
         else:
@@ -595,7 +563,8 @@ class _Replay:
         return _as_doubles(words)
 
     def integer(self, b: int) -> int:
-        _check_bound(b)
+        if not 1 <= b <= 1 << 63:  # refused as integers(b) refuses it, with its messages
+            raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
         if b == 1:
             return 0
         if b > 1 << 32:
@@ -626,12 +595,6 @@ class _Replay:
             state = self.bits.state
             state["has_uint32"], state["uinteger"] = end
             self.bits.state = state
-
-
-def _check_bound(b: int):
-    """Refuse a bound as ``integers(b)`` does, with its messages."""
-    if not 1 <= b <= 1 << 63:
-        raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
 
 
 def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> tuple:
@@ -681,70 +644,6 @@ def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> tuple:
     elif used:
         r.held = 0
     return picks, done
-
-
-def _yule_block(n: int, rng, count: int, bounds: list) -> tuple:
-    """A block of Yule trees' draws by the Generator's own calls, tree by
-    tree: n-1 standard exponentials and n-2 uniforms, each filled into its
-    row, then the reader draws."""
-    arrays = [np.empty((count, n - 1)), np.empty((count, n - 2))]
-    fills = [(rng.standard_exponential, arrays[0])] + [(rng.random, arrays[1])] * (n > 2)
-    picks, ints = [], rng.integers
-    for i in range(count):
-        for fill, a in fills:
-            fill(out=a[i])
-        picks += [ints(b) for b in bounds]
-    return arrays, picks
-
-
-def _given_n_age_block(width: int, rng, count: int, bounds: list) -> tuple:
-    """A block of given-(n, x1) trees' draws, replayed: w = ``width``
-    doubles per tree, then its reader draws, h of them halves.
-
-    Until a half is rejected the offsets are closed form, with H0 the held
-    half at the start of the run.  Tree t's doubles start at word
-    t w + ceil(max(t h - H0, 0) / 2).  Half j of the run, with
-    k = j - H0 >= 0, is the low half of the word (t' + 1) w + floor(k/2)
-    when k is even, and its high half when k is odd, where t' is the tree
-    that holds half 2 floor(k/2) + H0, the low half of that word; for odd k
-    this is not always the tree that holds half j.  :func:`_read_halves`
-    reads the halves this way.  A rejected half ends the run: its tree is
-    walked with :class:`_Replay`, and the next run starts after it.  A bound
-    above 2^32 takes whole words between the halves, so such a block is
-    walked tree by tree.  With no reader half the rows lie end to end.
-    """
-    for b in bounds:
-        _check_bound(b)
-    h = sum(b > 1 for b in bounds)
-    r = _Replay(rng, count * (width + (h + 1) // 2))
-    if not h:  # no reader draws: the doubles fill the buffer, row after row
-        return [_as_doubles(r.words.reshape(count, width))], [0] * (count * len(bounds))
-    r.load()
-    wide = max(bounds) > 1 << 32
-    at = np.empty(count, dtype=np.int64)
-    picks = np.zeros((count, len(bounds)), dtype=np.int64)
-    run = np.empty(picks.shape, dtype=np.uint64)
-    run[:] = bounds
-    t = 0
-    while t < count:
-        if not wide:
-            i = np.arange(count - t)
-            at[t:] = r.pos + i * width + (np.maximum(i * h - r.held, 0) + 1) // 2
-            end = r.pos + (count - t) * width + (max((count - t) * h - r.held, 0) + 1) // 2
-            r.need(end)
-            got, done = _read_halves(r, at[t:] + width, run[t:])
-            picks[t:] = got
-            t += done
-            if t == count:
-                r.pos = end
-                break
-            r.pos = int(at[t]) + width  # the rejected tree's halves
-        else:
-            at[t] = r.take(width)
-        picks[t] = [r.integer(b) for b in bounds]
-        t += 1
-    r.finish()
-    return [r.doubles(at, width)], picks.ravel().tolist()
 
 
 def _merge_parent(lo: list, hi: list, n: int) -> list:
@@ -830,11 +729,186 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
     Waiting time between the (i-1)-th and i-th speciation is Exp(i lam);
     the process stops just before the (n+1)-th speciation, and the
     splitting lineage at each event is chosen uniformly.  Per tree: n-1
-    standard exponentials, then n-2 uniforms.
+    standard exponentials, then n-2 uniforms, each filled into its row by
+    the Generator's own calls, then its reader draws.
     """
     lam = yule_rate(lam)
-    return _fixed_n_batches(n, reps, rng, draws, partial(_yule_block, n),
-                            lambda e, u: _yule_trees(e / (lam * np.arange(2, n + 1)), u, n))
+    _check_tips(n)
+    _at_least("reps", reps, 0)
+    rng = as_generator(rng)
+    bounds = [int(d(n)) for d in draws]
+    step = max(1, BATCH_NODES // (2 * n - 1))
+    rate = lam * np.arange(2, n + 1)
+
+    def blocks():
+        for start in range(0, reps, step):
+            count = min(step, reps - start)
+            e, u = np.empty((count, n - 1)), np.empty((count, n - 2))
+            fills = [(rng.standard_exponential, e)] + [(rng.random, u)] * (n > 2)
+            picks, ints = [], rng.integers
+            for i in range(count):
+                for fill, a in fills:
+                    fill(out=a[i])
+                picks += [ints(b) for b in bounds]
+            picks = np.array(picks, dtype=np.int64).reshape(count, len(bounds))
+            yield TreeBatch(*_yule_trees(e / rate, u, n), picks, np.arange(start, start + count))
+
+    return blocks()
+
+
+def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: int, rng,
+                      draws: Sequence[DrawBound]) -> Iterator[TreeBatch]:
+    """The batches of ``reps`` trees given x1, replayed (:class:`_Replay`);
+    the arguments are checked when called, before anything is drawn.
+
+    A tree with m tips takes ``head`` words, then 3m-4 doubles, then its
+    reader draws, h of them halves: from held half H, (h - H + 1) // 2 new
+    words.  The next tree starts there, holding (H + h) mod 2.  m is ``n``,
+    or, for n None, g(o) + g(o+1), the counts of the tree's two head doubles
+    at words o and o+1 (:func:`_tip_counts`, one table over the buffer).
+
+    A block reads its trees in runs.  Given n, a run is the rest of the
+    block, and tree i of it starts i w + ceil((i h - H0) / 2) words after
+    its first, with w = head + 3n - 4 and H0 the half held at its start:
+    word floor((2 o + 1 - H0 + i (2 w + h)) / 2) for a run from word o.
+    Otherwise a run is a chain of list lookups of each tip count's step.
+    The run's halves are then read as arrays (:func:`_read_halves`).  A
+    rejected half, a bound outside [1, 2^32] or a zero double ends the run
+    at its tree, which is walked with :class:`_Replay`, and the next run
+    starts after it.  A block holds about :data:`BATCH_NODES` nodes and
+    yields one batch per tip count.
+    """
+    if n is None:
+        ratio = _given_age_ratio(x1, p)
+    else:
+        _check_age(x1, p)
+        _check_tips(n)
+    _at_least("reps", reps, 0)
+    rng = _pcg64(rng)
+    # per tip count m: its reader bounds, and the chain's step (the words to
+    # the next tree when holding no half and when holding one, the parity of
+    # its halves), or None where the tree is walked; an m below 2 comes from
+    # a zero double
+    bounds, steps = {}, {}
+
+    def spec(m: int) -> Optional[tuple]:
+        if m < 2:
+            return None
+        bounds[m] = b = [int(d(m)) for d in draws]
+        h = sum(v > 1 for v in b)
+        w = head + 3 * m - 4
+        walk = not all(1 <= v <= 1 << 32 for v in b)
+        steps[m] = None if walk else (w + (h + 1) // 2, w + h // 2, h & 1)
+        return steps[m]
+
+    if n is None:
+        mean = 2.0 / (1.0 - ratio)  # the mean tip count
+        trees = BATCH_NODES / (2.0 * mean - 1.0) + 1.0  # trees per block, about
+        # words per tree, about, and 5% more: the words of a block of thousands of
+        # trees vary by a few percent, and growing the buffer tabulates it again
+        words = 1.05 * (3.0 * mean - 2.0 + (len(draws) + 1) // 2)
+        halves = bool(draws)
+    else:
+        spec(n)
+        trees = max(1, BATCH_NODES // (2 * n - 1))
+        w, h = head + 3 * n - 4, sum(b > 1 for b in bounds[n])
+        s = 2 * w + h  # a tree's words and halves, counted in halves
+        if draws and steps[n]:  # a run's tip counts and reader bounds, sliced
+            ns = np.full(min(trees, reps), n)
+            table = np.tile(np.array(bounds[n], dtype=np.uint64), (ns.size, 1))
+        halves = h > 0
+
+    def blocks():
+        start = 0
+        while start < reps:
+            if n is None:
+                # the first tree's two count words, then the words expected after
+                # them; a block of one tree then draws its doubles exactly
+                r = _Replay(rng, head + int((min(reps - start, trees) - 1) * words))
+                # the first tree's two counts; the table covers the rest when reached
+                g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:head]).tolist()]
+                left = reps - start
+            else:  # the block's words exactly, unless a half is held
+                left = min(reps - start, trees)
+                r = _Replay(rng, (left * s + 1) // 2)
+            if halves:
+                r.load()
+            # per run: the first word of each tree's doubles, its tip count, its reader draws
+            ats, tips, rows = [], [], []
+            o = nodes = count = 0
+            while count < left and nodes < BATCH_NODES:
+                held = r.held or 0
+                if n is None:  # a chain, up to the first tree to walk
+                    at, m, size, end = [], [], len(g), nodes
+                    while count + len(at) < left and end < BATCH_NODES:
+                        if o + 2 > size:
+                            r.need(o + 2)
+                            g += _tip_counts(_as_doubles(r.words[size:]), ratio)
+                            size = len(g)
+                        v = g[o] + g[o + 1]
+                        try:
+                            step = steps[v]
+                        except KeyError:
+                            step = spec(v)
+                        if step is None:
+                            break
+                        m.append(v)
+                        at.append(o + head)
+                        o += step[held]
+                        held ^= step[2]
+                        end += 2 * v - 1
+                    at, m = np.array(at, dtype=np.int64), np.array(m, dtype=np.int64)
+                    if draws and at.size:
+                        sizes, where = np.unique(m, return_inverse=True)
+                        run = np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)[where]
+                else:  # in closed form, to the end of the block
+                    k, half = (left - count) * bool(steps[n]), 2 * (o + head) + 1 - held
+                    at = np.arange(half, half + k * s, s) // 2
+                    o, end = (half + k * s) // 2 - head, nodes + (2 * n - 1) * k
+                    m, run = (ns[:k], table[:k]) if draws and k else (n, None)
+                if draws and at.size:
+                    r.need(o)
+                    got, done = _read_halves(r, at + 3 * m - 4, run)
+                    rows.append(got[:done])
+                    if done < at.size:  # a rejected half: its tree is walked
+                        end -= 2 * int(m[done:].sum()) - (m.size - done)
+                        o, at, m = int(at[done]) - head, at[:done], m[:done]
+                ats.append(at)
+                tips.append(m)
+                count, nodes = count + at.size, end
+                if count < left and nodes < BATCH_NODES:  # walk the tree at o
+                    v = n or g[o] + g[o + 1]
+                    if v < 2:  # a zero double: refused as the count refuses it
+                        for u in _as_doubles(r.words[o:o + 2]).tolist():
+                            _geometric_count(u, ratio)
+                    ats.append([o + head])
+                    tips.append([v])
+                    count += 1
+                    nodes += 2 * v - 1
+                    r.pos = o + head + 3 * v - 4
+                    r.need(r.pos)
+                    rows.append([[r.integer(b) for b in bounds[v]]])
+                    o = r.pos
+            r.pos = o
+            r.need(o)
+            r.finish()
+            picks = np.concatenate(rows) if draws else np.empty((count, 0), dtype=np.int64)
+            at = ats[0] if len(ats) == 1 else np.concatenate(ats)
+            index = np.arange(start, start + count)
+            if n is None:  # one batch per tip count
+                m = np.concatenate(tips)
+                order = np.argsort(m, kind="stable")
+                cuts = (np.nonzero(np.diff(m[order]))[0] + 1).tolist()
+                groups = [(order[a:b], int(m[order[a]]))
+                          for a, b in zip([0] + cuts, cuts + [count])]
+            else:
+                groups = [(slice(None), n)]
+            for sel, v in groups:
+                times, parent = _given_n_age_trees(r.doubles(at[sel], 3 * v - 4), v, x1, p)
+                yield TreeBatch(times, parent, picks[sel], index[sel])
+            start += count
+
+    return blocks()
 
 
 def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
@@ -843,11 +917,9 @@ def batch_given_n_age(n: int, x1: float, p: Params, reps: int, rng,
 
     The n-2 free speciation times are drawn by inverse CDF and a coalescent
     topology is attached: a uniform random pair merged at each split age,
-    backward in time.  Per tree: 3n-4 uniforms.
+    backward in time.  Per tree: 3n-4 uniforms, then its reader draws.
     """
-    _check_age(x1, p)
-    return _fixed_n_batches(n, reps, _pcg64(rng), draws, partial(_given_n_age_block, 3 * n - 4),
-                            lambda u: _given_n_age_trees(u, n, x1, p))
+    return _replayed_batches(0, n, x1, p, reps, rng, draws)
 
 
 def batch_given_age(x1: float, p: Params, reps: int, rng,
@@ -857,114 +929,10 @@ def batch_given_age(x1: float, p: Params, reps: int, rng,
     The tip count is G1 + G2 with G1, G2 independent geometric counts with
     ratio lam*p0(x1), one per root-child lineage; the tree is then drawn
     given (n, x1) as :func:`batch_given_n_age` draws it.  Per tree: two
-    uniforms, then 3n-4, then its reader draws.  A block holds about
-    :data:`BATCH_NODES` nodes and yields one batch per tip count.
-
-    A tree's offset depends on the tip counts before it, so a block follows
-    a chain of list lookups.  With g(o) the count from word o
-    (:func:`_tip_counts`, one table over the buffer), the tree at word o
-    has n = g(o) + g(o+1) tips, and its h reader halves, starting from held
-    half H, take (h - H + 1) // 2 new words after its 3n-4 doubles; the
-    next tree starts there, holding (H + h) mod 2.  The chain's halves are
-    then read as arrays (:func:`_read_halves`).  A rejected half, a bound
-    outside [1, 2^32] or a zero double ends the chain at its tree, which is
-    walked with :class:`_Replay`, and the chain resumes after it.
+    uniforms, then 3n-4, then its reader draws: a given-(n, x1) tree after
+    two head doubles, read by the same block loop.
     """
-    ratio = _given_age_ratio(x1, p)
-    _at_least("reps", reps, 0)
-    rng = _pcg64(rng)
-    mean = 2.0 / (1.0 - ratio)  # the mean tip count
-    trees = BATCH_NODES / (2.0 * mean - 1.0) + 1.0  # trees per block, about
-    # words per tree, about, and 5% more: the words of a block of thousands of
-    # trees vary by a few percent, and growing the buffer tabulates it again
-    words = 1.05 * (3.0 * mean - 2.0 + (len(draws) + 1) // 2)
-    # per tip count n: its reader bounds, and the chain's step (the words to
-    # the next tree when holding no half and when holding one, the parity of
-    # its halves, its nodes), or None where the tree is walked; a count below
-    # 2 comes from a zero double
-    bounds, steps = {}, {}
-
-    def spec(n: int) -> Optional[tuple]:
-        if n < 2:
-            return None
-        bounds[n] = b = [int(d(n)) for d in draws]
-        h = sum(v > 1 for v in b)
-        walk = not all(1 <= v <= 1 << 32 for v in b)
-        steps[n] = None if walk else (3 * n - 2 + (h + 1) // 2, 3 * n - 2 + h // 2, h & 1, 2 * n - 1)
-        return steps[n]
-
-    def blocks():
-        start = 0
-        while start < reps:
-            # the first tree's two count words, then the words expected after
-            # them; a block of one tree then draws its doubles exactly
-            r = _Replay(rng, 2 + int((min(reps - start, trees) - 1) * words))
-            if draws:
-                r.load()
-            # the first tree's two counts; the table covers the rest when reached
-            g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:2]).tolist()]
-            ns, at, rows = [], [], []  # tip counts, first words, reader draws
-            o = nodes = 0
-            budget = BATCH_NODES
-            while start + len(ns) < reps and nodes < budget:
-                first, held, left, size = len(ns), r.held or 0, reps - start - len(ns), len(g)
-                while left and nodes < budget:
-                    if o + 2 > size:
-                        r.need(o + 2)
-                        g += _tip_counts(_as_doubles(r.words[size:]), ratio)
-                        size = len(g)
-                    n = g[o] + g[o + 1]
-                    try:
-                        step = steps[n]
-                    except KeyError:
-                        step = spec(n)
-                    if step is None:
-                        break
-                    ns.append(n)
-                    at.append(o)
-                    o += step[held]
-                    held ^= step[2]
-                    nodes += step[3]
-                    left -= 1
-                if draws and len(ns) > first:
-                    run = np.array(ns[first:])
-                    sizes, where = np.unique(run, return_inverse=True)
-                    table = np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)
-                    r.need(o)
-                    got, done = _read_halves(r, np.array(at[first:]) + 3 * run - 2,
-                                             table[where])
-                    rows.append(got[:done])
-                    if first + done < len(ns):  # a rejected half: its tree is walked
-                        o = at[first + done]
-                        nodes -= sum(2 * v - 1 for v in ns[first + done:])
-                        del ns[first + done:], at[first + done:]
-                if start + len(ns) < reps and nodes < budget:  # walk the tree at o
-                    n = g[o] + g[o + 1]
-                    if n < 2:  # a zero double: refused as the count refuses it
-                        for u in _as_doubles(r.words[o:o + 2]).tolist():
-                            _geometric_count(u, ratio)
-                    ns.append(n)
-                    at.append(o)
-                    nodes += 2 * n - 1
-                    r.pos = o + 3 * n - 2
-                    r.need(r.pos)
-                    rows.append([[r.integer(b) for b in bounds[n]]])
-                    o = r.pos
-            r.pos = o
-            r.need(o)
-            r.finish()
-            picks = np.concatenate(rows) if draws else np.empty((len(ns), 0), dtype=np.int64)
-            ns, at = np.array(ns), np.array(at) + 2
-            order = np.argsort(ns, kind="stable")
-            sizes = ns[order]
-            cuts = (np.nonzero(sizes[1:] != sizes[:-1])[0] + 1).tolist()
-            for a, b in zip([0] + cuts, cuts + [len(ns)]):
-                sel, n = order[a:b], int(sizes[a])
-                times, parent = _given_n_age_trees(r.doubles(at[sel], 3 * n - 4), n, x1, p)
-                yield TreeBatch(times, parent, picks[sel], start + sel)
-            start += len(ns)
-
-    return blocks()
+    return _replayed_batches(2, None, x1, p, reps, rng, draws)
 
 
 # the single-tree entry points: each is its batch sampler's batch of one

@@ -434,9 +434,10 @@ class TestBadInput:
         (["expect", "--lam-hat", "1e300", "--f", "0.5"], "lam must lie in [1e-100, 1e+100]"),
         (["simulate", "--scenario", "given-n", "--n", "5", "--lam", "1e-300"],
          "lam must lie in [1e-100, 1e+100]"),
-        # past the float range the pendant means refuse (lam + |mu|) x1
+        # past the float range the pendant means refuse (lam + |mu|) x1,
+        # naming the flag as the age guard's other message does
         (["expect", "--lam", "1e100", "--mu", "5e99", "--x1", "1e300"],
-         "(lam + |mu|) x1 must be > 0 and finite, got inf"),
+         "(lam + |mu|) --x1 must be > 0 and finite, got inf"),
         # so do the laws and the samplers: lam x1 = inf made p0(x1) = 0, so
         # every tree had two tips, and the law warned, then refused a nan atom
         (["simulate", "--scenario", "given-age", "--lam", "1e100", "--mu", "1e100",
@@ -444,7 +445,7 @@ class TestBadInput:
          "(lam + |mu|) x1 must be > 0 and finite, got inf"),
         (["density", "--law", "pendant", "--scenario", "given-age", "--lam", "1e100",
           "--x1", "1e300", "--grid", "0:1e300:3"],
-         "(lam + |mu|) x1 must be > 0 and finite, got inf"),
+         "(lam + |mu|) --x1 must be > 0 and finite, got inf"),
         # E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range
         (["expect", "--x1", "800"], "math range error"),
         # numpy refused these with "expected non-negative integer", naming no flag

@@ -855,10 +855,17 @@ class TestExtremeRates:
     ])
     def test_yule_laws_refuse_lam_x1_past_the_float_range(self, call, x1):
         # diversity_mean_given_age returned inf, and the two survivals warned
-        # "overflow encountered in scalar multiply" before refusing
-        with pytest.raises(ValueError, match=r"^\(lam \+ \|mu\|\) x1 must be > 0 and "
+        # "overflow encountered in scalar multiply" before refusing; the
+        # message names the age argument, which initial_edge_survival calls t
+        name = "t" if "initial_edge_survival" in call.__code__.co_names else "x1"
+        with pytest.raises(ValueError, match=rf"^\(lam \+ \|mu\|\) {name} must be > 0 and "
                                              r"finite, got inf$"):
             call(x1, 1e100)
+
+    def test_age_past_the_float_range_names_the_argument(self):
+        with pytest.raises(ValueError) as got:
+            dists.initial_edge_survival(0.5, 1e300, 3, 1e100)
+        assert str(got.value) == "(lam + |mu|) t must be > 0 and finite, got inf"
 
     def test_tip_count_past_the_float_range_is_refused(self):
         # the slope (n - 3)/p0(x1) overflows past n ~ 1.8e8 at x1 = 1e-300

@@ -3,8 +3,9 @@
 ``batch_given_n_age`` and ``batch_given_age`` draw a block's words with one
 ``random_raw`` call and read each tree's doubles and reader draws from them
 as numpy's Generator would (``sim._Replay``).  These tests hold the replay
-to the scalar calls it stands for: the same doubles, the same picks, and
-the same ``bit_generator.state`` afterwards, held half included.  Blocks
+to the scalar calls it stands for: the same trees (``random(3n - 4)`` per
+given-(n, x1) tree, two more doubles before it given x1), the same picks,
+and the same ``bit_generator.state`` afterwards, held half included.  Blocks
 are read as arrays; the tests below the first class also put the first
 rejected reader half at chosen trees, drive given-x1 streams through
 rejections, and hold the given-x1 tip-count table to ``_geometric_count``
@@ -27,6 +28,10 @@ from test_same_samples import READERS, per_tree_collect
 # integers(3 * 2**61) a whole word with probability 1/4
 REJECTING_32, REJECTING_64 = 3 * 2**30, 3 * 2**61
 
+# the given-x1 stream: mean tip count 35, about 105 words a tree
+X1, P = 4.0, Params(1.0, 0.4)
+STREAM_TREES = 10_000
+
 
 def _start(seed: int, held: str) -> np.random.Generator:
     """A PCG64 Generator holding no half, a fresh half, or a used (stale) one."""
@@ -36,46 +41,58 @@ def _start(seed: int, held: str) -> np.random.Generator:
     return rng
 
 
-def _scalar_block(rng, count: int, width: int, bounds: list) -> tuple:
-    """What the replay stands for: per tree, ``random(width)``, then one
-    ``integers(b)`` per bound."""
-    u, picks = np.empty((count, width)), []
+def _scalar_given_n_age(rng, count: int, n: int, bounds: list) -> tuple:
+    """What the replay stands for: per tree, ``random(3n - 4)``, then one
+    ``integers(b)`` per bound; returns the trees' times and parents, built
+    from those doubles, and the reader draws."""
+    u, picks = np.empty((count, 3 * n - 4)), []
     for i in range(count):
-        u[i] = rng.random(width)
-        picks += [int(rng.integers(b)) for b in bounds]
-    return u, picks
+        u[i] = rng.random(3 * n - 4)
+        picks.append([int(rng.integers(b)) for b in bounds])
+    return (*sim._given_n_age_trees(u, n, X1, P), picks)
+
+
+def _replayed_given_n_age(rng, count: int, n: int, bounds: list) -> tuple:
+    """The same from ``batch_given_n_age``, one constant-bound reader per bound."""
+    readers = [lambda m, b=b: b for b in bounds]
+    batches = list(sim.batch_given_n_age(n, X1, P, count, rng, readers))
+    assert np.concatenate([b.index for b in batches]).tolist() == list(range(count))
+    return (np.concatenate([b.times for b in batches]),
+            np.concatenate([b.parent for b in batches]),
+            np.concatenate([b.draws for b in batches]).tolist())
+
+
+def _assert_same_block(seed: int, held: str, count: int, n: int, bounds: list):
+    ref, rng = _start(seed, held), _start(seed, held)
+    want_times, want_parent, want_picks = _scalar_given_n_age(ref, count, n, bounds)
+    times, parent, picks = _replayed_given_n_age(rng, count, n, bounds)
+    assert np.array_equal(times, want_times) and np.array_equal(parent, want_parent)
+    assert picks == want_picks
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestBlockReplay:
     @given(seed=st.integers(0, 2**32 - 1),
            held=st.sampled_from(["none", "held", "stale"]),
            count=st.integers(1, 12),
-           width=st.integers(0, 30),
-           n=st.integers(2, 10**6),
-           kinds=st.lists(st.sampled_from(["1", "2", "n", "rejecting", "rejecting64"]),
-                          max_size=3))
-    def test_block_equals_scalar_calls(self, seed, held, count, width, n, kinds):
-        bounds = [{"1": 1, "2": 2, "n": n, "rejecting": REJECTING_32,
+           n=st.integers(2, 11),
+           big=st.integers(2, 10**6),
+           kinds=st.lists(st.sampled_from(["1", "2", "n", "big", "rejecting", "rejecting64"]),
+                          max_size=3),
+           nodes=st.sampled_from([7, 60, sim.BATCH_NODES]))
+    def test_block_equals_scalar_calls(self, seed, held, count, n, big, kinds, nodes):
+        # at 7 and 60 nodes a block holds 1 to 20 trees, so the calls span blocks
+        bounds = [{"1": 1, "2": 2, "n": n, "big": big, "rejecting": REJECTING_32,
                    "rejecting64": REJECTING_64}[k] for k in kinds]
-        ref = _start(seed, held)
-        want_u, want_picks = _scalar_block(ref, count, width, bounds)
-        rng = _start(seed, held)
-        (u,), picks = sim._given_n_age_block(width, rng, count, bounds)
-        assert u.shape == (count, width)
-        assert np.array_equal(u, want_u)
-        assert picks == want_picks
-        assert rng.bit_generator.state == ref.bit_generator.state
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "BATCH_NODES", nodes)
+            _assert_same_block(seed, held, count, n, bounds)
 
     @pytest.mark.parametrize("held", ["none", "held", "stale"])
     def test_rejections_past_the_first_buffer(self, held):
         # three rejecting readers per tree draw past the buffer the block
         # first takes (about 1/3 more halves than it planned for)
-        bounds = [REJECTING_32] * 3
-        ref, rng = _start(7, held), _start(7, held)
-        want_u, want_picks = _scalar_block(ref, 500, 4, bounds)
-        (u,), picks = sim._given_n_age_block(4, rng, 500, bounds)
-        assert np.array_equal(u, want_u) and picks == want_picks
-        assert rng.bit_generator.state == ref.bit_generator.state
+        _assert_same_block(7, held, 500, 3, [REJECTING_32] * 3)
 
     @pytest.mark.parametrize("bound, message", [(0, "high <= 0"),
                                                 (2**63 + 1, "out of bounds for int64")])
@@ -83,12 +100,8 @@ class TestBlockReplay:
         with pytest.raises(ValueError, match=message):
             np.random.default_rng(1).integers(bound)
         with pytest.raises(ValueError, match=message):
-            sim._given_n_age_block(3, np.random.default_rng(1), 2, [bound])
-
-
-# the given-x1 stream: mean tip count 35, about 105 words a tree
-X1, P = 4.0, Params(1.0, 0.4)
-STREAM_TREES = 10_000
+            list(sim.batch_given_n_age(3, X1, P, 2, np.random.default_rng(1),
+                                       [lambda m: bound]))
 
 
 def _scalar_given_age_tree(rng) -> ReconTree:
@@ -169,15 +182,11 @@ def _first_rejection(seed: int, held: str, count: int, width: int, bounds: list)
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("bounds", [[REJECTING_32], [6, REJECTING_32, 15]], ids=["one", "three"])
 def test_first_rejection_anywhere_in_the_block(held, where, bounds):
-    count, width = 9, 5
+    count, width = 9, 5  # n = 3: 3n - 4 = 5 doubles a tree
     target = {"first": 0, "middle": count // 2, "last": count - 1}[where]
     seed = next(s for s in range(10_000)
                 if _first_rejection(s, held, count, width, bounds) == target)
-    ref, rng = _start(seed, held), _start(seed, held)
-    want_u, want_picks = _scalar_block(ref, count, width, bounds)
-    (u,), picks = sim._given_n_age_block(width, rng, count, bounds)
-    assert np.array_equal(u, want_u) and picks == want_picks
-    assert rng.bit_generator.state == ref.bit_generator.state
+    _assert_same_block(seed, held, count, 3, bounds)
 
 
 def _scalar_given_age_stream(rng, reps: int, bounds) -> list:
