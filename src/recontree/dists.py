@@ -39,13 +39,14 @@ have no constructor are plain functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 import scipy
 
-from .kernel import (Params, _at_least, _check_age, _p1_gap, _ratio_log_c,
+from .kernel import (Params, _at_least, _check_age, _integer, _p1_gap, _ratio_log_c,
                      p0, p1, yule_rate)
 
 __all__ = [
@@ -135,7 +136,7 @@ class MixedDist:
 def leaf_adjacency_prob(k: int, n: int) -> float:
     """Probability that a random leaf is adjacent to the k-th split: 2k/(n(n-1))."""
     _at_least("n", n, 2)
-    if not 1 <= k <= n - 1:
+    if not 1 <= _integer("k", k) <= n - 1:
         raise ValueError(f"k must lie in [1, n-1], got k={k} n={n}")
     return 2.0 * k / (n * (n - 1))
 
@@ -222,12 +223,13 @@ def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
 def speciation_kernel(s, x1: float, p: Params):
     """Density g and CDF G of a single speciation time on (0, x1).
 
-    g(s|x1) = p1(s)/p0(x1), G(s|x1) = p0(s)/p0(x1).
+    g(s|x1) = p1(s)/p0(x1), G(s|x1) = p0(s)/p0(x1), at most 1: at rates
+    near 1e100 the rounded p0(s) can pass p0(x1) by an ulp.
     """
     q = _check_age(x1, p)
     if np.any(np.asarray(s) > x1):
         raise ValueError("s must not exceed x1")
-    return p1(s, p) / q, p0(s, p) / q
+    return p1(s, p) / q, np.minimum(p0(s, p) / q, 1.0)
 
 
 def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
@@ -255,7 +257,7 @@ def speciation_time_cdf(s, k: int, n: int, x1: float, p: Params):
 
 def _check_speciation_index(k: int, n: int):
     _at_least("n", n, 3)
-    if not 2 <= k <= n - 1:
+    if not 2 <= _integer("k", k) <= n - 1:
         raise ValueError(f"k must lie in [2, n-1], got k={k} n={n}")
 
 
@@ -501,26 +503,30 @@ def root_edge_limit_constant() -> float:
 
 def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
     """Diversity law given n (pure birth): gamma with shape n-1 and rate lam;
-    in x = d/(1/lam) the cdf is gammainc(n-1, x), the pdf formed in log space."""
+    in x = d/(1/lam) the cdf is gammainc(n-1, x), the pdf formed in log space.
+    The shape is a float, as the special functions take it, and x stops at the
+    largest float, where the pdf's log is -x, not inf - inf."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    scale = 1.0 / lam
-    x = lambda d: np.asarray(d, dtype=float) / scale
+    scale, shape = 1.0 / lam, n - 1.0
+    x = lambda d: np.minimum(np.asarray(d, dtype=float) / scale, sys.float_info.max)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda d: np.exp(scipy.special.xlogy(n - 2.0, x(d)) - x(d)
-                             - scipy.special.gammaln(n - 1)) / scale,
-        cdf=lambda d: scipy.special.gammainc(n - 1, x(d)),
+        pdf=lambda d: np.exp(scipy.special.xlogy(shape - 1.0, x(d)) - x(d)
+                             - scipy.special.gammaln(shape)) / scale,
+        cdf=lambda d: scipy.special.gammainc(shape, x(d)),
     )
 
 
 def diversity_mean_given_n(n: int, lam: Union[float, Params]) -> float:
     lam = yule_rate(lam)
+    _at_least("n", n, 2)
     return (n - 1) / lam
 
 
 def diversity_var_given_n(n: int, lam: Union[float, Params]) -> float:
     lam = yule_rate(lam)
+    _at_least("n", n, 2)
     return (n - 1) / lam ** 2
 
 

@@ -117,10 +117,19 @@ def yule_rate(lam: Union[float, Params]) -> float:
     return float(lam)
 
 
+def _integer(name: str, value):
+    """``value`` if it is a Python or numpy int or an integer array; anything
+    else is refused, naming ``name``."""
+    if isinstance(value, (int, np.integer)) or np.asarray(value).dtype.kind in "iu":
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _at_least(name: str, value, least: int):
-    """Reject a value below ``least``: a Python comparison for an int, numpy
-    otherwise, naming an array's smallest entry."""
-    low = value if isinstance(value, int) else np.min(value)
+    """Reject a non-integer (see :func:`_integer`) or a value below ``least``:
+    a Python comparison for an int, numpy otherwise, naming an array's
+    smallest entry."""
+    low = value if isinstance(_integer(name, value), int) else np.min(value)
     if low < least:
         raise ValueError(f"{name} must be >= {least}, got {low}")
 

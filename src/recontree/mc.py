@@ -41,7 +41,7 @@ import scipy
 
 from . import dists, sim
 from .dists import MixedDist
-from .kernel import Params, RawParams, prob_n_given_age, transform_params
+from .kernel import Params, RawParams, _at_least, prob_n_given_age, transform_params
 
 __all__ = [
     "EmpiricalDist",
@@ -153,8 +153,7 @@ def estimate(
     Values within 1e-9*atom_at of ``atom_at`` are counted into the atom
     bucket (samplers place atom samples exactly at x1 up to rounding).
     """
-    if reps < MIN_REPS:
-        raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
+    _at_least("reps", reps, MIN_REPS)
     return _empirical(collect(sampler, {"value": reader}, reps, rng)["value"], atom_at)
 
 
@@ -288,15 +287,16 @@ def compare(
     """One-sample comparison of an empirical against an analytic law.
 
     KS runs on the continuous part only (atom-conditioned and
-    renormalized); the atom mass is compared via a 99% binomial CI; the
-    mean, when given, within 3 standard errors.
+    renormalized), and is left out when no sample falls there; the atom
+    mass is compared via a 99% binomial CI; the mean, when given, within 3
+    standard errors.
     """
     if np.any(np.diff(emp.samples) < 0):
         raise ValueError("samples must be sorted")
     report = ComparisonReport(check=check, n_samples=emp.n_samples, seed=seed)
     cont = emp.continuous()
     aw = analytic.atom_weight
-    if aw < 1.0:
+    if aw < 1.0 and len(cont):
         stat = ks_one_sample(cont, lambda s: analytic.cdf(s) / (1.0 - aw))
         report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
     if aw > 0.0 or emp.atom_location is not None:
@@ -374,8 +374,7 @@ class VerifyConfig:
     seed: int = 20260824
 
     def __post_init__(self):
-        if self.reps < MIN_REPS:
-            raise ValueError(f"reps must be >= {MIN_REPS}, got {self.reps}")
+        _at_least("reps", self.reps, MIN_REPS)
         if self.reps > MAX_REPS:
             raise ValueError(f"reps must be <= {MAX_REPS:.0e}, got {self.reps}")
 

@@ -64,16 +64,17 @@ with one ``random_raw`` call, reads each tree's doubles and reader draws
 from them as the Generator's calls would, and leaves the bit generator in
 the state those calls leave.  Both run one block loop,
 :func:`_replayed_batches`: a given-x1 tree is a given-(n, x1) tree after
-two head doubles, whose geometric counts give its n.  The reads are array
-passes: given (n, x1) each tree's offset is closed form, given x1 a chain
-of list lookups over a tip-count table finds it, and one vectorized Lemire
-test reads every reader half; only a tree with a rejected half (or a
-bound above 2^32) is walked draw by draw.  The replay follows PCG64, which
-``default_rng`` and :class:`RngStream` give; these two samplers refuse any
-other bit generator before a draw.  The digests pinned by
-``tests/test_same_samples.py`` are the contract with numpy's stream: a
-numpy that changed how its Generator turns words into doubles or integers
-would move them.  Everything else -- inverse CDFs, sorting, merge
+two head doubles, whose geometric counts give its n.  A block is read
+one of two ways.  Either all its trees are read as arrays: given (n, x1)
+each tree's offset is closed form, given x1 a chain of list lookups over a
+tip-count table finds it, and one vectorized Lemire test reads every
+reader half.  Or, where a half is rejected, a bound lies above 2^32 or a
+count reads a zero double, the whole block is walked draw by draw.  The
+replay follows PCG64, which ``default_rng`` and :class:`RngStream` give;
+these two samplers refuse any other bit generator before a draw.  The
+digests pinned by ``tests/test_same_samples.py`` are the contract with
+numpy's stream: a numpy that changed how its Generator turns words into
+doubles or integers would move them.  Everything else -- inverse CDFs, sorting, merge
 positions, topology attachment -- runs per block, so the trees on a
 stream, node numbering included, do not depend on how they are split into
 blocks; a batch of one draws the same tree as the first row of a batch of
@@ -88,8 +89,8 @@ depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
 
 On the same VM, 2000 trees given (n=6, x1=2) with three readers took
 about 2 ms read as arrays (6.7 ms walked tree by tree), and 2000 given
-x1=1.5 (lam=1, mu=0.4) with two readers 6-10 ms (13.0 ms); one tree alone
-takes 60-100 µs given (n, x1) and 90-150 µs given x1 (see README).
+x1=1.5 (lam=1, mu=0.4) with two readers 8-10 ms (13.0 ms); one tree alone
+takes 60-100 µs given (n, x1) and 85-145 µs given x1 (see README).
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -144,7 +145,14 @@ class RngStream:
 
 
 def as_generator(rng) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
+    """``rng`` as a numpy Generator; anything but a Generator or an
+    :class:`RngStream` is refused before it draws."""
+    if isinstance(rng, RngStream):
+        return rng.generator()
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator or an RngStream, "
+                         f"got {type(rng).__name__}")
+    return rng
 
 
 class ExtinctRun(RuntimeError):
@@ -493,10 +501,9 @@ def _pcg64(rng) -> np.random.Generator:
     """``rng`` as a Generator on PCG64, the bit generator whose words
     :class:`_Replay` replays; any other is refused before anything is drawn."""
     rng = as_generator(rng)
-    bits = getattr(rng, "bit_generator", rng)
-    if type(bits) is not np.random.PCG64:
+    if type(rng.bit_generator) is not np.random.PCG64:
         raise ValueError(f"the given-(n, x1) and given-x1 samplers replay PCG64 draws; "
-                         f"got {type(bits).__name__}")
+                         f"got {type(rng.bit_generator).__name__}")
     return rng
 
 
@@ -516,30 +523,20 @@ class _Replay:
     after each rejection.  A larger b takes the method on whole words.
     Doubles leave the held half alone.
 
-    Blocks read their trees as arrays (:func:`_read_halves`) and walk a tree
-    here, draw by draw (:meth:`integer`), only where a half is rejected or a
-    bound passes 2^32.  ``held`` and ``half`` are read from the state only
-    when a reader first needs a half.  :meth:`finish` leaves the bit
-    generator where the Generator's own calls would have: the words used
-    consumed and the held half, even a used one, as they left it.
+    ``held`` and ``half`` start as the half held before the block, read once
+    here (``random_raw`` leaves it alone).  A block reads all its trees as
+    arrays (:func:`_read_halves`), or, where that read cannot, walks all of
+    them here, draw by draw (:meth:`integer`).  :meth:`finish` leaves the
+    bit generator where the Generator's own calls would have: the words
+    used consumed and the held half, even a used one, as they left it.
     """
 
     def __init__(self, rng: np.random.Generator, size: int):
         self.bits = rng.bit_generator
+        state = self.bits.state
+        self.start = self.held, self.half = state["has_uint32"], state["uinteger"]
         self.words = self.bits.random_raw(size)
         self.pos = 0
-        self.held = self.half = None
-
-    @cached_property
-    def start(self) -> tuple:
-        """The half held before the block; ``random_raw`` leaves it alone."""
-        state = self.bits.state
-        return state["has_uint32"], state["uinteger"]
-
-    def load(self):
-        """Read the held half, before a reader takes one."""
-        if self.held is None:
-            self.held, self.half = self.start
 
     def need(self, end: int):
         """Draw on until the buffer holds ``end`` words."""
@@ -572,7 +569,6 @@ class _Replay:
                 m = self.word() * b
                 if m & 0xFFFFFFFFFFFFFFFF >= (1 << 64) % b:
                     return m >> 64
-        self.load()
         while True:
             if self.held:
                 x, self.held = self.half, 0
@@ -584,41 +580,38 @@ class _Replay:
                 return m >> 32
 
     def finish(self):
-        if self.held is None and self.pos == self.words.size:
-            return  # no half read and every word used: nothing to give back
-        end = self.start if self.held is None else (self.held, self.half)
         now = self.start  # the half the bit generator holds
         if self.pos < self.words.size:
             self.bits.advance(self.pos - self.words.size)  # give back the words not used
             now = (0, 0)  # advance() clears the held half
-        if end != now:
+        if (self.held, self.half) != now:
             state = self.bits.state
-            state["has_uint32"], state["uinteger"] = end
+            state["has_uint32"], state["uinteger"] = self.held, self.half
             self.bits.state = state
 
 
-def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> tuple:
-    """The reader draws of a run of trees, read from ``r``'s words as arrays.
+def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> Optional[np.ndarray]:
+    """The reader draws of a block's trees, read from ``r``'s words as arrays.
 
     Tree i draws one 32-bit half for each bound above 1 in ``bounds[i]``
     (uint64, none above 2^32), taking its new words from ``offsets[i]`` on.
-    Number the run's halves j = 0, 1, ... in draw order, and let k = j - H0,
-    where H0 is ``r.held`` at the start.  Half j < H0 is the held half
-    ``r.half``.  Half k >= 0 is the low half of a new word when k is even,
-    and the high half of the same word as half k - 1 when k is odd.  So a
-    tree that starts holding a half (H0 plus the halves before it is odd)
-    takes it first, from the word of the half just before; its other halves
-    are the low and high halves of its own words in turn.
+    Number the block's halves j = 0, 1, ... in draw order, and let
+    k = j - H0, where H0 is ``r.held`` at the start.  Half j < H0 is the
+    held half ``r.half``.  Half k >= 0 is the low half of a new word when k
+    is even, and the high half of the same word as half k - 1 when k is odd.
+    So a tree that starts holding a half (H0 plus the halves before it is
+    odd) takes it first, from the word of the half just before; its other
+    halves are the low and high halves of its own words in turn.
 
-    One Lemire test, (x b) mod 2^32 < 2^32 mod b, finds the first rejected
-    half.  Returns an array shaped like ``bounds``, holding the draws of the
-    trees before that half's tree and 0 after, and the count of those
-    trees; ``r.held`` and ``r.half`` become the held half they leave.
+    One Lemire test, (x b) mod 2^32 < 2^32 mod b, checks every half.  If
+    none is rejected, returns the draws, shaped like ``bounds``, and sets
+    ``r.held`` and ``r.half`` to the held half they leave; otherwise
+    returns None and leaves ``r`` as it was.
     """
     picks = np.zeros(bounds.shape, dtype=np.int64)
     rows, cols = np.nonzero(bounds > 1)
     if not rows.size:
-        return picks, len(offsets)
+        return picks
     h = np.bincount(rows, minlength=len(offsets))  # halves per tree
     before = np.cumsum(h) - h
     held0 = r.held
@@ -635,15 +628,14 @@ def _read_halves(r: _Replay, offsets: np.ndarray, bounds: np.ndarray) -> tuple:
         x[0] = r.half
     b = bounds[rows, cols]
     m = x * b  # below 2^64: x < 2^32 and b <= 2^32
-    bad = np.flatnonzero((m & 0xFFFFFFFF) < np.uint64(1 << 32) % b)
-    done = int(rows[bad[0]]) if bad.size else len(offsets)
-    used = int(before[done]) if bad.size else rows.size
-    picks[rows[:used], cols[:used]] = m[:used] >> 32
-    if used > held0:
-        r.held, r.half = (held0 + used) & 1, int(r.words[at[used - 1]]) >> 32
-    elif used:
+    if ((m & 0xFFFFFFFF) < np.uint64(1 << 32) % b).any():
+        return None
+    picks[rows, cols] = m >> 32
+    if rows.size > held0:
+        r.held, r.half = (held0 + rows.size) & 1, int(r.words[at[-1]]) >> 32
+    else:
         r.held = 0
-    return picks, done
+    return picks
 
 
 def _merge_parent(lo: list, hi: list, n: int) -> list:
@@ -744,7 +736,7 @@ def batch_yule_given_n(n: int, lam: Union[float, Params], reps: int, rng,
         for start in range(0, reps, step):
             count = min(step, reps - start)
             e, u = np.empty((count, n - 1)), np.empty((count, n - 2))
-            fills = [(rng.standard_exponential, e)] + [(rng.random, u)] * (n > 2)
+            fills = [(rng.standard_exponential, e)] + [(rng.random, u)] * int(n > 2)
             picks, ints = [], rng.integers
             for i in range(count):
                 for fill, a in fills:
@@ -767,16 +759,15 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     or, for n None, g(o) + g(o+1), the counts of the tree's two head doubles
     at words o and o+1 (:func:`_tip_counts`, one table over the buffer).
 
-    A block reads its trees in runs.  Given n, a run is the rest of the
-    block, and tree i of it starts i w + ceil((i h - H0) / 2) words after
-    its first, with w = head + 3n - 4 and H0 the half held at its start:
-    word floor((2 o + 1 - H0 + i (2 w + h)) / 2) for a run from word o.
-    Otherwise a run is a chain of list lookups of each tip count's step.
-    The run's halves are then read as arrays (:func:`_read_halves`).  A
-    rejected half, a bound outside [1, 2^32] or a zero double ends the run
-    at its tree, which is walked with :class:`_Replay`, and the next run
-    starts after it.  A block holds about :data:`BATCH_NODES` nodes and
-    yields one batch per tip count.
+    A block holds about :data:`BATCH_NODES` nodes and is read in one of two
+    ways.  As arrays: all its trees' offsets, then all their reader halves
+    in one read (:func:`_read_halves`).  Given n the offsets are closed
+    form: tree i starts at word floor((1 - H0 + i (2 w + h)) / 2), with
+    w = head + 3n - 4 and H0 the half held at the block's start; otherwise
+    a chain of list lookups of each tip count's step finds them.  Or, where
+    a half is rejected, a bound lies outside [1, 2^32] or a count reads a
+    zero double, the whole block is walked from its first word, tree by
+    tree and draw by draw.  Either way it yields one batch per tip count.
     """
     if n is None:
         ratio = _given_age_ratio(x1, p)
@@ -787,8 +778,8 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     rng = _pcg64(rng)
     # per tip count m: its reader bounds, and the chain's step (the words to
     # the next tree when holding no half and when holding one, the parity of
-    # its halves), or None where the tree is walked; an m below 2 comes from
-    # a zero double
+    # its halves), or None where the block is walked; an m below 2 comes
+    # from a zero double
     bounds, steps = {}, {}
 
     def spec(m: int) -> Optional[tuple]:
@@ -807,16 +798,61 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
         # words per tree, about, and 5% more: the words of a block of thousands of
         # trees vary by a few percent, and growing the buffer tabulates it again
         words = 1.05 * (3.0 * mean - 2.0 + (len(draws) + 1) // 2)
-        halves = bool(draws)
     else:
         spec(n)
         trees = max(1, BATCH_NODES // (2 * n - 1))
-        w, h = head + 3 * n - 4, sum(b > 1 for b in bounds[n])
-        s = 2 * w + h  # a tree's words and halves, counted in halves
-        if draws and steps[n]:  # a run's tip counts and reader bounds, sliced
-            ns = np.full(min(trees, reps), n)
-            table = np.tile(np.array(bounds[n], dtype=np.uint64), (ns.size, 1))
-        halves = h > 0
+        s = 2 * (head + 3 * n - 4) + sum(b > 1 for b in bounds[n])  # a tree, in halves
+
+    def chain(r: _Replay, left: int) -> Optional[tuple]:
+        """Given x1: the first word of each tree's doubles, its tip count and
+        the word after the block, by lookups in the block's tip-count table;
+        None where the block is walked."""
+        # the first tree's two counts; the table covers the rest when reached
+        g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:head]).tolist()]
+        at, m, o, held, nodes = [], [], 0, r.held, 0
+        while len(at) < left and nodes < BATCH_NODES:
+            if o + 2 > len(g):
+                r.need(o + 2)
+                g += _tip_counts(_as_doubles(r.words[len(g):]), ratio)
+            v = g[o] + g[o + 1]
+            try:
+                step = steps[v]
+            except KeyError:
+                step = spec(v)
+            if step is None:
+                return None
+            at.append(o + head)
+            m.append(v)
+            o += step[held]
+            held ^= step[2]
+            nodes += 2 * v - 1
+        return np.array(at, dtype=np.int64), np.array(m, dtype=np.int64), o
+
+    def walk(r: _Replay, left: int) -> tuple:
+        """The block's trees from its first word, draw by draw: the first word
+        of each tree's doubles, its tip count, and its reader draws."""
+        at, m, picks, nodes = [], [], [], 0
+        while len(at) < left and nodes < BATCH_NODES:
+            r.need(r.pos + head)
+            v = n or sum(_geometric_count(u, ratio)
+                         for u in _as_doubles(r.words[r.pos:r.pos + head]).tolist())
+            if v not in bounds:
+                spec(v)
+            at.append(r.pos + head)
+            m.append(v)
+            nodes += 2 * v - 1
+            r.pos += head + 3 * v - 4
+            r.need(r.pos)
+            picks.append([r.integer(b) for b in bounds[v]])
+        return (np.array(at, dtype=np.int64), np.array(m, dtype=np.int64),
+                np.array(picks, dtype=np.int64).reshape(len(at), len(draws)))
+
+    def bound_rows(m, count: int) -> np.ndarray:
+        """The reader bounds of each tree of a block, one uint64 row per tree."""
+        if n is not None:
+            return np.broadcast_to(np.array(bounds[n], dtype=np.uint64), (count, len(draws)))
+        sizes, where = np.unique(m, return_inverse=True)
+        return np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)[where]
 
     def blocks():
         start = 0
@@ -825,78 +861,28 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
                 # the first tree's two count words, then the words expected after
                 # them; a block of one tree then draws its doubles exactly
                 r = _Replay(rng, head + int((min(reps - start, trees) - 1) * words))
-                # the first tree's two counts; the table covers the rest when reached
-                g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:head]).tolist()]
                 left = reps - start
+                read = chain(r, left)
             else:  # the block's words exactly, unless a half is held
                 left = min(reps - start, trees)
                 r = _Replay(rng, (left * s + 1) // 2)
-            if halves:
-                r.load()
-            # per run: the first word of each tree's doubles, its tip count, its reader draws
-            ats, tips, rows = [], [], []
-            o = nodes = count = 0
-            while count < left and nodes < BATCH_NODES:
-                held = r.held or 0
-                if n is None:  # a chain, up to the first tree to walk
-                    at, m, size, end = [], [], len(g), nodes
-                    while count + len(at) < left and end < BATCH_NODES:
-                        if o + 2 > size:
-                            r.need(o + 2)
-                            g += _tip_counts(_as_doubles(r.words[size:]), ratio)
-                            size = len(g)
-                        v = g[o] + g[o + 1]
-                        try:
-                            step = steps[v]
-                        except KeyError:
-                            step = spec(v)
-                        if step is None:
-                            break
-                        m.append(v)
-                        at.append(o + head)
-                        o += step[held]
-                        held ^= step[2]
-                        end += 2 * v - 1
-                    at, m = np.array(at, dtype=np.int64), np.array(m, dtype=np.int64)
-                    if draws and at.size:
-                        sizes, where = np.unique(m, return_inverse=True)
-                        run = np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)[where]
-                else:  # in closed form, to the end of the block
-                    k, half = (left - count) * bool(steps[n]), 2 * (o + head) + 1 - held
-                    at = np.arange(half, half + k * s, s) // 2
-                    o, end = (half + k * s) // 2 - head, nodes + (2 * n - 1) * k
-                    m, run = (ns[:k], table[:k]) if draws and k else (n, None)
-                if draws and at.size:
-                    r.need(o)
-                    got, done = _read_halves(r, at + 3 * m - 4, run)
-                    rows.append(got[:done])
-                    if done < at.size:  # a rejected half: its tree is walked
-                        end -= 2 * int(m[done:].sum()) - (m.size - done)
-                        o, at, m = int(at[done]) - head, at[:done], m[:done]
-                ats.append(at)
-                tips.append(m)
-                count, nodes = count + at.size, end
-                if count < left and nodes < BATCH_NODES:  # walk the tree at o
-                    v = n or g[o] + g[o + 1]
-                    if v < 2:  # a zero double: refused as the count refuses it
-                        for u in _as_doubles(r.words[o:o + 2]).tolist():
-                            _geometric_count(u, ratio)
-                    ats.append([o + head])
-                    tips.append([v])
-                    count += 1
-                    nodes += 2 * v - 1
-                    r.pos = o + head + 3 * v - 4
-                    r.need(r.pos)
-                    rows.append([[r.integer(b) for b in bounds[v]]])
-                    o = r.pos
-            r.pos = o
-            r.need(o)
+                first = 2 * head + 1 - r.held
+                read = steps[n] and (np.arange(first, first + left * s, s) // 2, n,
+                                     (first + left * s) // 2 - head)
+            picks = None
+            if read:
+                at, m, o = read
+                r.need(o)
+                picks = (_read_halves(r, at + 3 * m - 4, bound_rows(m, at.size)) if draws
+                         else np.empty((at.size, 0), dtype=np.int64))
+            if picks is None:  # a rejected half, a bound outside [1, 2^32] or a zero double
+                at, m, picks = walk(r, left)
+            else:
+                r.pos = o
             r.finish()
-            picks = np.concatenate(rows) if draws else np.empty((count, 0), dtype=np.int64)
-            at = ats[0] if len(ats) == 1 else np.concatenate(ats)
+            count = at.size
             index = np.arange(start, start + count)
             if n is None:  # one batch per tip count
-                m = np.concatenate(tips)
                 order = np.argsort(m, kind="stable")
                 cuts = (np.nonzero(np.diff(m[order]))[0] + 1).tolist()
                 groups = [(order[a:b], int(m[order[a]]))

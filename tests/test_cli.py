@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recontree import sim
 from recontree.cli import build_parser, main
@@ -488,6 +493,30 @@ class TestBadInput:
         assert numbers and all(v == 0.0 or sys.float_info.min <= abs(v) < math.inf
                                for v in numbers)
 
+    @pytest.mark.parametrize("args", [
+        # lam s past the float range warned of an overflow, in every pure-birth
+        # law with no end and in the kernel
+        ["--law", "pendant", "--lam", "1e100", "--grid", "0:1e300:5"],
+        ["--law", "interior", "--lam", "1e100", "--grid", "0:1e300:5"],
+        ["--law", "root-edge", "--n", "5", "--lam", "1e100", "--grid", "1e300:1e301:3"],
+        ["--law", "hypoexp", "--k", "3", "--lam", str(2**70), "--grid", "0:1e300:5"],
+        # and made the diversity pdf inf - inf
+        ["--law", "diversity", "--n", "5", "--lam", "1e100", "--grid", "0:1e300:5"],
+        # a count past int64 reached gammaln as an object array: a TypeError traceback
+        ["--law", "diversity", "--n", str(2**70), "--grid", "0:2:5"],
+        # the rounded p0(s) passed p0(x1), and G > 1 wrote nan rows
+        ["--law", "speciation-time", "--k", "3", "--n", "5", "--x1", "1.5", "--lam", "1e100",
+         "--mu", "1e100", "--grid", "0:2:5"],
+        ["--law", "speciation-time", "--k", "2", "--n", str(2**70), "--x1", "1.5",
+         "--lam", "1e100", "--mu", "1e100", "--grid", "0:2:5"],
+    ])
+    def test_extreme_scales_write_only_finite_numbers(self, args, tmp_path, recwarn):
+        out = tmp_path / "d.csv"
+        assert run(["density", *args, "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row if v != "atom")
+        assert len(recwarn) == 0
+
     def test_huge_age_is_served(self, tmp_path, recwarn):
         # lam x1 = 1e200: the pendant means' quadrature breakpoints outgrew its
         # subdivision limit, and scipy raised "The input is invalid."
@@ -685,3 +714,83 @@ for argv in runs:
 
 def test_density_expect_and_simulate_load_no_scipy_stats(tmp_path):
     _run_fresh(_NO_SCIPY_STATS_SCRIPT, tmp_path)
+
+
+# -- argv built from the parser, with extreme numbers: every run ends with exit
+# 0, 1 or 2, writes no nan or inf, and leaves no output file after exit 2
+
+_EXTREMES = ("0", "-1", "1e-310", "1e300", "-1e20", str(2**70), "inf", "nan")
+# one valid value per numeric flag; verify runs only limit_constant, which
+# draws nothing, and simulate at most 3 trees
+_VALID = {"lam": "1", "mu": "0.4", "lam_hat": "2", "mu_hat": "0.5", "f": "0.5", "n": "5",
+          "k": "3", "x1": "1.5", "seed": "7", "stream_id": "1"}
+_RAW, _TRANSFORMED = {"lam_hat", "mu_hat", "f"}, {"lam", "mu"}
+_NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _subcommands() -> dict:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+@st.composite
+def _argv(draw, command: str) -> list:
+    """argv for ``command``: each flag now and then left out, each number
+    valid or extreme, and rates given raw, transformed or (rarely) both."""
+    style = draw(st.sampled_from(["raw", "transformed"] * 4 + ["both"]))
+    argv = [command]
+    for action in _subcommands()[command]._actions:
+        dest = action.dest
+        if not action.option_strings or dest in ("help", "output"):
+            continue
+        if command == "verify" and dest == "check":
+            argv.append("--check=limit_constant")
+            continue
+        if dest in (_TRANSFORMED if style == "raw" else _RAW if style == "transformed" else ()):
+            continue
+        # a required flag is left out one time in ten, any other one time in four
+        if not draw(st.sampled_from([True] * (9 if action.required else 3) + [False])):
+            continue
+        # a number is extreme one time in four
+        number = lambda valid: (draw(st.sampled_from([valid] * 3 + [None]))
+                                or draw(st.sampled_from(_EXTREMES)))
+        if action.choices is not None:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif dest == "grid":
+            value = f"{number('0')}:{number('2')}:{number('10')}"
+        elif dest == "reps" and command == "simulate":
+            # 2^70 trees are a valid count, but not one a test can run
+            value = number("3")
+            if value == str(2**70):
+                value = "3"
+        else:
+            value = number("1000" if dest == "reps" else _VALID[dest])
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+class TestArgvProperty:
+    @pytest.mark.parametrize("command", ["density", "simulate", "verify", "expect"])
+    def test_exit_codes_and_output(self, command):
+        @settings(max_examples=100, deadline=None)
+        @given(argv=_argv(command))
+        def check(argv):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        code = main([*argv, "-o", str(out)])
+                    except SystemExit as exc:  # argparse refuses its usage with 2
+                        code = exc.code
+                assert code in (0, 1, 2), (code, stderr.getvalue())
+                assert "Traceback" not in stderr.getvalue()
+                if code == 2:
+                    assert not out.exists()
+                    return
+                assert code == 1 or stdout.getvalue() == ""
+                text = out.read_text()
+                assert text and not _NON_FINITE.search(text), text
+
+        check()

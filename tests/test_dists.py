@@ -923,3 +923,64 @@ class TestExtremeRates:
                 assert law.pdf(t * x1) == pytest.approx(wpdf, rel=1e-13, abs=0.0), t
             got_mean = dists.pendant_mean_given_n_age(n, x1, p)
         assert got_mean == pytest.approx(want_mean, rel=1e-13, abs=0.0)
+
+
+# every law that takes a count, as a function of that count (n = 6, k = 3)
+_GRID = np.linspace(0.0, 1.5, 7)
+COUNT_LAWS = {
+    "prob_n_given_age": lambda n: prob_n_given_age(n, 1.5, SUB),
+    "leaf_adjacency_prob.k": lambda k: dists.leaf_adjacency_prob(k, 6),
+    "leaf_adjacency_prob.n": lambda n: dists.leaf_adjacency_prob(3, n),
+    "speciation_time_pdf.k": lambda k: dists.speciation_time_pdf(_GRID, k, 6, 1.5, SUB),
+    "speciation_time_cdf.n": lambda n: dists.speciation_time_cdf(_GRID, 3, n, 1.5, SUB),
+    "speciation_time_dist.k": lambda k: dists.speciation_time_dist(k, 6, 1.5, SUB),
+    "speciation_time_dist.n": lambda n: dists.speciation_time_dist(3, n, 1.5, SUB),
+    "pendant_dist_given_n_age": lambda n: dists.pendant_dist_given_n_age(n, 1.5, SUB),
+    "pendant_mean_given_n_age": lambda n: dists.pendant_mean_given_n_age(n, 1.5, SUB),
+    "hypoexp_dist": lambda k: dists.hypoexp_dist(k, 1.0),
+    "hypoexp_mean": lambda k: dists.hypoexp_mean(k, 1.0),
+    "root_edge_dist_given_n": lambda n: dists.root_edge_dist_given_n(n, 1.0),
+    "root_edge_mean_given_n": lambda n: dists.root_edge_mean_given_n(n, 1.0),
+    "initial_edge_survival": lambda k: dists.initial_edge_survival(_GRID, 1.5, k, 1.0),
+    "root_edge_survival_given_n_age":
+        lambda n: dists.root_edge_survival_given_n_age(_GRID, n, 1.5, 1.0),
+    "diversity_dist_given_n": lambda n: dists.diversity_dist_given_n(n, 1.0),
+    "diversity_mean_given_n": lambda n: dists.diversity_mean_given_n(n, 1.0),
+    "diversity_var_given_n": lambda n: dists.diversity_var_given_n(n, 1.0),
+    "diversity_mgf_given_n_age":
+        lambda n: dists.diversity_mgf_given_n_age(_GRID - 1.0, n, 1.5, 1.0),
+    "diversity_mean_given_n_age": lambda n: dists.diversity_mean_given_n_age(n, 1.5, 1.0),
+}
+
+
+def _law_values(out) -> list:
+    """A law's numbers: its pdf, cdf and atom on the grid, or the value itself."""
+    if isinstance(out, MixedDist):
+        return [np.asarray(out.pdf(_GRID)).tolist(), np.asarray(out.cdf(_GRID)).tolist(),
+                out.atom_weight, out.support_end]
+    return np.asarray(out).tolist()
+
+
+class TestCounts:
+    @pytest.mark.parametrize("name", COUNT_LAWS)
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_int_gives_the_python_int_values(self, name, kind):
+        law = COUNT_LAWS[name]
+        count = 3 if name.endswith(".k") or "hypoexp" in name or "initial" in name else 6
+        assert _law_values(law(kind(count))) == _law_values(law(count))
+
+    # a float count evaluated silently: pendant_dist_given_n_age(2.5, ...) gave a law
+    @pytest.mark.parametrize("name", COUNT_LAWS)
+    @pytest.mark.parametrize("count", [2.5, 6.0])
+    def test_float_count_is_refused(self, name, count):
+        arg = name.rsplit(".", 1)[-1] if "." in name else (
+            "k" if "hypoexp" in name or "initial" in name else "n")
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {count}$"):
+            COUNT_LAWS[name](count)
+
+    def test_integer_arrays_are_counts(self):
+        n = np.arange(2, 8, dtype=np.int32)
+        assert prob_n_given_age(n, 1.5, SUB).tolist() == [
+            prob_n_given_age(v, 1.5, SUB) for v in range(2, 8)]
+        with pytest.raises(ValueError, match=r"^n must be an integer, got array\(\[2\.5"):
+            prob_n_given_age(np.array([2.5, 3.0]), 1.5, SUB)

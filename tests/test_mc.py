@@ -42,6 +42,14 @@ class TestEstimate:
             estimate(partial(sim.batch_yule_given_n, 5, 1.0), mc.read_random_pendant,
                      500, 0)
 
+    def test_float_reps_are_refused(self):
+        # they passed the reps check and ended in a TypeError from np.empty
+        with pytest.raises(ValueError, match=r"^reps must be an integer, got 1000\.0$"):
+            estimate(partial(sim.batch_yule_given_n, 5, 1.0), mc.read_random_pendant,
+                     1000.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^reps must be an integer, got 1000\.0$"):
+            VerifyConfig(reps=1000.0)
+
     def test_atom_counting(self):
         p = Params(1.0, 0.0)
         emp = estimate(
@@ -94,6 +102,18 @@ class TestCompare:
         rep = compare(emp, law, check="mixed")
         assert rep.ks is not None and rep.atom is not None
         assert rep.passed
+
+    def test_every_sample_in_the_atom(self):
+        # at x1 = 1e-6 the atom holds 0.9999987 of the law and all 1000 samples:
+        # the KS threshold divided by sqrt(0) and raised a RuntimeWarning
+        x1, p = 1e-6, Params(1, 0.4)
+        emp = estimate(partial(sim.batch_given_age, x1, p), mc.read_random_pendant, 1000,
+                       np.random.default_rng(0), atom_at=x1)
+        assert emp.atom_count == 1000 and emp.continuous().size == 0
+        rep = compare(emp, dists.pendant_dist_given_age(x1, p), check="atom only")
+        assert rep.ks is None
+        assert rep.atom.analytic_mass == pytest.approx(0.9999987, abs=1e-7)
+        assert rep.atom.passed and rep.passed
 
     def test_requires_sorted(self):
         e = EmpiricalDist(samples=np.array([2.0, 1.0]))

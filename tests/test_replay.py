@@ -5,11 +5,12 @@
 as numpy's Generator would (``sim._Replay``).  These tests hold the replay
 to the scalar calls it stands for: the same trees (``random(3n - 4)`` per
 given-(n, x1) tree, two more doubles before it given x1), the same picks,
-and the same ``bit_generator.state`` afterwards, held half included.  Blocks
-are read as arrays; the tests below the first class also put the first
-rejected reader half at chosen trees, drive given-x1 streams through
-rejections, and hold the given-x1 tip-count table to ``_geometric_count``
-at near-ties and at a zero double.
+and the same ``bit_generator.state`` afterwards, held half included.  A
+block is read as arrays, or, where a half is rejected or a bound passes
+2^32, walked whole, draw by draw.  The tests below the first class also
+put the first rejected reader half at chosen trees, drive given-x1 streams
+through walked and array-read blocks, and hold the given-x1 tip-count
+table to ``_geometric_count`` at near-ties and at a zero double.
 """
 
 import math
@@ -149,8 +150,8 @@ def test_other_bit_generators_are_refused_before_any_draw(draw):
     assert state["pos"] == before["pos"] and np.array_equal(state["key"], before["key"])
 
 
-# -- the rejection path: a rejected half ends the array read at its tree,
-# which is walked draw by draw, and the read resumes after it
+# -- the walk: a rejected half anywhere in a block makes the whole block
+# walked draw by draw, from its first word
 
 MASK = 0xFFFFFFFF
 
@@ -203,8 +204,8 @@ def _scalar_given_age_stream(rng, reps: int, bounds) -> list:
 @pytest.mark.parametrize("held", ["none", "held", "stale"])
 @pytest.mark.parametrize("nodes", [sim.BATCH_NODES, 500], ids=["default", "small"])
 def test_given_age_stream_with_a_rejecting_reader(held, nodes, monkeypatch):
-    # a reader of bound 3 * 2^30 rejects a quarter of its halves, so most
-    # blocks walk several trees; the pendant reader's bound n never passes 2^32
+    # a reader of bound 3 * 2^30 rejects a quarter of its halves, so almost
+    # every block is walked; the pendant reader's bound n never passes 2^32
     monkeypatch.setattr(sim, "BATCH_NODES", nodes)
     bounds = [lambda n: REJECTING_32, lambda n: n, lambda n: 1]
     ref, rng = _start(11, held), _start(11, held)
@@ -215,6 +216,31 @@ def test_given_age_stream_with_a_rejecting_reader(held, nodes, monkeypatch):
         assert np.array_equal(b.times[row], times) and np.array_equal(b.parent[row], parent)
         assert b.draws[row].tolist() == picks
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("held", ["none", "held", "stale"])
+@pytest.mark.parametrize("nodes", [sim.BATCH_NODES, 500, 7], ids=["default", "small", "tiny"])
+def test_given_age_stream_walks_only_the_blocks_it_must(held, nodes, monkeypatch):
+    # a bound above 2^32 for a tree of 7k tips only: a block holding one is
+    # walked whole, and the blocks around it are read as arrays
+    monkeypatch.setattr(sim, "BATCH_NODES", nodes)
+    bounds = [lambda n: n, lambda n: REJECTING_64 if n % 7 == 0 else 2, lambda n: n - 1]
+    ref, rng = _start(13, held), _start(13, held)
+    want = _scalar_given_age_stream(ref, 400, bounds)
+    assert any(len(times) % 14 == 13 for times, _, _ in want)  # 2n - 1 nodes, n = 7k
+    reads, walked, read_halves = [], [], sim._read_halves
+    monkeypatch.setattr(sim, "_read_halves", lambda *a: reads.append(read_halves(*a)) or reads[-1])
+    integer = sim._Replay.integer
+    monkeypatch.setattr(sim._Replay, "integer", lambda r, b: walked.append(b) or integer(r, b))
+    got = list(sim.rows_in_order(sim.batch_given_age(X1, P, 400, rng, bounds)))
+    assert len(got) == len(want)
+    for (b, row), (times, parent, picks) in zip(got, want):
+        assert np.array_equal(b.times[row], times) and np.array_equal(b.parent[row], parent)
+        assert b.draws[row].tolist() == picks
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert REJECTING_64 in walked
+    if nodes < sim.BATCH_NODES:  # 400 trees take several blocks, not all walked
+        assert any(r is not None for r in reads)
 
 
 # -- the given-x1 tip-count table against _geometric_count and its math.log

@@ -378,6 +378,20 @@ class TestBatchSamplerGuards:
             partial(sim.batch_given_age, 1.5, SUB),
             partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
         )],
+        # a float count, for every sampler that takes one: batch_given_n_age
+        # ended in a TypeError from random_raw
+        *[(lambda r, make=make: make(6.0, r), "n must be an integer, got 6.0") for make in (
+            lambda n, r: sim.batch_yule_given_n(n, 1.0, 3, r),
+            lambda n, r: sim.batch_given_n_age(n, 2.0, SUB, 3, r),
+            lambda n, r: sample_yule_given_n(n, 1.0, r),
+            lambda n, r: sample_given_n_age(n, 2.0, SUB, r),
+        )],
+        *[(lambda r, make=make: make(3.0, r), "reps must be an integer, got 3.0") for make in (
+            partial(sim.batch_yule_given_n, 5, 1.0),
+            partial(sim.batch_given_n_age, 4, 2.0, SUB),
+            partial(sim.batch_given_age, 1.5, SUB),
+            partial(sim.batch_forward_given_age, 1.0, RawParams(2.0, 0.5, 0.5)),
+        )],
         # a Yule rate that is not > 0 and finite, for the single-tree and batch samplers
         *[(lambda r, lam=lam: sample_yule_given_n(5, lam, r), "lam must be > 0")
           for lam in (0.0, -1.0, math.nan, math.inf)],
@@ -544,3 +558,58 @@ class TestInitialEdge:
         assert kept > 3000
         se = math.sqrt(target * (1 - target) / kept)
         assert abs(hits / kept - target) < 3 * se
+
+
+def _drawn(batches) -> list:
+    """Each tree of a batch sampler, in the order drawn: times, parents, draws."""
+    return [(b.times[i].tolist(), b.parent[i].tolist(), b.draws[i].tolist())
+            for b, i in sim.rows_in_order(batches)]
+
+
+# every sampler, as a function of its tip count n (where it takes one), its
+# reps and its rng; each with one reader draw
+COUNT_SAMPLERS = {
+    "batch_yule_given_n":
+        lambda n, reps, r: _drawn(sim.batch_yule_given_n(n, 1.0, reps, r, [lambda m: m])),
+    "batch_given_n_age":
+        lambda n, reps, r: _drawn(sim.batch_given_n_age(n, 2.0, SUB, reps, r, [lambda m: m])),
+    "batch_given_age":
+        lambda n, reps, r: _drawn(sim.batch_given_age(1.5, SUB, reps, r, [lambda m: m])),
+    "batch_forward_given_age": lambda n, reps, r: _drawn(sim.batch_forward_given_age(
+        1.0, RawParams(2.0, 0.5, 0.5), reps, r, [lambda m: m])),
+    "sample_yule_given_n": lambda n, reps, r: to_newick(sample_yule_given_n(n, 1.0, r)),
+    "sample_given_n_age": lambda n, reps, r: to_newick(sample_given_n_age(n, 2.0, SUB, r)),
+    "collect": lambda n, reps, r: mc.collect(
+        partial(sim.batch_given_n_age, n, 2.0, SUB), {"pendant": mc.read_random_pendant},
+        reps, r)["pendant"].tolist(),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("name", COUNT_SAMPLERS)
+    def test_numpy_ints_draw_the_python_int_trees(self, name):
+        # batch_yule_given_n(np.int64(6), ...) multiplied a list by numpy's bool
+        draw = COUNT_SAMPLERS[name]
+        want = draw(6, 5, np.random.default_rng(3))
+        assert draw(np.int64(6), np.int64(5), np.random.default_rng(3)) == want
+        assert draw(np.int32(6), np.uint16(5), np.random.default_rng(3)) == want
+
+
+@pytest.mark.parametrize("rng", [5, np.random.RandomState(5)], ids=["int", "RandomState"])
+@pytest.mark.parametrize("name", [*COUNT_SAMPLERS, "sample_given_age",
+                                  "sample_rejection_given_age", "simulate_forward"])
+def test_an_rng_that_is_not_a_generator_is_refused_before_any_draw(name, rng):
+    # an int seed ended in "AttributeError: 'int' object has no attribute
+    # 'standard_exponential'"
+    draw = {**COUNT_SAMPLERS,
+            "sample_given_age": lambda n, reps, r: sample_given_age(1.5, SUB, r),
+            "sample_rejection_given_age": lambda n, reps, r: sample_rejection_given_age(
+                1.0, RawParams(2.0, 0.5, 0.5), r),
+            "simulate_forward": lambda n, reps, r: simulate_forward(
+                RawParams(2.0, 0.5, 0.5), 1.0, r)}[name]
+    before = str(rng.get_state()) if isinstance(rng, np.random.RandomState) else None
+    with pytest.raises(ValueError, match=f"^rng must be a numpy Generator or an RngStream, "
+                                         f"got {type(rng).__name__}$"):
+        draw(6, 5, rng)
+    if before is not None:
+        assert str(rng.get_state()) == before
