@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``density``  -- evaluate a closed-form law on a grid, written as CSV
+* ``density``  -- evaluate a law of ``dists.LAWS`` on a grid, written as CSV
   (columns s, pdf, cdf, plus a final atom row for mixed laws),
 * ``simulate`` -- stream conditioned trees as NDJSON or Newick,
 * ``verify``   -- run the Monte Carlo verification suite, JSON report,
-* ``expect``   -- print the table of closed-form expectations.
+* ``expect``   -- print the means of ``dists.LAWS`` and the limit constant.
 
 Rates are given either transformed (``--lam``/``--mu``, complete sampling)
 or raw (``--lam-hat``/``--mu-hat``/``--f``); mixing both forms is an
@@ -116,38 +116,16 @@ def _params_label(p: Params, raw: Optional[RawParams]) -> str:
 # density
 # ---------------------------------------------------------------------------
 
-# (law, scenario) -> (dists constructor, required flags, header format).
-# A law under scenario None takes no scenario.  Each constructor takes the
-# flags in order, then p; it is looked up by name on ``dists`` when called,
-# so that wrappers installed on ``dists`` (profilers, tracers) see the build.
-_DENSITY_LAWS = {
-    ("pendant", "given-n"): ("pendant_dist_given_n", (), "pendant | n"),
-    ("pendant", "given-n-age"): ("pendant_dist_given_n_age", ("n", "x1"),
-                                 "pendant | n={n}, x1={x1}"),
-    ("pendant", "given-age"): ("pendant_dist_given_age", ("x1",), "pendant | x1={x1}"),
-    ("interior", "given-n"): ("interior_dist_yule", (), "interior | n (pure birth)"),
-    ("root-edge", "given-n"): ("root_edge_dist_given_n", ("n",),
-                               "root edge | n={n} (pure birth)"),
-    ("root-edge", "given-age"): ("root_edge_dist_given_age", ("x1",),
-                                 "root edge | x1={x1} (pure birth)"),
-    ("speciation-time", None): ("speciation_time_dist", ("k", "n", "x1"),
-                                "speciation time k={k} | n={n}, x1={x1}"),
-    ("hypoexp", None): ("hypoexp_dist", ("k",), "hypoexponential k={k}"),
-    ("diversity", "given-n"): ("diversity_dist_given_n", ("n",),
-                               "diversity | n={n} (pure birth)"),
-}
-
-
 def _density_law(args, p: Params):
-    """Return (MixedDist, description) for the requested law/scenario."""
-    entry = (_DENSITY_LAWS.get((args.law, args.scenario))
-             or _DENSITY_LAWS.get((args.law, None)))
-    if entry is None:
-        scenarios = [s for law, s in _DENSITY_LAWS if law == args.law]
-        raise ValueError(f"--law {args.law} takes --scenario {' or '.join(scenarios)}")
-    name, flags, header = entry
-    law = getattr(dists, name)(*_require(args, flags), p)
-    return law, header.format(**vars(args))
+    """(MixedDist, description) of the asked-for ``dists.LAWS`` row (scenario None takes
+    any --scenario); the constructor is looked up on ``dists`` when called, for tracers."""
+    rows = [row for row in dists.LAWS if row.law == args.law and row.dist]
+    row = next((r for r in rows if r.scenario in (args.scenario, None)), None)
+    if row is None:
+        raise ValueError(f"--law {args.law} takes --scenario "
+                         f"{' or '.join(r.scenario for r in rows)}")
+    law = getattr(dists, row.dist)(*_require(args, row.args), p)
+    return law, row.header.format(**vars(args))
 
 
 def _require(args, flags) -> list:
@@ -255,8 +233,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _seed(args)
-    checks = tuple(args.check) if args.check else ()
-    cfg = mc.VerifyConfig(checks=checks, reps=args.reps, seed=seed)
+    cfg = mc.VerifyConfig(checks=tuple(args.check or ()), reps=args.reps, seed=seed)
     reports = mc.verify_suite(cfg)
     payload = {
         "seed": seed,
@@ -277,33 +254,21 @@ def cmd_verify(args) -> int:
 # expect
 # ---------------------------------------------------------------------------
 
-# (label format, dists function, argument names, pure birth only), in output
-# order; looked up on ``dists`` when called, as for _DENSITY_LAWS
-_EXPECT_MEANS = (
-    ("E[pendant | n]", "pendant_mean_given_n", ("p",), False),
-    ("E[pendant | n={n}, x1={x1}]", "pendant_mean_given_n_age", ("n", "x1", "p"), False),
-    ("E[pendant | x1={x1}]", "pendant_mean_given_age", ("x1", "p"), False),
-    ("E[root edge | n={n}]", "root_edge_mean_given_n", ("n", "p"), True),
-    ("E[root edge | x1={x1}]", "root_edge_mean_given_age", ("x1", "p"), True),
-    ("E[diversity | n={n}]", "diversity_mean_given_n", ("n", "p"), True),
-    ("E[diversity | n={n}, x1={x1}]", "diversity_mean_given_n_age", ("n", "x1", "p"), True),
-    ("E[diversity | x1={x1}]", "diversity_mean_given_age", ("x1", "p"), True),
-    ("root-edge limit constant c", "root_edge_limit_constant", (), False),
-)
-
-
 def cmd_expect(args) -> int:
     p, raw = _resolve_params(args)
     n = args.n if args.n is not None else 10
     x1 = args.x1 if args.x1 is not None else 1.0
     _positive_finite("x1", x1)
     _check_age(x1, p, n, name="--x1")
-    values = {"n": n, "x1": x1, "p": p}
+    values = {"n": n, "x1": x1}
+    # every mean of ``dists.LAWS`` that takes no --k, labelled by its header
     rows = [
-        (label.format(**values), getattr(dists, name)(*(values[a] for a in names)))
-        for label, name, names, yule_only in _EXPECT_MEANS
-        if p.is_yule or not yule_only
+        (f"E[{row.header.removesuffix(' (pure birth)')}]".format(**values),
+         getattr(dists, row.mean)(*(values[a] for a in row.args), p))
+        for row in dists.LAWS
+        if row.mean and "k" not in row.args and (p.is_yule or not row.pure_birth)
     ]
+    rows.append(("root-edge limit constant c", dists.root_edge_limit_constant()))
     with _open_out(args.output) as out:
         if args.format == "json":
             json.dump({
@@ -332,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = subs.add_parser("density", help="evaluate a law on a grid (CSV)")
     _add_param_args(d)
-    d.add_argument("--law", required=True,
-                   choices=list(dict.fromkeys(law for law, _ in _DENSITY_LAWS)))
+    served = [row for row in dists.LAWS if row.dist]
+    d.add_argument("--law", required=True, choices=list(dict.fromkeys(r.law for r in served)))
     d.add_argument("--scenario", default="given-n",
-                   choices=["given-n", "given-n-age", "given-age"])
+                   choices=list(dict.fromkeys(r.scenario for r in served if r.scenario)))
     d.add_argument("--n", type=int, default=None)
     d.add_argument("--k", type=int, default=None)
     d.add_argument("--x1", type=float, default=None)

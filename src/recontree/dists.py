@@ -33,13 +33,16 @@ Mixed distributions (a continuous density on (0, x1) plus a point mass at
 x1, arising because a pendant edge attached to the root has length exactly
 x1) carry an explicit ``atom_weight``, never a numerical spike.  Closed-form
 moments (``*_mean``, ``*_var``, ``*_mgf``) and the survival functions that
-have no constructor are plain functions.
+have no constructor are plain functions.  ``LAWS`` names each served law's
+constructor and mean once; the CLI and the verify suite read it, looking each
+name up here when they call it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -51,6 +54,7 @@ from .kernel import (Params, _at_least, _check_age, _integer, _p1_gap, _ratio_lo
 
 __all__ = [
     "MixedDist",
+    "LAWS",
     "leaf_adjacency_prob",
     "pendant_dist_given_n",
     "pendant_mean_given_n",
@@ -544,6 +548,10 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
         raise ValueError("MGF argument must be < lam")
     ratio = x1 * scipy.special.exprel((s - lam) * x1)  # (1 - e^{(s-lam) x1})/(lam-s)
     base = lam * ratio / (-math.expm1(-lam * x1))
+    # both factors are >= 1 at s >= 0 and <= 1 at s <= 0: their log sum bounds each
+    past = 2.0 * x1 * s + (n - 2) * np.log(base) > math.log(sys.float_info.max)
+    if np.any(past):
+        raise ValueError(f"the diversity MGF at s={s[past][0]:g}, n={n} is past the float range")
     out = np.exp(2.0 * x1 * s) * base ** (n - 2)
     return out if out.ndim else float(out)
 
@@ -571,3 +579,39 @@ def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
     lam = yule_rate(lam)
     _check_age(x1, Params(lam))
     return 2.0 * math.expm1(lam * x1) / lam
+
+
+# ---------------------------------------------------------------------------
+# The served laws
+# ---------------------------------------------------------------------------
+
+# One row per served law, by name: its ``density --law`` and ``--scenario`` keys
+# (None: it takes no scenario), its argument names before the rates, in call
+# order, its constructor and mean here (or None), its density header, whether it
+# is pure birth only, and the arguments at which ``normalization`` integrates it.
+_Law = namedtuple("Law", "law scenario args dist mean header pure_birth mass_at", defaults=((),))
+
+LAWS = (
+    _Law("pendant", "given-n", (), "pendant_dist_given_n", "pendant_mean_given_n",
+         "pendant | n", False, ((),)),
+    _Law("pendant", "given-n-age", ("n", "x1"), "pendant_dist_given_n_age",
+         "pendant_mean_given_n_age", "pendant | n={n}, x1={x1}", False, ((5, 2.0),)),
+    _Law("pendant", "given-age", ("x1",), "pendant_dist_given_age", "pendant_mean_given_age",
+         "pendant | x1={x1}", False, ((1.5,),)),
+    _Law("interior", "given-n", (), "interior_dist_yule", None, "interior | n (pure birth)",
+         True, ((),)),
+    _Law("root-edge", "given-n", ("n",), "root_edge_dist_given_n", "root_edge_mean_given_n",
+         "root edge | n={n} (pure birth)", True, ((2,), (4,), (10,))),
+    _Law("root-edge", "given-age", ("x1",), "root_edge_dist_given_age",
+         "root_edge_mean_given_age", "root edge | x1={x1} (pure birth)", True, ((1.5,),)),
+    _Law("speciation-time", None, ("k", "n", "x1"), "speciation_time_dist", None,
+         "speciation time k={k} | n={n}, x1={x1}", False, ((3, 6, 2.0),)),
+    _Law("hypoexp", None, ("k",), "hypoexp_dist", "hypoexp_mean", "hypoexponential k={k}",
+         True, ((2,), (10,), (35,), (60,))),
+    _Law("diversity", "given-n", ("n",), "diversity_dist_given_n", "diversity_mean_given_n",
+         "diversity | n={n} (pure birth)", True, ((2,), (4,), (10,))),
+    _Law("diversity", "given-n-age", ("n", "x1"), None, "diversity_mean_given_n_age",
+         "diversity | n={n}, x1={x1} (pure birth)", True),
+    _Law("diversity", "given-age", ("x1",), None, "diversity_mean_given_age",
+         "diversity | x1={x1} (pure birth)", True),
+)

@@ -377,6 +377,12 @@ class VerifyConfig:
         _at_least("reps", self.reps, MIN_REPS)
         if self.reps > MAX_REPS:
             raise ValueError(f"reps must be <= {MAX_REPS:.0e}, got {self.reps}")
+        valid = f"valid names: {', '.join(CHECK_NAMES)}"
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a sequence of names, not {self.checks!r}; {valid}")
+        unknown = [c for c in self.checks if c not in _CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; {valid}")
 
 
 def _sampled(cfg, check, stream, sampler, reader, law, mean=None, atom_at=None):
@@ -522,28 +528,25 @@ _MEANS_GRID = [
 ]
 
 
-def _mean_report(cfg, label, name, mean, law):
-    """``mean`` against the quadrature mean of ``law``, to 1e-6 relative."""
-    quad = law.mean()
+def _mean_report(cfg, label, name, scenario, *args):
+    """The pendant mean given ``scenario`` against the quadrature mean of its
+    law, both named by their ``dists.LAWS`` row, to 1e-6 relative."""
+    row = next(r for r in dists.LAWS if (r.law, r.scenario) == ("pendant", scenario))
+    mean, quad = getattr(dists, row.mean)(*args), getattr(dists, row.dist)(*args).mean()
     return _report(cfg, f"means_vs_quadrature:{label}", (name, quad, mean, 1e-6 * abs(quad)))
 
 
 def _check_means_vs_quadrature(cfg):
     out = []
     for n, x1, lam, mu in _MEANS_GRID:
-        p = Params(lam=lam, mu=mu)
         out.append(_mean_report(cfg, f"n={n},lam={lam},mu={mu}", "pendant_mean_n_age",
-                                dists.pendant_mean_given_n_age(n, x1, p),
-                                dists.pendant_dist_given_n_age(n, x1, p)))
+                                "given-n-age", n, x1, Params(lam=lam, mu=mu)))
     for lam, mu in ((1.0, 0.5), (1.0, 0.999), (2.0, -1.0), (1.0, 1.0001e-4), (1.0, -1.0001e-4)):
-        p = Params(lam=lam, mu=mu)
         out.append(_mean_report(cfg, f"pendant_n,lam={lam},mu={mu}", "pendant_mean_n",
-                                dists.pendant_mean_given_n(p), dists.pendant_dist_given_n(p)))
+                                "given-n", Params(lam=lam, mu=mu)))
     for lam, mu, x1 in _MIXTURE_GRID:
-        p = Params(lam=lam, mu=mu)
         out.append(_mean_report(cfg, f"pendant_age,x1={x1},lam={lam},mu={mu}",
-                                "pendant_mean_age", dists.pendant_mean_given_age(x1, p),
-                                dists.pendant_dist_given_age(x1, p)))
+                                "pendant_mean_age", "given-age", x1, Params(lam=lam, mu=mu)))
     return out
 
 
@@ -581,20 +584,19 @@ def _check_diversity_mean_age(cfg):
 
 
 def _normalization_laws():
-    """(name, law) for every density whose total mass the sweep checks."""
-    for p in (Params(1.0, 0.0), Params(1.0, 0.5), Params(1.0, 1.0), Params(1.0, -0.5)):
-        tag = f"mu={p.mu}"
-        yield f"pendant_n[{tag}]", dists.pendant_dist_given_n(p)
-        yield f"pendant_n_age[{tag}]", dists.pendant_dist_given_n_age(5, 2.0, p)
-        yield f"pendant_age[{tag}]", dists.pendant_dist_given_age(1.5, p)
-        yield f"speciation_time[{tag}]", dists.speciation_time_dist(3, 6, 2.0, p)
-    for k in (2, 10, 35, 60):
-        yield f"hypoexp[k={k}]", dists.hypoexp_dist(k, 1.0)
-    for n in (2, 4, 10):
-        yield f"root_edge_n[n={n}]", dists.root_edge_dist_given_n(n, 1.0)
-        yield f"diversity_n[n={n}]", dists.diversity_dist_given_n(n, 1.0)
-    yield "interior_yule", dists.interior_dist_yule(1.0)
-    yield "root_edge_age[x1=1.5]", dists.root_edge_dist_given_age(1.5, 1.0)
+    """(name, law) for every density law of ``dists.LAWS`` at each of its
+    ``mass_at`` arguments, at lam = 1: a pure-birth law named by those
+    arguments, any other at each of four mu, named by mu."""
+    for row in dists.LAWS:
+        for args in row.mass_at:
+            name = row.dist.replace("_dist", "").replace("_given", "")
+            law = partial(getattr(dists, row.dist), *args)
+            if row.pure_birth:
+                tag = ",".join(f"{a}={v}" for a, v in zip(row.args, args))
+                yield f"{name}[{tag}]" if tag else name, law(1.0)
+            else:
+                for mu in (0.0, 0.5, 1.0, -0.5):
+                    yield f"{name}[mu={mu}]", law(Params(1.0, mu))
 
 
 def _check_normalization(cfg):
@@ -625,9 +627,6 @@ CHECK_NAMES = tuple(_CHECKS)
 def verify_suite(config: VerifyConfig) -> List[ComparisonReport]:
     """Run the named checks (all of them when none are given)."""
     names = tuple(config.checks) or CHECK_NAMES
-    unknown = [c for c in names if c not in _CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}")
     reports: List[ComparisonReport] = []
     for name in names:
         t0 = time.perf_counter()

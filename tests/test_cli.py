@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recontree import sim
+from recontree import dists, sim
 from recontree.cli import build_parser, main
 from recontree.kernel import Params, RawParams
 from recontree.tree import ReconTree, from_newick, to_newick
@@ -108,6 +109,17 @@ class TestDensity:
     ])
     def test_bad_arguments_exit_before_output(self, args, message, capsys):
         assert_usage_error(["density", *args, "--grid", "0:2:5"], message, capsys)
+
+    def test_readme_law_table_is_the_law_table(self):
+        # the README's --law table lists every density row of dists.LAWS, in order
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = text.split("\n| `--law` |", 1)[1].splitlines()[2:]
+        readme = [[cell.strip() for cell in line.strip("|").split("|")]
+                  for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
+        flags = lambda args: f"`{' '.join(f'--{a}' for a in args)}`" if args else "—"
+        assert readme == [[f"`{row.law}`", f"`{row.scenario}`" if row.scenario else "—",
+                           flags(row.args), f"`{row.dist}`" + " (μ = 0)" * row.pure_birth]
+                          for row in dists.LAWS if row.dist]
 
     def test_hypoexp_large_k(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -698,14 +710,16 @@ def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
 # them loads scipy.stats, which only verify's two-sample and chi-square tests use.
 _NO_SCIPY_STATS_SCRIPT = """
 import os, sys
-from recontree import cli
+from recontree import cli, dists
 
 values = {"n": "6", "k": "3", "x1": "2"}
 runs = [["simulate", "--scenario", "given-n-age", "--n", "6", "--x1", "2", "--reps", "5",
          "--seed", "1"], ["expect", "--mu", "0"], ["expect", "--mu", "0.5"]]
-for (law, scenario), (_, flags, _) in cli._DENSITY_LAWS.items():
-    runs.append(["density", "--law", law, "--grid", "0:2:5", *(["--scenario", scenario] if
-                 scenario else []), *(a for f in flags for a in (f"--{f}", values[f]))])
+for row in dists.LAWS:
+    if row.dist:
+        scenario = ["--scenario", row.scenario] if row.scenario else []
+        runs.append(["density", "--law", row.law, "--grid", "0:2:5", *scenario,
+                     *(a for f in row.args for a in (f"--{f}", values[f]))])
 for argv in runs:
     assert cli.main([*argv, "-o", os.path.join(sys.argv[1], "out")]) == 0, argv
     assert "scipy.stats" not in sys.modules, argv

@@ -450,6 +450,17 @@ class TestPendantLaws:
 
 
 class TestLawConstructors:
+    def test_law_table_names_every_constructor_and_mean_once(self):
+        # each served law is one row of dists.LAWS: a *_dist* constructor or a
+        # *_mean* function in __all__ with no row, or in two rows, fails here
+        named = [name for row in dists.LAWS for name in (row.dist, row.mean) if name]
+        served = [name for name in dists.__all__ if "_dist" in name or "_mean" in name]
+        assert sorted(named) == sorted(served)
+        for row in dists.LAWS:
+            assert row.dist or not row.mass_at, row
+            assert (row.dist or row.mean) and row.law and row.header, row
+            assert set(row.args) <= {"k", "n", "x1"}, row
+
     @pytest.mark.parametrize("build", [
         lambda: dists.root_edge_dist_given_n(1, 1.0),
         lambda: dists.root_edge_dist_given_age(0.0, 1.0),
@@ -658,6 +669,18 @@ class TestDiversity:
     def test_mgf_rejects_large_argument(self):
         with pytest.raises(ValueError):
             dists.diversity_mgf_given_n_age(1.0, 6, 2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [2**70, 10**6])
+    def test_mgf_past_the_float_range_is_refused(self, n):
+        # it returned inf with an overflow warning; e^{2 x1 s} base^{n-2} is
+        # checked in logs before the power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"MGF at s=0.5, n={n} is past the float range"):
+                dists.diversity_mgf_given_n_age(0.5, n, 1.5, 1.0)
+            with pytest.raises(ValueError, match=f"MGF at s=0.5, n={n} is past"):
+                dists.diversity_mgf_given_n_age(np.array([-0.5, 0.0, 0.5]), n, 1.5, 1.0)
+            assert dists.diversity_mgf_given_n_age(-0.5, n, 1.5, 1.0) == 0.0  # underflows
 
     def test_mean_given_age(self):
         assert dists.diversity_mean_given_age(1.0, 1.0) == pytest.approx(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from recontree import cli, dists, kernel, mc, sim
+from recontree import dists, kernel, mc, sim
 from recontree.dists import MixedDist
 from recontree.kernel import Params
 from recontree.mc import (
@@ -189,6 +189,14 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="unknown checks"):
             verify_suite(VerifyConfig(checks=("nope",)))
 
+    def test_checks_are_named_once_in_the_config(self):
+        # a bare str was walked letter by letter, as unknown checks 'n', 'o', ...
+        with pytest.raises(ValueError, match="sequence of names, not 'normalization'; "
+                                             "valid names: yule_pendant_n"):
+            VerifyConfig(checks="normalization")
+        with pytest.raises(ValueError, match=r"unknown checks \['nope'\]; valid names"):
+            VerifyConfig(checks=("normalization", "nope"))
+
     def test_check_names_cover_registry(self):
         assert "normalization" in CHECK_NAMES
         assert len(CHECK_NAMES) == 13
@@ -204,7 +212,7 @@ class TestVerifySuite:
 
     def test_normalization_sweeps_every_density_law(self, monkeypatch):
         # c12 checks the total mass of every law ``recontree density`` serves
-        names = {name for name, _, _ in cli._DENSITY_LAWS.values()}
+        names = {row.dist for row in dists.LAWS if row.dist}
         built = set()
         for name in names:
             monkeypatch.setattr(dists, name, lambda *a, _name=name, _make=getattr(dists, name):
@@ -215,7 +223,7 @@ class TestVerifySuite:
     def test_means_check_covers_every_pendant_mean(self, monkeypatch):
         # c09 checks every pendant mean ``recontree expect`` prints against
         # its law's quadrature mean
-        names = {name for _, name, _, _ in cli._EXPECT_MEANS if name.startswith("pendant_")}
+        names = {row.mean for row in dists.LAWS if row.law == "pendant" and row.mean}
         called = set()
         for name in names:
             monkeypatch.setattr(dists, name, lambda *a, _name=name, _f=getattr(dists, name):
