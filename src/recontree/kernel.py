@@ -167,7 +167,7 @@ def _rate(name: str, value: float):
 
 def _check_time(s):
     """Reject negative times: a Python comparison for floats, numpy otherwise."""
-    if (s < 0.0) if isinstance(s, float) else np.any(np.asarray(s) < 0):
+    if (s < 0.0) if isinstance(s, float) else (np.asarray(s) < 0).any():
         raise ValueError(f"s must be >= 0, got {s}")
 
 

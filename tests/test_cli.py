@@ -707,7 +707,7 @@ def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
 
 
 # Every density law, expect and simulate, in one fresh interpreter: none of
-# them loads scipy.stats, which only verify's two-sample and chi-square tests use.
+# them loads scipy.stats, and neither does verify (see below).
 _NO_SCIPY_STATS_SCRIPT = """
 import os, sys
 from recontree import cli, dists
@@ -728,6 +728,22 @@ for argv in runs:
 
 def test_density_expect_and_simulate_load_no_scipy_stats(tmp_path):
     _run_fresh(_NO_SCIPY_STATS_SCRIPT, tmp_path)
+
+
+# The whole verify suite, in a fresh interpreter: its two-sample KS and
+# chi-square p-values come from numpy and scipy.special, not scipy.stats.
+_VERIFY_NO_SCIPY_STATS_SCRIPT = """
+import os, sys
+from recontree import cli
+
+out = ["-o", os.path.join(sys.argv[1], "v.json")]
+assert cli.main(["verify", "--reps", "1000", "--seed", "20260824", *out]) == 0
+assert "scipy.stats" not in sys.modules, "verify loaded scipy.stats"
+"""
+
+
+def test_verify_loads_no_scipy_stats(tmp_path):
+    _run_fresh(_VERIFY_NO_SCIPY_STATS_SCRIPT, tmp_path)
 
 
 # -- argv built from the parser, with extreme numbers: every run ends with exit

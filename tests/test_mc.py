@@ -153,6 +153,39 @@ class TestTwoSample:
         b = rng.exponential(1.3, 10_000)
         assert not compare_two_sample(a, b).passed
 
+    @staticmethod
+    def _samples(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            return rng.exponential(1.0, n), rng.exponential(1.0, n)
+        if kind == "shifted":
+            return rng.normal(0.0, 1.0, n), rng.normal(0.05, 1.0, n)
+        # heavy ties: integer tip counts, as c07's leaf-count reader gives
+        return (rng.geometric(0.3, n).astype(float) + 1.0,
+                rng.geometric(0.3, n).astype(float) + 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 3000, 10_000, 20_000])
+    @pytest.mark.parametrize("kind", ["continuous", "shifted", "ties"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_p_value_is_scipys_exact_p_value(self, n, kind, seed):
+        a, b = self._samples(kind, n, 100 * n + seed)
+        # the report holds 1 - p
+        stat = compare_two_sample(a, b).ks.stat
+        assert stat == 1.0 - scipy.stats.ks_2samp(a, b, method="exact").pvalue
+        if n <= 10_000:  # where scipy's default is its exact p-value too
+            assert stat == 1.0 - scipy.stats.ks_2samp(a, b).pvalue
+
+    def test_report_counts_both_samples(self):
+        rep = compare_two_sample(np.arange(5.0), np.arange(5.0), check="x", seed=3)
+        assert (rep.check, rep.n_samples, rep.seed, rep.ks.stat) == ("x", 10, 3, 0.0)
+
+    @pytest.mark.parametrize("sizes", [(1000, 999), (3, 0), (0, 3), (0, 0)])
+    def test_unequal_or_empty_samples_are_refused(self, sizes):
+        a, b = np.ones(sizes[0]), np.ones(sizes[1])
+        with pytest.raises(ValueError, match=f"equal, non-zero size are needed, "
+                                             f"got {sizes[0]} and {sizes[1]}"):
+            compare_two_sample(a, b)
+
 
 class TestChiSquare:
     def test_matching_law(self):
@@ -167,10 +200,10 @@ class TestChiSquare:
         pmf = lambda k: 0.5 * 0.5 ** (k - 2)
         assert chi_square_counts(vals, pmf) < 1e-6
 
-    def test_same_p_value_as_counting_each_k(self):
-        # the reference counts each bin in its own pass; the rest is the harness's
-        vals = np.random.default_rng(10).geometric(0.3, 5_000) + 1
-        pmf = lambda k: 0.3 * 0.7 ** (k - 2)
+    @staticmethod
+    def _reference(vals, pmf):
+        # counts each bin in its own pass and asks scipy.stats for the p-value;
+        # the binning and pooling are the harness's
         ks = np.arange(2, vals.max() + 1)
         probs = np.array([pmf(int(k)) for k in ks])
         observed = np.array([np.count_nonzero(vals == k) for k in ks])
@@ -180,8 +213,31 @@ class TestChiSquare:
             expected[-2] += expected[-1]
             observed[-2] += observed[-1]
             expected, observed = expected[:-1], observed[:-1]
-        want = scipy.stats.chisquare(observed, expected).pvalue
-        assert chi_square_counts(vals, pmf) == want
+        return scipy.stats.chisquare(observed, expected).pvalue
+
+    def test_same_p_value_as_counting_each_k(self):
+        vals = np.random.default_rng(10).geometric(0.3, 5_000) + 1
+        pmf = lambda k: 0.3 * 0.7 ** (k - 2)
+        assert chi_square_counts(vals, pmf) == self._reference(vals, pmf)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tables_match_scipys_chisquare(self, seed):
+        # a random law on 2..K (at even seeds not the law the counts come from)
+        # and a random sample size, so pooling and the tail bin vary
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 40))
+        probs = rng.dirichlet(np.ones(k))
+        vals = 2 + rng.choice(k, size=int(rng.integers(50, 50_000)), p=probs)
+        law = probs if seed % 2 else rng.dirichlet(np.ones(k))
+        pmf = lambda n: float(law[n - 2]) if n - 2 < k else 0.0
+        assert chi_square_counts(vals, pmf) == self._reference(vals, pmf)
+
+    def test_totals_that_disagree_are_refused(self):
+        # probabilities summing past 1 leave no tail bin to absorb the excess
+        vals = np.random.default_rng(11).integers(2, 6, 1000)
+        with pytest.raises(ValueError, match=r"observed total 1000\.0 and expected "
+                                             r"total 1200\.0 differ by more than"):
+            chi_square_counts(vals, lambda k: 0.3)
 
 
 class TestVerifySuite:
