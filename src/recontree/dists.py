@@ -109,8 +109,11 @@ class MixedDist:
 
     ``cdf`` is the cumulative mass of the continuous part only; it rises to
     ``1 - atom_weight`` at ``support_end``.  ``support_end`` may be +inf for
-    laws without an atom.  ``total_mass`` and ``mean`` integrate the density
-    by quadrature, to the module's one tolerance pair.
+    laws without an atom.  Past a finite end the law reads pdf 0 and cdf
+    ``1 - atom_weight``: the given ``pdf`` and ``cdf`` are evaluated only up
+    to the end, and every value there keeps its bits.  ``total_mass`` and
+    ``mean`` integrate the density by quadrature, to the module's one
+    tolerance pair.
     """
 
     support_end: float
@@ -121,6 +124,10 @@ class MixedDist:
     def __post_init__(self):
         if not 0.0 <= self.atom_weight <= 1.0:
             raise ValueError(f"atom_weight must be in [0,1], got {self.atom_weight}")
+        if math.isfinite(self.support_end):
+            end = self.support_end
+            object.__setattr__(self, "pdf", _up_to(end, self.pdf, 0.0))
+            object.__setattr__(self, "cdf", _up_to(end, self.cdf, 1.0 - self.atom_weight))
 
     def total_mass(self) -> float:
         """Quadrature of the density plus the atom; should be 1."""
@@ -131,6 +138,19 @@ class MixedDist:
         if self.atom_weight > 0.0:
             m += self.atom_weight * self.support_end
         return m
+
+
+def _up_to(end: float, f: Callable, past: float) -> Callable:
+    """``f`` on s <= ``end`` and ``past`` beyond; a float s, as the
+    quadratures pass, and an array within the end skip the rest of numpy."""
+    def law(s):
+        if isinstance(s, float):
+            return past if s > end else f(s)
+        beyond = np.asarray(s) > end
+        if not np.count_nonzero(beyond):
+            return f(s)
+        return np.where(beyond, past, f(np.minimum(s, end)))[()]
+    return law
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ closed-form law.  A reader's per-tree draw depends only on the tip count,
 so the sampler makes it right after the tree's own draws, and a reader
 reads the same value from a tree whatever block the tree is drawn in.
 Every reader indexes :attr:`sim.TreeBatch.lengths`, with the root at node n.
-Mixed distributions are handled by separating the atom: the KS test runs
-on the continuous part against the renormalized conditional CDF, and the
-atom mass is checked separately with a binomial confidence interval.
+A sample is a plain sorted array.  Mixed distributions are handled by
+splitting the atom off at the law's own ``support_end``: the KS test runs
+on the samples below it against the renormalized conditional CDF, and the
+fraction at it is checked against the atom mass with a binomial
+confidence interval.
 
 Conventions (fixed for the whole tool, as module constants):
 * one-sample KS threshold ``KS_COEFF_99``/sqrt(m) (asymptotic 99% level),
@@ -35,6 +37,7 @@ regime; it adds the density rows in n order and the atoms with Python's
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,7 +51,6 @@ from .dists import MixedDist
 from .kernel import Params, RawParams, _at_least, prob_n_given_age, transform_params
 
 __all__ = [
-    "EmpiricalDist",
     "ComparisonReport",
     "KsCheck",
     "AtomCheck",
@@ -106,69 +108,16 @@ read_diversity = Reader(lambda b, d: b.lengths.sum(axis=1))
 read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
 
 
-# ---------------------------------------------------------------------------
-# Empirical distributions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Sorted Monte Carlo samples with an optional declared atom bucket."""
-
-    samples: np.ndarray             # all values, sorted ascending
-    atom_location: Optional[float] = None
-    atom_count: int = 0
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def atom_fraction(self) -> float:
-        return self.atom_count / self.n_samples if self.n_samples else 0.0
-
-    def continuous(self) -> np.ndarray:
-        """Samples outside the atom bucket (still sorted)."""
-        if self.atom_count == 0:
-            return self.samples
-        return self.samples[: self.n_samples - self.atom_count]
-
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    def mean_se(self) -> float:
-        return float(self.samples.std(ddof=1) / np.sqrt(self.n_samples))
-
-
 # a batch sampler: (reps, rng, reader draw bounds) -> its TreeBatch blocks,
 # e.g. functools.partial(sim.batch_given_n_age, n, x1, p)
 BatchSampler = Callable[[int, np.random.Generator, Sequence[sim.DrawBound]],
                         Iterator[sim.TreeBatch]]
 
 
-def estimate(
-    sampler: BatchSampler,
-    reader: Reader,
-    reps: int,
-    rng,
-    atom_at: Optional[float] = None,
-) -> EmpiricalDist:
-    """Draw ``reps`` trees and read one statistic per tree.
-
-    Values within 1e-9*atom_at of ``atom_at`` are counted into the atom
-    bucket (samplers place atom samples exactly at x1 up to rounding).
-    """
+def estimate(sampler: BatchSampler, reader: Reader, reps: int, rng) -> np.ndarray:
+    """Draw ``reps`` trees and read one statistic per tree, returned sorted."""
     _at_least("reps", reps, MIN_REPS)
-    return _empirical(collect(sampler, {"value": reader}, reps, rng)["value"], atom_at)
-
-
-def _empirical(vals: np.ndarray, atom_at: Optional[float]) -> EmpiricalDist:
-    """Sort ``vals``; those within 1e-9*atom_at of ``atom_at`` form the atom."""
-    vals = np.sort(vals)
-    atom_count = 0
-    if atom_at is not None:
-        eps = 1e-9 * atom_at
-        atom_count = int(np.count_nonzero(np.abs(vals - atom_at) <= eps))
-    return EmpiricalDist(samples=vals, atom_location=atom_at, atom_count=atom_count)
+    return np.sort(collect(sampler, {"value": reader}, reps, rng)["value"])
 
 
 def collect(sampler: BatchSampler, readers: Dict[str, Reader], reps: int,
@@ -282,41 +231,46 @@ def ks_one_sample(sorted_samples: np.ndarray, cdf: Callable) -> float:
 
 
 def compare(
-    emp: EmpiricalDist,
+    samples: np.ndarray,
     analytic: MixedDist,
     check: str = "",
     analytic_mean: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> ComparisonReport:
-    """One-sample comparison of an empirical against an analytic law.
+    """One-sample comparison of sorted, non-empty samples against a law.
 
-    KS runs on the continuous part only (atom-conditioned and
-    renormalized), and is left out when no sample falls there; the atom
-    mass is compared via a 99% binomial CI; the mean, when given, within 3
-    standard errors.
+    When the law's ``support_end`` is finite, the samples within 1e-9 end
+    of it form the atom bucket (samplers place atom samples at x1 up to
+    rounding), and their fraction is compared with the atom mass via a 99%
+    binomial CI.  KS runs on the other samples against the renormalized
+    cdf, and is left out when none remain; the mean, when given, is checked
+    within 3 standard errors.
     """
-    if np.any(np.diff(emp.samples) < 0):
+    m = len(samples)
+    if m == 0:
+        raise ValueError("compare needs at least one sample")
+    if np.any(np.diff(samples) < 0):
         raise ValueError("samples must be sorted")
-    report = ComparisonReport(check=check, n_samples=emp.n_samples, seed=seed)
-    cont = emp.continuous()
-    aw = analytic.atom_weight
+    report = ComparisonReport(check=check, n_samples=m, seed=seed)
+    end, aw = analytic.support_end, analytic.atom_weight
+    atom = 0
+    if math.isfinite(end):
+        atom = int(np.count_nonzero(np.abs(samples - end) <= 1e-9 * end))
+        report.atom = AtomCheck(analytic_mass=aw, empirical_fraction=atom / m,
+                                ci_halfwidth=Z_99 * np.sqrt(aw * (1.0 - aw) / m))
+    cont = samples[: m - atom]
     if aw < 1.0 and len(cont):
         stat = ks_one_sample(cont, lambda s: analytic.cdf(s) / (1.0 - aw))
         report.ks = KsCheck(stat=stat, threshold=KS_COEFF_99 / np.sqrt(len(cont)))
-    if aw > 0.0 or emp.atom_location is not None:
-        report.atom = AtomCheck(
-            analytic_mass=aw,
-            empirical_fraction=emp.atom_fraction,
-            ci_halfwidth=Z_99 * np.sqrt(aw * (1.0 - aw) / emp.n_samples),
-        )
     if analytic_mean is not None:
-        report.moments.append(MomentCheck(*_mean_moment("mean", analytic_mean, emp)))
+        report.moments.append(MomentCheck(*_mean_moment("mean", analytic_mean, samples)))
     return report
 
 
-def _mean_moment(name: str, analytic: float, emp: EmpiricalDist) -> tuple:
+def _mean_moment(name: str, analytic: float, samples: np.ndarray) -> tuple:
     """(name, analytic, empirical, tolerance) of a sample mean within 3 SE."""
-    return name, analytic, emp.mean(), 3.0 * emp.mean_se()
+    se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
+    return name, analytic, float(samples.mean()), 3.0 * se
 
 
 def _p_value_check(p: float) -> KsCheck:
@@ -425,11 +379,11 @@ class VerifyConfig:
             raise ValueError(f"unknown checks {unknown}; {valid}")
 
 
-def _sampled(cfg, check, stream, sampler, reader, law, mean=None, atom_at=None):
+def _sampled(cfg, check, stream, sampler, reader, law, mean=None):
     """``reader`` over ``cfg.reps`` trees of stream ``stream``, compared with ``law``."""
     rng = sim.RngStream(cfg.seed, stream).generator()
-    emp = estimate(sampler, reader, cfg.reps, rng, atom_at=atom_at)
-    return compare(emp, law, check=check, analytic_mean=mean, seed=cfg.seed)
+    samples = estimate(sampler, reader, cfg.reps, rng)
+    return compare(samples, law, check=check, analytic_mean=mean, seed=cfg.seed)
 
 
 def _report(cfg, check, *moments, n_samples=0) -> ComparisonReport:
@@ -466,23 +420,23 @@ def _check_root_edge_n(cfg):
 def _check_root_edge_mean(cfg):
     lam, n = 1.0, 4
     rng = sim.RngStream(cfg.seed, 13).generator()
-    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_root_edge,
-                   max(cfg.reps // 10, 1000), rng)
+    samples = estimate(partial(sim.batch_yule_given_n, n, lam), read_random_root_edge,
+                       max(cfg.reps // 10, 1000), rng)
     return [_report(cfg, "root_edge_mean",
-                    _mean_moment("mean", dists.root_edge_mean_given_n(n, lam), emp),
-                    n_samples=emp.n_samples)]
+                    _mean_moment("mean", dists.root_edge_mean_given_n(n, lam), samples),
+                    n_samples=len(samples))]
 
 
 def _check_diversity_gamma(cfg):
     lam, n = 1.0, 10
     rng = sim.RngStream(cfg.seed, 20).generator()
-    emp = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity, cfg.reps, rng)
-    rep = compare(emp, dists.diversity_dist_given_n(n, lam), check="diversity_gamma",
+    samples = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity, cfg.reps, rng)
+    rep = compare(samples, dists.diversity_dist_given_n(n, lam), check="diversity_gamma",
                   analytic_mean=dists.diversity_mean_given_n(n, lam), seed=cfg.seed)
     # variance within 3 SE of the sample variance
-    svar = float(emp.samples.var(ddof=1))
-    mu4 = float(np.mean((emp.samples - emp.samples.mean()) ** 4))
-    var_se = np.sqrt(max(mu4 - svar ** 2, 0.0) / emp.n_samples)
+    svar = float(samples.var(ddof=1))
+    mu4 = float(np.mean((samples - samples.mean()) ** 4))
+    var_se = np.sqrt(max(mu4 - svar ** 2, 0.0) / len(samples))
     rep.moments.append(MomentCheck("variance", dists.diversity_var_given_n(n, lam),
                                    svar, 3.0 * var_se))
     return [rep]
@@ -497,7 +451,7 @@ def _check_pendant_given_n_age(cfg):
     return [
         _sampled(cfg, f"pendant_given_n_age:lam={p.lam},mu={p.mu},n={n}", 30 + i,
                  partial(sim.batch_given_n_age, n, x1, p), read_random_pendant,
-                 dists.pendant_dist_given_n_age(n, x1, p), atom_at=x1)
+                 dists.pendant_dist_given_n_age(n, x1, p))
         for i, (p, n) in enumerate(cases)
     ]
 
@@ -511,7 +465,7 @@ def _check_given_age_n_law(cfg):
     p_chi = chi_square_counts(data["n"].astype(int), lambda n: prob_n_given_age(n, x1, p))
     rep_n = ComparisonReport(check="given_age_n_law:n", n_samples=cfg.reps, seed=cfg.seed,
                              ks=_p_value_check(p_chi))
-    rep_p = compare(_empirical(data["pendant"], x1), dists.pendant_dist_given_age(x1, p),
+    rep_p = compare(np.sort(data["pendant"]), dists.pendant_dist_given_age(x1, p),
                     check="given_age_n_law:pendant", seed=cfg.seed)
     return [rep_n, rep_p]
 
@@ -608,19 +562,19 @@ def _check_diversity_mean_age(cfg):
     lam, x1 = 1.0, 1.0
     p = Params(lam=lam, mu=0.0)
     rng = sim.RngStream(cfg.seed, 60).generator()
-    emp = estimate(partial(sim.batch_given_age, x1, p), read_diversity, cfg.reps, rng)
+    samples = estimate(partial(sim.batch_given_age, x1, p), read_diversity, cfg.reps, rng)
     # MGF derivative vs sampler mean under fixed (n, x1)
     n2, x2 = 6, 2.0
     rng2 = sim.RngStream(cfg.seed, 61).generator()
-    emp2 = estimate(partial(sim.batch_given_n_age, n2, x2, p), read_diversity,
-                    cfg.reps, rng2)
+    samples2 = estimate(partial(sim.batch_given_n_age, n2, x2, p), read_diversity,
+                        cfg.reps, rng2)
     h = 1e-6
     mgf_mean = (dists.diversity_mgf_given_n_age(h, n2, x2, lam)
                 - dists.diversity_mgf_given_n_age(-h, n2, x2, lam)) / (2.0 * h)
     return [_report(cfg, "diversity_mean_age",
-                    _mean_moment("mean", dists.diversity_mean_given_age(x1, lam), emp),
-                    _mean_moment("mgf_derivative_vs_sampler", mgf_mean, emp2),
-                    n_samples=emp.n_samples)]
+                    _mean_moment("mean", dists.diversity_mean_given_age(x1, lam), samples),
+                    _mean_moment("mgf_derivative_vs_sampler", mgf_mean, samples2),
+                    n_samples=len(samples))]
 
 
 def _normalization_laws():

@@ -461,6 +461,27 @@ class TestLawConstructors:
             assert (row.dist or row.mean) and row.law and row.header, row
             assert set(row.args) <= {"k", "n", "x1"}, row
 
+    @pytest.mark.parametrize("row", [r for r in dists.LAWS if r.dist and not math.isinf(
+        getattr(dists, r.dist)(*r.mass_at[0], 1.0 if r.pure_birth else SUB).support_end)],
+        ids=lambda r: r.dist)
+    def test_past_a_finite_end_pdf_is_0_and_cdf_1_minus_atom(self, row):
+        # the pendant laws read cdf 1.1055 and pdf -2.4e-4 past x1, the
+        # root-edge law cdf 0.950, and the speciation-time law raised
+        for args in row.mass_at:
+            for rates in ([1.0] if row.pure_birth else REGIMES):
+                law = getattr(dists, row.dist)(*args, rates)
+                past, rest = 1.5 * law.support_end, 1.0 - law.atom_weight
+                assert (law.pdf(past), law.cdf(past)) == (0.0, rest), (args, rates)
+                s = np.array([0.5, 1.0, 1.5, 3.0]) * law.support_end
+                assert law.pdf(s)[2:].tolist() == [0.0, 0.0], (args, rates)
+                assert law.cdf(s)[2:].tolist() == [rest, rest], (args, rates)
+
+    def test_public_speciation_time_functions_still_refuse_past_x1(self):
+        assert dists.speciation_time_dist(3, 6, 2.0, SUB).pdf(3.0) == 0.0
+        for f in (dists.speciation_time_pdf, dists.speciation_time_cdf):
+            with pytest.raises(ValueError, match="s must not exceed x1"):
+                f(3.0, 3, 6, 2.0, SUB)
+
     @pytest.mark.parametrize("build", [
         lambda: dists.root_edge_dist_given_n(1, 1.0),
         lambda: dists.root_edge_dist_given_age(0.0, 1.0),

@@ -11,7 +11,7 @@ from recontree.dists import MixedDist
 from recontree.kernel import Params
 from recontree.mc import (
     CHECK_NAMES,
-    EmpiricalDist,
+    KS_COEFF_99,
     VerifyConfig,
     chi_square_counts,
     compare,
@@ -20,20 +20,6 @@ from recontree.mc import (
     ks_one_sample,
     verify_suite,
 )
-
-
-class TestEmpiricalDist:
-    def test_basic(self):
-        e = EmpiricalDist(samples=np.array([1.0, 2.0, 2.0, 3.0]))
-        assert e.n_samples == 4
-        assert e.mean() == 2.0
-        assert e.atom_fraction == 0.0
-
-    def test_atom_bucket(self):
-        s = np.array([0.2, 0.5, 1.0, 1.0, 1.0])
-        e = EmpiricalDist(samples=s, atom_location=1.0, atom_count=3)
-        assert e.atom_fraction == 0.6
-        assert e.continuous().tolist() == [0.2, 0.5]
 
 
 class TestEstimate:
@@ -50,15 +36,11 @@ class TestEstimate:
         with pytest.raises(ValueError, match=r"^reps must be an integer, got 1000\.0$"):
             VerifyConfig(reps=1000.0)
 
-    def test_atom_counting(self):
-        p = Params(1.0, 0.0)
-        emp = estimate(
-            partial(sim.batch_given_n_age, 3, 2.0, p),
-            mc.read_random_pendant, 2000, sim.RngStream(1, 0), atom_at=2.0,
-        )
-        # atom mass is 2/(n(n-1)) = 1/3
-        assert abs(emp.atom_fraction - 1 / 3) < 0.05
-        assert np.all(emp.continuous() < 2.0)
+    def test_returns_the_sorted_sample(self):
+        samples = estimate(partial(sim.batch_given_n_age, 3, 2.0, Params(1.0, 0.0)),
+                           mc.read_random_pendant, 2000, sim.RngStream(1, 0))
+        assert isinstance(samples, np.ndarray) and samples.shape == (2000,)
+        assert np.all(np.diff(samples) >= 0) and samples[-1] == 2.0
 
 
 class TestKsOneSample:
@@ -84,7 +66,7 @@ class TestCompare:
         rng = np.random.default_rng(2)
         samples = np.sort(rng.exponential(0.5, 20_000))
         rep = compare(
-            EmpiricalDist(samples=samples),
+            samples,
             _law(lambda s: 2.0 * np.exp(-2.0 * s), lambda s: -np.expm1(-2.0 * s)),
             analytic_mean=0.5,
         )
@@ -95,45 +77,90 @@ class TestCompare:
     def test_mixed_dist_atom_check(self):
         p = Params(1.0, 0.5)
         law = dists.pendant_dist_given_n_age(5, 2.0, p)
-        emp = estimate(
-            partial(sim.batch_given_n_age, 5, 2.0, p),
-            mc.read_random_pendant, 20_000, sim.RngStream(2, 0), atom_at=2.0,
-        )
-        rep = compare(emp, law, check="mixed")
+        samples = estimate(partial(sim.batch_given_n_age, 5, 2.0, p),
+                           mc.read_random_pendant, 20_000, sim.RngStream(2, 0))
+        rep = compare(samples, law, check="mixed")
         assert rep.ks is not None and rep.atom is not None
         assert rep.passed
+
+    def test_atom_counting(self):
+        p = Params(1.0, 0.0)
+        samples = estimate(partial(sim.batch_given_n_age, 3, 2.0, p),
+                           mc.read_random_pendant, 2000, sim.RngStream(1, 0))
+        rep = compare(samples, dists.pendant_dist_given_n_age(3, 2.0, p))
+        # atom mass is 2/(n(n-1)) = 1/3, and the KS test sees the rest
+        assert abs(rep.atom.empirical_fraction - 1 / 3) < 0.05
+        below = np.count_nonzero(samples < 2.0)
+        assert rep.atom.empirical_fraction == (2000 - below) / 2000
+        assert rep.ks.threshold == KS_COEFF_99 / np.sqrt(below)
+
+    def test_samples_within_1e9_of_the_end_form_the_atom(self):
+        law = dists.pendant_dist_given_n_age(5, 2.0, Params(1.0, 0.5))
+        samples = np.array([0.2, 0.5, 2.0 * (1 - 2e-9), 2.0 * (1 - 5e-10), 2.0,
+                            2.0 * (1 + 5e-10)])
+        rep = compare(samples, law)
+        assert rep.atom.analytic_mass == law.atom_weight
+        assert rep.atom.empirical_fraction == 0.5
+        assert rep.ks.threshold == KS_COEFF_99 / np.sqrt(3)
+        cdf = lambda s: law.cdf(s) / (1 - law.atom_weight)
+        assert rep.ks.stat == mc.ks_one_sample(samples[:3], cdf)
+
+    def test_finite_end_without_an_atom_fails_a_pile_up_at_the_end(self):
+        x1, p = 2.0, Params(1.0, 0.5)
+        law = dists.speciation_time_dist(3, 6, x1, p)
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(0.0, x1, 900)
+        clean = compare(np.sort(inside), law)
+        assert clean.atom is not None and clean.atom.to_dict() == {
+            "analytic_mass": 0.0, "empirical_fraction": 0.0, "ci_halfwidth": 0.0, "pass": True}
+        piled = compare(np.sort(np.concatenate([inside, np.full(100, x1)])), law)
+        assert piled.atom.empirical_fraction == 0.1
+        assert not piled.atom.passed and not piled.passed
+        assert piled.ks.threshold == KS_COEFF_99 / np.sqrt(900)
+
+    def test_infinite_end_has_no_atom_check(self):
+        # even a sample that sits at one value throughout
+        rep = compare(np.full(1000, 0.5), _law(lambda s: np.exp(-s), lambda s: -np.expm1(-s)))
+        assert rep.atom is None and rep.to_dict()["atom"] is None
+        assert rep.ks is not None
+
+    @pytest.mark.parametrize("law", [
+        dists.pendant_dist_given_n_age(6, 1.0, Params(1.0, 0.5)),
+        dists.pendant_dist_given_n(Params(1.0, 0.5)),
+    ], ids=["finite end", "infinite end"])
+    def test_empty_sample_is_refused(self, law):
+        # a finite end divided by zero; an infinite one returned a report with no checks
+        with pytest.raises(ValueError, match="at least one sample"):
+            compare(np.array([]), law)
 
     def test_every_sample_in_the_atom(self):
         # at x1 = 1e-6 the atom holds 0.9999987 of the law and all 1000 samples:
         # the KS threshold divided by sqrt(0) and raised a RuntimeWarning
         x1, p = 1e-6, Params(1, 0.4)
-        emp = estimate(partial(sim.batch_given_age, x1, p), mc.read_random_pendant, 1000,
-                       np.random.default_rng(0), atom_at=x1)
-        assert emp.atom_count == 1000 and emp.continuous().size == 0
-        rep = compare(emp, dists.pendant_dist_given_age(x1, p), check="atom only")
-        assert rep.ks is None
+        samples = estimate(partial(sim.batch_given_age, x1, p), mc.read_random_pendant, 1000,
+                           np.random.default_rng(0))
+        rep = compare(samples, dists.pendant_dist_given_age(x1, p), check="atom only")
+        assert rep.atom.empirical_fraction == 1.0 and rep.ks is None
         assert rep.atom.analytic_mass == pytest.approx(0.9999987, abs=1e-7)
         assert rep.atom.passed and rep.passed
 
     def test_requires_sorted(self):
-        e = EmpiricalDist(samples=np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match="sorted"):
-            compare(e, _law(lambda s: np.ones_like(s), lambda s: s))
+            compare(np.array([2.0, 1.0]), _law(lambda s: np.ones_like(s), lambda s: s))
 
     def test_failing_mean_fails_report(self):
         rng = np.random.default_rng(3)
-        e = EmpiricalDist(samples=np.sort(rng.exponential(1.0, 5000)))
-        rep = compare(e, _law(lambda s: np.exp(-s), lambda s: -np.expm1(-s)),
+        rep = compare(np.sort(rng.exponential(1.0, 5000)), _law(lambda s: np.exp(-s), lambda s: -np.expm1(-s)),
                       analytic_mean=2.0)
         assert not rep.moments[0].passed
         assert not rep.passed
 
     def test_report_schema(self):
         rng = np.random.default_rng(4)
-        e = EmpiricalDist(samples=np.sort(rng.random(2000)))
+        samples = np.sort(rng.random(2000))
         uniform = _law(lambda s: ((s >= 0) & (s <= 1)).astype(float),
                        lambda s: np.clip(s, 0, 1))
-        d = compare(e, uniform, check="x", seed=5).to_dict()
+        d = compare(samples, uniform, check="x", seed=5).to_dict()
         assert set(d) == {"check", "n_samples", "seed", "ks", "moments",
                           "atom", "pass", "wall_time_s"}
         assert d["check"] == "x" and d["seed"] == 5
