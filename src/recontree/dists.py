@@ -111,7 +111,10 @@ class MixedDist:
     ``1 - atom_weight`` at ``support_end``.  ``support_end`` may be +inf for
     laws without an atom.  Past a finite end the law reads pdf 0 and cdf
     ``1 - atom_weight``: the given ``pdf`` and ``cdf`` are evaluated only up
-    to the end, and every value there keeps its bits.  ``total_mass`` and
+    to the end, and every value there keeps its bits.  With an infinite end
+    they run without numpy's overflow warning: a rate times an s
+    past the float range is inf, whose e^-inf = 0 is the law's limit there
+    (a nan it led to would still warn).  ``total_mass`` and
     ``mean`` integrate the density by quadrature, to the module's one
     tolerance pair.
     """
@@ -128,6 +131,9 @@ class MixedDist:
             end = self.support_end
             object.__setattr__(self, "pdf", _up_to(end, self.pdf, 0.0))
             object.__setattr__(self, "cdf", _up_to(end, self.cdf, 1.0 - self.atom_weight))
+        else:
+            object.__setattr__(self, "pdf", _quiet(self.pdf))
+            object.__setattr__(self, "cdf", _quiet(self.cdf))
 
     def total_mass(self) -> float:
         """Quadrature of the density plus the atom; should be 1."""
@@ -150,6 +156,14 @@ def _up_to(end: float, f: Callable, past: float) -> Callable:
         if not np.count_nonzero(beyond):
             return f(s)
         return np.where(beyond, past, f(np.minimum(s, end)))[()]
+    return law
+
+
+def _quiet(f: Callable) -> Callable:
+    """``f`` with numpy's overflow warning off."""
+    def law(s):
+        with np.errstate(over="ignore"):
+            return f(s)
     return law
 
 
@@ -359,7 +373,7 @@ def _pendant_coefs_given_age(x1: float, p: Params) -> tuple:
         atom = 2.0 * cc * (0.5 + float(np.sum(r ** _SERIES_M / (_SERIES_M + 2))))
         w13 = cc * float(np.sum(2.0 * _SERIES_M / (_SERIES_M + 2) * r ** _SERIES_M))
     else:
-        atom = -2.0 * (log_c + r) * cc / (r * r)
+        atom = -2.0 * cc * (log_c + r) / (r * r)
         w13 = 2.0 * (math.exp(log_c) - atom)  # W1 - W3
     return x1, q, 2.0 / q, w13, _age_weight(3, r, log_c, cc) / q, atom
 

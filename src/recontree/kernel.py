@@ -187,12 +187,15 @@ def p0(s: float, p: Params) -> float:
                  (see :func:`_denominator`);
     critical:    s / (1 + lam s).
 
-    Strictly increasing from 0, with lam*p0(s) < 1 for finite s.
-    Accepts scalars or numpy arrays.
+    Strictly increasing from 0, with lam*p0(s) < 1 for finite s.  Where
+    1 + lam s overflows, p0 is 1/lam.  Accepts scalars or numpy arrays.
     """
     _check_time(s)
     if p.is_critical:
-        return s / (1.0 + p.lam * s)
+        h = 1.0 + p.lam * s
+        if np.ndim(h):
+            return np.where(h == math.inf, 1.0 / p.lam, s / h)
+        return 1.0 / p.lam if h == math.inf else s / h
     y = -(p.lam - p.mu) * s
     em = -np.expm1(y)  # 1 - e^{-d s}, accurate for small d*s
     return em / _denominator(em, y, p)

@@ -68,13 +68,15 @@ two head doubles, whose geometric counts give its n.  A block is read
 one of two ways.  Either all its trees are read as arrays: given (n, x1)
 each tree's offset is closed form, given x1 a chain of list lookups over a
 tip-count table finds it, and one vectorized Lemire test reads every
-reader half.  Or, where a half is rejected, a bound lies above 2^32 or a
-count reads a zero double, the whole block is walked draw by draw.  The
-replay follows PCG64, which ``default_rng`` and :class:`RngStream` give;
-these two samplers refuse any other bit generator before a draw.  The
-digests pinned by ``tests/test_same_samples.py`` are the contract with
-numpy's stream: a numpy that changed how its Generator turns words into
-doubles or integers would move them.  Everything else -- inverse CDFs, sorting, merge
+reader half.  Or, where a half is rejected or a bound lies outside
+[1, 2^32], the Generator's own calls draw the block from its first word.
+A tip count that reads a zero double raises as :func:`_geometric_count`
+does.  The replay follows PCG64, which ``default_rng`` and
+:class:`RngStream` give; these two samplers refuse any other bit
+generator before a draw.  The digests pinned by
+``tests/test_same_samples.py`` are the contract with numpy's stream: a
+numpy that changed how its Generator turns words into doubles or
+integers would move them.  Everything else -- inverse CDFs, sorting, merge
 positions, topology attachment -- runs per block, so the trees on a
 stream, node numbering included, do not depend on how they are split into
 blocks; a batch of one draws the same tree as the first row of a batch of
@@ -87,10 +89,10 @@ depend on ``reps`` and :data:`FORWARD_NODES`: the first k trees of
 ``simulate --scenario rejection-given-age --reps 10`` are not those of
 ``--reps 100``.
 
-On the same VM, 2000 trees given (n=6, x1=2) with three readers took
-about 2 ms read as arrays (6.7 ms walked tree by tree), and 2000 given
-x1=1.5 (lam=1, mu=0.4) with two readers 8-10 ms (13.0 ms); one tree alone
-takes 60-100 µs given (n, x1) and 85-145 µs given x1 (see README).
+On the same VM, in CPU time, 2000 trees given (n=6, x1=2) with three
+readers took 1 ms read as arrays (12 ms walked), and 2000 given x1=1.5
+(lam=1, mu=0.4) with two readers 4.2 ms (15 ms); one tree alone takes
+about 50 µs given (n, x1) and 75 µs given x1 (see README).
 
 All samplers take a numpy ``Generator`` (or an :class:`RngStream`);
 identical seeds give bit-identical output.
@@ -520,34 +522,28 @@ class _Replay:
     Lemire's method (Lemire, ACM TOMACS 29, 2019) on 32-bit halves: the low
     half of a new word, with the high half held in the bit generator's state
     (``has_uint32``, ``uinteger``) for the next half drawn, and another half
-    after each rejection.  A larger b takes the method on whole words.
-    Doubles leave the held half alone.
+    after each rejection.  Doubles leave the held half alone.
 
     ``held`` and ``half`` start as the half held before the block, read once
-    here (``random_raw`` leaves it alone).  A block reads all its trees as
-    arrays (:func:`_read_halves`), or, where that read cannot, walks all of
-    them here, draw by draw (:meth:`integer`).  :meth:`finish` leaves the
-    bit generator where the Generator's own calls would have: the words
-    used consumed and the held half, even a used one, as they left it.
+    here with the rest of the state (``random_raw`` leaves it alone).  A
+    block reads all its trees as arrays (:func:`_read_halves`), and
+    :meth:`finish` then leaves the bit generator where the Generator's own
+    calls would have: the words used consumed and the held half, even a used
+    one, as they left it.  Where that read cannot, :meth:`rewind` puts the
+    state back, for the Generator's own calls to draw the block.
     """
 
     def __init__(self, rng: np.random.Generator, size: int):
         self.bits = rng.bit_generator
-        state = self.bits.state
-        self.start = self.held, self.half = state["has_uint32"], state["uinteger"]
+        self.state = self.bits.state
+        self.held, self.half = self.state["has_uint32"], self.state["uinteger"]
         self.words = self.bits.random_raw(size)
-        self.pos = 0
 
     def need(self, end: int):
         """Draw on until the buffer holds ``end`` words."""
         if end > self.words.size:
             more = self.bits.random_raw(max(end - self.words.size, self.words.size))
             self.words = np.concatenate((self.words, more))
-
-    def word(self) -> int:
-        self.pos += 1
-        self.need(self.pos)  # before self.words is read: need() may replace it
-        return self.words.item(self.pos - 1)
 
     def doubles(self, at: np.ndarray, width: int) -> np.ndarray:
         """(len(at), width) doubles, row i from the ``width`` words at at[i]:
@@ -559,30 +555,15 @@ class _Replay:
             words = self.words[at[:, None] + np.arange(width)]
         return _as_doubles(words)
 
-    def integer(self, b: int) -> int:
-        if not 1 <= b <= 1 << 63:  # refused as integers(b) refuses it, with its messages
-            raise ValueError("high <= 0" if b < 1 else "high is out of bounds for int64")
-        if b == 1:
-            return 0
-        if b > 1 << 32:
-            while True:
-                m = self.word() * b
-                if m & 0xFFFFFFFFFFFFFFFF >= (1 << 64) % b:
-                    return m >> 64
-        while True:
-            if self.held:
-                x, self.held = self.half, 0
-            else:
-                w = self.word()
-                x, self.half, self.held = w & 0xFFFFFFFF, w >> 32, 1
-            m = x * b
-            if m & 0xFFFFFFFF >= (1 << 32) % b:
-                return m >> 32
+    def rewind(self):
+        """Put back the state the block started from, held half included."""
+        self.bits.state = self.state
 
-    def finish(self):
-        now = self.start  # the half the bit generator holds
-        if self.pos < self.words.size:
-            self.bits.advance(self.pos - self.words.size)  # give back the words not used
+    def finish(self, used: int):
+        """Leave the bit generator after the first ``used`` words."""
+        now = self.state["has_uint32"], self.state["uinteger"]  # the half it holds
+        if used < self.words.size:
+            self.bits.advance(used - self.words.size)  # give back the words not used
             now = (0, 0)  # advance() clears the held half
         if (self.held, self.half) != now:
             state = self.bits.state
@@ -765,9 +746,9 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     form: tree i starts at word floor((1 - H0 + i (2 w + h)) / 2), with
     w = head + 3n - 4 and H0 the half held at the block's start; otherwise
     a chain of list lookups of each tip count's step finds them.  Or, where
-    a half is rejected, a bound lies outside [1, 2^32] or a count reads a
-    zero double, the whole block is walked from its first word, tree by
-    tree and draw by draw.  Either way it yields one batch per tip count.
+    a half is rejected or a bound lies outside [1, 2^32], the whole block
+    is walked from its first word by the Generator's own calls.  Either way
+    it yields one batch per tip count.
     """
     if n is None:
         ratio = _given_age_ratio(x1, p)
@@ -778,13 +759,10 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     rng = _pcg64(rng)
     # per tip count m: its reader bounds, and the chain's step (the words to
     # the next tree when holding no half and when holding one, the parity of
-    # its halves), or None where the block is walked; an m below 2 comes
-    # from a zero double
+    # its halves), or None where the block is walked
     bounds, steps = {}, {}
 
     def spec(m: int) -> Optional[tuple]:
-        if m < 2:
-            return None
         bounds[m] = b = [int(d(m)) for d in draws]
         h = sum(v > 1 for v in b)
         w = head + 3 * m - 4
@@ -806,7 +784,8 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     def chain(r: _Replay, left: int) -> Optional[tuple]:
         """Given x1: the first word of each tree's doubles, its tip count and
         the word after the block, by lookups in the block's tip-count table;
-        None where the block is walked."""
+        None where the block is walked.  A count that reads a zero double
+        raises as :func:`_geometric_count` does."""
         # the first tree's two counts; the table covers the rest when reached
         g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:head]).tolist()]
         at, m, o, held, nodes = [], [], 0, r.held, 0
@@ -815,6 +794,8 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
                 r.need(o + 2)
                 g += _tip_counts(_as_doubles(r.words[len(g):]), ratio)
             v = g[o] + g[o + 1]
+            if v < 2:  # a zero double (ZERO_DOUBLE): the count refuses it
+                _geometric_count(0.0, ratio)
             try:
                 step = steps[v]
             except KeyError:
@@ -829,23 +810,20 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
         return np.array(at, dtype=np.int64), np.array(m, dtype=np.int64), o
 
     def walk(r: _Replay, left: int) -> tuple:
-        """The block's trees from its first word, draw by draw: the first word
-        of each tree's doubles, its tip count, and its reader draws."""
-        at, m, picks, nodes = [], [], [], 0
-        while len(at) < left and nodes < BATCH_NODES:
-            r.need(r.pos + head)
-            v = n or sum(_geometric_count(u, ratio)
-                         for u in _as_doubles(r.words[r.pos:r.pos + head]).tolist())
+        """The block's trees from its first word, by the Generator's own calls:
+        each tree's tip count, its reader draws, and its doubles as a row."""
+        r.rewind()
+        m, picks, rows, nodes = [], [], [], 0
+        while len(m) < left and nodes < BATCH_NODES:
+            v = n or sum(_geometric_count(u, ratio) for u in rng.random(head).tolist())
             if v not in bounds:
                 spec(v)
-            at.append(r.pos + head)
             m.append(v)
             nodes += 2 * v - 1
-            r.pos += head + 3 * v - 4
-            r.need(r.pos)
-            picks.append([r.integer(b) for b in bounds[v]])
-        return (np.array(at, dtype=np.int64), np.array(m, dtype=np.int64),
-                np.array(picks, dtype=np.int64).reshape(len(at), len(draws)))
+            rows.append(rng.random(3 * v - 4))
+            picks.append([int(rng.integers(b)) for b in bounds[v]])
+        return (np.array(m, dtype=np.int64),
+                np.array(picks, dtype=np.int64).reshape(len(m), len(draws)), rows)
 
     def bound_rows(m, count: int) -> np.ndarray:
         """The reader bounds of each tree of a block, one uint64 row per tree."""
@@ -869,18 +847,17 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
                 first = 2 * head + 1 - r.held
                 read = steps[n] and (np.arange(first, first + left * s, s) // 2, n,
                                      (first + left * s) // 2 - head)
-            picks = None
+            picks = rows = None
             if read:
                 at, m, o = read
                 r.need(o)
                 picks = (_read_halves(r, at + 3 * m - 4, bound_rows(m, at.size)) if draws
                          else np.empty((at.size, 0), dtype=np.int64))
-            if picks is None:  # a rejected half, a bound outside [1, 2^32] or a zero double
-                at, m, picks = walk(r, left)
+            if picks is None:  # a rejected half or a bound outside [1, 2^32]
+                m, picks, rows = walk(r, left)  # no finish: its calls left the Generator in place
             else:
-                r.pos = o
-            r.finish()
-            count = at.size
+                r.finish(o)
+            count = len(picks)
             index = np.arange(start, start + count)
             if n is None:  # one batch per tip count
                 order = np.argsort(m, kind="stable")
@@ -890,7 +867,9 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
             else:
                 groups = [(slice(None), n)]
             for sel, v in groups:
-                times, parent = _given_n_age_trees(r.doubles(at[sel], 3 * v - 4), v, x1, p)
+                u = (r.doubles(at[sel], 3 * v - 4) if rows is None
+                     else np.array([rows[i] for i in np.arange(count)[sel].tolist()]))
+                times, parent = _given_n_age_trees(u, v, x1, p)
                 yield TreeBatch(times, parent, picks[sel], index[sel])
             start += count
 

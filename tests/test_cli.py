@@ -521,6 +521,9 @@ class TestBadInput:
          "--mu", "1e100", "--grid", "0:2:5"],
         ["--law", "speciation-time", "--k", "2", "--n", str(2**70), "--x1", "1.5",
          "--lam", "1e100", "--mu", "1e100", "--grid", "0:2:5"],
+        # the atom's -2 (log c + r) overflowed before c^2 = 0 met it: exit 2 on a nan atom
+        ["--law", "pendant", "--scenario", "given-age", "--x1", "8e207", "--lam", "1e100",
+         "--mu=-1e100", "--grid", "0:1e-90:3"],
     ])
     def test_extreme_scales_write_only_finite_numbers(self, args, tmp_path, recwarn):
         out = tmp_path / "d.csv"

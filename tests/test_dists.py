@@ -475,6 +475,33 @@ class TestLawConstructors:
                 s = np.array([0.5, 1.0, 1.5, 3.0]) * law.support_end
                 assert law.pdf(s)[2:].tolist() == [0.0, 0.0], (args, rates)
                 assert law.cdf(s)[2:].tolist() == [rest, rest], (args, rates)
+        # an age near the largest _check_age takes at lam = 1e100, (lam + |mu|) x1
+        # within a factor 2.3 of the float range: the pendant atom given x1 read
+        # nan, from -2 (log c + r) overflowing before c^2 = 0 met it
+        args = tuple(8e207 if a == "x1" else v for a, v in zip(row.args, row.mass_at[0]))
+        for rates in ([1e100] if row.pure_birth else
+                      [Params(1e100, mu) for mu in (0.0, 5e99, -1e100, 1e100)]):
+            law = getattr(dists, row.dist)(*args, rates)
+            s = np.array([0.0, 0.5, 1.0, 1.5]) * law.support_end
+            f, c = law.pdf(s), law.cdf(s)
+            assert np.isfinite(f).all() and np.isfinite(c).all(), (args, rates)
+            assert (f[3], c[3]) == (0.0, 1.0 - law.atom_weight), (args, rates)
+
+    @pytest.mark.parametrize("row", [r for r in dists.LAWS if r.dist and math.isinf(
+        getattr(dists, r.dist)(*r.mass_at[0], 1.0 if r.pure_birth else SUB).support_end)],
+        ids=lambda r: r.dist)
+    def test_past_the_float_range_an_infinite_end_law_is_silent(self, row):
+        # a rate times s overflows: numpy warned (an error in this suite), on an
+        # array or a Python float, and the critical pendant law read cdf 0, from
+        # p0's s / (1 + lam s)
+        lam = 1e100
+        for args in row.mass_at:
+            for rates in ([lam] if row.pure_birth else
+                          [Params(lam, mu) for mu in (0.0, 0.5 * lam, -lam, lam)]):
+                law = getattr(dists, row.dist)(*args, rates)
+                s = np.array([1e300])
+                assert (law.pdf(s).tolist(), law.cdf(s).tolist()) == ([0.0], [1.0]), (args, rates)
+                assert (law.pdf(1e300), law.cdf(1e300)) == (0.0, 1.0), (args, rates)
 
     def test_public_speciation_time_functions_still_refuse_past_x1(self):
         assert dists.speciation_time_dist(3, 6, 2.0, SUB).pdf(3.0) == 0.0

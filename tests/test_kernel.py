@@ -90,6 +90,19 @@ class TestKernels:
         assert p1(s, p).tolist() == [1.0 / (x * x) for x in h[:3]] + [0.0, 0.0, 0.0]
         assert p1(np.float64(1e200), p) == 0.0
 
+    def test_p0_critical_past_the_float_range_is_1_over_lam(self):
+        # 1 + lam s is inf at lam = 1e100, s = 1e300: s / (1 + lam s) read 0
+        p = Params(1e100, 1e100)
+        assert p0(1e300, p) == 1.0 / p.lam
+        with np.errstate(over="ignore"):  # numpy's lam * s warns as it overflows
+            assert p0(np.array([1e300, 1.7e308]), p).tolist() == [1.0 / p.lam] * 2
+        # wherever 1 + lam s is finite, p0 keeps its bits
+        for p, top in ((p, 1e208), (Params(1.0, 1.0), 1.7e308)):
+            s = np.geomspace(1e-300, top, 301)
+            want = s / (1.0 + p.lam * s)
+            assert np.array_equal(p0(s, p), want)
+            assert [p0(x, p) for x in s.tolist()] == want.tolist()
+
     def test_p0_near_critical_matches_subcritical_branch(self):
         # just past the critical threshold, mu = 1 - 2e-8: 50-digit evaluation
         # of the subcritical branch gives 0.50000000250000000285; the

@@ -7,17 +7,19 @@ to the scalar calls it stands for: the same trees (``random(3n - 4)`` per
 given-(n, x1) tree, two more doubles before it given x1), the same picks,
 and the same ``bit_generator.state`` afterwards, held half included.  A
 block is read as arrays, or, where a half is rejected or a bound passes
-2^32, walked whole, draw by draw.  The tests below the first class also
-put the first rejected reader half at chosen trees, drive given-x1 streams
-through walked and array-read blocks, and hold the given-x1 tip-count
-table to ``_geometric_count`` at near-ties and at a zero double.
+2^32, walked whole by the Generator's own calls from the block's first
+word; the first class drives both scenarios through both.  The tests
+below it also put the first rejected reader half at chosen trees, drive
+given-x1 streams through walked and array-read blocks, and hold the
+given-x1 tip-count table to ``_geometric_count`` at near-ties and at a
+zero double, which raises in the chain that reads it.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recontree import mc, sim
 from recontree.kernel import Params
@@ -72,22 +74,46 @@ def _assert_same_block(seed: int, held: str, count: int, n: int, bounds: list):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _assert_same_given_age(seed: int, held: str, count: int, bounds: list):
+    """``batch_given_age`` against the Generator's own calls, tree by tree:
+    the same trees, picks and state afterwards (``bounds`` are callables of n)."""
+    ref, rng = _start(seed, held), _start(seed, held)
+    want = _scalar_given_age_stream(ref, count, bounds)
+    got = list(sim.rows_in_order(sim.batch_given_age(X1, P, count, rng, bounds)))
+    assert len(got) == len(want)
+    for (b, row), (times, parent, picks) in zip(got, want):
+        assert np.array_equal(b.times[row], times) and np.array_equal(b.parent[row], parent)
+        assert b.draws[row].tolist() == picks
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestBlockReplay:
-    @given(seed=st.integers(0, 2**32 - 1),
+    # 300 examples: at the default 100, two given-x1 examples started from a
+    # stale half
+    @settings(max_examples=300)
+    @given(scenario=st.sampled_from(["given (n, x1)", "given x1"]),
+           seed=st.integers(0, 2**32 - 1),
            held=st.sampled_from(["none", "held", "stale"]),
            count=st.integers(1, 12),
            n=st.integers(2, 11),
            big=st.integers(2, 10**6),
-           kinds=st.lists(st.sampled_from(["1", "2", "n", "big", "rejecting", "rejecting64"]),
-                          max_size=3),
+           kinds=st.lists(st.sampled_from(["1", "2", "n", "big", "rejecting", "rejecting64",
+                                           "rejecting64 at 3k"]), max_size=3),
            nodes=st.sampled_from([7, 60, sim.BATCH_NODES]))
-    def test_block_equals_scalar_calls(self, seed, held, count, n, big, kinds, nodes):
-        # at 7 and 60 nodes a block holds 1 to 20 trees, so the calls span blocks
-        bounds = [{"1": 1, "2": 2, "n": n, "big": big, "rejecting": REJECTING_32,
-                   "rejecting64": REJECTING_64}[k] for k in kinds]
+    def test_block_equals_scalar_calls(self, scenario, seed, held, count, n, big, kinds, nodes):
+        # at 7 and 60 nodes a block holds 1 to 20 given-(n, x1) trees (one
+        # given-x1 tree), so the calls span blocks; given x1, "n" is each
+        # tree's own tip count, and a 3k-tip tree alone walks its block
+        readers = [lambda m, k=k: {"1": 1, "2": 2, "n": m, "big": big, "rejecting": REJECTING_32,
+                                   "rejecting64": REJECTING_64,
+                                   "rejecting64 at 3k": REJECTING_64 if m % 3 == 0 else m}[k]
+                   for k in kinds]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "BATCH_NODES", nodes)
-            _assert_same_block(seed, held, count, n, bounds)
+            if scenario == "given x1":
+                _assert_same_given_age(seed, held, count, readers)
+            else:
+                _assert_same_block(seed, held, count, n, [r(n) for r in readers])
 
     @pytest.mark.parametrize("held", ["none", "held", "stale"])
     def test_rejections_past_the_first_buffer(self, held):
@@ -225,13 +251,20 @@ def test_given_age_stream_walks_only_the_blocks_it_must(held, nodes, monkeypatch
     # walked whole, and the blocks around it are read as arrays
     monkeypatch.setattr(sim, "BATCH_NODES", nodes)
     bounds = [lambda n: n, lambda n: REJECTING_64 if n % 7 == 0 else 2, lambda n: n - 1]
-    ref, rng = _start(13, held), _start(13, held)
+    walked = []
+
+    class Walking(np.random.Generator):
+        """Records the bound of each integers() call: only a walk makes one."""
+
+        def integers(self, high):
+            walked.append(high)
+            return super().integers(high)
+
+    ref, rng = _start(13, held), Walking(_start(13, held).bit_generator)
     want = _scalar_given_age_stream(ref, 400, bounds)
     assert any(len(times) % 14 == 13 for times, _, _ in want)  # 2n - 1 nodes, n = 7k
-    reads, walked, read_halves = [], [], sim._read_halves
+    reads, read_halves = [], sim._read_halves
     monkeypatch.setattr(sim, "_read_halves", lambda *a: reads.append(read_halves(*a)) or reads[-1])
-    integer = sim._Replay.integer
-    monkeypatch.setattr(sim._Replay, "integer", lambda r, b: walked.append(b) or integer(r, b))
     got = list(sim.rows_in_order(sim.batch_given_age(X1, P, 400, rng, bounds)))
     assert len(got) == len(want)
     for (b, row), (times, parent, picks) in zip(got, want):
