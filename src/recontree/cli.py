@@ -159,18 +159,6 @@ def cmd_density(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-# scenario -> (sim batch sampler, required flags).  Each sampler takes the
-# flags in order, then the rates, reps and rng; it is looked up by name on
-# ``sim`` when called, as the laws are on ``dists``.  The rejection oracle
-# takes the raw rates.
-_SCENARIOS = {
-    "given-n": ("batch_yule_given_n", ("n",)),
-    "given-n-age": ("batch_given_n_age", ("n", "x1")),
-    "given-age": ("batch_given_age", ("x1",)),
-    "rejection-given-age": ("batch_forward_given_age", ("x1",)),
-}
-
-
 def cmd_simulate(args) -> int:
     p, raw = _resolve_params(args)
     seed = _seed(args)
@@ -182,7 +170,7 @@ def cmd_simulate(args) -> int:
 
     if args.reps < 0:
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
-    name, flags = _SCENARIOS[scen]
+    name, flags = sim.SCENARIOS[scen]
     values = _require(args, flags)
     rates = p
     if scen == "rejection-given-age":
@@ -307,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("simulate", help="sample conditioned trees")
     _add_param_args(s)
-    s.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
+    s.add_argument("--scenario", required=True, choices=list(sim.SCENARIOS))
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--x1", type=float, default=None)
     s.add_argument("--reps", type=int, default=1)

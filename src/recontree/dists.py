@@ -59,6 +59,7 @@ __all__ = [
     "pendant_dist_given_n",
     "pendant_mean_given_n",
     "interior_dist_yule",
+    "interior_mean_yule",
     "speciation_kernel",
     "speciation_time_pdf",
     "speciation_time_cdf",
@@ -252,6 +253,11 @@ def interior_dist_yule(lam: Union[float, Params]) -> MixedDist:
         pdf=lambda s: 2.0 * lam * np.exp(-2.0 * lam * s),
         cdf=lambda s: -np.expm1(-2.0 * lam * s),
     )
+
+
+def interior_mean_yule(lam: Union[float, Params]) -> float:
+    """Expected interior-edge length in a pure-birth tree: 1/(2 lam)."""
+    return 1.0 / (2.0 * yule_rate(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +638,8 @@ LAWS = (
          "pendant_mean_given_n_age", "pendant | n={n}, x1={x1}", False, ((5, 2.0),)),
     _Law("pendant", "given-age", ("x1",), "pendant_dist_given_age", "pendant_mean_given_age",
          "pendant | x1={x1}", False, ((1.5,),)),
-    _Law("interior", "given-n", (), "interior_dist_yule", None, "interior | n (pure birth)",
-         True, ((),)),
+    _Law("interior", "given-n", (), "interior_dist_yule", "interior_mean_yule",
+         "interior | n (pure birth)", True, ((),)),
     _Law("root-edge", "given-n", ("n",), "root_edge_dist_given_n", "root_edge_mean_given_n",
          "root edge | n={n} (pure birth)", True, ((2,), (4,), (10,))),
     _Law("root-edge", "given-age", ("x1",), "root_edge_dist_given_age",

@@ -240,10 +240,10 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
 def _ratio_log_c(x1: float, p: Params) -> tuple:
     """(r, log c) for a tree of age x1 > 0: r = lam p0(x1), c = 1 - r.
 
-    c is taken from the rates, not from 1 - r:
-    log c = log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), or
-    -log1p(lam x1) when critical, finite however close r is to 1.  Both come
-    from one e^{-(lam-mu) x1}.
+    When critical, log c = -log1p(lam x1).  Otherwise it is log1p(-r) for
+    r <= 1/2, where a difference of logs would cancel, and above, from the
+    rates: log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), finite
+    however close r is to 1.  r and c come from one e^{-(lam-mu) x1}.
     """
     if p.is_critical:
         lx = p.lam * x1
@@ -252,7 +252,8 @@ def _ratio_log_c(x1: float, p: Params) -> tuple:
     y = -d * x1
     em = -math.expm1(y)  # 1 - e^{-d x1}
     dx = float(_denominator(em, y, p))  # D(x1)
-    return p.lam * (em / dx), math.log(d) + y - math.log(dx)
+    r = p.lam * (em / dx)
+    return r, math.log1p(-r) if r <= 0.5 else math.log(d) + y - math.log(dx)
 
 
 def prob_n_given_age(n, x1: float, p: Params):

@@ -25,14 +25,14 @@ Conventions (fixed for the whole tool, as module constants):
   and ``scipy.special`` only,
 * moment checks within 3 standard errors.
 
-Each check in the verify suite has one of two shapes: a sampled law check
-(``_sampled``: one stream, ``estimate``, ``compare``) or a report of
-numeric identities (``_report``).  Only the checks with extra statistics
-call ``compare`` or build their reports themselves.  The mixture identity
-takes its 498 given-(n, x1) densities and 1999 atoms as arrays over n,
-from one ``prob_n_given_age`` call and one pendant-density pass per
-regime; it adds the density rows in n order and the atoms with Python's
-``sum``, as a loop over n would, so its report is that loop's bit for bit.
+Each one-sample check is a row of ``_ONE_SAMPLE``: a ``dists.LAWS`` law read
+from its scenario's ``sim.SCENARIOS`` sampler, one stream per report through
+``estimate`` and ``compare``.  The other checks read several statistics, a
+share of the reps or no samples.  The mixture identity takes its 498
+given-(n, x1) densities and 1999 atoms as arrays over n, from one
+``prob_n_given_age`` call and one pendant-density pass per regime; it adds
+the density rows in n order and the atoms with Python's ``sum``, as a loop
+over n would, so its report is that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ read_random_interior = Reader(lambda b, d: b.lengths[np.arange(len(b)), b.n + 1 
 read_random_root_edge = Reader(_read_random_root_edge, draw=lambda n: 2)
 read_diversity = Reader(lambda b, d: b.lengths.sum(axis=1))
 read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
+
+# the reader of each ``dists.LAWS`` law a one-sample check reads
+_READERS = {"pendant": read_random_pendant, "interior": read_random_interior,
+            "root-edge": read_random_root_edge}
 
 
 # a batch sampler: (reps, rng, reader draw bounds) -> its TreeBatch blocks,
@@ -379,42 +383,43 @@ class VerifyConfig:
             raise ValueError(f"unknown checks {unknown}; {valid}")
 
 
-def _sampled(cfg, check, stream, sampler, reader, law, mean=None):
-    """``reader`` over ``cfg.reps`` trees of stream ``stream``, compared with ``law``."""
-    rng = sim.RngStream(cfg.seed, stream).generator()
-    samples = estimate(sampler, reader, cfg.reps, rng)
-    return compare(samples, law, check=check, analytic_mean=mean, seed=cfg.seed)
-
-
 def _report(cfg, check, *moments, n_samples=0) -> ComparisonReport:
     """A report of ``(name, analytic, empirical, tolerance)`` moment checks."""
     return ComparisonReport(check=check, n_samples=n_samples, seed=cfg.seed,
                             moments=[MomentCheck(*m) for m in moments])
 
 
-def _check_yule_pendant_n(cfg):
-    # the served pendant law given n, at mu = 0 (where it is Exp(2 lam))
-    p, n = Params(1.0, 0.0), 20
-    return [_sampled(cfg, "yule_pendant_n", 1, partial(sim.batch_yule_given_n, n, p.lam),
-                     read_random_pendant, dists.pendant_dist_given_n(p),
-                     mean=dists.pendant_mean_given_n(p))]
+# each ``dists.LAWS`` row by its (law, scenario)
+_LAW_ROWS = {(r.law, r.scenario): r for r in dists.LAWS}
+
+# One-sample checks: (law, scenario) of a ``dists.LAWS`` row, whether its mean is
+# checked, and per report (label, stream id, the values of the flags
+# ``sim.SCENARIOS`` gives the scenario's sampler, mu), at lam = 1.
+_ONE_SAMPLE = {
+    "yule_pendant_n": ("pendant", "given-n", True, [("yule_pendant_n", 1, {"n": 20}, 0.0)]),
+    "yule_interior_n": ("interior", "given-n", True, [("yule_interior_n", 2, {"n": 20}, 0.0)]),
+    "root_edge_n": ("root-edge", "given-n", True, [
+        (f"root_edge_n:n={n}", 10 + i, {"n": n}, 0.0) for i, n in enumerate((2, 4, 10))]),
+    "pendant_given_n_age": ("pendant", "given-n-age", False, [
+        (f"pendant_given_n_age:lam=1.0,mu={mu},n={n}", 30 + i, {"n": n, "x1": 2.0}, mu)
+        for i, (mu, n) in enumerate((mu, n) for mu in (0.0, 0.5, 1.0) for n in (3, 6))]),
+}
 
 
-def _check_yule_interior_n(cfg):
-    lam, n = 1.0, 20
-    return [_sampled(cfg, "yule_interior_n", 2, partial(sim.batch_yule_given_n, n, lam),
-                     read_random_interior, dists.interior_dist_yule(lam),
-                     mean=1.0 / (2.0 * lam))]
-
-
-def _check_root_edge_n(cfg):
-    lam = 1.0
-    return [
-        _sampled(cfg, f"root_edge_n:n={n}", 10 + i, partial(sim.batch_yule_given_n, n, lam),
-                 read_random_root_edge, dists.root_edge_dist_given_n(n, lam),
-                 mean=dists.root_edge_mean_given_n(n, lam))
-        for i, n in enumerate((2, 4, 10))
-    ]
+def _check_one_sample(name, cfg):
+    """Each report of ``_ONE_SAMPLE[name]``: its stream's ``cfg.reps`` trees through
+    ``estimate`` and ``compare``, every name looked up when called, for tracers."""
+    law_name, scenario, with_mean, reports = _ONE_SAMPLE[name]
+    row, (sampler, flags) = _LAW_ROWS[law_name, scenario], sim.SCENARIOS[scenario]
+    out = []
+    for label, stream, values, mu in reports:
+        p, args = Params(1.0, mu), [values[a] for a in row.args]
+        law = getattr(dists, row.dist)(*args, p)
+        mean = getattr(dists, row.mean)(*args, p) if with_mean else None
+        draw = partial(getattr(sim, sampler), *(values[f] for f in flags), p)
+        samples = estimate(draw, _READERS[law_name], cfg.reps, sim.RngStream(cfg.seed, stream))
+        out.append(compare(samples, law, check=label, analytic_mean=mean, seed=cfg.seed))
+    return out
 
 
 def _check_root_edge_mean(cfg):
@@ -440,20 +445,6 @@ def _check_diversity_gamma(cfg):
     rep.moments.append(MomentCheck("variance", dists.diversity_var_given_n(n, lam),
                                    svar, 3.0 * var_se))
     return [rep]
-
-
-_PENDANT_NX1_GRID = [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
-
-
-def _check_pendant_given_n_age(cfg):
-    x1 = 2.0
-    cases = [(Params(lam, mu), n) for lam, mu in _PENDANT_NX1_GRID for n in (3, 6)]
-    return [
-        _sampled(cfg, f"pendant_given_n_age:lam={p.lam},mu={p.mu},n={n}", 30 + i,
-                 partial(sim.batch_given_n_age, n, x1, p), read_random_pendant,
-                 dists.pendant_dist_given_n_age(n, x1, p))
-        for i, (p, n) in enumerate(cases)
-    ]
 
 
 def _check_given_age_n_law(cfg):
@@ -525,7 +516,7 @@ _MEANS_GRID = [
 def _mean_report(cfg, label, name, scenario, *args):
     """The pendant mean given ``scenario`` against the quadrature mean of its
     law, both named by their ``dists.LAWS`` row, to 1e-6 relative."""
-    row = next(r for r in dists.LAWS if (r.law, r.scenario) == ("pendant", scenario))
+    row = _LAW_ROWS["pendant", scenario]
     mean, quad = getattr(dists, row.mean)(*args), getattr(dists, row.dist)(*args).mean()
     return _report(cfg, f"means_vs_quadrature:{label}", (name, quad, mean, 1e-6 * abs(quad)))
 
@@ -600,12 +591,12 @@ def _check_normalization(cfg):
 
 
 _CHECKS = {
-    "yule_pendant_n": _check_yule_pendant_n,
-    "yule_interior_n": _check_yule_interior_n,
-    "root_edge_n": _check_root_edge_n,
+    "yule_pendant_n": partial(_check_one_sample, "yule_pendant_n"),
+    "yule_interior_n": partial(_check_one_sample, "yule_interior_n"),
+    "root_edge_n": partial(_check_one_sample, "root_edge_n"),
     "root_edge_mean": _check_root_edge_mean,
     "diversity_gamma": _check_diversity_gamma,
-    "pendant_given_n_age": _check_pendant_given_n_age,
+    "pendant_given_n_age": partial(_check_one_sample, "pendant_given_n_age"),
     "given_age_n_law": _check_given_age_n_law,
     "transform_equivalence": _check_transform_equivalence,
     "mixture_identity": _check_mixture_identity,

@@ -1,8 +1,8 @@
 """Forward birth-death simulation, pruning, exact conditioned samplers and
 brute-force oracles.
 
-Each conditioning scenario has one exact sampler, a batch sampler that
-draws ``reps`` trees as :class:`TreeBatch` blocks of arrays:
+Each conditioning scenario (a key of :data:`SCENARIOS`) has one exact
+sampler, a batch sampler that draws ``reps`` trees as :class:`TreeBatch` blocks:
 
 * :func:`batch_yule_given_n` -- pure birth, fixed tip count (exponential
   waits between speciation events, stopped just before the next one),
@@ -132,6 +132,7 @@ __all__ = [
     "FORWARD_NODES",
     "MAX_ATTEMPTS",
     "batch_forward_given_age",
+    "SCENARIOS",
 ]
 
 
@@ -1131,3 +1132,13 @@ def batch_forward_given_age(
             del times, parent  # not held while the next block is drawn
 
     return blocks()
+
+
+# scenario -> (batch sampler, the flags it takes before the rates, which are raw
+# for the rejection oracle); callers look each sampler up by name at call time
+SCENARIOS = {
+    "given-n": ("batch_yule_given_n", ("n",)),
+    "given-n-age": ("batch_given_n_age", ("n", "x1")),
+    "given-age": ("batch_given_age", ("x1",)),
+    "rejection-given-age": ("batch_forward_given_age", ("x1",)),
+}

@@ -89,6 +89,8 @@ class ReconTree:
         return self._labels
 
     def _validate(self):
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("ages must be finite")
         n = self.n
         if len(self.labels) != n:
             raise ValueError("label count must equal leaf count")
@@ -106,10 +108,9 @@ class ReconTree:
             raise ValueError("every internal node must have exactly 2 children")
         if np.any(self.parent[kids] != np.arange(n, 2 * n - 1)[:, None]):
             raise ValueError("children table inconsistent with parents")
+        # finite ages and positive edges leave the root the oldest node
         if np.any(np.delete(self.edge_lengths(), root) <= 0.0):
             raise ValueError("all edge lengths must be > 0")
-        if self.times[root] != self.times.max():
-            raise ValueError("root must carry the maximal age")
 
     @property
     def mrca_age(self) -> float:

@@ -136,6 +136,12 @@ class TestDensity:
 
 
 class TestSimulate:
+    def test_scenarios_are_sims_table(self):
+        # --scenario offers exactly the keys of sim.SCENARIOS, in order
+        scenario = next(a for a in _subcommands()["simulate"]._actions
+                        if a.dest == "scenario")
+        assert scenario.choices == list(sim.SCENARIOS)
+
     def test_ndjson_given_n(self, tmp_path):
         out = tmp_path / "trees.ndjson"
         assert run(["simulate", "--scenario", "given-n", "--n", "6",

@@ -248,6 +248,52 @@ class TestLargeNegativeMu:
         assert math.exp(log_c) == pytest.approx(want_c, rel=1e-14, abs=0.0)
 
 
+class TestLogC:
+    """log c with c = 1 - r, r = lam p0(x1), against 50 digits."""
+
+    @staticmethod
+    def _want(lam, mu, x1):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            l, m = mpmath.mpf(lam), mpmath.mpf(mu)
+            em = -mpmath.expm1(-(l - m) * x1)
+            return float(mpmath.log1p(-l * em / ((l - m) + m * em)))
+
+    # log(lam-mu) - (lam-mu) x1 - log(D(x1)) cancels near c = 1: these lost
+    # 1.0, 2.2e-14, 9.5e-11 and 7.8e-14 relative
+    @pytest.mark.parametrize("lam, mu, x1", [(1.0, -1e20, 1e-23), (1.0, -0.5, 6.7e-4),
+                                             (1.0, 0.999999, 1e-6), (1.0, 0.5, 1e-3)])
+    def test_near_c_1(self, lam, mu, x1):
+        want = self._want(lam, mu, x1)
+        assert _ratio_log_c(x1, Params(lam, mu))[1] == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (1.0, 0.5), (1.0, -0.5), (1.0, 0.999999),
+                                         (1e-4, 5e-5), (1e4, -1e4)])
+    def test_sweep_up_to_r_one_half(self, lam, mu):
+        p = Params(lam, mu)
+        half = math.log((2.0 * lam - mu) / lam) / (lam - mu)  # the x1 of r = 1/2
+        rs = []
+        x1s = [*np.geomspace(1e-300 / lam, half, 200), *np.linspace(half / 2, half, 50)]
+        for x1 in map(float, x1s):
+            r, log_c = _ratio_log_c(x1, p)
+            if r <= 0.5:
+                rs.append(r)
+                assert log_c == pytest.approx(self._want(lam, mu, x1), rel=1e-15, abs=0)
+        assert min(rs) < 1e-299 and max(rs) > 0.49
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (1.0, 0.5), (1.0, -0.5), (1.0, 0.999999)])
+    def test_bits_kept_above_r_one_half(self, lam, mu):
+        # above 1/2 log c keeps its expression from the rates, bit for bit
+        p = Params(lam, mu)
+        d = lam - mu
+        half = math.log((2.0 * lam - mu) / lam) / d
+        for x1 in np.linspace(half * (1 + 1e-12), 1.5 * half, 50).tolist():
+            y = -d * x1
+            r, log_c = _ratio_log_c(x1, p)
+            assert r > 0.5
+            assert log_c == math.log(d) + y - math.log(_denominator(-math.expm1(y), y, p))
+
+
 class TestProbNGivenAge:
     def test_n2_yule(self):
         p = Params(1.0, 0.0)

@@ -284,6 +284,24 @@ class TestVerifySuite:
         assert "normalization" in CHECK_NAMES
         assert len(CHECK_NAMES) == 13
 
+    @pytest.mark.parametrize("name", sorted(mc._ONE_SAMPLE))
+    def test_one_sample_row_resolves(self, name):
+        # a row names a LAWS law with a constructor (and a mean where it checks
+        # one), a sim.SCENARIOS sampler whose flags it gives, and a reader
+        law, scenario, with_mean, reports = mc._ONE_SAMPLE[name]
+        rows = [r for r in dists.LAWS if (r.law, r.scenario) == (law, scenario)]
+        assert len(rows) == 1 and callable(getattr(dists, rows[0].dist))
+        assert not with_mean or callable(getattr(dists, rows[0].mean))
+        sampler, flags = sim.SCENARIOS[scenario]
+        assert callable(getattr(sim, sampler)) and law in mc._READERS
+        assert name in CHECK_NAMES and reports
+        for label, stream, values, _ in reports:
+            assert label.startswith(name) and isinstance(stream, int)
+            assert set(values) == set(flags) >= set(rows[0].args)
+
+    def test_every_law_scenario_is_a_sampled_scenario(self):
+        assert {r.scenario for r in dists.LAWS if r.scenario} <= set(sim.SCENARIOS)
+
     def test_numeric_checks_pass(self):
         cfg = VerifyConfig(
             checks=("mixture_identity", "means_vs_quadrature",

@@ -67,8 +67,12 @@ class TestReconTree:
         ([0.0, 0.0, 1.0], [-1, 0, 0], {}, "root must be an internal node"),
         ([0.0, 0.0, 1.0], [2, 2, -1], {"children": [[0, 3]]},
          "every internal node must have exactly 2 children"),
-        # only a NaN internal age passes the edge-length check and gets this far
-        ([0.0, 0.0, math.nan], [2, 2, -1], {}, "root must carry the maximal age"),
+        # a NaN age passed the edge-length check and was refused as "root must
+        # carry the maximal age"; an infinite one was accepted and written as
+        # "inf", which from_newick refuses
+        ([0.0, 0.0, math.nan], [2, 2, -1], {}, "ages must be finite"),
+        ([0.0, 0.0, math.inf], [2, 2, -1], {}, "ages must be finite"),
+        ([0.0, 0.0, 0.0, math.inf, math.inf], [4, 4, 3, -1, 3], {}, "ages must be finite"),
     ])
     def test_rejects_malformed_table(self, times, parent, kwargs, message):
         with pytest.raises(ValueError, match=message):
