@@ -27,7 +27,10 @@ mean: atom end plus the integral of the survival atom + amp gap(s) (edge +
 slope gap(s)/2) over (0, end).  The given-n mean keeps its closed form.  The
 pure-birth root-edge survivals read the node-depth law G(s | x1) = p0(s)/q
 from the same piece, 1 - G = gap/q.  Special functions come from
-``scipy.special`` only.
+``scipy.special`` only; every quadrature (the pendant means given x1 and
+given (n, x1), ``MixedDist.total_mass`` and ``mean``) is one private,
+globally adaptive 20-point Gauss-Legendre rule that evaluates each round's
+panels in one array call, with its panels and rounds capped.
 
 Mixed distributions (a continuous density on (0, x1) plus a point mass at
 x1, arising because a pendant edge attached to the root has length exactly
@@ -40,6 +43,7 @@ name up here when they call it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -87,15 +91,79 @@ __all__ = [
 ]
 
 
-# the tolerances of MixedDist.total_mass and mean and of the limit constant
+# the tolerances of MixedDist.total_mass and mean
 _QUAD_ABS, _QUAD_REL = 1e-12, 1e-10
-_MAX_SUBDIVISIONS = 200
+# the Gauss-Legendre rule's nodes per panel, and the caps on its panels and rounds
+_NODES, _MAX_PANELS, _MAX_ROUNDS = 20, 2000, 50
 
 
-def _quad(f, a, b) -> float:
-    val, _ = scipy.integrate.quad(f, a, b, epsabs=_QUAD_ABS, epsrel=_QUAD_REL,
-                                  limit=_MAX_SUBDIVISIONS)
-    return val
+@functools.cache
+def _legendre_rule() -> tuple:
+    """The 20-point Gauss-Legendre nodes and weights on (0, 1): the nodes are
+    the eigenvalues of the Jacobi matrix (Golub & Welsch), polished by Newton
+    steps on P_n from its three-term recurrence, which also gives the weights
+    2/((1 - x^2) P_n'(x)^2)."""
+    k = np.arange(1.0, _NODES)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(3):
+        pn, prev = x, np.ones_like(x)
+        for j in range(2, _NODES + 1):
+            pn, prev = ((2 * j - 1) * x * pn - (j - 1) * prev) / j, pn
+        dpn = _NODES * (x * pn - prev) / (x * x - 1.0)
+        x = x - pn / dpn
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dpn * dpn)
+
+
+def _gauss_legendre(f, edges, abs_tol: float, rel_tol: float) -> float:
+    """The integral of ``f`` over (edges[0], edges[-1]), globally adaptive.
+
+    Every panel carries the rule's value on each of its halves, and as its
+    error the gap between their sum and the rule over the whole panel.  Each
+    round halves every panel whose error is over its share of the budget
+    max(abs_tol, rel_tol |integral|), evaluating all of their quarters in one
+    call of ``f`` on an array, until the errors sum to within the budget.  A
+    non-finite value of ``f`` raises ValueError, and more than ``_MAX_PANELS``
+    panels or ``_MAX_ROUNDS`` rounds raise RuntimeError.
+    """
+    x, w = _legendre_rule()
+
+    def rule(lo, hi):
+        s = lo[:, None] + (hi - lo)[:, None] * x
+        y = np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"the integrand is not finite at {s[~np.isfinite(y)][0]!r}")
+        return (hi - lo) * (y @ w)
+
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    whole, left, right = np.split(rule(np.concatenate((lo, lo, mid)),
+                                       np.concatenate((hi, mid, hi))), 3)
+    err = np.abs(whole - left - right)
+    for _ in range(_MAX_ROUNDS):
+        total = float(np.sum(left + right))
+        budget = max(abs_tol, rel_tol * abs(total))
+        if np.sum(err) <= budget:
+            return total
+        cut = err > budget / err.size
+        if err.size + np.count_nonzero(cut) > _MAX_PANELS:
+            break
+        a, b, keep = lo[cut], hi[cut], ~cut
+        m = 0.5 * (a + b)
+        ql, qr = 0.5 * (a + m), 0.5 * (m + b)
+        q1, q2, q3, q4 = np.split(rule(np.concatenate((a, ql, m, qr)),
+                                       np.concatenate((ql, m, qr, b))), 4)
+        err = np.concatenate((err[keep], np.abs(left[cut] - q1 - q2),
+                              np.abs(right[cut] - q3 - q4)))
+        lo, hi = np.concatenate((lo[keep], a, m)), np.concatenate((hi[keep], m, b))
+        left = np.concatenate((left[keep], q1, q3))
+        right = np.concatenate((right[keep], q2, q4))
+    raise RuntimeError(f"quadrature did not converge: error {np.sum(err):.3g} over "
+                       f"{err.size} panels")
+
+
+# the powers of ten at which a law's scale is read; _DECADES[_UNIT] is 1
+_DECADES, _UNIT = 10.0 ** np.arange(-308.0, 309.0), 308
 
 
 # below this r the closed forms' 1/r terms cancel, so the series are summed;
@@ -116,8 +184,10 @@ class MixedDist:
     they run without numpy's overflow warning: a rate times an s
     past the float range is inf, whose e^-inf = 0 is the law's limit there
     (a nan it led to would still warn).  ``total_mass`` and
-    ``mean`` integrate the density by quadrature, to the module's one
-    tolerance pair.
+    ``mean`` integrate the density with the module's adaptive Gauss-Legendre
+    rule, calling ``pdf`` on whole arrays, on the law's own scale (read from
+    its ``cdf``) and to the module's one tolerance pair in units of it; a
+    non-finite density value raises ValueError.
     """
 
     support_end: float
@@ -138,21 +208,39 @@ class MixedDist:
 
     def total_mass(self) -> float:
         """Quadrature of the density plus the atom; should be 1."""
-        return _quad(self.pdf, 0.0, self.support_end) + self.atom_weight
+        return self._moment(0) + self.atom_weight
 
     def mean(self) -> float:
-        m = _quad(lambda s: s * self.pdf(s), 0.0, self.support_end)
+        m = self._moment(1)
         if self.atom_weight > 0.0:
             m += self.atom_weight * self.support_end
         return m
 
+    def _moment(self, k: int) -> float:
+        """The integral of s^k pdf(s) over (0, support_end), in units of the
+        law's own scale: the first power of ten (or the end) where the cdf
+        passes half the continuous mass, or 1 where it passes none.  A finite
+        end is cut at each power of ten from a tenth of the scale on; an
+        infinite one is mapped to 1 by s = scale t/(1 - t), cut at t = 1/11,
+        1/2 and 10/11."""
+        end = self.support_end
+        grid = np.append(_DECADES[_DECADES < end], end) if math.isfinite(end) else _DECADES
+        past = np.flatnonzero(self.cdf(grid) > 0.5 * (1.0 - self.atom_weight))
+        i = past[0] if past.size else min(_UNIT, grid.size - 1)
+        scale = float(grid[i])
+        g = lambda s: (s / scale) ** k * self.pdf(s)
+        if math.isfinite(end):
+            moment = _gauss_legendre(g, [0.0, *grid[max(i - 1, 0):]], _QUAD_ABS, _QUAD_REL)
+        else:
+            moment = _gauss_legendre(lambda t: g(scale * t / (1.0 - t)) * scale / (1.0 - t) ** 2,
+                                     [0.0, 1.0 / 11.0, 0.5, 10.0 / 11.0, 1.0], _QUAD_ABS, _QUAD_REL)
+        return scale ** k * moment
+
 
 def _up_to(end: float, f: Callable, past: float) -> Callable:
-    """``f`` on s <= ``end`` and ``past`` beyond; a float s, as the
-    quadratures pass, and an array within the end skip the rest of numpy."""
+    """``f`` on s <= ``end`` and ``past`` beyond; an s within the end skips
+    the rest of numpy."""
     def law(s):
-        if isinstance(s, float):
-            return past if s > end else f(s)
         beyond = np.asarray(s) > end
         if not np.count_nonzero(beyond):
             return f(s)
@@ -207,9 +295,9 @@ def _pendant_pdf(s, end: float, amp, edge: float, slope, p: Params):
 def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
                   atom: float, p: Params) -> float:
     """The mean of :func:`_pendant_law` for a finite end: atom end plus the
-    survival's integral, in t = s/end, split at 10, 100, ... times the scale
-    1/(lam + |mu|) over which the gap falls off, with room for three
-    subdivisions a split.  Every caller's x1 passed ``kernel._check_age``, so
+    survival's integral, in t = s/end, to 1e-13 relative, its first panels
+    cut at 10, 100, ... times the scale 1/(lam + |mu|) over which the gap
+    falls off.  Every caller's x1 passed ``kernel._check_age``, so
     (lam + |mu|) x1 is a positive float.
     """
     def tail(t):
@@ -217,10 +305,8 @@ def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
         return gap * (edge + 0.5 * slope * gap)
 
     scale = (p.lam + abs(p.mu)) * end
-    points = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
-    val, _ = scipy.integrate.quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
-                                  limit=_MAX_SUBDIVISIONS + 3 * len(points), points=points or None)
-    return float(atom * end + amp * end * val)
+    cuts = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
+    return float(atom * end + amp * end * _gauss_legendre(tail, [0.0, *cuts, 1.0], 0.0, 1e-13))
 
 
 def pendant_dist_given_n(p: Params) -> MixedDist:
@@ -530,15 +616,10 @@ def root_edge_limit_constant() -> float:
     """The constant c = int_0^inf (1 - e^{-x}) / (x(2+x)) dx = 0.8158...
 
     Scaled by 1/lam, this is the large-n limit of the expected root-edge
-    length when lam is set to its ML value ln(n/2)/x1.
+    length when lam is set to its ML value ln(n/2)/x1.  With 1/(x(2+x)) =
+    (1/x - 1/(2+x))/2 it is (gamma + ln 2 + e^2 E1(2))/2 in closed form.
     """
-    val, err = scipy.integrate.quad(
-        lambda x: scipy.special.exprel(-x) / (2.0 + x), 0.0, np.inf,
-        epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=400,
-    )
-    if not math.isfinite(val) or err > 1e-6:
-        raise RuntimeError(f"quadrature did not converge (err={err})")
-    return val
+    return 0.5 * (np.euler_gamma + math.log(2.0) + math.exp(2.0) * float(scipy.special.exp1(2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ over n would, so its report is that loop's bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -568,20 +569,28 @@ def _check_diversity_mean_age(cfg):
                     n_samples=len(samples))]
 
 
+# the rates at which ``normalization`` integrates every law, a pure-birth law at
+# the Yule ones only: lam = 1 at four mu, then scales far from 1
+_MASS_RATES = (Params(1.0, 0.0), Params(1.0, 0.5), Params(1.0, 1.0), Params(1.0, -0.5),
+               Params(1e4, 0.0), Params(1.0, -1e6))
+
+
 def _normalization_laws():
     """(name, law) for every density law of ``dists.LAWS`` at each of its
-    ``mass_at`` arguments, at lam = 1: a pure-birth law named by those
-    arguments, any other at each of four mu, named by mu."""
+    ``mass_at`` arguments and each rate of ``_MASS_RATES``: a pure-birth law
+    named by those arguments, any other by mu, and either by lam where it is
+    not 1."""
     for row in dists.LAWS:
-        for args in row.mass_at:
+        for args, p in itertools.product(row.mass_at, _MASS_RATES):
+            if row.pure_birth and not p.is_yule:
+                continue
+            tag = [f"{a}={v}" for a, v in zip(row.args, args)] if row.pure_birth else []
+            if p.lam != 1.0:
+                tag.append(f"lam={p.lam}")
+            if not row.pure_birth:
+                tag.append(f"mu={p.mu}")
             name = row.dist.replace("_dist", "").replace("_given", "")
-            law = partial(getattr(dists, row.dist), *args)
-            if row.pure_birth:
-                tag = ",".join(f"{a}={v}" for a, v in zip(row.args, args))
-                yield f"{name}[{tag}]" if tag else name, law(1.0)
-            else:
-                for mu in (0.0, 0.5, 1.0, -0.5):
-                    yield f"{name}[mu={mu}]", law(Params(1.0, mu))
+            yield f"{name}[{','.join(tag)}]" if tag else name, getattr(dists, row.dist)(*args, p)
 
 
 def _check_normalization(cfg):

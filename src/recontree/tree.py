@@ -103,9 +103,14 @@ class ReconTree:
             raise ValueError("root must be an internal node")
         if np.any(self.times[:n] != 0.0):
             raise ValueError("leaf ages must be 0")
+        others = np.delete(self.parent, root)
+        if np.any((others < n) | (others >= 2 * n - 1)):
+            raise ValueError(f"every parent must be an internal node, in [{n}, {2 * n - 1})")
         kids = self.children
         if kids.shape != (n - 1, 2) or np.any((kids < 0) | (kids >= 2 * n - 1)):
             raise ValueError("every internal node must have exactly 2 children")
+        if np.any(np.bincount(kids.ravel(), minlength=2 * n - 1) != (np.arange(2 * n - 1) != root)):
+            raise ValueError("the children table must list every non-root node exactly once")
         if np.any(self.parent[kids] != np.arange(n, 2 * n - 1)[:, None]):
             raise ValueError("children table inconsistent with parents")
         # finite ages and positive edges leave the root the oldest node

@@ -697,9 +697,12 @@ for argv in (
     assert cli.main([*argv, *out]) == 0, argv
 loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.stats") if m in sys.modules]
 assert not loaded, f"loaded {loaded}"
-# the laws that need scipy still load it on first use
+# diversity and expect load scipy.special on first use, and no command loads
+# scipy.integrate: every quadrature is dists' own Gauss-Legendre rule
 assert cli.main([*density, "diversity", "--n", "5", *out]) == 0
 assert cli.main(["expect", *out]) == 0
+assert "scipy.special" in sys.modules
+assert "scipy.integrate" not in sys.modules, "expect loaded scipy.integrate"
 """
 
 
@@ -716,7 +719,7 @@ def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
 
 
 # Every density law, expect and simulate, in one fresh interpreter: none of
-# them loads scipy.stats, and neither does verify (see below).
+# them loads scipy.stats or scipy.integrate, and neither does verify (see below).
 _NO_SCIPY_STATS_SCRIPT = """
 import os, sys
 from recontree import cli, dists
@@ -732,6 +735,7 @@ for row in dists.LAWS:
 for argv in runs:
     assert cli.main([*argv, "-o", os.path.join(sys.argv[1], "out")]) == 0, argv
     assert "scipy.stats" not in sys.modules, argv
+    assert "scipy.integrate" not in sys.modules, argv
 """
 
 
@@ -740,7 +744,8 @@ def test_density_expect_and_simulate_load_no_scipy_stats(tmp_path):
 
 
 # The whole verify suite, in a fresh interpreter: its two-sample KS and
-# chi-square p-values come from numpy and scipy.special, not scipy.stats.
+# chi-square p-values come from numpy and scipy.special, not scipy.stats, and
+# its masses and means from dists' own quadrature, not scipy.integrate.
 _VERIFY_NO_SCIPY_STATS_SCRIPT = """
 import os, sys
 from recontree import cli
@@ -748,6 +753,7 @@ from recontree import cli
 out = ["-o", os.path.join(sys.argv[1], "v.json")]
 assert cli.main(["verify", "--reps", "1000", "--seed", "20260824", *out]) == 0
 assert "scipy.stats" not in sys.modules, "verify loaded scipy.stats"
+assert "scipy.integrate" not in sys.modules, "verify loaded scipy.integrate"
 """
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from recontree import dists, kernel, mc
 from recontree.dists import MixedDist
@@ -426,15 +426,15 @@ class TestPendantLaws:
         # ulps (near 1 - atom its true steps are below one ulp, and the cdf,
         # a product of a rising and a falling factor, rounds either way);
         # a law with a finite end holds all its mass; the mean is finite and
-        # within [atom end, end]; numpy floating-point warnings and scipy
-        # integration warnings are errors
+        # within [atom end, end]; numpy floating-point warnings and every
+        # warning of the mean are errors
         p = Params(lam, ratio * lam)
         s = _FRACS * x1
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for name, build in PENDANT_LAWS.items():
                 law = build(n, x1, p)
                 with warnings.catch_warnings():
-                    warnings.simplefilter("error", IntegrationWarning)
+                    warnings.simplefilter("error")
                     m = PENDANT_MEANS[name](n, x1, p)
                 # the mean lies between the atom's share of it and the end
                 assert math.isfinite(m) and m > 0.0, name
@@ -1055,3 +1055,103 @@ class TestCounts:
             prob_n_given_age(v, 1.5, SUB) for v in range(2, 8)]
         with pytest.raises(ValueError, match=r"^n must be an integer, got array\(\[2\.5"):
             prob_n_given_age(np.array([2.5, 3.0]), 1.5, SUB)
+
+
+# every constructor row of dists.LAWS at each of its mass_at arguments, at
+# lam in {1e-4, 1, 1e4} and each mu regime the row serves
+_SCALED_LAWS = [
+    (row, args, Params(lam, ratio * lam))
+    for row in dists.LAWS if row.dist
+    for args in row.mass_at
+    for lam in (1e-4, 1.0, 1e4)
+    for ratio in ((0.0,) if row.pure_birth else (0.0, 0.5, 1.0, -0.5, -1e6))
+]
+
+
+def _tail_mean_by_scipy(end, q, amp, edge, slope, atom, p):
+    """:func:`dists._pendant_mean` with scipy's QUADPACK, on the same cuts."""
+    def tail(t):
+        gap = kernel._p1_gap(t * end, end, p)[1]
+        return gap * (edge + 0.5 * slope * gap)
+
+    scale = (p.lam + abs(p.mu)) * end
+    points = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
+    val, _ = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200 + 3 * len(points),
+                  points=points or None)
+    return atom * end + amp * end * val
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("row, args, p", _SCALED_LAWS, ids=[
+        f"{row.dist}{args}-lam={p.lam:g},mu={p.mu:g}" for row, args, p in _SCALED_LAWS])
+    def test_mass_and_mean_on_every_scale(self, row, args, p):
+        law = getattr(dists, row.dist)(*args, p)
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-10)
+        if row.mean:
+            want = getattr(dists, row.mean)(*args, p)
+            assert law.mean() == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("law, mean", [
+        (dists.pendant_dist_given_n(Params(1.0, -1e6)),
+         dists.pendant_mean_given_n(Params(1.0, -1e6))),
+        (dists.interior_dist_yule(1e4), 5e-5),
+        (dists.root_edge_dist_given_n(4, 1e4), 7.5e-5),
+    ])
+    def test_mass_far_below_scale_one(self, law, mean):
+        # scipy's quad over (0, inf) never sampled the 1/|mu| or 1/lam scale:
+        # these masses read 0.0, 2.9e-17 and 0.0, and the means 0 or 6.3e-20
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-10)
+        assert law.mean() == pytest.approx(mean, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("coefs, p", [
+        *((dists._pendant_coefs_given_n_age(n, x1, Params(lam, mu)), Params(lam, mu))
+          for n, x1, lam, mu in mc._MEANS_GRID),
+        *((coefs(Params(1.0, -1e20)), Params(1.0, -1e20)) for coefs in (
+            lambda p: dists._pendant_coefs_given_n_age(5, 1.0, p),
+            lambda p: dists._pendant_coefs_given_age(1.0, p))),
+        *((coefs(Params(lam, ratio * lam)), Params(lam, ratio * lam))
+          for lam, x1 in ((1e100, 1e100), (1.0, 1e200))
+          for ratio in (0.0, 0.5, -1.0, 1.0)
+          for coefs in (lambda p, x1=x1: dists._pendant_coefs_given_n_age(5, x1, p),
+                        lambda p, x1=x1: dists._pendant_coefs_given_age(x1, p))),
+    ])
+    def test_pendant_mean_matches_quadpack(self, coefs, p):
+        assert dists._pendant_mean(*coefs, p) == pytest.approx(
+            _tail_mean_by_scipy(*coefs, p), rel=1e-13, abs=0.0)
+
+    def test_nan_integrand_raises_at_once(self):
+        calls = []
+
+        def pdf(s):
+            calls.append(s.size)
+            return np.where(s > 0.5, np.nan, 1.0)
+
+        law = MixedDist(support_end=1.0, pdf=pdf, cdf=lambda s: np.minimum(s, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            law.total_mass()
+        assert len(calls) == 1
+
+    def test_noise_is_refused_within_the_caps(self):
+        rng = np.random.default_rng(1)
+        sizes = []
+
+        def noise(s):
+            sizes.append(s.size)
+            return rng.random(s.size)
+
+        with pytest.raises(RuntimeError, match="did not converge"):
+            dists._gauss_legendre(noise, [0.0, 1.0], dists._QUAD_ABS, dists._QUAD_REL)
+        assert max(sizes) <= 4 * dists._MAX_PANELS * dists._NODES
+        assert len(sizes) <= dists._MAX_ROUNDS + 1
+
+    def test_rule_integrates_polynomials_exactly(self):
+        # 20 Gauss-Legendre nodes are exact to degree 39
+        x, w = dists._legendre_rule()
+        for k in (0, 1, 19, 39):
+            assert float(np.sum(w * x ** k)) == pytest.approx(1.0 / (k + 1), rel=1e-14)
+
+    def test_limit_constant_matches_50_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = mpmath.quad(lambda x: -mpmath.expm1(-x) / (x * (2 + x)), [0, 1, mpmath.inf])
+        assert dists.root_edge_limit_constant() == pytest.approx(float(want), rel=1e-15, abs=0.0)

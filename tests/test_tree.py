@@ -73,6 +73,15 @@ class TestReconTree:
         ([0.0, 0.0, math.nan], [2, 2, -1], {}, "ages must be finite"),
         ([0.0, 0.0, math.inf], [2, 2, -1], {}, "ages must be finite"),
         ([0.0, 0.0, 0.0, math.inf, math.inf], [4, 4, 3, -1, 3], {}, "ages must be finite"),
+        # a table that lists node 3 twice and node 2 never was accepted, and
+        # to_newick wrote unbalanced text; a parent past the last node raised
+        # IndexError
+        ([0.0, 0.0, 0.0, 1.0, 2.0], [3, 3, 4, 4, -1], {"children": [[0, 1], [3, 3]]},
+         "list every non-root node exactly once"),
+        ([0.0, 0.0, 0.0, 1.0, 2.0], [3, 3, 9, 4, -1], {"children": [[0, 1], [3, 3]]},
+         r"every parent must be an internal node, in \[3, 5\)"),
+        ([0.0, 0.0, 0.0, 1.0, 2.0], [3, 3, 9, 4, -1], {}, "every parent must be an internal node"),
+        ([0.0, 0.0, 0.0, 1.0, 2.0], [3, 3, 1, 4, -1], {}, "every parent must be an internal node"),
     ])
     def test_rejects_malformed_table(self, times, parent, kwargs, message):
         with pytest.raises(ValueError, match=message):
