@@ -37,8 +37,8 @@ x1, arising because a pendant edge attached to the root has length exactly
 x1) carry an explicit ``atom_weight``, never a numerical spike.  Closed-form
 moments (``*_mean``, ``*_var``, ``*_mgf``) and the survival functions that
 have no constructor are plain functions.  ``LAWS`` names each served law's
-constructor and mean once; the CLI and the verify suite read it, looking each
-name up here when they call it.
+constructor, mean and variance once; the CLI and the verify suite read it,
+looking each name up here when they call it.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _gauss_legendre(f, edges, abs_tol: float, rel_tol: float) -> float:
 
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi overflows near the largest float
     whole, left, right = np.split(rule(np.concatenate((lo, lo, mid)),
                                        np.concatenate((hi, mid, hi))), 3)
     err = np.abs(whole - left - right)
@@ -149,8 +149,8 @@ def _gauss_legendre(f, edges, abs_tol: float, rel_tol: float) -> float:
         if err.size + np.count_nonzero(cut) > _MAX_PANELS:
             break
         a, b, keep = lo[cut], hi[cut], ~cut
-        m = 0.5 * (a + b)
-        ql, qr = 0.5 * (a + m), 0.5 * (m + b)
+        m = 0.5 * a + 0.5 * b
+        ql, qr = 0.5 * a + 0.5 * m, 0.5 * m + 0.5 * b
         q1, q2, q3, q4 = np.split(rule(np.concatenate((a, ql, m, qr)),
                                        np.concatenate((ql, m, qr, b))), 4)
         err = np.concatenate((err[keep], np.abs(left[cut] - q1 - q2),
@@ -298,15 +298,22 @@ def _pendant_mean(end: float, q: float, amp: float, edge: float, slope: float,
     survival's integral, in t = s/end, to 1e-13 relative, its first panels
     cut at 10, 100, ... times the scale 1/(lam + |mu|) over which the gap
     falls off.  Every caller's x1 passed ``kernel._check_age``, so
-    (lam + |mu|) x1 is a positive float.
+    (lam + |mu|) x1 is a positive float.  The integral, about the survival's
+    peak q (edge + slope q/2) over (lam + |mu|) x1, is taken times 2^k, k >= 0
+    leaving the peak under (lam + |mu|) x1, and amp times 2^-k, so that neither
+    it nor amp end underflows or overflows (as ``kernel._p1_gap`` scales its
+    gap); scaling by 2^k is exact, so wherever nothing underflowed unscaled the
+    rule cuts the same panels and the mean keeps its bits.
     """
     def tail(t):
         gap = _p1_gap(t * end, end, p)[1]
-        return gap * (edge + 0.5 * slope * gap)
+        return np.ldexp(gap * (edge + 0.5 * slope * gap), k)
 
     scale = (p.lam + abs(p.mu)) * end
-    cuts = [10.0 ** k / scale for k in range(1, math.ceil(math.log10(scale)))]
-    return float(atom * end + amp * end * _gauss_legendre(tail, [0.0, *cuts, 1.0], 0.0, 1e-13))
+    k = max(math.frexp(scale)[1] - math.frexp(q * (edge + 0.5 * slope * q))[1] - 1, 0)
+    cuts = [10.0 ** j / scale for j in range(1, math.ceil(math.log10(scale)))]
+    integral = _gauss_legendre(tail, [0.0, *cuts, 1.0], 0.0, 1e-13)
+    return float(atom * end + math.ldexp(amp, -k) * end * integral)
 
 
 def pendant_dist_given_n(p: Params) -> MixedDist:
@@ -669,11 +676,20 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
         raise ValueError("MGF argument must be < lam")
     ratio = x1 * scipy.special.exprel((s - lam) * x1)  # (1 - e^{(s-lam) x1})/(lam-s)
     base = lam * ratio / (-math.expm1(-lam * x1))
+    # base = lam/(lam-s) (1 + v), v = e^-y expm1(s x1)/expm1(-y), y = lam x1: at |s| <
+    # lam/4 (r = s there, 0 elsewhere) its log is log1p(v) - log1p(-r/lam), each term
+    # O(s/lam) and formed without cancellation (e^-y expm1(r x1) from factors of size at
+    # most 1), so the power keeps its digits however large n is, where it would raise
+    # base's rounding to n - 2
+    r, y = np.where(np.abs(s) < 0.25 * lam, s, 0.0), lam * x1
+    rx = r * x1
+    v = np.sign(rx) * np.exp(np.maximum(rx, 0.0) - y) * -np.expm1(-np.abs(rx)) / math.expm1(-y)
+    log_base = np.where(r == s, np.log1p(v) - np.log1p(-r / lam), np.log(base))
     # both factors are >= 1 at s >= 0 and <= 1 at s <= 0: their log sum bounds each
-    past = 2.0 * x1 * s + (n - 2) * np.log(base) > math.log(sys.float_info.max)
+    past = 2.0 * x1 * s + (n - 2) * log_base > math.log(sys.float_info.max)
     if np.any(past):
         raise ValueError(f"the diversity MGF at s={s[past][0]:g}, n={n} is past the float range")
-    out = np.exp(2.0 * x1 * s) * base ** (n - 2)
+    out = np.exp(2.0 * x1 * s) * np.exp((n - 2) * log_base)
     return out if out.ndim else float(out)
 
 
@@ -709,8 +725,10 @@ def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
 # One row per served law, by name: its ``density --law`` and ``--scenario`` keys
 # (None: it takes no scenario), its argument names before the rates, in call
 # order, its constructor and mean here (or None), its density header, whether it
-# is pure birth only, and the arguments at which ``normalization`` integrates it.
-_Law = namedtuple("Law", "law scenario args dist mean header pure_birth mass_at", defaults=((),))
+# is pure birth only, the arguments at which ``normalization`` integrates it, and
+# its variance here (or None).
+_Law = namedtuple("Law", "law scenario args dist mean header pure_birth mass_at var",
+                  defaults=((), None))
 
 LAWS = (
     _Law("pendant", "given-n", (), "pendant_dist_given_n", "pendant_mean_given_n",
@@ -730,7 +748,7 @@ LAWS = (
     _Law("hypoexp", None, ("k",), "hypoexp_dist", "hypoexp_mean", "hypoexponential k={k}",
          True, ((2,), (10,), (35,), (60,))),
     _Law("diversity", "given-n", ("n",), "diversity_dist_given_n", "diversity_mean_given_n",
-         "diversity | n={n} (pure birth)", True, ((2,), (4,), (10,))),
+         "diversity | n={n} (pure birth)", True, ((2,), (4,), (10,)), "diversity_var_given_n"),
     _Law("diversity", "given-n-age", ("n", "x1"), None, "diversity_mean_given_n_age",
          "diversity | n={n}, x1={x1} (pure birth)", True),
     _Law("diversity", "given-age", ("x1",), None, "diversity_mean_given_age",

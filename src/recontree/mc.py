@@ -27,8 +27,9 @@ Conventions (fixed for the whole tool, as module constants):
 
 Each one-sample check is a row of ``_ONE_SAMPLE``: a ``dists.LAWS`` law read
 from its scenario's ``sim.SCENARIOS`` sampler, one stream per report through
-``estimate`` and ``compare``.  The other checks read several statistics, a
-share of the reps or no samples.  The mixture identity takes its 498
+``estimate`` and ``compare``, plus the variance the law's row names.  The
+other checks read several statistics, two samples, a share of the reps, two
+streams or no samples.  The mixture identity takes its 498
 given-(n, x1) densities and 1999 atoms as arrays over n, from one
 ``prob_n_given_age`` call and one pendant-density pass per regime; it adds
 the density rows in n order and the atoms with Python's ``sum``, as a loop
@@ -110,7 +111,7 @@ read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
 
 # the reader of each ``dists.LAWS`` law a one-sample check reads
 _READERS = {"pendant": read_random_pendant, "interior": read_random_interior,
-            "root-edge": read_random_root_edge}
+            "root-edge": read_random_root_edge, "diversity": read_diversity}
 
 
 # a batch sampler: (reps, rng, reader draw bounds) -> its TreeBatch blocks,
@@ -278,6 +279,14 @@ def _mean_moment(name: str, analytic: float, samples: np.ndarray) -> tuple:
     return name, analytic, float(samples.mean()), 3.0 * se
 
 
+def _var_moment(name: str, analytic: float, samples: np.ndarray) -> tuple:
+    """(name, analytic, empirical, tolerance) of a sample variance within 3 SE,
+    the SE from the fourth central moment."""
+    svar = float(samples.var(ddof=1))
+    mu4 = float(np.mean((samples - samples.mean()) ** 4))
+    return name, analytic, svar, 3.0 * np.sqrt(max(mu4 - svar ** 2, 0.0) / len(samples))
+
+
 def _p_value_check(p: float) -> KsCheck:
     """A p-value above ``_ALPHA``, encoded as "stat < threshold" on 1 - p."""
     return KsCheck(stat=1.0 - p, threshold=1.0 - _ALPHA)
@@ -393,14 +402,15 @@ def _report(cfg, check, *moments, n_samples=0) -> ComparisonReport:
 # each ``dists.LAWS`` row by its (law, scenario)
 _LAW_ROWS = {(r.law, r.scenario): r for r in dists.LAWS}
 
-# One-sample checks: (law, scenario) of a ``dists.LAWS`` row, whether its mean is
-# checked, and per report (label, stream id, the values of the flags
-# ``sim.SCENARIOS`` gives the scenario's sampler, mu), at lam = 1.
+# One-sample checks: (law, scenario) of a ``dists.LAWS`` row, whether its mean and
+# any variance it names are checked, and per report (label, stream id, the values
+# of the flags ``sim.SCENARIOS`` gives the scenario's sampler, mu), at lam = 1.
 _ONE_SAMPLE = {
     "yule_pendant_n": ("pendant", "given-n", True, [("yule_pendant_n", 1, {"n": 20}, 0.0)]),
     "yule_interior_n": ("interior", "given-n", True, [("yule_interior_n", 2, {"n": 20}, 0.0)]),
     "root_edge_n": ("root-edge", "given-n", True, [
         (f"root_edge_n:n={n}", 10 + i, {"n": n}, 0.0) for i, n in enumerate((2, 4, 10))]),
+    "diversity_gamma": ("diversity", "given-n", True, [("diversity_gamma", 20, {"n": 10}, 0.0)]),
     "pendant_given_n_age": ("pendant", "given-n-age", False, [
         (f"pendant_given_n_age:lam=1.0,mu={mu},n={n}", 30 + i, {"n": n, "x1": 2.0}, mu)
         for i, (mu, n) in enumerate((mu, n) for mu in (0.0, 0.5, 1.0) for n in (3, 6))]),
@@ -409,7 +419,7 @@ _ONE_SAMPLE = {
 
 def _check_one_sample(name, cfg):
     """Each report of ``_ONE_SAMPLE[name]``: its stream's ``cfg.reps`` trees through
-    ``estimate`` and ``compare``, every name looked up when called, for tracers."""
+    ``estimate``, ``compare`` and ``_var_moment``, names looked up when called, for tracers."""
     law_name, scenario, with_mean, reports = _ONE_SAMPLE[name]
     row, (sampler, flags) = _LAW_ROWS[law_name, scenario], sim.SCENARIOS[scenario]
     out = []
@@ -420,6 +430,9 @@ def _check_one_sample(name, cfg):
         draw = partial(getattr(sim, sampler), *(values[f] for f in flags), p)
         samples = estimate(draw, _READERS[law_name], cfg.reps, sim.RngStream(cfg.seed, stream))
         out.append(compare(samples, law, check=label, analytic_mean=mean, seed=cfg.seed))
+        if with_mean and row.var:
+            var = _var_moment("variance", getattr(dists, row.var)(*args, p), samples)
+            out[-1].moments.append(MomentCheck(*var))
     return out
 
 
@@ -431,21 +444,6 @@ def _check_root_edge_mean(cfg):
     return [_report(cfg, "root_edge_mean",
                     _mean_moment("mean", dists.root_edge_mean_given_n(n, lam), samples),
                     n_samples=len(samples))]
-
-
-def _check_diversity_gamma(cfg):
-    lam, n = 1.0, 10
-    rng = sim.RngStream(cfg.seed, 20).generator()
-    samples = estimate(partial(sim.batch_yule_given_n, n, lam), read_diversity, cfg.reps, rng)
-    rep = compare(samples, dists.diversity_dist_given_n(n, lam), check="diversity_gamma",
-                  analytic_mean=dists.diversity_mean_given_n(n, lam), seed=cfg.seed)
-    # variance within 3 SE of the sample variance
-    svar = float(samples.var(ddof=1))
-    mu4 = float(np.mean((samples - samples.mean()) ** 4))
-    var_se = np.sqrt(max(mu4 - svar ** 2, 0.0) / len(samples))
-    rep.moments.append(MomentCheck("variance", dists.diversity_var_given_n(n, lam),
-                                   svar, 3.0 * var_se))
-    return [rep]
 
 
 def _check_given_age_n_law(cfg):
@@ -604,7 +602,7 @@ _CHECKS = {
     "yule_interior_n": partial(_check_one_sample, "yule_interior_n"),
     "root_edge_n": partial(_check_one_sample, "root_edge_n"),
     "root_edge_mean": _check_root_edge_mean,
-    "diversity_gamma": _check_diversity_gamma,
+    "diversity_gamma": partial(_check_one_sample, "diversity_gamma"),
     "pendant_given_n_age": partial(_check_one_sample, "pendant_given_n_age"),
     "given_age_n_law": _check_given_age_n_law,
     "transform_equivalence": _check_transform_equivalence,

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -452,9 +453,10 @@ class TestPendantLaws:
 class TestLawConstructors:
     def test_law_table_names_every_constructor_and_mean_once(self):
         # each served law is one row of dists.LAWS: a *_dist* constructor or a
-        # *_mean* function in __all__ with no row, or in two rows, fails here
-        named = [name for row in dists.LAWS for name in (row.dist, row.mean) if name]
-        served = [name for name in dists.__all__ if "_dist" in name or "_mean" in name]
+        # *_mean* or *_var* function in __all__ with no row, or in two rows, fails here
+        named = [name for row in dists.LAWS for name in (row.dist, row.mean, row.var) if name]
+        served = [name for name in dists.__all__
+                  if "_dist" in name or "_mean" in name or "_var" in name]
         assert sorted(named) == sorted(served)
         for row in dists.LAWS:
             assert row.dist or not row.mass_at, row
@@ -717,6 +719,23 @@ class TestDiversity:
     def test_mgf_rejects_large_argument(self):
         with pytest.raises(ValueError):
             dists.diversity_mgf_given_n_age(1.0, 6, 2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [10**6, 2**40, 2**70])
+    def test_mgf_at_zero_is_exactly_1_at_large_n(self, n):
+        # base ** (n - 2) raised base's one-ulp rounding to the power: it read
+        # 0.9999999998889779, 0.99987794 and 0.0
+        assert dists.diversity_mgf_given_n_age(0.0, n, 1.5, 1.0) == 1.0
+
+    @pytest.mark.parametrize("s", [1e-3, -1e-3])
+    def test_mgf_at_large_n_matches_50_digits(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        n, x1, lam = 10**6, 1.5, 1.0
+        with mpmath.workdps(50):
+            s_, x1_ = mpmath.mpf(s), mpmath.mpf(x1)
+            base = -mpmath.expm1((s_ - lam) * x1_) / ((lam - s_) * -mpmath.expm1(-lam * x1_))
+            want = float(mpmath.exp(2 * x1_ * s_) * (lam * base) ** (n - 2))
+        got = dists.diversity_mgf_given_n_age(s, n, x1, lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [2**70, 10**6])
     def test_mgf_past_the_float_range_is_refused(self, n):
@@ -1081,6 +1100,23 @@ def _tail_mean_by_scipy(end, q, amp, edge, slope, atom, p):
     return atom * end + amp * end * val
 
 
+def _largest_age(p: Params) -> float:
+    """The largest x1 ``kernel._check_age`` takes at p: (lam + |mu|) x1 stays finite."""
+    x1 = min(sys.float_info.max / (p.lam + abs(p.mu)), sys.float_info.max)
+    while not math.isfinite((p.lam + abs(p.mu)) * x1):
+        x1 = math.nextafter(x1, 0.0)
+    return x1
+
+
+# each rate pair at (lam + |mu|) x1 = 1e-3, 1e7, ..., 1e307 below its largest age, and that age
+_PENDANT_SWEEP = [
+    (p, x1) for p in (Params(1e100, 5e99), Params(1e100, -1e100), Params(1e-100, 0.0),
+                      Params(1.0, 0.5))
+    for x1 in [10.0 ** e / (p.lam + abs(p.mu)) for e in range(-3, 309, 10)
+               if 10.0 ** e / (p.lam + abs(p.mu)) < _largest_age(p)] + [_largest_age(p)]
+]
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("row, args, p", _SCALED_LAWS, ids=[
         f"{row.dist}{args}-lam={p.lam:g},mu={p.mu:g}" for row, args, p in _SCALED_LAWS])
@@ -1090,6 +1126,37 @@ class TestQuadrature:
         if row.mean:
             want = getattr(dists, row.mean)(*args, p)
             assert law.mean() == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("row, args, p", [c for c in _SCALED_LAWS if c[0].var], ids=[
+        f"{row.var}{args}-lam={p.lam:g}" for row, args, p in _SCALED_LAWS if row.var])
+    def test_variance_is_the_second_central_moment(self, row, args, p):
+        # the variance a LAWS row names is its law's, which verify checks beside the mean
+        law = getattr(dists, row.dist)(*args, p)
+        second = law._moment(2) + (law.atom_weight * law.support_end ** 2 if law.atom_weight
+                                   else 0.0)
+        want = second - law.mean() ** 2
+        assert getattr(dists, row.var)(*args, p) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("p, x1", _PENDANT_SWEEP, ids=[
+        f"lam={p.lam:g},mu={p.mu:g},x1={x1:.3g}" for p, x1 in _PENDANT_SWEEP])
+    def test_pendant_means_up_to_the_largest_age(self, p, x1):
+        # the survival's integral in t = s/x1, about q/((lam + |mu|) x1), underflowed:
+        # the mean given x1 at lam = 1e100, mu = 5e99, x1 = 1e200 read 0.0, not
+        # 6.137e-101; at the largest age amp x1 overflowed, and so did the midpoint
+        # of MixedDist.mean's last panel at x1 near the largest float
+        kernel._check_age(x1, p)
+        for mean, law in ((dists.pendant_mean_given_age(x1, p), dists.pendant_dist_given_age(x1, p)),
+                          (dists.pendant_mean_given_n_age(5, x1, p),
+                           dists.pendant_dist_given_n_age(5, x1, p))):
+            assert mean == pytest.approx(law.mean(), rel=1e-9, abs=0.0)
+
+    def test_largest_age_is_the_largest_checked(self):
+        for p in {p for p, _ in _PENDANT_SWEEP}:
+            x1 = _largest_age(p)
+            kernel._check_age(x1, p)
+            if x1 < sys.float_info.max:
+                with pytest.raises(ValueError, match="must be > 0 and finite"):
+                    kernel._check_age(math.nextafter(x1, math.inf), p)
 
     @pytest.mark.parametrize("law, mean", [
         (dists.pendant_dist_given_n(Params(1.0, -1e6)),

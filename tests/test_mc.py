@@ -286,12 +286,14 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("name", sorted(mc._ONE_SAMPLE))
     def test_one_sample_row_resolves(self, name):
-        # a row names a LAWS law with a constructor (and a mean where it checks
-        # one), a sim.SCENARIOS sampler whose flags it gives, and a reader
+        # a row names a LAWS law with a constructor (and a mean, and any variance
+        # its LAWS row names, where it checks one), a sim.SCENARIOS sampler whose
+        # flags it gives, and a reader
         law, scenario, with_mean, reports = mc._ONE_SAMPLE[name]
         rows = [r for r in dists.LAWS if (r.law, r.scenario) == (law, scenario)]
         assert len(rows) == 1 and callable(getattr(dists, rows[0].dist))
         assert not with_mean or callable(getattr(dists, rows[0].mean))
+        assert not with_mean or rows[0].var is None or callable(getattr(dists, rows[0].var))
         sampler, flags = sim.SCENARIOS[scenario]
         assert callable(getattr(sim, sampler)) and law in mc._READERS
         assert name in CHECK_NAMES and reports
