@@ -684,12 +684,15 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     r, y = np.where(np.abs(s) < 0.25 * lam, s, 0.0), lam * x1
     rx = r * x1
     v = np.sign(rx) * np.exp(np.maximum(rx, 0.0) - y) * -np.expm1(-np.abs(rx)) / math.expm1(-y)
-    log_base = np.where(r == s, np.log1p(v) - np.log1p(-r / lam), np.log(base))
+    with np.errstate(divide="ignore"):  # a base that underflowed to 0 has log -inf
+        log_base = np.where(r == s, np.log1p(v) - np.log1p(-r / lam), np.log(base))
+    # the power's log; at n = 2 the power is 1, even where log base is -inf
+    log_power = (n - 2) * log_base if n > 2 else 0.0
     # both factors are >= 1 at s >= 0 and <= 1 at s <= 0: their log sum bounds each
-    past = 2.0 * x1 * s + (n - 2) * log_base > math.log(sys.float_info.max)
+    past = 2.0 * x1 * s + log_power > math.log(sys.float_info.max)
     if np.any(past):
         raise ValueError(f"the diversity MGF at s={s[past][0]:g}, n={n} is past the float range")
-    out = np.exp(2.0 * x1 * s) * np.exp((n - 2) * log_base)
+    out = np.exp(2.0 * x1 * s) * np.exp(log_power)
     return out if out.ndim else float(out)
 
 

@@ -55,9 +55,11 @@ class RawParams:
             raise ValueError(f"f must lie in (0, 1], got {self.f}")
 
 
-# |lam - mu| (critical) or |mu| (Yule) below CRITICAL_TOL * lam counts as zero;
-# p0 and p1 stay exact as lam - mu -> 0, but the sampler's inverse CDF and the
-# pendant means divide by lam - mu, so the critical-branch formulas serve there
+# |lam - mu| (Params.is_critical) or |mu| (Params.is_yule) below CRITICAL_TOL * lam
+# counts as zero.  The kernels branch on mu == lam alone: their rate forms stay
+# exact for any lam - mu > 0.  The tolerance serves only is_yule (a transformed
+# mu of 0 rounds to a few ulps: RawParams(1, 0.3, 0.7) gives mu = -5.6e-17) and
+# the sampler's inverse CDF, which takes its d -> 0 form inside the band
 CRITICAL_TOL = 1e-8
 
 # lam and |mu| must lie in this range: the kernels square lam - mu, which
@@ -111,7 +113,8 @@ def yule_rate(lam: Union[float, Params]) -> float:
     Params with mu = 0."""
     if isinstance(lam, Params):
         if not lam.is_yule:
-            raise ValueError(f"requires mu = 0 (pure birth), got mu={lam.mu}")
+            raise ValueError(f"requires mu = 0 (pure birth; |mu| <= {CRITICAL_TOL:g} lam "
+                             f"counts as 0), got mu={lam.mu}")
         return lam.lam
     _rate("lam", lam)
     return float(lam)
@@ -183,15 +186,15 @@ def _denominator(em, y, p: Params):
 def p0(s: float, p: Params) -> float:
     """Kernel p0: mu*p0(s) is the probability of 0 surviving sampled offspring.
 
-    Subcritical: (1 - e^{-ds}) / D(s), d = lam - mu, D(s) = lam - mu e^{-ds}
-                 (see :func:`_denominator`);
-    critical:    s / (1 + lam s).
+    mu < lam:    (1 - e^{-ds}) / D(s), d = lam - mu, D(s) = lam - mu e^{-ds}
+                 (see :func:`_denominator`), exact for any d > 0;
+    at mu = lam: s / (1 + lam s).
 
     Strictly increasing from 0, with lam*p0(s) < 1 for finite s.  Where
     1 + lam s overflows, p0 is 1/lam.  Accepts scalars or numpy arrays.
     """
     _check_time(s)
-    if p.is_critical:
+    if p.mu == p.lam:
         h = 1.0 + p.lam * s
         if np.ndim(h):
             return np.where(h == math.inf, 1.0 / p.lam, s / h)
@@ -204,8 +207,8 @@ def p0(s: float, p: Params) -> float:
 def p1(s: float, p: Params) -> float:
     """Kernel p1: probability of exactly 1 surviving sampled offspring.
 
-    Subcritical: d^2 e^{-ds} / D(s)^2, with d and D(s) as in p0;
-    critical:    1 / (1 + lam s)^2.
+    mu < lam:    d^2 e^{-ds} / D(s)^2, with d and D(s) as in p0;
+    at mu = lam: 1 / (1 + lam s)^2.
     Accepts scalars or numpy arrays.
     """
     return _p1_gap(s, math.inf, p)[0]
@@ -214,7 +217,7 @@ def p1(s: float, p: Params) -> float:
 def _p1_gap(s, end: float, p: Params) -> tuple:
     """(p1(s), p0(end) - p0(s)) for 0 <= s <= end <= inf, both from one
     e^{-ds}; the gap is d e^{-ds} (1 - e^{-d(end-s)}) / (D(s) D(end)), with
-    D(inf) = lam, or (end - s) / ((1 + lam end)(1 + lam s)) when critical, so
+    D(inf) = lam, or (end - s) / ((1 + lam end)(1 + lam s)) at mu = lam, so
     it keeps full precision in the tail and as s nears end.  The gap takes d
     and D(end) in units of about lam (times w, the power of two in
     [1/(2 lam), 1/lam)), so that d e^{-ds} (1 - e^{-d(end-s)}), about
@@ -222,7 +225,7 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
     the gap is bit for bit the unscaled one wherever that did not underflow.
     """
     _check_time(s)
-    if p.is_critical:
+    if p.mu == p.lam:
         h = 1.0 + p.lam * s
         gap = 1.0 / p.lam if end == math.inf else (end - s) / (1.0 + p.lam * end)
         with np.errstate(over="ignore"):  # h*h is inf past lam*s ~ 1.3e154: p1 -> 0
@@ -240,12 +243,12 @@ def _p1_gap(s, end: float, p: Params) -> tuple:
 def _ratio_log_c(x1: float, p: Params) -> tuple:
     """(r, log c) for a tree of age x1 > 0: r = lam p0(x1), c = 1 - r.
 
-    When critical, log c = -log1p(lam x1).  Otherwise it is log1p(-r) for
+    At mu = lam, log c = -log1p(lam x1).  Otherwise it is log1p(-r) for
     r <= 1/2, where a difference of logs would cancel, and above, from the
     rates: log(lam-mu) - (lam-mu) x1 - log(lam - mu e^{-(lam-mu) x1}), finite
     however close r is to 1.  r and c come from one e^{-(lam-mu) x1}.
     """
-    if p.is_critical:
+    if p.mu == p.lam:
         lx = p.lam * x1
         return lx / (1.0 + lx), -math.log1p(lx)
     d = p.lam - p.mu

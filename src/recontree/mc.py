@@ -96,16 +96,14 @@ class Reader:
     draw: Optional[sim.DrawBound] = None
 
 
-def _read_random_root_edge(b: sim.TreeBatch, d: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(b))  # row i's children of the root n, ascending, at 2i and 2i+1
-    return b.lengths[rows, np.nonzero(b.parent == b.n)[1][2 * rows + d]]
-
-
-# a random pendant edge is that of leaf d, a random interior edge that of node n+1+d
+# a random pendant edge is that of leaf d, a random interior edge that of node n+1+d,
+# and a random root edge that of the root n's child d
 read_random_pendant = Reader(lambda b, d: b.lengths[np.arange(len(b)), d], draw=lambda n: n)
 read_random_interior = Reader(lambda b, d: b.lengths[np.arange(len(b)), b.n + 1 + d],
                               draw=lambda n: n - 2)
-read_random_root_edge = Reader(_read_random_root_edge, draw=lambda n: 2)
+read_random_root_edge = Reader(
+    lambda b, d: b.lengths[np.arange(len(b)), b.children[np.arange(len(b)), 0, d]],
+    draw=lambda n: 2)
 read_diversity = Reader(lambda b, d: b.lengths.sum(axis=1))
 read_leaf_count = Reader(lambda b, d: np.full(len(b), float(b.n)))
 

@@ -70,10 +70,11 @@ each tree's offset is closed form, given x1 a chain of list lookups over a
 tip-count table finds it, and one vectorized Lemire test reads every
 reader half.  Or, where a half is rejected or a bound lies outside
 [1, 2^32], the Generator's own calls draw the block from its first word.
-A tip count that reads a zero double raises as :func:`_geometric_count`
-does.  The replay follows PCG64, which ``default_rng`` and
-:class:`RngStream` give; these two samplers refuse any other bit
-generator before a draw.  The digests pinned by
+Either way the block's tip counts (given (n, x1), all n) pick its reader
+bounds and split it into one batch per tip count.  A tip count that reads
+a zero double raises as :func:`_geometric_count` does.  The replay
+follows PCG64, which ``default_rng`` and :class:`RngStream` give; these
+two samplers refuse any other bit generator before a draw.  The digests pinned by
 ``tests/test_same_samples.py`` are the contract with numpy's stream: a
 numpy that changed how its Generator turns words into doubles or
 integers would move them.  Everything else -- inverse CDFs, sorting, merge
@@ -108,8 +109,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .kernel import Params, RawParams, _at_least, _check_age, p0, transform_params, yule_rate
-from .tree import (EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _edge_lengths, _newick,
-                   _tip_labels)
+from .tree import (EXTANT, EXTINCT, INTERNAL, FullTree, ReconTree, _children, _edge_lengths,
+                   _newick, _tip_labels)
 
 __all__ = [
     "RngStream",
@@ -273,11 +274,15 @@ def reconstruct(full: FullTree) -> Optional[ReconTree]:
 
 
 def _speciation_time_inverse_cdf(y, x1: float, p: Params):
-    """Inverse of G(s|x1) = p0(s)/p0(x1): exact closed form."""
+    """Inverse of G(s|x1) = p0(s)/p0(x1): exact closed form.  s solves
+    p0(s) = q, q = y p0(x1): s = (log1p(-mu q) - log1p(-lam q)) / d, d = lam - mu,
+    or, where that difference cancels (d near 0), -log1p(-d z)/d with
+    z = q/(1 - mu q), which is z itself at mu = lam."""
     q = np.asarray(y, dtype=float) * p0(x1, p)
-    if p.is_critical:
-        return q / (1.0 - p.lam * q)
     d = p.lam - p.mu
+    if p.is_critical:
+        z = q / (1.0 - p.mu * q)
+        return -np.log1p(-d * z) / d if d else z
     return (np.log1p(-p.mu * q) - np.log1p(-p.lam * q)) / d
 
 
@@ -317,8 +322,11 @@ def _tip_counts(u: np.ndarray, ratio: float) -> list:
     One ``np.log`` pass; the entries whose quotient lies within
     :data:`TIE_GAP` of an integer are recomputed through
     :func:`_geometric_count` and its ``math.log``.  ``ratio`` lies in
-    (0, 1), as :func:`_given_age_ratio` leaves it.
+    [0, 1), as :func:`_given_age_ratio` leaves it; at 0 (lam p0(x1)
+    underflowed) every count is 1, as :func:`_geometric_count` gives.
     """
+    if not ratio:
+        return [1] * u.size
     with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 gives q = inf
         q = np.log(u) / math.log(ratio)
         tie = ~(np.abs(q - np.rint(q)) > TIE_GAP * q)  # and u = 0
@@ -462,16 +470,15 @@ class TreeBatch:
     @cached_property
     def children(self) -> np.ndarray:
         """(R, n-1, 2): the two children of node n+k at [:, k], in ascending node
-        order, as :class:`ReconTree` finds them; one stable argsort per batch."""
-        order = np.argsort(self.parent, axis=1, kind="stable")
-        return order[:, 1:].reshape(len(self), self.n - 1, 2)
+        order (:func:`recontree.tree._children`); computed once per batch."""
+        return _children(self.parent)
 
     @cached_property
     def labels(self) -> list:
         return _tip_labels(self.n)
 
     def tree(self, i: int) -> ReconTree:
-        return ReconTree(self.times[i], self.parent[i], validate=False)
+        return ReconTree(self.times[i], self.parent[i], children=self.children[i], validate=False)
 
     def newick(self, i: int) -> str:
         """Row i as Newick text, the text of ``to_newick(self.tree(i))``, written
@@ -749,7 +756,7 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
     a chain of list lookups of each tip count's step finds them.  Or, where
     a half is rejected or a bound lies outside [1, 2^32], the whole block
     is walked from its first word by the Generator's own calls.  Either way
-    it yields one batch per tip count.
+    its tip counts pick its reader bounds and split it into one batch each.
     """
     if n is None:
         ratio = _given_age_ratio(x1, p)
@@ -787,9 +794,7 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
         the word after the block, by lookups in the block's tip-count table;
         None where the block is walked.  A count that reads a zero double
         raises as :func:`_geometric_count` does."""
-        # the first tree's two counts; the table covers the rest when reached
-        g = [_geometric_count(u, ratio) for u in _as_doubles(r.words[:head]).tolist()]
-        at, m, o, held, nodes = [], [], 0, r.held, 0
+        g, at, m, o, held, nodes = [], [], [], 0, r.held, 0
         while len(at) < left and nodes < BATCH_NODES:
             if o + 2 > len(g):
                 r.need(o + 2)
@@ -826,13 +831,6 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
         return (np.array(m, dtype=np.int64),
                 np.array(picks, dtype=np.int64).reshape(len(m), len(draws)), rows)
 
-    def bound_rows(m, count: int) -> np.ndarray:
-        """The reader bounds of each tree of a block, one uint64 row per tree."""
-        if n is not None:
-            return np.broadcast_to(np.array(bounds[n], dtype=np.uint64), (count, len(draws)))
-        sizes, where = np.unique(m, return_inverse=True)
-        return np.array([bounds[v] for v in sizes.tolist()], dtype=np.uint64)[where]
-
     def blocks():
         start = 0
         while start < reps:
@@ -846,33 +844,27 @@ def _replayed_batches(head: int, n: Optional[int], x1: float, p: Params, reps: i
                 left = min(reps - start, trees)
                 r = _Replay(rng, (left * s + 1) // 2)
                 first = 2 * head + 1 - r.held
-                read = steps[n] and (np.arange(first, first + left * s, s) // 2, n,
-                                     (first + left * s) // 2 - head)
+                read = steps[n] and (np.arange(first, first + left * s, s) // 2,
+                                     np.full(left, n), (first + left * s) // 2 - head)
             picks = rows = None
             if read:
                 at, m, o = read
                 r.need(o)
-                picks = (_read_halves(r, at + 3 * m - 4, bound_rows(m, at.size)) if draws
-                         else np.empty((at.size, 0), dtype=np.int64))
+                sizes, where = np.unique(m, return_inverse=True)  # each tree's reader bounds
+                picks = _read_halves(r, at + 3 * m - 4, np.array(
+                    [bounds[v] for v in sizes.tolist()], dtype=np.uint64)[where])
             if picks is None:  # a rejected half or a bound outside [1, 2^32]
                 m, picks, rows = walk(r, left)  # no finish: its calls left the Generator in place
             else:
                 r.finish(o)
-            count = len(picks)
-            index = np.arange(start, start + count)
-            if n is None:  # one batch per tip count
-                order = np.argsort(m, kind="stable")
-                cuts = (np.nonzero(np.diff(m[order]))[0] + 1).tolist()
-                groups = [(order[a:b], int(m[order[a]]))
-                          for a, b in zip([0] + cuts, cuts + [count])]
-            else:
-                groups = [(slice(None), n)]
-            for sel, v in groups:
+            order = np.argsort(m, kind="stable")  # one batch per tip count
+            for sel in np.split(order, np.flatnonzero(np.diff(m[order])) + 1):
+                v = int(m[sel[0]])
                 u = (r.doubles(at[sel], 3 * v - 4) if rows is None
-                     else np.array([rows[i] for i in np.arange(count)[sel].tolist()]))
+                     else np.array([rows[i] for i in sel.tolist()]))
                 times, parent = _given_n_age_trees(u, v, x1, p)
-                yield TreeBatch(times, parent, picks[sel], index[sel])
-            start += count
+                yield TreeBatch(times, parent, picks[sel], start + sel)
+            start += len(picks)
 
     return blocks()
 

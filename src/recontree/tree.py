@@ -68,16 +68,10 @@ class ReconTree:
         if total < 3 or total % 2 == 0:
             raise ValueError(f"node count must be odd and >= 3, got {total}")
         self.n = (total + 1) // 2
-        if children is None:
-            # a stable sort by parent puts the root (parent -1) first, then
-            # the two children of each internal node in ascending node order;
-            # _validate rejects the tables that this does not fit
-            order = np.argsort(self.parent, kind="stable")
-            self.root = int(order[0])
-            children = order[1:].reshape(self.n - 1, 2)
-        else:
-            self.root = int(self.parent.argmin())
-        self.children = np.asarray(children, dtype=np.int64)
+        self.root = int(self.parent.argmin())
+        # _validate rejects the parents that the default table does not fit
+        self.children = np.asarray(_children(self.parent) if children is None else children,
+                                   dtype=np.int64)
         self._labels = list(labels) if labels is not None else None
         if validate:
             self._validate()
@@ -132,6 +126,14 @@ class ReconTree:
 def _tip_labels(n: int) -> List[str]:
     """The default leaf labels t1..tn."""
     return [f"t{i + 1}" for i in range(n)]
+
+
+def _children(parent: np.ndarray) -> np.ndarray:
+    """The children table of one tree's parents, (n-1, 2), or of each row of several,
+    (R, n-1, 2): a stable sort by parent puts the root (parent -1) first, then the
+    two children of each internal node n+k, at [..., k], in ascending node order."""
+    order = np.argsort(parent, axis=-1, kind="stable")
+    return order[..., 1:].reshape(*parent.shape[:-1], -1, 2)
 
 
 def _edge_lengths(times: np.ndarray, parent: np.ndarray, root) -> np.ndarray:

@@ -361,6 +361,13 @@ class TestExpect:
         assert "E[diversity | n=10]" in text
         assert "0.8158457" in text
 
+    def test_mean_given_age_in_the_critical_band(self, capsys):
+        # at |lam - mu| <= 1e-8 lam the kernels took their critical forms, and
+        # this line read 1.000000657; test_dists holds the 50-digit reference
+        assert run(["expect", "--lam", "1", "--mu", "0.9999999901", "--n", "5",
+                    "--x1", "1e8"]) == 0
+        assert "E[pendant | x1=100000000.0]       1.000000138\n" in capsys.readouterr().out
+
     def test_json(self, capsys):
         assert run(["expect", "--format", "json", "--mu", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)

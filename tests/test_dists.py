@@ -19,12 +19,17 @@ CRIT = Params(1.0, 1.0)
 NEG = Params(1.0, -0.5)
 REGIMES = [YULE, SUB, CRIT, NEG]
 
+# the pendant mean given x1 = 1e8 at lam = 1, mu = 0.9999999901, inside the old
+# critical band |lam - mu| <= 1e-8 lam: a 50-digit quadrature of its survival
+# (TestPendantGivenAge); CI holds `recontree expect` to it
+BAND_MEAN_GIVEN_AGE = 1.0000001375887037
+
 
 def _mp_kernels(p):
     """p0 and p1 in mpmath, evaluated at the caller's working precision."""
     mpmath = pytest.importorskip("mpmath")
     lam, mu = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
-    if p.is_critical:
+    if p.mu == p.lam:
         return (lambda t: t / (1 + lam * t)), (lambda t: 1 / (1 + lam * t) ** 2)
     e = lambda t: mpmath.exp(-(lam - mu) * t)
     return ((lambda t: -mpmath.expm1(-(lam - mu) * t) / (lam - mu * e(t))),
@@ -370,6 +375,30 @@ class TestPendantGivenAge:
         want = _mp_mean(pdf, x1, atom)
         got = dists.pendant_mean_given_age(x1, p)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mean_in_the_critical_band_against_50_digits(self):
+        # the kernels took their critical forms here, and the mean read
+        # 1.000000657, 5.2e-7 off
+        mpmath = pytest.importorskip("mpmath")
+        p, x1 = Params(1.0, 0.9999999901), 1e8
+        with mpmath.workdps(50):
+            lam, mu = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+            p0 = lambda t: -mpmath.expm1(-(lam - mu) * t) / (lam - mu * mpmath.exp(-(lam - mu) * t))
+            q = p0(mpmath.mpf(x1))
+            r = lam * q
+            c = 1 - r
+            w = lambda k: (k + 1) * r - k - 2 * k * c * c * (mpmath.log(c) / r + 1) / r
+            atom = -2 * (mpmath.log(c) + r) * (c / r) ** 2
+
+            # the atom plus (2/q) times the integral of p1 (W1 - G W3) over (s, x1),
+            # with p1 = p0' and G = p0(s)/q
+            def survival(s):
+                g = p0(s) / q
+                return atom + 2 * w(1) * (1 - g) - w(3) * (1 - g * g)
+
+            want = float(mpmath.quad(survival, [0] + [mpmath.mpf(10) ** k for k in range(-2, 9)]))
+        assert want == pytest.approx(BAND_MEAN_GIVEN_AGE, rel=1e-14, abs=0.0)
+        assert dists.pendant_mean_given_age(x1, p) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_mean_tends_to_given_n_mean(self):
         # as x1 grows the tree's tip count does too, and the pendant law
@@ -748,6 +777,12 @@ class TestDiversity:
             with pytest.raises(ValueError, match=f"MGF at s=0.5, n={n} is past"):
                 dists.diversity_mgf_given_n_age(np.array([-0.5, 0.0, 0.5]), n, 1.5, 1.0)
             assert dists.diversity_mgf_given_n_age(-0.5, n, 1.5, 1.0) == 0.0  # underflows
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_mgf_of_an_underflowed_base_is_0(self, n):
+        # base = lam x1 exprel((s - lam) x1) / (1 - e^{-lam x1}) underflows to 0:
+        # its log warned "divide by zero", and at n = 2, 0 times that -inf made nan
+        assert dists.diversity_mgf_given_n_age(-1e300, n, 1.0, 1e-100) == 0.0
 
     def test_mean_given_age(self):
         assert dists.diversity_mean_given_age(1.0, 1.0) == pytest.approx(

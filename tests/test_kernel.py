@@ -294,6 +294,44 @@ class TestLogC:
             assert log_c == math.log(d) + y - math.log(_denominator(-math.expm1(y), y, p))
 
 
+# (lam - mu)/lam inside the old critical band |lam - mu| <= 1e-8 lam, where the
+# kernels dropped (lam - mu) s and erred the more the older the tree (at lam = 1e3,
+# 9.9e-9 and lam s = 1e8, p1 was 8% off and the gap 71%); they branch on mu == lam
+# alone now, and their rate forms are exact for any lam - mu > 0
+BAND = (1e-15, 1e-12, 9.9e-9)
+
+
+class TestCriticalBand:
+    @pytest.mark.parametrize("rel", BAND)
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    def test_kernels_against_50_digits(self, lam, rel):
+        mpmath = pytest.importorskip("mpmath")
+        p = Params(lam, lam * (1.0 - rel))
+        for ls in (1.0, 1e4, 1e8):
+            s = ls / lam
+            with mpmath.workdps(50):
+                l, m = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+                d = l - m
+                mp0 = lambda t: -mpmath.expm1(-d * t) / (l - m * mpmath.exp(-d * t))
+                want = [mp0(s), d * d * mpmath.exp(-d * s) / (l - m * mpmath.exp(-d * s)) ** 2,
+                        1 / l - mp0(s), mp0(2 * s) - mp0(s), mpmath.log(1 - l * mp0(s))]
+            got = [p0(s, p), p1(s, p), _p1_gap(s, math.inf, p)[1], _p1_gap(s, 2 * s, p)[1],
+                   _ratio_log_c(s, p)[1]]
+            for name, g, w in zip(("p0", "p1", "gap to inf", "gap to 2s", "log c"), got, want):
+                assert abs(g - float(w)) <= 1e-12 * abs(float(w)), (name, ls)
+
+    @pytest.mark.parametrize("x1", [1e4, 1e8])
+    def test_prob_n_given_age_against_50_digits(self, x1):
+        # it was 9.9e-5 off relative at x1 = 1e4, and 2.9 times the value at 1e8
+        mpmath = pytest.importorskip("mpmath")
+        p = Params(1.0, 1.0 - 9.9e-9)
+        with mpmath.workdps(50):
+            lam, mu = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+            e = mpmath.exp(-(lam - mu) * x1)
+            r = lam * (1 - e) / (lam - mu * e)
+            want = float(4 * (1 - r) ** 2 * r ** 3)
+        assert abs(prob_n_given_age(5, x1, p) - want) <= 1e-12 * want
+
 class TestProbNGivenAge:
     def test_n2_yule(self):
         p = Params(1.0, 0.0)

@@ -175,6 +175,22 @@ class TestInverseCdf:
             _, G = dists.speciation_kernel(s, x1, p)
             assert np.max(np.abs(G - y)) < 1e-12
 
+    @pytest.mark.parametrize("rel", [1e-12, 9.9e-9])
+    def test_round_trip_in_the_critical_band(self, rel):
+        # |lam - mu| <= 1e-8 lam: the inverse took the critical q/(1 - lam q),
+        # 5e-9 off relative in G at rel = 9.9e-9 and lam x1 = 1e4
+        mpmath = pytest.importorskip("mpmath")
+        y = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+        for lam in (1e-3, 1.0, 1e3):
+            p = Params(lam, lam * (1.0 - rel))
+            for x1 in (0.01 / lam, 1.0 / lam, 1e4 / lam):
+                s = _speciation_time_inverse_cdf(y, x1, p)
+                with mpmath.workdps(50):
+                    l, m = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+                    mp0 = lambda t: -mpmath.expm1(-(l - m) * t) / (l - m * mpmath.exp(-(l - m) * t))
+                    G = np.array([float(mp0(t) / mp0(x1)) for t in s.tolist()])
+                assert np.all(np.abs(G - y) <= 1e-14 * y), (lam, x1)
+
 
 class TestGivenNAge:
     def test_shape_and_mrca(self):
@@ -249,6 +265,7 @@ class TestBatchLayout:
             lengths = b.lengths
             for i in range(len(b)):
                 assert lengths[i].tobytes() == b.tree(i).edge_lengths().tobytes()
+                assert np.array_equal(b.tree(i).children, revalidate(b.tree(i)).children)
         assert count == 200
 
 
@@ -287,6 +304,15 @@ class TestGivenAge:
                              for b in sim.batch_given_age(x1, p, 20_000, rng)])
         pval = chi_square_counts(ns, lambda n: prob_n_given_age(n, x1, p))
         assert pval > 0.01
+
+    def test_underflowed_ratio_gives_two_tips(self):
+        # lam p0(x1) = 1e-330 rounds to 0: each side's count is 1, as
+        # _geometric_count gives; the tip-count table took log(0) and raised
+        # "math domain error" from the second tree on
+        p, x1 = Params(1e-100, -1e100), 1e-230
+        assert p.lam * p0(x1, p) == 0.0
+        batches = list(sim.batch_given_age(x1, p, 3, np.random.default_rng(1)))
+        assert [(b.n, len(b)) for b in batches] == [(2, 3)]
 
 
 class TestGivenAgeSizeGuard:

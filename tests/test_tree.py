@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import newick_reference as reference
 from recontree import sim
 from recontree.kernel import Params
-from recontree.tree import NewickError, ReconTree, from_newick, to_newick
+from recontree.tree import NewickError, ReconTree, _children, from_newick, to_newick
 
 
 def cherry(x1=1.0):
@@ -116,9 +116,10 @@ def children_by_loop(parent, n):
 
 
 @st.composite
-def binary_trees(draw):
-    """(times, parent) of a random binary tree with a random node numbering."""
-    n = draw(st.integers(2, 40))
+def binary_trees(draw, n=None):
+    """(times, parent) of a random binary tree with a random node numbering,
+    with n tips, or a random n."""
+    n = draw(st.integers(2, 40)) if n is None else n
     rand = draw(st.randoms(use_true_random=False))
     internal = list(range(n, 2 * n - 1))
     rand.shuffle(internal)  # merge order, so the root may be any internal node
@@ -150,6 +151,17 @@ class TestDerivedChildren:
         t = ReconTree(times, parent)
         u = ReconTree(times, parent, children=t.children)
         assert u.root == t.root
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 30).flatmap(
+        lambda n: st.lists(binary_trees(n), min_size=1, max_size=5)))
+    def test_rows_of_several_trees(self, trees):
+        parent = np.array([p for _, p in trees])
+        n = (parent.shape[1] + 1) // 2
+        rows = _children(parent)
+        assert rows.shape == (len(trees), n - 1, 2)
+        for row, (_, p) in zip(rows, trees):
+            np.testing.assert_array_equal(row, children_by_loop(p, n))
 
 
 class TestNewick:
