@@ -26,11 +26,14 @@ Each finite-end row is one coefficient helper, giving both the law and its
 mean: atom end plus the integral of the survival atom + amp gap(s) (edge +
 slope gap(s)/2) over (0, end).  The given-n mean keeps its closed form.  The
 pure-birth root-edge survivals read the node-depth law G(s | x1) = p0(s)/q
-from the same piece, 1 - G = gap/q.  Special functions come from
-``scipy.special`` only; every quadrature (the pendant means given x1 and
-given (n, x1), ``MixedDist.total_mass`` and ``mean``) is one private,
-globally adaptive 20-point Gauss-Legendre rule that evaluates each round's
-panels in one array call, with its panels and rounds capped.
+from the same piece, 1 - G = gap/q.  The pure-birth laws' special
+functions are the kernel's own, from numpy and math: the gamma law's
+density and regularized incomplete gamma, the binomial probability and tail
+behind the speciation times' Beta order statistics, and exprel for the
+diversity MGF.  Every quadrature (the pendant means given x1 and given
+(n, x1), ``MixedDist.total_mass`` and ``mean``) is one private, globally
+adaptive 20-point Gauss-Legendre rule that evaluates each round's panels in
+one array call, with its panels and rounds capped.
 
 Mixed distributions (a continuous density on (0, x1) plus a point mass at
 x1, arising because a pendant edge attached to the root has length exactly
@@ -51,10 +54,10 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy
 
-from .kernel import (Params, _at_least, _check_age, _integer, _p1_gap, _ratio_log_c,
-                     p0, p1, yule_rate)
+from .kernel import (Params, _at_least, _binomial_pmf, _binomial_tail, _check_age, _exprel,
+                     _gamma_density, _gamma_pq, _integer, _p1_gap, _ratio_log_c, p0, p1,
+                     yule_rate)
 
 __all__ = [
     "MixedDist",
@@ -374,22 +377,20 @@ def speciation_time_pdf(s, k: int, n: int, x1: float, p: Params):
 
     (n-2) C(n-3, k-2) G^{n-k-1} (1-G)^{k-2} g  for k = 2..n-1; equivalently
     the (n-k)-th smallest of n-2 i.i.d. draws from g, i.e. the Beta(n-k, k-1)
-    density of G times g, evaluated in log space so it stays finite for
-    large n.
+    density of G times g: n - 2 times the kernel's binomial probability,
+    which stays finite and keeps its digits for large n.
     """
     _check_speciation_index(k, n)
     g, G = speciation_kernel(s, x1, p)
-    return np.exp(
-        scipy.special.xlogy(n - k - 1, G) + scipy.special.xlog1py(k - 2, -G)
-        - scipy.special.betaln(n - k, k - 1)
-    ) * g
+    return (n - 2) * _binomial_pmf(n - k - 1, n - 3, G) * g
 
 
 def speciation_time_cdf(s, k: int, n: int, x1: float, p: Params):
+    """CDF of the k-th speciation time: that of the (n-k)-th order statistic,
+    the incomplete beta I_G(n-k, k-1) = P(Binomial(n-2, G) >= n-k)."""
     _check_speciation_index(k, n)
     _, G = speciation_kernel(s, x1, p)
-    # regularized incomplete beta: CDF of the (n-k)-th order statistic
-    return scipy.special.betainc(n - k, k - 1, G)
+    return _binomial_tail(n - k, n - 2, G)
 
 
 def _check_speciation_index(k: int, n: int):
@@ -624,9 +625,10 @@ def root_edge_limit_constant() -> float:
 
     Scaled by 1/lam, this is the large-n limit of the expected root-edge
     length when lam is set to its ML value ln(n/2)/x1.  With 1/(x(2+x)) =
-    (1/x - 1/(2+x))/2 it is (gamma + ln 2 + e^2 E1(2))/2 in closed form.
+    (1/x - 1/(2+x))/2 it is (gamma + ln 2 + e^2 E1(2))/2 in closed form,
+    stored as the double nearest it.
     """
-    return 0.5 * (np.euler_gamma + math.log(2.0) + math.exp(2.0) * float(scipy.special.exp1(2.0)))
+    return 0.8158457311748504
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +637,17 @@ def root_edge_limit_constant() -> float:
 
 def diversity_dist_given_n(n: int, lam: Union[float, Params]) -> MixedDist:
     """Diversity law given n (pure birth): gamma with shape n-1 and rate lam;
-    in x = d/(1/lam) the cdf is gammainc(n-1, x), the pdf formed in log space.
-    The shape is a float, as the special functions take it, and x stops at the
-    largest float, where the pdf's log is -x, not inf - inf."""
+    in x = d/(1/lam) the pdf is x^(n-2) e^-x / Gamma(n-1) and the cdf the
+    regularized incomplete gamma P(n-1, x), both the kernel's, which keep
+    their digits at large n.  x stops at the largest float."""
     lam = yule_rate(lam)
     _at_least("n", n, 2)
-    scale, shape = 1.0 / lam, n - 1.0
-    x = lambda d: np.minimum(np.asarray(d, dtype=float) / scale, sys.float_info.max)
+    shape = n - 1.0
+    x = lambda d: np.minimum(np.asarray(d, dtype=float) * lam, sys.float_info.max)
     return MixedDist(
         support_end=math.inf,
-        pdf=lambda d: np.exp(scipy.special.xlogy(shape - 1.0, x(d)) - x(d)
-                             - scipy.special.gammaln(shape)) / scale,
-        cdf=lambda d: scipy.special.gammainc(shape, x(d)),
+        pdf=lambda d: _gamma_density(shape, x(d)) * lam,
+        cdf=lambda d: _gamma_pq(shape, x(d))[0],
     )
 
 
@@ -674,20 +675,8 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
     s = np.asarray(s, dtype=float)
     if np.any(s >= lam):
         raise ValueError("MGF argument must be < lam")
-    ratio = x1 * scipy.special.exprel((s - lam) * x1)  # (1 - e^{(s-lam) x1})/(lam-s)
-    base = lam * ratio / (-math.expm1(-lam * x1))
-    # base = lam/(lam-s) (1 + v), v = e^-y expm1(s x1)/expm1(-y), y = lam x1: at |s| <
-    # lam/4 (r = s there, 0 elsewhere) its log is log1p(v) - log1p(-r/lam), each term
-    # O(s/lam) and formed without cancellation (e^-y expm1(r x1) from factors of size at
-    # most 1), so the power keeps its digits however large n is, where it would raise
-    # base's rounding to n - 2
-    r, y = np.where(np.abs(s) < 0.25 * lam, s, 0.0), lam * x1
-    rx = r * x1
-    v = np.sign(rx) * np.exp(np.maximum(rx, 0.0) - y) * -np.expm1(-np.abs(rx)) / math.expm1(-y)
-    with np.errstate(divide="ignore"):  # a base that underflowed to 0 has log -inf
-        log_base = np.where(r == s, np.log1p(v) - np.log1p(-r / lam), np.log(base))
     # the power's log; at n = 2 the power is 1, even where log base is -inf
-    log_power = (n - 2) * log_base if n > 2 else 0.0
+    log_power = (n - 2) * _log_mgf_base(s * x1, lam * x1) if n > 2 else 0.0
     # both factors are >= 1 at s >= 0 and <= 1 at s <= 0: their log sum bounds each
     past = 2.0 * x1 * s + log_power > math.log(sys.float_info.max)
     if np.any(past):
@@ -697,21 +686,65 @@ def diversity_mgf_given_n_age(s, n: int, x1: float, lam: Union[float, Params]):
 
 
 def diversity_mean_given_n_age(n: int, x1: float, lam: Union[float, Params]) -> float:
-    """E[D|n,x1] = 2 x1 + (n-2) E[S], E[S] = gammainc(2, y)/(lam(1 - e^-y)), y = lam x1.
+    """E[D|n,x1] = 2 x1 + (n-2) E[S], E[S] = (1 - y/expm1(y))/lam, y = lam x1.
 
-    Below y = 1e-2, E[S] = (1 - y/expm1(y))/lam is summed as its series
-    x1 (1/2 - y/12 + y^3/720 - y^5/30240), which keeps full precision where
-    gammainc(2, y) loses digits (y < 1e-50) or underflows.
+    Below y = 2, where that difference would cancel, E[S] is summed as its
+    series x1 (1/2 - sum_k B_2k/(2k)! y^(2k-1)) = x1 (1/2 - y/12 + y^3/720 -
+    ...), 18 terms of ratio at most (y/(2 pi))^2 < 0.11.
     """
     lam = yule_rate(lam)
     _at_least("n", n, 2)
     _check_age(x1, Params(lam))
     y = lam * x1
-    if y < 1e-2:
-        mean_s = x1 * (0.5 - y * (1.0 / 12.0 - y * y * (1.0 / 720.0 - y * y / 30240.0)))
+    if y < 2.0:
+        mean_s = x1 * (0.5 - y * float(np.polyval(_bernoulli_series(), y * y)))
     else:
-        mean_s = scipy.special.gammainc(2, y) / -math.expm1(-y) / lam
-    return 2.0 * x1 + (n - 2) * float(mean_s)
+        mean_s = (1.0 - y / math.expm1(min(y, 700.0))) / lam
+    return 2.0 * x1 + (n - 2) * mean_s
+
+
+@functools.cache
+def _bernoulli_series() -> np.ndarray:
+    """B_2k/(2k)!, k = 18..1 (for ``np.polyval``), from t/expm1(t) = sum_n
+    B_n t^n/n!: within 2e-14, and the first within an ulp or two."""
+    b = [1.0]
+    for n in range(1, 37):
+        b.append(-sum(b[n - k] / math.factorial(k + 1) for k in range(1, n + 1)))
+    return np.array(b[36:0:-2])
+
+
+# terms of the MGF base's series in s x1
+_MGF_TERMS = 30
+
+
+def _log_mgf_base(h, y: float):
+    """log(exprel(h - y)/exprel(-y)), the log of the MGF's base, at h = s x1
+    < y = lam x1.  With w = -y, base - 1 = (exprel(w + h) - exprel(w))/exprel(w),
+    exprel's divided difference times h over exprel(w).  Where |h| <= c/4, c =
+    max(1, y), that is summed as its Taylor series in h, sum_m (h/c)^m tau_m /
+    tau_0, tau_m = c^(m+1) int_0^1 t^m e^(-y t) dt/m!, which falls with m; the
+    backward recurrence tau_(m-1) = (y/c) tau_m + e^-y c^m/m! adds positive
+    terms only, from tau_K = P(K+1, y) at c = y, and from 0 at c = 1, where
+    the error shrinks by y/m a step.  Each term is at most 4^-m of tau_0, so
+    log1p of the sum keeps its digits however large n is.  Elsewhere base - 1
+    is at least about 0.1, and its log is read from the ratio.
+    """
+    h = np.asarray(h, dtype=float)
+    c = max(1.0, y)
+    m = np.arange(1.0, _MGF_TERMS + 1.0)
+    tau = float(_gamma_pq(_MGF_TERMS + 1.0, y)[0]) if c > 1.0 else 0.0
+    gains = math.exp(-y) * np.cumprod(c / m) if y < 700.0 else np.zeros(_MGF_TERMS)
+    coefs = np.empty(_MGF_TERMS)
+    for i in range(_MGF_TERMS - 1, -1, -1):
+        coefs[i] = tau
+        tau = y / c * tau + gains[i]
+    close = np.abs(h) <= 0.25 * c
+    t = h[close] / c
+    out = np.empty_like(h)
+    out[close] = np.log1p(np.sum(t[:, None] ** m * coefs, axis=1) / tau)
+    with np.errstate(divide="ignore"):  # a base that underflowed to 0 has log -inf
+        out[~close] = np.log(_exprel(h[~close] - y) / _exprel(-y))
+    return out
 
 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:

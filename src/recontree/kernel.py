@@ -15,10 +15,18 @@ valid for mu < lam, so we accept the full range.
 The kernels p0 and p1 are defined so that mu*p0(s) and p1(s) are the
 probabilities of a lineage leaving 0 and exactly 1 surviving sampled
 descendant after time s.
+
+The module also holds the few special functions the laws and the verify
+harness need, private and from numpy and math alone: exprel, the gamma
+density and the regularized incomplete gamma (series, continued fraction,
+or a finite Poisson sum at integer shape, and Temme's uniform expansion at
+large shape near its mean), and the binomial probability and tail that
+give the incomplete beta at integer arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -279,3 +287,285 @@ def prob_n_given_age(n, x1: float, p: Params):
     k = np.asarray(n) - 2
     powers = np.array([r ** j for j in k.ravel().tolist()]).reshape(k.shape)
     return (k + 1) * cc * powers
+
+
+# ---------------------------------------------------------------------------
+# Special functions of the pure-birth laws and the chi-square p-value, from
+# numpy and math alone
+# ---------------------------------------------------------------------------
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma, whose
+# truncation leaves under 2e-18 at a >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+# 1/(2k + 1), k = 17..1: the series of log1p(z) - z in r^2, r = z/(2 + z)
+_ODD = 1.0 / np.arange(35.0, 2.0, -2.0)
+# the share of its sum below which a term ends a series
+_EPS = 2.0 ** -56
+# up to this shape or count, gamma and binomial factors are plain products of powers
+_DIRECT = 60
+# a continued fraction ends where its last factor is 1 to within an ulp
+_EPS_CF = 2.0 ** -52
+
+
+def _exprel(x):
+    """expm1(x)/x, and 1 at x = 0 (expm1(x) is x itself at |x| < 1e-16)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0.0, 1.0, np.expm1(x) / x)[()]
+
+
+def _log1pmx(x, a):
+    """log1p(z) - z at z = (x - a)/a, x >= 0, a > 0 (a float or an array like
+    x): -inf at x = 0.  For -1/2 <= z <= 1, where x - a is exact, it is
+    -z^2/(2 + z) + 2 sum_k r^(2k+1)/(2k+1), r = z/(2 + z) at most 1/3 in
+    size, free of the cancellation of the logs; elsewhere log(x/a) - z."""
+    x = np.asarray(x, dtype=float)
+    z = (x - a) / a
+    near = (z >= -0.5) & (z <= 1.0)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(x / a) - z)
+    if near.any():
+        zn = z[near]
+        r = zn / (2.0 + zn)
+        rr = r * r
+        series = np.full_like(rr, _ODD[0])
+        for c in _ODD[1:]:  # Horner's rule, in place
+            series *= rr
+            series += c
+        out[near] = -zn * zn / (2.0 + zn) + 2.0 * r * rr * series
+    return out[()]
+
+
+@functools.cache
+def _stirling(a: float) -> float:
+    """log Gamma(a) - ((a - 1/2) log a - a + log(2 pi)/2) for a > 0, within
+    about 1e-17: its series at a >= 10; below, that at a + N >= 10 plus, for
+    each step down, se(b) - se(b + 1) = (b + 1/2) log1p(1/b) - 1 = atanh(u)/u
+    - 1 = u^2/3 + u^4/5 + ..., u = 1/(2b + 1) (from Gamma(b + 1) = b Gamma(b)),
+    whose terms are all positive."""
+    total = 0.0
+    while a < 10.0:
+        uu = 1.0 / (2.0 * a + 1.0) ** 2
+        total += math.fsum(uu ** k / (2 * k + 1) for k in range(1, 30))
+        a += 1.0
+    b, series = 1.0 / (a * a), 0.0
+    for c in reversed(_STIRLING):
+        series = series * b + c
+    return total + series / a
+
+
+def _binomial_pmf(j: int, m: int, x):
+    """C(m, j) x^j (1 - x)^(m - j) for integers 0 <= j <= m and 0 <= x <= 1.
+    Up to m = _DIRECT it is that product, within a few ulps plus (m - j)/2,
+    with x and 1 - x split into a mantissa in [1/2, 1) and a power of two,
+    so that no power leaves the normal floats before the product's one
+    rounding to the result.  Beyond, Loader's saddle-point form,
+    exp(-bd0(j, m x) - bd0(m - j, m (1 - x))) times the Stirling terms,
+    bd0(k, t) = k log(k/t) + t - k = -k log1pmx, so that no digit goes to a
+    log of size m log m; x^m and (1 - x)^m at the ends."""
+    x = np.asarray(x, dtype=float)
+    k = m - j
+    if m <= _DIRECT:
+        (fx, ex), (fy, ey) = np.frexp(x), np.frexp(1.0 - x)
+        return np.ldexp(math.comb(m, j) * fx ** float(j) * fy ** float(k), ex * j + ey * k)[()]
+    if j == m:
+        return (x ** float(m))[()]
+    if j == 0:
+        with np.errstate(divide="ignore"):
+            return np.exp(m * np.log1p(-x))[()]
+    return _binomial_saddle(j, m, x)
+
+
+def _binomial_saddle(j: int, m: int, x):
+    """:func:`_binomial_pmf` for 0 < j < m by the saddle-point form."""
+    k = m - j
+    flat = x.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf at x = 0 or 1
+        both = _log1pmx(np.concatenate((m * flat, m * (1.0 - flat))),
+                        np.repeat([float(j), float(k)], flat.size))
+    log_pmf = (j * both[:flat.size] + k * both[flat.size:]
+               + _stirling(m) - _stirling(j) - _stirling(k) - _LOG_SQRT_2PI)
+    return (np.sqrt(m / (j * k)) * np.exp(log_pmf)).reshape(x.shape)[()]
+
+
+def _binomial_tail(j: int, m: int, x):
+    """P(Binomial(m, x) >= j) for integers 1 <= j <= m: the regularized
+    incomplete beta I_x(j, m - j + 1).  Where j is past the mode, the terms
+    from j up; else 1 minus those from j - 1 down (the tail is about 1/2 or
+    more there).  Either way the terms fall from the first."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    term = _binomial_pmf(j, m, flat)
+    up = (j >= (m + 1) * flat) & (flat < 1.0)
+    out = np.empty_like(flat)
+    out[up] = _pmf_run(term[up], j, m, flat[up], 1)
+    v = flat[~up]  # > 0, as j > 0
+    out[~up] = 1.0 - _pmf_run(term[~up] * j * (1.0 - v) / ((m - j + 1) * v), j - 1, m, v, -1)
+    return out.reshape(x.shape)[()]
+
+
+def _pmf_run(term, j: int, m: int, x, step: int):
+    """pmf(j) + pmf(j + step) + ... to the end of 0..m, given the first
+    term, for terms that fall from it (see :func:`_run_sum`)."""
+    rho = x / (1.0 - x) if step > 0 else (1.0 - x) / x
+    if step > 0:  # the counts stay Python ints: they may pass int64
+        ratio = lambda i: [(m - j - k) / (j + k + 1) for k in i.tolist()]
+    else:
+        ratio = lambda i: [(j - k) / (m - j + k + 1) for k in i.tolist()]
+    return _run_sum(term, lambda rows, i: rho[rows, None] * ratio(i), m - j if step > 0 else j)
+
+
+def _run_sum(first, ratios, count):
+    """first (1 + r_0 (1 + r_1 (1 + ...))) over ``count`` ratios (inf: no end),
+    row by row: ``ratios(rows, i)`` gives the given rows' ratios at the indices
+    i, 64 of them at a time, taken as a running product.  A row stops once its
+    term is below 2^-56 of its sum, so that its sum does not depend on the
+    other rows; a row whose first ratio is below that is its first term, to
+    the bit, and skips the block, whose products would crawl through the
+    subnormal floats."""
+    total, term = first.copy(), first.copy()
+    rows, start = np.flatnonzero(term > 0.0), 0
+    if count > 0:
+        rows = rows[ratios(rows, np.arange(1))[:, 0] > _EPS]
+    while rows.size and start < count:
+        i = np.arange(start, min(start + 64, count))
+        block = term[rows, None] * np.cumprod(ratios(rows, i), axis=1)
+        total[rows] += block.sum(axis=1)
+        term[rows] = block[:, -1]
+        rows, start = rows[term[rows] > _EPS * total[rows]], start + 64
+    return total
+
+
+def _gamma_density(a: float, x):
+    """x^(a-1) e^-x / Gamma(a), the gamma law's density at shape a > 0 and
+    x >= 0.  Up to a = _DIRECT it is that product, within a few ulps, with
+    x = f 2^e split into a mantissa f in [1/2, 1) and a power of two, so that
+    x^(a-1) = f^(a-1) 2^(e (a-1)) leaves the normal floats (whose edges numpy's
+    power crosses slowly) only in the one rounding to the result; except past
+    x = 700, where e^-x leaves them.  There, and at larger a, exp(b log1pmx -
+    the Stirling remainder) / sqrt(2 pi b), b = a - 1 > 0, so that no digit
+    goes to a log of size a log a."""
+    x = np.asarray(x, dtype=float)
+    b = a - 1.0
+    if a > _DIRECT:
+        return (np.exp(b * _log1pmx(x, b) - _stirling(b)) / math.sqrt(2.0 * math.pi * b))[()]
+    f, e = np.frexp(x)
+    eb = e * b
+    whole = np.floor(eb)
+    with np.errstate(divide="ignore"):  # 0^b at x = 0 and b < 0
+        out = np.asarray(np.ldexp(f ** b * np.exp2(eb - whole) * np.exp(-x) / math.gamma(a),
+                                  whole.astype(int)))
+    far = (x >= 700.0) & (b > 0.0)
+    if far.any():
+        out[far] = np.exp(b * _log1pmx(x[far], b) - _stirling(b)) / math.sqrt(2.0 * math.pi * b)
+    return out[()]
+
+
+def _gamma_pq(a: float, x) -> tuple:
+    """(P, Q): the regularized lower and upper incomplete gamma functions at
+    shape a >= 1/2, for x >= 0 (an array or a float).  Temme's uniform
+    expansion at a > 200 and |x - a| < 0.3 a, where the others take O(sqrt a)
+    terms; elsewhere the series for P below x = a + 1 and, for Q above it,
+    Lentz's continued fraction, or a finite Poisson sum at an integer a (see
+    :func:`_gamma_upper`); the other one is 1 minus it (it is at least about
+    1/12 there).  Each is a :func:`_gamma_density` times a sum.  Past
+    x = 1e300, P is 1 and Q is 0.
+    """
+    shape = np.shape(x)
+    x = np.minimum(np.asarray(x, dtype=float).ravel(), 1e300)
+    p, q = np.zeros_like(x), np.ones_like(x)
+    temme = np.abs(x - a) < 0.3 * a if a > 200.0 else np.zeros(x.shape, dtype=bool)
+    if temme.any():
+        p[temme], q[temme] = _gamma_temme(a, x[temme])
+    rest = np.flatnonzero(~temme & (x > 0.0))
+    v = x[rest]
+    low = v < a + 1.0
+    pv, qv = np.empty_like(v), np.empty_like(v)
+    pv[low] = _gamma_density(a + 1.0, v[low]) * _gamma_series(a, v[low])
+    qv[~low] = _gamma_density(a, v[~low]) * _gamma_upper(a, v[~low])
+    qv[low], pv[~low] = 1.0 - pv[low], 1.0 - qv[~low]
+    p[rest], q[rest] = pv, qv
+    return p.reshape(shape)[()], q.reshape(shape)[()]
+
+
+def _gamma_series(a: float, x):
+    """sum_k x^k / ((a + 1) ... (a + k)) for x < a + 1, where each ratio
+    x/(a + k) is below 1 (see :func:`_run_sum`)."""
+    return _run_sum(np.ones_like(x), lambda rows, i: x[rows, None] / (a + 1.0 + i), math.inf)
+
+
+def _gamma_upper(a: float, x):
+    """Q(a, x) Gamma(a) e^x / x^(a-1) for x >= a + 1.  At an integer a, Q is
+    the Poisson probability of fewer than a events, sum_(k<a) e^-x x^k/k!:
+    here the terms' sum from k = a - 1 down, each ratio k/x below 1 (see
+    :func:`_run_sum`).  Otherwise x times :func:`_gamma_fraction`."""
+    if a != int(a):
+        return x * _gamma_fraction(a, x)
+    return _run_sum(np.ones_like(x), lambda rows, i: (a - 1.0 - i) / x[rows, None], a - 1.0)
+
+
+def _gamma_fraction(a: float, x):
+    """Q(a, x) Gamma(a) e^x / x^a for x >= a + 1: the continued fraction
+    1/(x + 1 - a - 1 (1 - a)/(x + 3 - a - 2 (2 - a)/(x + 5 - a - ...))), by
+    the modified Lentz method (Numerical Recipes, 3rd ed., 6.2), each x until
+    its last factor is 1 to within an ulp."""
+    b = x + 1.0 - a  # every b and every convergent stays positive at x >= a + 1
+    c, d = np.full_like(x, np.inf), 1.0 / b
+    h, live = d.copy(), np.ones(x.shape, dtype=bool)
+    for i in range(1, 10_000):
+        if not live.any():
+            return h
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= np.where(live, delta, 1.0)
+        live &= np.abs(delta - 1.0) > _EPS_CF
+    raise RuntimeError(f"the incomplete gamma fraction did not converge at a={a}")
+
+
+# the coefficients gamma_k of Gamma(a) ~ sqrt(2 pi / a) (a/e)^a sum_k gamma_k a^-k
+_GAMMA_STAR = (1.0, 1 / 12, 1 / 288, -139 / 51840, -571 / 2488320, 163879 / 209018880,
+               5246819 / 75246796800, -534703531 / 902961561600)
+# terms in eta of each of Temme's coefficient functions C_k, k < len(_GAMMA_STAR)
+_TEMME_TERMS = 25
+
+
+@functools.cache
+def _temme_table() -> np.ndarray:
+    """d[k, i], the coefficient of eta^i in Temme's C_k(eta).  With mu =
+    x/a - 1 and eta^2/2 = mu - log(1 + mu), mu = sum_n m_n eta^n solves
+    mu mu' = eta (1 + mu); C_0 = 1/mu - 1/eta, and C_k = C_{k-1}'/eta +
+    (-1)^k gamma_k/mu, whose 1/eta terms cancel (Temme, SIAM J. Math. Anal.
+    10, 1979).  In floats the first coefficients come out within an ulp or
+    two, and the last, which meet eta^i < 0.34^i, within 1e-12."""
+    size = _TEMME_TERMS + 2 * len(_GAMMA_STAR)
+    m = [0.0, 1.0]
+    for n in range(2, size + 2):
+        m.append((m[n - 1] - sum((n + 1 - i) * m[i] * m[n + 1 - i] for i in range(2, n)))
+                 / (n + 1))
+    inverse = [1.0]  # eta/mu = 1/(m_1 + m_2 eta + ...)
+    for n in range(1, size + 1):
+        inverse.append(-sum(m[i + 1] * inverse[n - i] for i in range(1, n + 1)))
+    c0 = inverse[1:]
+    rows, c = [c0], c0
+    for k in range(1, len(_GAMMA_STAR)):
+        c = [(i + 2) * c[i + 2] + (-1) ** k * _GAMMA_STAR[k] * c0[i] for i in range(len(c) - 2)]
+        rows.append(c)
+    return np.array([row[:_TEMME_TERMS] for row in rows])
+
+
+def _gamma_temme(a: float, x) -> tuple:
+    """(P, Q) by Temme's uniform expansion: Q = erfc(eta sqrt(a/2))/2 + R,
+    P = erfc(-eta sqrt(a/2))/2 - R, R = e^(-a eta^2/2) / sqrt(2 pi a) sum_k
+    C_k(eta) a^-k, eta = sign(x - a) sqrt(-2 log1pmx((x - a)/a))."""
+    half_eta2 = -_log1pmx(x, a)
+    eta = np.sign(x - a) * np.sqrt(2.0 * half_eta2)
+    coefs = a ** -np.arange(float(len(_GAMMA_STAR))) @ _temme_table()
+    r = np.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * np.polyval(coefs[::-1], eta)
+    t = eta * math.sqrt(0.5 * a)
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    return 0.5 * erfc(-t).astype(float) - r, 0.5 * erfc(t).astype(float) + r

@@ -20,9 +20,10 @@ Conventions (fixed for the whole tool, as module constants):
   chi-square bins starting at ``_CHI2_START`` = 2 tips and pooled from the
   right until each expects ``_CHI2_MIN_EXPECTED`` = 5 counts; the KS
   p-value is exact, from Hodges' formula for equal sizes, and the
-  chi-square p-value is ``scipy.special.chdtrc``: the values SciPy's
-  ``ks_2samp`` (up to 10^4 per side) and ``chisquare`` give, from numpy
-  and ``scipy.special`` only,
+  chi-square p-value is the chi-square law's upper tail, the kernel's
+  regularized incomplete gamma Q(df/2, stat/2): the values SciPy's
+  ``ks_2samp`` gives (up to 10^4 per side) and, within a few ulps,
+  ``chisquare``, from numpy and math only,
 * moment checks within 3 standard errors.
 
 Each one-sample check is a row of ``_ONE_SAMPLE``: a ``dists.LAWS`` law read
@@ -46,11 +47,10 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import dists, sim
 from .dists import MixedDist
-from .kernel import Params, RawParams, _at_least, prob_n_given_age, transform_params
+from .kernel import Params, RawParams, _at_least, _gamma_pq, prob_n_given_age, transform_params
 
 __all__ = [
     "ComparisonReport",
@@ -335,7 +335,8 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
 
     Bins from ``_CHI2_START`` upward, pooling the tail so every expected
     count is at least ``_CHI2_MIN_EXPECTED``.  Pearson's statistic against
-    the chi-square law with one degree of freedom fewer than the bins.
+    the chi-square law with one degree of freedom fewer than the bins: its
+    upper tail Q(df/2, stat/2), the kernel's regularized incomplete gamma.
     """
     values = np.asarray(values)
     m = len(values)
@@ -358,7 +359,7 @@ def chi_square_counts(values: np.ndarray, pmf: Callable[[int], float]) -> float:
         raise ValueError(f"observed total {total} and expected total {want} "
                          f"differ by more than {rtol:.3g} relative")
     stat = np.sum((observed - expected) ** 2 / expected)
-    return float(scipy.special.chdtrc(float(len(observed) - 1), stat))
+    return float(_gamma_pq(0.5 * (len(observed) - 1), 0.5 * stat)[1])
 
 
 # ---------------------------------------------------------------------------

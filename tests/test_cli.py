@@ -700,33 +700,31 @@ for argv in (
     [*density, "root-edge", "--n", "6"],
     [*density, "root-edge", "--scenario", "given-age", "--x1", "2"],
     [*density, "hypoexp", "--k", "4"],
+    # the gamma and Beta laws' special functions are the kernel's own
+    [*density, "diversity", "--n", "5"],
+    [*density, "speciation-time", "--n", "6", "--k", "3", "--x1", "2"],
+    ["expect"],
 ):
     assert cli.main([*argv, *out]) == 0, argv
-loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.stats") if m in sys.modules]
-assert not loaded, f"loaded {loaded}"
-# diversity and expect load scipy.special on first use, and no command loads
-# scipy.integrate: every quadrature is dists' own Gauss-Legendre rule
-assert cli.main([*density, "diversity", "--n", "5", *out]) == 0
-assert cli.main(["expect", *out]) == 0
-assert "scipy.special" in sys.modules
-assert "scipy.integrate" not in sys.modules, "expect loaded scipy.integrate"
+    loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    assert not loaded, f"{argv} loaded {loaded}"
 """
 
 
-def _run_fresh(script, tmp_path):
+def _run_fresh(script, *args):
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_closed_form_laws_and_samplers_load_no_scipy_submodule(tmp_path):
+def test_closed_form_laws_and_samplers_load_no_scipy_module(tmp_path):
     _run_fresh(_SCIPY_SUBMODULES_SCRIPT, tmp_path)
 
 
 # Every density law, expect and simulate, in one fresh interpreter: none of
-# them loads scipy.stats or scipy.integrate, and neither does verify (see below).
+# them loads any scipy module, and neither does verify (see below).
 _NO_SCIPY_STATS_SCRIPT = """
 import os, sys
 from recontree import cli, dists
@@ -741,31 +739,65 @@ for row in dists.LAWS:
                      *(a for f in row.args for a in (f"--{f}", values[f]))])
 for argv in runs:
     assert cli.main([*argv, "-o", os.path.join(sys.argv[1], "out")]) == 0, argv
-    assert "scipy.stats" not in sys.modules, argv
-    assert "scipy.integrate" not in sys.modules, argv
+    loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    assert not loaded, f"{argv} loaded {loaded}"
 """
 
 
-def test_density_expect_and_simulate_load_no_scipy_stats(tmp_path):
+def test_density_expect_and_simulate_load_no_scipy(tmp_path):
     _run_fresh(_NO_SCIPY_STATS_SCRIPT, tmp_path)
 
 
 # The whole verify suite, in a fresh interpreter: its two-sample KS and
-# chi-square p-values come from numpy and scipy.special, not scipy.stats, and
-# its masses and means from dists' own quadrature, not scipy.integrate.
+# chi-square p-values, its masses and means and its laws' special functions
+# come from numpy, math and the package itself.
 _VERIFY_NO_SCIPY_STATS_SCRIPT = """
 import os, sys
 from recontree import cli
 
 out = ["-o", os.path.join(sys.argv[1], "v.json")]
 assert cli.main(["verify", "--reps", "1000", "--seed", "20260824", *out]) == 0
-assert "scipy.stats" not in sys.modules, "verify loaded scipy.stats"
-assert "scipy.integrate" not in sys.modules, "verify loaded scipy.integrate"
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, f"verify loaded {loaded}"
 """
 
 
-def test_verify_loads_no_scipy_stats(tmp_path):
+def test_verify_loads_no_scipy(tmp_path):
     _run_fresh(_VERIFY_NO_SCIPY_STATS_SCRIPT, tmp_path)
+
+
+# With scipy blocked (an import of it raises ImportError), every command runs:
+# simulate in all four scenarios, density for every law that has one, expect,
+# and verify, whose reports equal the golden ones, wall time aside.
+_SCIPY_BLOCKED_SCRIPT = """
+import json, os, sys
+sys.modules["scipy"] = None
+from recontree import cli, dists, sim
+
+out = lambda name: ["-o", os.path.join(sys.argv[1], name)]
+values = {"n": "6", "k": "3", "x1": "2", "lam-hat": "1", "mu-hat": "0.5"}
+runs = [["expect"], ["expect", "--mu", "0.5", "--n", "6", "--x1", "2"]]
+for scenario, (_, flags) in sim.SCENARIOS.items():
+    runs.append(["simulate", "--scenario", scenario, "--reps", "5", "--seed", "1",
+                 *(a for f in flags for a in (f"--{f}", values[f]))])
+for row in dists.LAWS:
+    if row.dist:
+        scenario = ["--scenario", row.scenario] if row.scenario else []
+        runs.append(["density", "--law", row.law, "--grid", "0:2:5", *scenario,
+                     *(a for f in row.args for a in (f"--{f}", values[f]))])
+for argv in runs:
+    assert cli.main([*argv, *out("out")]) == 0, argv
+assert cli.main(["verify", "--reps", "1000", "--seed", "20260824", *out("v.json")]) == 0
+got = json.load(open(os.path.join(sys.argv[1], "v.json")))["reports"]
+for report in got:
+    del report["wall_time_s"]
+assert got == json.load(open(sys.argv[2]))["verify"]
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    _run_fresh(_SCIPY_BLOCKED_SCRIPT, tmp_path,
+               Path(__file__).resolve().parent / "golden" / "verify-stats.json")
 
 
 # -- argv built from the parser, with extreme numbers: every run ends with exit

@@ -766,6 +766,20 @@ class TestDiversity:
         got = dists.diversity_mgf_given_n_age(s, n, x1, lam)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("s", [2.6e-4, -2.6e-4, 9e-4])
+    def test_mgf_far_from_zero_matches_50_digits(self, s):
+        # at |s| >= lam/4 base - 1 was formed by subtraction, and its rounding
+        # raised to the power n - 2: 2.4e-10 off at s = 2.6e-4, 2.2e-10 at 9e-4;
+        # it is now exprel's divided difference, summed as its series in s x1
+        mpmath = pytest.importorskip("mpmath")
+        n, x1, lam = 10**6, 1.5, 1e-3
+        with mpmath.workdps(60):
+            s_, x1_, lam_ = mpmath.mpf(s), mpmath.mpf(x1), mpmath.mpf(lam)
+            base = -mpmath.expm1((s_ - lam_) * x1_) / ((lam_ - s_) * -mpmath.expm1(-lam_ * x1_))
+            want = float(mpmath.exp(2 * x1_ * s_) * (lam_ * base) ** (n - 2))
+        got = dists.diversity_mgf_given_n_age(s, n, x1, lam)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("n", [2**70, 10**6])
     def test_mgf_past_the_float_range_is_refused(self, n):
         # it returned inf with an overflow warning; e^{2 x1 s} base^{n-2} is
@@ -833,13 +847,40 @@ class TestDiversity:
         assert dists.diversity_mean_given_n_age(10, x1, lam) == pytest.approx(
             want, rel=1e-14, abs=0)
 
-    def test_gamma_law_matches_scipy_stats(self):
+    @pytest.mark.parametrize("n", [3, 10, 1000])
+    def test_mean_given_n_age_within_2_ulps(self, n):
+        # E[S] = (1 - y/expm1(y))/lam, its series below y = 2; gammainc(2, y)
+        # was 3.4e-16 off at y = 1, and the old series 1.9e-14 at y = 0.01
+        mpmath = pytest.importorskip("mpmath")
+        for y in np.logspace(-300.0, math.log10(700.0), 151):
+            y = float(y)
+            with mpmath.workdps(int(60 - min(math.log10(y), 0.0))):
+                y_ = mpmath.mpf(y)
+                want = 2 * y_ + (n - 2) * (1 - y_ / mpmath.expm1(y_))
+            got = dists.diversity_mean_given_n_age(n, y, 1.0)
+            assert abs(mpmath.mpf(got) - want) <= 2 * 2.0 ** -52 * want, y
+
+    def test_gamma_law_matches_mpmath_and_scipy_stats(self):
+        # the pdf and cdf, and scipy.stats.gamma's (which the law gave bit for bit
+        # while it used scipy.special), within test_special's budget of the
+        # 50-digit law
+        mpmath = pytest.importorskip("mpmath")
         stats = pytest.importorskip("scipy.stats")
+        from test_special import gamma_pq, within
+
         d = np.concatenate([[0.0], np.linspace(0.01, 30.0, 301)])
         for n, lam in ((2, 1.0), (5, 0.3), (10, 2.0), (400, 7.5)):
             law = dists.diversity_dist_given_n(n, lam)
-            assert np.array_equal(law.pdf(d), stats.gamma.pdf(d, n - 1, scale=1.0 / lam))
-            assert np.array_equal(law.cdf(d), stats.gamma.cdf(d, n - 1, scale=1.0 / lam))
+            a = n - 1
+            for di, pdf, cdf, spdf, scdf in zip(d, law.pdf(d), law.cdf(d),
+                                                stats.gamma.pdf(d, a, scale=1.0 / lam),
+                                                stats.gamma.cdf(d, a, scale=1.0 / lam)):
+                with mpmath.workdps(50):
+                    x = mpmath.mpf(di) * lam
+                    t_pdf = lam * x ** (a - 1) * mpmath.exp(-x) / mpmath.gamma(a)
+                t_cdf = gamma_pq(a, float(di * lam))[0] if di else 0
+                assert within(pdf, t_pdf) and within(spdf, t_pdf), (n, di)
+                assert within(cdf, t_cdf) and within(scdf, t_cdf), (n, di)
 
 
 class TestExtremeRates:

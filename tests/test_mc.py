@@ -229,8 +229,9 @@ class TestChiSquare:
 
     @staticmethod
     def _reference(vals, pmf):
-        # counts each bin in its own pass and asks scipy.stats for the p-value;
-        # the binning and pooling are the harness's
+        # counts each bin in its own pass and sends the table through the
+        # harness's p-value function, the chi-square law's upper tail; the
+        # binning and pooling are the harness's
         ks = np.arange(2, vals.max() + 1)
         probs = np.array([pmf(int(k)) for k in ks])
         observed = np.array([np.count_nonzero(vals == k) for k in ks])
@@ -240,7 +241,17 @@ class TestChiSquare:
             expected[-2] += expected[-1]
             observed[-2] += observed[-1]
             expected, observed = expected[:-1], observed[:-1]
-        return scipy.stats.chisquare(observed, expected).pvalue
+        from test_special import gamma_pq, within  # needs mpmath
+
+        stat = np.sum((observed - expected) ** 2 / expected)
+        df = len(observed) - 1
+        p = float(kernel._gamma_pq(0.5 * df, 0.5 * stat)[1])
+        # the p-value, and scipy.stats.chisquare's, within test_special's budget
+        # of the 50-digit upper tail at the same statistic
+        truth = gamma_pq(0.5 * df, 0.5 * float(stat))[1]
+        assert within(p, truth)
+        assert within(scipy.stats.chisquare(observed, expected).pvalue, truth)
+        return p
 
     def test_same_p_value_as_counting_each_k(self):
         vals = np.random.default_rng(10).geometric(0.3, 5_000) + 1
