@@ -748,10 +748,21 @@ def _log_mgf_base(h, y: float):
 
 
 def diversity_mean_given_age(x1: float, lam: Union[float, Params]) -> float:
-    """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth)."""
+    """E[D|x1] = (2/lam)(e^{lam x1} - 1) (pure birth).  Where 2 expm1(y)/lam,
+    y = lam x1, overflows, y is past 709 and e^y - 1 is e^y to the bit: there
+    the mean is 2 e^(y - 700) (e^700/lam), whose factors stay finite wherever
+    the mean does (y < 940 at lam <= 1e100).  A mean past the float range
+    is refused."""
     lam = yule_rate(lam)
     _check_age(x1, Params(lam))
-    return 2.0 * math.expm1(lam * x1) / lam
+    y = lam * x1
+    mean = 2.0 * math.expm1(y) / lam if y < 709.78 else math.inf
+    if mean == math.inf and y < 1e3:  # past y = 940 the mean is past the float range
+        mean = 2.0 * math.exp(y - 700.0) * (math.exp(700.0) / lam)
+    if mean == math.inf:
+        raise ValueError(f"E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range "
+                         f"at lam x1 = {y:g}")
+    return mean
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ descendant after time s.
 
 The module also holds the few special functions the laws and the verify
 harness need, private and from numpy and math alone: exprel, the gamma
-density and the regularized incomplete gamma (series, continued fraction,
-or a finite Poisson sum at integer shape, and Temme's uniform expansion at
-large shape near its mean), and the binomial probability and tail that
-give the incomplete beta at integer arguments.
+density and the regularized incomplete gamma at the shapes the callers pass,
+integers and half-integers >= 1/2 (a series below x = a + 1, above it a
+finite sum of gamma densities, and Temme's uniform expansion at large shape
+near its mean), and the binomial probability and tail that give the
+incomplete beta at integer arguments.
 """
 
 from __future__ import annotations
@@ -305,8 +306,6 @@ _ODD = 1.0 / np.arange(35.0, 2.0, -2.0)
 _EPS = 2.0 ** -56
 # up to this shape or count, gamma and binomial factors are plain products of powers
 _DIRECT = 60
-# a continued fraction ends where its last factor is 1 to within an ulp
-_EPS_CF = 2.0 ** -52
 
 
 def _exprel(x):
@@ -392,29 +391,25 @@ def _binomial_saddle(j: int, m: int, x):
 
 def _binomial_tail(j: int, m: int, x):
     """P(Binomial(m, x) >= j) for integers 1 <= j <= m: the regularized
-    incomplete beta I_x(j, m - j + 1).  Where j is past the mode, the terms
-    from j up; else 1 minus those from j - 1 down (the tail is about 1/2 or
-    more there).  Either way the terms fall from the first."""
+    incomplete beta I_x(j, m - j + 1).  Where j is past the mode, pmf(j) +
+    pmf(j + 1) + ... + pmf(m); else 1 minus pmf(j - 1) + pmf(j - 2) + ... +
+    pmf(0) (the tail is about 1/2 or more there).  Either way the terms fall
+    from the first (see :func:`_run_sum`); the counts in the ratios stay
+    Python ints, as they may pass int64."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     term = _binomial_pmf(j, m, flat)
     up = (j >= (m + 1) * flat) & (flat < 1.0)
     out = np.empty_like(flat)
-    out[up] = _pmf_run(term[up], j, m, flat[up], 1)
-    v = flat[~up]  # > 0, as j > 0
-    out[~up] = 1.0 - _pmf_run(term[~up] * j * (1.0 - v) / ((m - j + 1) * v), j - 1, m, v, -1)
+    u, v = flat[up], flat[~up]  # v > 0, as j > 0
+    odds = u / (1.0 - u)
+    out[up] = _run_sum(term[up], lambda rows, i: odds[rows, None] * [
+        (m - j - k) / (j + k + 1) for k in i.tolist()], m - j)
+    back = (1.0 - v) / v
+    first = term[~up] * j * (1.0 - v) / ((m - j + 1) * v)  # pmf(j - 1)
+    out[~up] = 1.0 - _run_sum(first, lambda rows, i: back[rows, None] * [
+        (j - 1 - k) / (m - j + k + 2) for k in i.tolist()], j - 1)
     return out.reshape(x.shape)[()]
-
-
-def _pmf_run(term, j: int, m: int, x, step: int):
-    """pmf(j) + pmf(j + step) + ... to the end of 0..m, given the first
-    term, for terms that fall from it (see :func:`_run_sum`)."""
-    rho = x / (1.0 - x) if step > 0 else (1.0 - x) / x
-    if step > 0:  # the counts stay Python ints: they may pass int64
-        ratio = lambda i: [(m - j - k) / (j + k + 1) for k in i.tolist()]
-    else:
-        ratio = lambda i: [(j - k) / (m - j + k + 1) for k in i.tolist()]
-    return _run_sum(term, lambda rows, i: rho[rows, None] * ratio(i), m - j if step > 0 else j)
 
 
 def _run_sum(first, ratios, count):
@@ -439,7 +434,7 @@ def _run_sum(first, ratios, count):
 
 
 def _gamma_density(a: float, x):
-    """x^(a-1) e^-x / Gamma(a), the gamma law's density at shape a > 0 and
+    """x^(a-1) e^-x / Gamma(a), the gamma law's density at shape a >= 1 and
     x >= 0.  Up to a = _DIRECT it is that product, within a few ulps, with
     x = f 2^e split into a mantissa f in [1/2, 1) and a power of two, so that
     x^(a-1) = f^(a-1) 2^(e (a-1)) leaves the normal floats (whose edges numpy's
@@ -454,9 +449,8 @@ def _gamma_density(a: float, x):
     f, e = np.frexp(x)
     eb = e * b
     whole = np.floor(eb)
-    with np.errstate(divide="ignore"):  # 0^b at x = 0 and b < 0
-        out = np.asarray(np.ldexp(f ** b * np.exp2(eb - whole) * np.exp(-x) / math.gamma(a),
-                                  whole.astype(int)))
+    out = np.asarray(np.ldexp(f ** b * np.exp2(eb - whole) * np.exp(-x) / math.gamma(a),
+                              whole.astype(int)))
     far = (x >= 700.0) & (b > 0.0)
     if far.any():
         out[far] = np.exp(b * _log1pmx(x[far], b) - _stirling(b)) / math.sqrt(2.0 * math.pi * b)
@@ -465,13 +459,17 @@ def _gamma_density(a: float, x):
 
 def _gamma_pq(a: float, x) -> tuple:
     """(P, Q): the regularized lower and upper incomplete gamma functions at
-    shape a >= 1/2, for x >= 0 (an array or a float).  Temme's uniform
-    expansion at a > 200 and |x - a| < 0.3 a, where the others take O(sqrt a)
-    terms; elsewhere the series for P below x = a + 1 and, for Q above it,
-    Lentz's continued fraction, or a finite Poisson sum at an integer a (see
-    :func:`_gamma_upper`); the other one is 1 minus it (it is at least about
-    1/12 there).  Each is a :func:`_gamma_density` times a sum.  Past
-    x = 1e300, P is 1 and Q is 0.
+    an integer or half-integer shape a >= 1/2, for x >= 0 (an array or a
+    float).  Temme's uniform expansion at a > 200 and |x - a| < 0.3 a, where
+    the others take O(sqrt a) terms.  Elsewhere, below x = a + 1, P is the
+    series g(a + 1) sum_k x^k / ((a + 1) ... (a + k)), g = :func:`_gamma_density`
+    at x, each ratio x/(a + k) below 1; above it, from Q(s + 1) = Q(s) + g(s + 1)
+    (DLMF 8.4), Q is the finite sum g(a) + g(a - 1) + ..., down to g(1) at
+    an integer a (the Poisson probability of fewer than a events), and to
+    g(3/2) plus Q(1/2) = erfc(sqrt x) at a half-integer; the terms' ratios
+    (a - 1 - k)/x are below 1 (see :func:`_run_sum`).  The other one is
+    1 minus it (it is at least about 1/12 there).  Past x = 1e300, P is 1 and
+    Q is 0.
     """
     shape = np.shape(x)
     x = np.minimum(np.asarray(x, dtype=float).ravel(), 1e300)
@@ -482,49 +480,23 @@ def _gamma_pq(a: float, x) -> tuple:
     rest = np.flatnonzero(~temme & (x > 0.0))
     v = x[rest]
     low = v < a + 1.0
+    u, w = v[low], v[~low]
+    pu = _gamma_density(a + 1.0, u) * _run_sum(
+        np.ones_like(u), lambda rows, i: u[rows, None] / (a + 1.0 + i), math.inf)
+    qw = 0.0 if a == int(a) else _erfc(np.sqrt(w))
+    if a >= 1.0:
+        qw = qw + _gamma_density(a, w) * _run_sum(
+            np.ones_like(w), lambda rows, i: (a - 1.0 - i) / w[rows, None], math.floor(a) - 1)
     pv, qv = np.empty_like(v), np.empty_like(v)
-    pv[low] = _gamma_density(a + 1.0, v[low]) * _gamma_series(a, v[low])
-    qv[~low] = _gamma_density(a, v[~low]) * _gamma_upper(a, v[~low])
-    qv[low], pv[~low] = 1.0 - pv[low], 1.0 - qv[~low]
+    pv[low], qv[low] = pu, 1.0 - pu
+    pv[~low], qv[~low] = 1.0 - qw, qw
     p[rest], q[rest] = pv, qv
     return p.reshape(shape)[()], q.reshape(shape)[()]
 
 
-def _gamma_series(a: float, x):
-    """sum_k x^k / ((a + 1) ... (a + k)) for x < a + 1, where each ratio
-    x/(a + k) is below 1 (see :func:`_run_sum`)."""
-    return _run_sum(np.ones_like(x), lambda rows, i: x[rows, None] / (a + 1.0 + i), math.inf)
-
-
-def _gamma_upper(a: float, x):
-    """Q(a, x) Gamma(a) e^x / x^(a-1) for x >= a + 1.  At an integer a, Q is
-    the Poisson probability of fewer than a events, sum_(k<a) e^-x x^k/k!:
-    here the terms' sum from k = a - 1 down, each ratio k/x below 1 (see
-    :func:`_run_sum`).  Otherwise x times :func:`_gamma_fraction`."""
-    if a != int(a):
-        return x * _gamma_fraction(a, x)
-    return _run_sum(np.ones_like(x), lambda rows, i: (a - 1.0 - i) / x[rows, None], a - 1.0)
-
-
-def _gamma_fraction(a: float, x):
-    """Q(a, x) Gamma(a) e^x / x^a for x >= a + 1: the continued fraction
-    1/(x + 1 - a - 1 (1 - a)/(x + 3 - a - 2 (2 - a)/(x + 5 - a - ...))), by
-    the modified Lentz method (Numerical Recipes, 3rd ed., 6.2), each x until
-    its last factor is 1 to within an ulp."""
-    b = x + 1.0 - a  # every b and every convergent stays positive at x >= a + 1
-    c, d = np.full_like(x, np.inf), 1.0 / b
-    h, live = d.copy(), np.ones(x.shape, dtype=bool)
-    for i in range(1, 10_000):
-        if not live.any():
-            return h
-        an = -i * (i - a)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= np.where(live, delta, 1.0)
-        live &= np.abs(delta - 1.0) > _EPS_CF
-    raise RuntimeError(f"the incomplete gamma fraction did not converge at a={a}")
+def _erfc(x):
+    """math.erfc of each entry of a float array."""
+    return np.frompyfunc(math.erfc, 1, 1)(x).astype(float)
 
 
 # the coefficients gamma_k of Gamma(a) ~ sqrt(2 pi / a) (a/e)^a sum_k gamma_k a^-k
@@ -567,5 +539,4 @@ def _gamma_temme(a: float, x) -> tuple:
     coefs = a ** -np.arange(float(len(_GAMMA_STAR))) @ _temme_table()
     r = np.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * np.polyval(coefs[::-1], eta)
     t = eta * math.sqrt(0.5 * a)
-    erfc = np.frompyfunc(math.erfc, 1, 1)
-    return 0.5 * erfc(-t).astype(float) - r, 0.5 * erfc(t).astype(float) + r
+    return 0.5 * _erfc(-t) - r, 0.5 * _erfc(t) + r

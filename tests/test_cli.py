@@ -477,7 +477,11 @@ class TestBadInput:
           "--x1", "1e300", "--grid", "0:1e300:3"],
          "(lam + |mu|) --x1 must be > 0 and finite, got inf"),
         # E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range
-        (["expect", "--x1", "800"], "math range error"),
+        (["expect", "--x1", "800"],
+         "E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range at lam x1 = 800"),
+        # 2 expm1(709.5) overflowed to inf, written as JSON's non-standard Infinity
+        (["expect", "--x1", "709.5", "--format", "json"],
+         "E[diversity | x1] = 2 (e^(lam x1) - 1)/lam is past the float range at lam x1 = 709.5"),
         # numpy refused these with "expected non-negative integer", naming no flag
         (["simulate", "--scenario", "given-n", "--n", "5", "--seed=-1"],
          "--seed must be an integer >= 0, got -1"),

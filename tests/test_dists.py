@@ -803,6 +803,21 @@ class TestDiversity:
             2.0 * (math.e - 1.0)
         )
 
+    def test_mean_given_age_past_expm1s_range(self):
+        # at lam x1 = 800, 2 expm1(lam x1) overflowed: math.expm1 raised
+        # OverflowError, though the mean is finite
+        mpmath = pytest.importorskip("mpmath")
+        lam, x1 = 1e100, 8e-98
+        with mpmath.workdps(50):
+            want = 2 * mpmath.expm1(mpmath.mpf(lam) * mpmath.mpf(x1)) / mpmath.mpf(lam)
+        got = dists.diversity_mean_given_age(x1, lam)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_mean_given_age_past_the_float_range_is_refused(self):
+        # 2 expm1(709.5) is past the largest float: the mean read inf
+        with pytest.raises(ValueError, match=r"E\[diversity \| x1\] .* at lam x1 = 709.5$"):
+            dists.diversity_mean_given_age(709.5, 1.0)
+
     def test_mean_given_age_is_mixture_of_conditional_means(self):
         lam, x1 = 1.0, 1.0
         p = Params(lam, 0.0)

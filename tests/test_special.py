@@ -15,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from recontree import dists, kernel
+from recontree import dists, kernel, mc
+from recontree.cli import main
 from recontree.kernel import Params
 
 mpmath = pytest.importorskip("mpmath")
@@ -68,7 +69,11 @@ def test_exprel_within_2_ulps(x):
     assert kernel._exprel(np.array([0.0, -1e-17])).tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 9.0, 29.0, 399.0, 1e4, 1e6])
+# the half-integer shapes from 20.5 on reach the finite sum's longer runs, its density
+# past _DIRECT and, above 200, Temme's expansion (mpmath's own reference does not
+# converge at a = 10000.5)
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 9.0, 20.5, 29.0, 60.5, 61.5, 199.5, 250.5,
+                               399.0, 1000.5, 1e4, 1e6])
 def test_incomplete_gamma(a):
     xs = x_grid(a)
     p, q = kernel._gamma_pq(a, np.array(xs))
@@ -82,10 +87,11 @@ def test_incomplete_gamma(a):
             assert within(special.gammainc(a, x), tp) and within(special.gammaincc(a, x), tq)
 
 
-@pytest.mark.parametrize("df", range(1, 41))
+@pytest.mark.parametrize("df", range(1, 121))
 def test_chi_square_p_value(df):
+    # x = df + 2 is the first point of the finite sum above a + 1, a = df/2
     root = math.sqrt(2.0 * df)
-    for x in (0.0, 1e-10, 0.01, 0.5, 1.0, df / 2, df - 1.0, df, df + 1.0, 2.0 * df,
+    for x in (0.0, 1e-10, 0.01, 0.5, 1.0, df / 2, df - 1.0, df, df + 1.0, df + 2.0, 2.0 * df,
               df + 5 * root, 3.0 * df + 20.0, 100.0, 400.0, 1400.0, 1e5, 1e300):
         t = gamma_pq(df / 2, x / 2)[1]
         assert within(kernel._gamma_pq(df / 2, x / 2)[1], t), (df, x)
@@ -150,3 +156,27 @@ def test_temme_coefficients_are_the_known_rationals():
     known = [d[0, 0], d[0, 1], d[0, 2], d[0, 3], d[1, 0], d[1, 1], d[2, 0]]
     want = [-1 / 3, 1 / 12, -2 / 135, 1 / 864, -1 / 540, -1 / 288, 25 / 6048]
     assert known == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
+def test_callers_pass_the_shapes_the_finite_sums_serve(monkeypatch, tmp_path):
+    # _gamma_pq sums Q down to g(1) or erfc(sqrt x), so it serves integer and
+    # half-integer shapes a >= 1/2 only, and _gamma_density shapes a >= 1
+    pq, density = [], []
+
+    def record(shapes, f):
+        def call(a, x):
+            shapes.append(a)
+            return f(a, x)
+        return call
+
+    for module in (dists, mc):
+        monkeypatch.setattr(module, "_gamma_pq", record(pq, kernel._gamma_pq))
+    for module in (dists, kernel):
+        monkeypatch.setattr(module, "_gamma_density", record(density, kernel._gamma_density))
+    mc.verify_suite(mc.VerifyConfig(reps=1000, seed=20260824))
+    for n in (2, 5, 10**6):
+        assert main(["density", "--law", "diversity", "--n", str(n), "--grid", f"0:{3 * n}:20",
+                     "-o", str(tmp_path / f"{n}.csv")]) == 0
+    assert pq and density
+    assert all(2 * a == int(2 * a) and a >= 0.5 for a in pq), sorted(set(pq))
+    assert all(a >= 1 for a in density), sorted(set(density))
